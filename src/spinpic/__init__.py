@@ -47,14 +47,13 @@ from .picard import (
     render_class,
     zero_class,
 )
-from .testcurves import CurveFunctional, intersect, solve_thetanull, standard_curves
+from .testcurves import curve_map, intersect, solve_thetanull
 from .transfer import SpinCounts, pullback, pushforward, spin_counts
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BrillNoether",
-    "CurveFunctional",
     "DivisorClass",
     "DivisorSpec",
     "GENERAL_TYPE",
@@ -77,6 +76,7 @@ __all__ = [
     "canonical_s",
     "choose_d",
     "classify",
+    "curve_map",
     "decompose_canonical",
     "divisor_class",
     "format_rational",
@@ -94,7 +94,6 @@ __all__ = [
     "solve_exact",
     "solve_thetanull",
     "spin_counts",
-    "standard_curves",
     "thetanull_class",
     "uniruled_certificate",
     "zero_class",

@@ -10,6 +10,7 @@ ANSI styling (it is also disabled when stdout is not a terminal).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
-from .errors import USAGE_ERRORS, SpinPicError
+from .errors import USAGE_ERRORS, SideMismatchError, SpinPicError
 from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
 
@@ -111,7 +112,7 @@ def _cmd_pair(args) -> int:
     curves = testcurves.curve_map(ctx)
     if args.dump:
         table = {
-            name: {label: format_rational(v) for label, v in c.numbers.items()}
+            name: {label: format_rational(c[label]) for label in c.labels()}
             for name, c in curves.items()
         }
         print(_canonical_json(table))
@@ -132,6 +133,10 @@ def _cmd_pair(args) -> int:
         cls = _named_class(args.classexpr, ctx)
     else:
         cls = parse_class(args.classexpr, ctx, curve.side)
+    if cls.side != curve.side:
+        raise SideMismatchError(
+            f"curve {token} pairs with side-{curve.side} classes, got side-{cls.side}"
+        )
     print(format_rational(testcurves.intersect(curve, cls)))
     return 0
 
@@ -202,7 +207,9 @@ def _cmd_verify(args) -> int:
     return 0 if report["status"] == "OK" else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="spinpic",
         description="Exact-rational divisor-class calculus on the moduli spaces of "

@@ -26,7 +26,7 @@ class ClassSyntaxError(SpinPicError):
 
 
 class SideMismatchError(SpinPicError):
-    """A curve functional was paired with a class on the wrong side."""
+    """A test curve was paired with a class on the wrong side."""
 
 
 class GenusMismatchError(SpinPicError):

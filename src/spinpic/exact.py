@@ -1,11 +1,12 @@
-"""Exact rational scalars and dense exact linear algebra.
+"""Exact rational scalars and the exact linear solve.
 
 Every computation in this package runs over arbitrary-precision rationals;
 no floating point appears anywhere, in memory or in output. The scalar is
 the standard library Fraction, which already keeps the canonical form we
 need (reduced, positive denominator, zero stored as 0/1). This module adds
 the strict text format used by all external output ("p/q", or just "p"
-when the denominator is 1) and an exact dense linear solver.
+when the denominator is 1) and an exact Gaussian-elimination solver for
+the small square systems of the theta-null re-derivation.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ def format_rational(q: Fraction | int) -> str:
     return str(Fraction(q))
 
 
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def _check_rect(a: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
     if not a:
         raise DimensionMismatchError("empty matrix")
@@ -60,24 +57,6 @@ def _check_rect(a: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
         if len(row) != cols:
             raise DimensionMismatchError("ragged matrix rows")
     return len(a), cols
-
-
-def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> list[Fraction]:
-    rows, cols = _check_rect(a)
-    if len(x) != cols:
-        raise DimensionMismatchError(f"matrix is {rows}x{cols}, vector has length {len(x)}")
-    return [sum((Fraction(aij) * Fraction(xj) for aij, xj in zip(row, x)), Fraction(0)) for row in a]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    ra, ca = _check_rect(a)
-    rb, cb = _check_rect(b)
-    if ca != rb:
-        raise DimensionMismatchError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return [
-        [sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(ca)), Fraction(0)) for j in range(cb)]
-        for i in range(ra)
-    ]
 
 
 def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:

@@ -5,10 +5,12 @@ Two bases exist for each genus g >= 2, with h = floor(g/2):
 * curve side ("M"): lambda, d0, d1, ..., dh
 * spin side  ("S"): lambda, a0, b0s, a1, b1, ..., ah, bh
 
-A class is a dense coefficient vector over its basis; coefficients are
-exact rationals. The spin-side label for the second genus-0 boundary
-class is spelled ``b0s`` in every text format so that it can never be
-confused with the divisor slope coefficient b_0 used elsewhere.
+A class is a sparse coefficient vector over its basis: only the nonzero
+exact-rational coefficients are stored. A test curve is a class too, read
+as its vector of intersection numbers against the same basis. The
+spin-side label for the second genus-0 boundary class is spelled ``b0s``
+in every text format so that it can never be confused with the divisor
+slope coefficient b_0 used elsewhere.
 
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
@@ -23,8 +25,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
 from .exact import format_rational, rational
@@ -60,33 +63,38 @@ def s_labels(ctx: GenusCtx) -> tuple[str, ...]:
     return tuple(out)
 
 
-def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
+@lru_cache(maxsize=8)
+def _basis(ctx: GenusCtx, side: str) -> Mapping[str, None]:
+    """Read-only, ordered label set of the (ctx, side) basis.
+
+    Cached, so a label check costs one lookup. The cache is small because
+    a sweep visits each genus once, and a basis near g = 700 holds about a
+    thousand labels.
+    """
     if side == M_SIDE:
-        return m_labels(ctx)
-    if side == S_SIDE:
-        return s_labels(ctx)
-    raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
+        labels = m_labels(ctx)
+    elif side == S_SIDE:
+        labels = s_labels(ctx)
+    else:
+        raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
+    return MappingProxyType(dict.fromkeys(labels))
 
 
-def _normalize_coeff(ctx: GenusCtx, side: str, coeff: Mapping[str, object]) -> Mapping[str, Fraction]:
-    labels = labels_for(ctx, side)
-    unknown = set(coeff) - set(labels)
-    if unknown:
-        raise UnknownLabelError(
-            f"labels {sorted(unknown)} are not in the side-{side} basis at genus {ctx.g} "
-            f"(basis: {', '.join(labels)})"
-        )
-    dense = {label: rational(coeff.get(label, 0)) for label in labels}
-    return MappingProxyType(dense)
+def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
+    return tuple(_basis(ctx, side))
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class DivisorClass:
     """A formal divisor class: exact coefficients over a fixed basis.
 
-    Instances are immutable; the slot set is pinned to the basis of the
-    genus context at construction time. Missing labels are filled with 0
-    and labels outside the basis are rejected.
+    Instances are immutable and store only their nonzero coefficients, in
+    a read-only mapping; zeros given at construction are dropped and labels
+    outside the basis of the genus context are rejected. Indexing with a
+    basis label that is not stored gives 0.
     """
 
     ctx: GenusCtx
@@ -94,21 +102,28 @@ class DivisorClass:
     coeff: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", _normalize_coeff(self.ctx, self.side, self.coeff))
+        basis = _basis(self.ctx, self.side)
+        unknown = set(self.coeff) - basis.keys()
+        if unknown:
+            raise UnknownLabelError(
+                f"labels {sorted(unknown)} are not in the side-{self.side} basis at genus "
+                f"{self.ctx.g} (basis: {', '.join(basis)})"
+            )
+        values = ((label, rational(v)) for label, v in self.coeff.items())
+        object.__setattr__(self, "coeff", MappingProxyType({l: v for l, v in values if v}))
 
     def __getitem__(self, label: str) -> Fraction:
-        try:
-            return self.coeff[label]
-        except KeyError:
+        if label not in _basis(self.ctx, self.side):
             raise UnknownLabelError(
                 f"label {label!r} is not in the side-{self.side} basis at genus {self.ctx.g}"
-            ) from None
+            )
+        return self.coeff.get(label, _ZERO)
 
     def labels(self) -> tuple[str, ...]:
         return labels_for(self.ctx, self.side)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeff.values())
+        return not self.coeff
 
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -121,14 +136,16 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_compatible(other)
-        return DivisorClass(self.ctx, self.side, {l: self.coeff[l] + other.coeff[l] for l in self.coeff})
+        acc = dict(self.coeff)
+        for label, v in other.coeff.items():
+            acc[label] = acc.get(label, _ZERO) + v
+        return DivisorClass(self.ctx, self.side, acc)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_compatible(other)
-        return DivisorClass(self.ctx, self.side, {l: self.coeff[l] - other.coeff[l] for l in self.coeff})
+        return self + -other
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.ctx, self.side, {l: -v for l, v in self.coeff.items()})
+        return self.scaled(-1)
 
     def scaled(self, scalar) -> "DivisorClass":
         s = rational(scalar)
@@ -146,22 +163,20 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 
 
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
-    if label not in labels_for(ctx, side):
-        raise UnknownLabelError(f"label {label!r} is not in the side-{side} basis at genus {ctx.g}")
     return DivisorClass(ctx, side, {label: 1})
 
 
 def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
-    """Exact linear combination sum(scalars[k] * classes[k])."""
+    """Exact linear combination sum(scalars[k] * classes[k]), over nonzeros only."""
     if not classes or len(scalars) != len(classes):
         raise MixedBasisError("lincomb needs equally long, nonempty scalar and class lists")
     first = classes[0]
-    acc = dict(zero_class(first.ctx, first.side).coeff)
+    acc: dict[str, Fraction] = {}
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
         sq = rational(s)
         for label, v in cls.coeff.items():
-            acc[label] += sq * v
+            acc[label] = acc.get(label, _ZERO) + sq * v
     return DivisorClass(first.ctx, first.side, acc)
 
 
@@ -194,14 +209,14 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     Raises UnknownLabelError for labels outside the basis and
     ClassSyntaxError for anything that does not match the grammar.
     """
-    labels = labels_for(ctx, side)
+    basis = _basis(ctx, side)
     s = text.strip()
     if s == "0":
         return zero_class(ctx, side)
     if not s:
         raise ClassSyntaxError("empty class expression")
 
-    coeff = {label: Fraction(0) for label in labels}
+    coeff: dict[str, Fraction] = {}
     pos = 0
     first = True
     while pos < len(s):
@@ -216,13 +231,13 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
         if m is None:
             raise ClassSyntaxError(f"expected a term at position {pos} in {text!r}")
         label = _canonical_label(m.group("label"))
-        if label not in coeff:
+        if label not in basis:
             raise UnknownLabelError(
                 f"label {m.group('label')!r} is not in the side-{side} basis at genus {ctx.g} "
-                f"(basis: {', '.join(labels)})"
+                f"(basis: {', '.join(basis)})"
             )
         value = rational(m.group("num").replace(" ", "")) if m.group("num") else Fraction(1)
-        coeff[label] += sign * value
+        coeff[label] = coeff.get(label, _ZERO) + sign * value
         pos = m.end()
         first = False
         ws = re.match(r"\s*", s[pos:])
@@ -239,7 +254,7 @@ def render_class(x: DivisorClass) -> str:
     """
     parts: list[str] = []
     for label in x.labels():
-        v = x.coeff[label]
+        v = x.coeff.get(label, 0)
         if v == 0:
             continue
         mag = format_rational(abs(v))

@@ -1,15 +1,16 @@
-"""Test-curve functionals and the pencil re-derivation of the theta-null class.
+"""Test curves and the pencil re-derivation of the theta-null class.
 
-Each functional stores its full vector of intersection numbers against one
-side's basis, fully materialized so the tables themselves can be dumped
-and inspected. The standard family at genus g is:
+A test curve is a DivisorClass on its own side whose coefficients are its
+intersection numbers with the basis classes, so a curve stores only its
+nonzero entries and pairing costs one term per entry. The standard table
+at genus g is:
 
     B     curve side   B.lambda = g+1, B.d0 = 6g+18, B.di = 0
     R     spin side    the fibre-product lift of B over the covering
     F0    spin side    elliptic-tail pencil through an odd theta on the tail complement
     G0    spin side    elliptic-tail pencil sweeping the three even spin tails
     H0    spin side    pencil inside the non-split genus-0 boundary stratum
-    Fi,Gi spin side    one-entry functionals with value 2-2i at ai / bi
+    Fi,Gi spin side    one-entry curves with value 2-2i at ai / bi
 
 Fi and Gi are exposed for 1 <= i <= h only; at i = 1 both vectors vanish
 (2-2i = 0), which is why the solve below needs the three pencils F0, G0,
@@ -18,56 +19,33 @@ H0 rather than more of the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
 from . import catalog
 from .errors import GenusMismatchError, SideMismatchError, VerificationFailureError
 from .exact import solve_exact
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, labels_for
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx
 
 
-@dataclass(frozen=True)
-class CurveFunctional:
-    """A named test curve stored as its intersection vector against a basis."""
-
-    name: str
-    ctx: GenusCtx
-    side: str
-    numbers: Mapping[str, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        labels = labels_for(self.ctx, self.side)
-        if set(self.numbers) - set(labels):
-            raise SideMismatchError(f"curve {self.name} has entries outside the side-{self.side} basis")
-        dense = {label: Fraction(self.numbers.get(label, 0)) for label in labels}
-        object.__setattr__(self, "numbers", MappingProxyType(dense))
-
-    def __getitem__(self, label: str) -> Fraction:
-        return self.numbers[label]
-
-
-def intersect(curve: CurveFunctional, x: DivisorClass) -> Fraction:
-    """Exact pairing: the dot product of the stored vector with the class."""
+def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
+    """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient."""
     if curve.side != x.side:
         raise SideMismatchError(
-            f"curve {curve.name} pairs with side-{curve.side} classes, got side-{x.side}"
+            f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
         )
     if curve.ctx != x.ctx:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
-    return sum((curve.numbers[l] * x.coeff[l] for l in curve.numbers), Fraction(0))
+    return sum((v * x.coeff.get(l, 0) for l, v in curve.coeff.items()), Fraction(0))
 
 
-def standard_curves(ctx: GenusCtx) -> list[CurveFunctional]:
+def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
+    """The standard test curves at genus ctx.g, by name."""
     if ctx.g < 3:
         raise ValueError(f"the standard curves need genus >= 3, got {ctx.g}")
     g, h = ctx.g, ctx.h
-    curves = [
-        CurveFunctional("B", ctx, M_SIDE, {"lambda": g + 1, "d0": 6 * g + 18}),
-        CurveFunctional(
-            "R",
+    curves = {
+        "B": DivisorClass(ctx, M_SIDE, {"lambda": g + 1, "d0": 6 * g + 18}),
+        "R": DivisorClass(
             ctx,
             S_SIDE,
             {
@@ -76,18 +54,14 @@ def standard_curves(ctx: GenusCtx) -> list[CurveFunctional]:
                 "b0s": (6 * g + 18) * 2 ** (g - 2) * (2 ** (g - 1) + 1),
             },
         ),
-        CurveFunctional("F0", ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
-        CurveFunctional("G0", ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
-        CurveFunctional("H0", ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}),
-    ]
+        "F0": DivisorClass(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
+        "G0": DivisorClass(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
+        "H0": DivisorClass(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}),
+    }
     for i in range(1, h + 1):
-        curves.append(CurveFunctional(f"F{i}", ctx, S_SIDE, {f"a{i}": 2 - 2 * i}))
-        curves.append(CurveFunctional(f"G{i}", ctx, S_SIDE, {f"b{i}": 2 - 2 * i}))
+        curves[f"F{i}"] = DivisorClass(ctx, S_SIDE, {f"a{i}": 2 - 2 * i})
+        curves[f"G{i}"] = DivisorClass(ctx, S_SIDE, {f"b{i}": 2 - 2 * i})
     return curves
-
-
-def curve_map(ctx: GenusCtx) -> dict[str, CurveFunctional]:
-    return {c.name: c for c in standard_curves(ctx)}
 
 
 def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -101,7 +75,7 @@ def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction
         P.lambda * L - P.a0 * A - P.b0s * B = 1/2 * sum_i P.bi
 
     in the unknowns (L, A, B). Rows are built from the stored curve
-    vectors, so any corruption of those vectors surfaces here.
+    entries, so any corruption of those entries surfaces here.
     """
     curves = curve_map(ctx)
     rows: list[list[Fraction]] = []

@@ -59,36 +59,39 @@ def _m_image(label: str) -> str:
 
 
 def pullback(x: DivisorClass) -> DivisorClass:
+    """Pullback to the spin side, one nonzero coefficient at a time."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
-    ctx = x.ctx
-    out: dict[str, Fraction] = {"lambda": x["lambda"], "a0": x["d0"], "b0s": 2 * x["d0"]}
-    for i in range(1, ctx.h + 1):
-        out[f"a{i}"] = x[f"d{i}"]
-        out[f"b{i}"] = x[f"d{i}"]
-    return DivisorClass(ctx, S_SIDE, out)
+    out: dict[str, Fraction] = {}
+    for label, v in x.coeff.items():
+        if label == "lambda":
+            out["lambda"] = v
+        elif label == "d0":
+            out["a0"], out["b0s"] = v, 2 * v
+        else:
+            out[f"a{label[1:]}"] = out[f"b{label[1:]}"] = v
+    return DivisorClass(x.ctx, S_SIDE, out)
 
 
 def pushforward(x: DivisorClass) -> DivisorClass:
+    """Pushforward to the curve side, one nonzero coefficient at a time."""
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
-    ctx = x.ctx
-    out = {label: Fraction(0) for label in m_labels(ctx)}
-    for label in s_labels(ctx):
-        out[_m_image(label)] += pushforward_degree(ctx, label) * x[label]
-    return DivisorClass(ctx, M_SIDE, out)
+    out: dict[str, Fraction] = {}
+    for label, v in x.coeff.items():
+        m = _m_image(label)
+        out[m] = out.get(m, 0) + pushforward_degree(x.ctx, label) * v
+    return DivisorClass(x.ctx, M_SIDE, out)
 
 
-def pullback_matrix(ctx: GenusCtx) -> list[list[Fraction]]:
-    """Matrix of pullback: rows over the spin basis, columns over the curve basis."""
-    cols = [pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)]
-    return [[col[s] for col in cols] for s in s_labels(ctx)]
+def pullback_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:
+    """Columns of pullback: each curve-side basis label mapped to its image class."""
+    return {m: pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)}
 
 
-def pushforward_matrix(ctx: GenusCtx) -> list[list[Fraction]]:
-    """Matrix of pushforward: rows over the curve basis, columns over the spin basis."""
-    cols = [pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)]
-    return [[col[m] for col in cols] for m in m_labels(ctx)]
+def pushforward_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:
+    """Columns of pushforward: each spin-side basis label mapped to its image class."""
+    return {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
 
 
 @dataclass(frozen=True)

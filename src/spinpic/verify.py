@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, kodaira, testcurves, transfer
-from .exact import format_rational, mat_mul
+from .exact import format_rational
 from .picard import (
     M_SIDE,
     S_SIDE,
@@ -24,6 +24,7 @@ from .picard import (
     GenusCtx,
     basis_class,
     labels_for,
+    lincomb,
     m_labels,
     parse_class,
     render_class,
@@ -98,15 +99,12 @@ def _expected_curve_table(ctx: GenusCtx) -> dict[str, tuple[str, dict[str, int]]
     return table
 
 
-def _nonzero(numbers) -> dict:
-    return {k: v for k, v in numbers.items() if v != 0}
-
-
 def run_genus(g: int) -> list[Check]:
     """Run every per-genus check; g >= 3."""
     ctx = GenusCtx(g)
     rec = _Recorder()
     n_even = transfer.even_component_degree(g)
+    curves = testcurves.curve_map(ctx)
 
     def counts() -> None:
         sc = transfer.spin_counts(ctx)
@@ -119,9 +117,13 @@ def run_genus(g: int) -> list[Check]:
             rec.add(f"projection:{label}", n_even * x, transfer.pushforward(transfer.pullback(x)))
         x = _fuzz_class(ctx, M_SIDE, salt=1)
         rec.add("projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x)))
-        prod = mat_mul(transfer.pushforward_matrix(ctx), transfer.pullback_matrix(ctx))
-        size = len(m_labels(ctx))
-        n_id = [[Fraction(n_even * int(i == j)) for j in range(size)] for i in range(size)]
+        # second route: compose the column maps with lincomb, not the maps in turn
+        push = transfer.pushforward_matrix(ctx)
+        prod = {
+            m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff])
+            for m, col in transfer.pullback_matrix(ctx).items()
+        }
+        n_id = {m: n_even * basis_class(ctx, M_SIDE, m) for m in m_labels(ctx)}
         rec.add("projection:matrix-product", True, prod == n_id)
 
     def named_classes() -> None:
@@ -158,19 +160,17 @@ def run_genus(g: int) -> list[Check]:
             rec.add(f"bn:ratio-bound-d{i}", True, ratio >= Fraction(4, 3))
 
     def curve_tables() -> None:
-        curves = testcurves.curve_map(ctx)
         expected = _expected_curve_table(ctx)
         rec.add("curves:names", sorted(expected), sorted(curves))
         for name, (side, numbers) in expected.items():
             got = curves.get(name)
             rec.add(
                 f"curves:table:{name}",
-                {"side": side, **_nonzero({k: Fraction(v) for k, v in numbers.items()})},
-                {"side": got.side, **_nonzero(got.numbers)} if got is not None else "missing",
+                {"side": side, **{k: Fraction(v) for k, v in numbers.items() if v != 0}},
+                {"side": got.side, **got.coeff} if got is not None else "missing",
             )
 
     def pairings() -> None:
-        curves = testcurves.curve_map(ctx)
         theta = catalog.thetanull_class(ctx)
         for name in ("F0", "G0", "H0"):
             rec.add(f"pairing:{name}*theta", Fraction(0), testcurves.intersect(curves[name], theta))
@@ -179,7 +179,6 @@ def run_genus(g: int) -> list[Check]:
             rec.add(f"pairing:G{i}*theta", Fraction(i - 1), testcurves.intersect(curves[f"G{i}"], theta))
 
     def lift() -> None:
-        curves = testcurves.curve_map(ctx)
         b, r = curves["B"], curves["R"]
         probes = [(label, basis_class(ctx, M_SIDE, label)) for label in m_labels(ctx)]
         probes.append(("fuzz", _fuzz_class(ctx, M_SIDE, salt=2)))
@@ -191,7 +190,6 @@ def run_genus(g: int) -> list[Check]:
             )
 
     def pullback_compat() -> None:
-        curves = testcurves.curve_map(ctx)
         # the elliptic-tail pencil downstairs: degree 12 on d0, -1 on d1
         tail = {"lambda": Fraction(1), "d0": Fraction(12), "d1": Fraction(-1)}
         for label in m_labels(ctx):
@@ -219,7 +217,6 @@ def run_genus(g: int) -> list[Check]:
     def theta_solve() -> None:
         solved = testcurves.solve_thetanull(ctx, check=False)
         rec.add("solve:thetanull", catalog.thetanull_class(ctx), solved)
-        curves = testcurves.curve_map(ctx)
         for name in ("F0", "G0", "H0"):
             rec.add(f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved))
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from spinpic import catalog, cli, kodaira, testcurves, transfer, verify
 from spinpic.errors import NotCompositeError
-from spinpic.picard import DivisorClass, GenusCtx, M_SIDE, S_SIDE, basis_class, lincomb, parse_class
+from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, lincomb, parse_class
 from spinpic.testcurves import curve_map, intersect, solve_thetanull
 from spinpic.transfer import even_component_degree, pullback, pushforward, spin_counts
 
@@ -161,29 +161,21 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
             assert failures(6)
 
         with monkeypatch.context() as m:
-            orig_curves = testcurves.standard_curves
+            orig_curves = testcurves.curve_map
 
             def bump_h0(ctx):
-                out = []
-                for c in orig_curves(ctx):
-                    if c.name == "H0":
-                        numbers = dict(c.numbers)
-                        numbers["a1"] += 1
-                        c = testcurves.CurveFunctional(c.name, c.ctx, c.side, numbers)
-                    out.append(c)
-                return out
+                curves = orig_curves(ctx)
+                curves["H0"] += basis_class(ctx, S_SIDE, "a1")
+                return curves
 
-            m.setattr(testcurves, "standard_curves", bump_h0)
+            m.setattr(testcurves, "curve_map", bump_h0)
             assert failures(6)
 
         with monkeypatch.context() as m:
             orig_theta = catalog.thetanull_class
 
             def bump_theta(ctx):
-                cls = orig_theta(ctx)
-                coeff = dict(cls.coeff)
-                coeff["lambda"] += 1
-                return DivisorClass(ctx, S_SIDE, coeff)
+                return orig_theta(ctx) + basis_class(ctx, S_SIDE, "lambda")
 
             m.setattr(catalog, "thetanull_class", bump_theta)
             assert failures(6)

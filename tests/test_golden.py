@@ -1,0 +1,46 @@
+"""Golden test: pins the engine's full output for genus 3..22 by hash.
+
+Recipe, with PYTHONPATH=src (re-derive both values this way when a change
+deliberately adds, renames or rewords a check):
+
+    import hashlib, json
+    from spinpic import kodaira, verify
+    from spinpic.picard import GenusCtx
+
+    checks = [[g, c.name, c.ok, c.expected, c.got]
+              for g in range(3, 23) for c in verify.run_genus(g)]
+    certificates = [kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
+                    for g in range(3, 23)]
+    blob = json.dumps({"checks": checks, "certificates": certificates}, sort_keys=True)
+    hashlib.sha256(blob.encode()).hexdigest()
+    hashlib.sha256(verify.report_json(verify.build_report(3, 22)).encode()).hexdigest()
+
+The first hash covers every check record (4209 rows) and every certificate;
+the second covers the canonical `verify --json` report.
+"""
+
+import hashlib
+import json
+
+from spinpic import kodaira, verify
+from spinpic.picard import GenusCtx
+
+GENERA = range(3, 23)
+CHECKS_AND_CERTIFICATES_SHA256 = "1b40370b28509b401bc22bf2badadacb133bb87415d5335b10f44f1ec3983741"
+REPORT_SHA256 = "8ef3f518d82235de22a5971bd3891e778335241c8166ce3b5f9b2d8eacd2ba9c"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_checks_and_certificates_are_unchanged():
+    checks = [[g, c.name, c.ok, c.expected, c.got] for g in GENERA for c in verify.run_genus(g)]
+    certificates = [kodaira.certificate_json(kodaira.classify(GenusCtx(g))) for g in GENERA]
+    assert len(checks) == 4209
+    blob = json.dumps({"checks": checks, "certificates": certificates}, sort_keys=True)
+    assert _sha256(blob) == CHECKS_AND_CERTIFICATES_SHA256
+
+
+def test_verify_report_is_unchanged():
+    assert _sha256(verify.report_json(verify.build_report(3, 22))) == REPORT_SHA256

@@ -1,16 +1,18 @@
 """Single +1 perturbations of any constant must flip at least one verify check.
 
-The three constant families the engine rests on are the pushforward
-multiplicities, the stored curve intersection numbers, and the theta-null
-coefficients. Each case patches exactly one entry and asserts that the
+The constant families the engine rests on are the pushforward
+multiplicities, the stored curve intersection numbers, the theta-null
+coefficients, the canonical classes on both sides and the closed form of
+the vanishing-theta-null class. Each case perturbs exactly one entry,
+written as `original(ctx) + basis_class(ctx, side, label)` so that an
+entry stored as zero is perturbed like any other, and asserts that the
 per-genus suite reports a failure.
 """
 
 import pytest
 
 from spinpic import catalog, testcurves, transfer, verify
-from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, labels_for, s_labels
-from spinpic.testcurves import CurveFunctional
+from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, s_labels
 
 
 def _failures(g):
@@ -30,42 +32,47 @@ def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
 
 _CTX5 = GenusCtx(5)
 _CURVE_CASES = [
-    (c.name, label)
-    for c in testcurves.standard_curves(_CTX5)
+    (name, label)
+    for name, c in testcurves.curve_map(_CTX5).items()
     for label in labels_for(_CTX5, c.side)
 ]
 
 
 @pytest.mark.parametrize("name,label", _CURVE_CASES)
 def test_perturbed_curve_entry_is_caught(name, label, monkeypatch):
-    original = testcurves.standard_curves
+    original = testcurves.curve_map
 
     def bumped(ctx):
-        out = []
-        for c in original(ctx):
-            if c.name == name:
-                numbers = dict(c.numbers)
-                numbers[label] += 1
-                c = CurveFunctional(c.name, c.ctx, c.side, numbers)
-            out.append(c)
-        return out
+        curves = original(ctx)
+        curves[name] += basis_class(ctx, curves[name].side, label)
+        return curves
 
-    monkeypatch.setattr(testcurves, "standard_curves", bumped)
+    monkeypatch.setattr(testcurves, "curve_map", bumped)
     assert _failures(5), f"no check caught the perturbed entry {name}.{label}"
 
 
 @pytest.mark.parametrize("label", s_labels(GenusCtx(5)))
 def test_perturbed_thetanull_coefficient_is_caught(label, monkeypatch):
     original = catalog.thetanull_class
-
-    def bumped(ctx):
-        cls = original(ctx)
-        coeff = dict(cls.coeff)
-        coeff[label] += 1
-        return DivisorClass(ctx, S_SIDE, coeff)
-
-    monkeypatch.setattr(catalog, "thetanull_class", bumped)
+    monkeypatch.setattr(
+        catalog, "thetanull_class", lambda ctx: original(ctx) + basis_class(ctx, S_SIDE, label)
+    )
     assert _failures(5), f"no check caught the perturbed theta coefficient at {label}"
+
+
+_NAMED_CLASS_CASES = [
+    (attr, side, g, label)
+    for attr, side in (("canonical_m", M_SIDE), ("canonical_s", S_SIDE), ("m1_theta_class", M_SIDE))
+    for g in (5, 6)
+    for label in labels_for(GenusCtx(g), side)
+]
+
+
+@pytest.mark.parametrize("attr,side,g,label", _NAMED_CLASS_CASES)
+def test_perturbed_named_class_coefficient_is_caught(attr, side, g, label, monkeypatch):
+    original = getattr(catalog, attr)
+    monkeypatch.setattr(catalog, attr, lambda ctx: original(ctx) + basis_class(ctx, side, label))
+    assert _failures(g), f"no check caught the perturbed {attr} coefficient at {label}, genus {g}"
 
 
 def test_unperturbed_suite_is_clean():

@@ -18,7 +18,6 @@ from spinpic.testcurves import (
     curve_map,
     intersect,
     solve_thetanull,
-    standard_curves,
     thetanull_system,
 )
 from spinpic.transfer import even_component_degree, pullback
@@ -28,7 +27,7 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 
 def test_curve_inventory():
     ctx = GenusCtx(7)
-    names = {c.name for c in standard_curves(ctx)}
+    names = set(curve_map(ctx))
     assert names == {"B", "R", "F0", "G0", "H0", "F1", "F2", "F3", "G1", "G2", "G3"}
 
 
