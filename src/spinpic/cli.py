@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -22,9 +21,16 @@ from .errors import USAGE_ERRORS, SideMismatchError, SpinPicError
 from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
 
-_CURVE_TOKEN_RE = re.compile(r"^(B|R|F\d+|G\d+|H0)$")
-
-_NAMED_CLASSES = ("canonical-m", "canonical-s", "thetanull", "bn", "m1", "D")
+# Each builder looks its function up on catalog at call time, so that a
+# patched or traced catalog function is the one that runs.
+_NAMED_CLASSES = {
+    "canonical-m": lambda ctx: catalog.canonical_m(ctx),
+    "canonical-s": lambda ctx: catalog.canonical_s(ctx),
+    "thetanull": lambda ctx: catalog.thetanull_class(ctx),
+    "bn": lambda ctx: catalog.bn_class(ctx)[0],
+    "m1": lambda ctx: catalog.m1_theta_class(ctx),
+    "D": lambda ctx: catalog.divisor_class(catalog.choose_d(ctx)),
+}
 
 
 def _color_enabled() -> bool:
@@ -51,35 +57,31 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _named_class(name: str, ctx: GenusCtx):
-    if name == "canonical-m":
-        return catalog.canonical_m(ctx)
-    if name == "canonical-s":
-        return catalog.canonical_s(ctx)
-    if name == "thetanull":
-        return catalog.thetanull_class(ctx)
-    if name == "m1":
-        return catalog.m1_theta_class(ctx)
-    if name == "bn":
-        return catalog.bn_class(ctx)[0]
-    if name == "D":
-        return catalog.divisor_class(catalog.choose_d(ctx))
-    return None
-
-
-def _load_user_divisor(args, ctx: GenusCtx):
-    if getattr(args, "divisor_file", None) is None:
-        return None
-    return catalog.load_divisor_spec(Path(args.divisor_file), ctx)
-
-
 def _cmd_classify(args) -> int:
-    ctx = GenusCtx(args.genus)
-    cert = kodaira.classify(ctx, _load_user_divisor(args, ctx))
-    if args.json:
-        print(_canonical_json(kodaira.certificate_json(cert)))
-        return 0
-    print(f"genus {ctx.g}: {cert.verdict}")
+    if args.genus is not None:
+        if args.start is not None or args.end is not None:
+            raise ValueError("-g and --from/--to are mutually exclusive")
+        ctx = GenusCtx(args.genus)
+        user = None if args.divisor_file is None else catalog.load_divisor_spec(Path(args.divisor_file), ctx)
+        certs = [kodaira.classify(ctx, user)]
+        dump = _canonical_json
+    else:
+        if args.start is None or args.end is None or args.start > args.end:
+            raise ValueError("classify needs -g N, or --from A --to B with A <= B")
+        if args.divisor_file is not None:
+            raise ValueError("--divisor-file needs -g")
+        certs = (kodaira.classify(GenusCtx(g)) for g in range(args.start, args.end + 1))
+        dump = functools.partial(json.dumps, sort_keys=True)  # one line per genus (JSONL)
+    for cert in certs:
+        if args.json:
+            print(dump(kodaira.certificate_json(cert)))
+        else:
+            _print_certificate(cert)
+    return 0
+
+
+def _print_certificate(cert: kodaira.KodairaCertificate) -> None:
+    print(f"genus {cert.ctx.g}: {cert.verdict}")
     if cert.rk is not None:
         print(f"  R . K = {format_rational(cert.rk)}")
     dec = cert.decomposition
@@ -97,13 +99,10 @@ def _cmd_classify(args) -> int:
         print(f"  note: {note}")
     for hyp in cert.citations:
         print(f"  uses: {hyp}")
-    return 0
 
 
 def _cmd_class(args) -> int:
-    ctx = GenusCtx(args.genus)
-    cls = _named_class(args.name, ctx)
-    print(render_class(cls))
+    print(render_class(_NAMED_CLASSES[args.name](GenusCtx(args.genus))))
     return 0
 
 
@@ -121,7 +120,7 @@ def _cmd_pair(args) -> int:
         print("error: pair needs CURVE and CLASSEXPR (or --dump)", file=sys.stderr)
         return 2
     token = args.curve
-    if not _CURVE_TOKEN_RE.match(token) or token not in curves:
+    if token not in curves:
         print(
             f"error: unknown curve {token!r} at genus {ctx.g} "
             f"(available: {', '.join(curves)})",
@@ -130,7 +129,7 @@ def _cmd_pair(args) -> int:
         return 2
     curve = curves[token]
     if args.classexpr in _NAMED_CLASSES:
-        cls = _named_class(args.classexpr, ctx)
+        cls = _NAMED_CLASSES[args.classexpr](ctx)
     else:
         cls = parse_class(args.classexpr, ctx, curve.side)
     if cls.side != curve.side:
@@ -153,7 +152,7 @@ def _cmd_solve_thetanull(args) -> int:
             parts.append((f"- {term}" if c < 0 else f"+ {term}") if parts else
                          (f"-{term}" if c < 0 else term))
         print(f"  {name}: {' '.join(parts)} = {format_rational(r)}")
-    solved = testcurves.solve_thetanull(ctx, check=False)
+    solved = testcurves.solve_thetanull(ctx)
     lam, a0, b0 = (solved["lambda"], -solved["a0"], -solved["b0s"])
     print(f"solution: Lbar = {format_rational(lam)}, A0bar = {format_rational(a0)}, "
           f"B0bar = {format_rational(b0)}")
@@ -220,10 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_genus(p: argparse.ArgumentParser) -> None:
         p.add_argument("-g", "--genus", type=int, required=True, help="genus (>= 3)")
 
-    p = sub.add_parser("classify", help="emit the Kodaira-type certificate for one genus")
-    add_genus(p)
-    p.add_argument("--divisor-file", help="JSON file with a user-supplied divisor spec")
-    p.add_argument("--json", action="store_true", help="print the certificate as JSON")
+    p = sub.add_parser("classify", help="emit the Kodaira-type certificate for one genus or a range")
+    p.add_argument("-g", "--genus", type=int, help="genus (>= 3)")
+    p.add_argument("--from", dest="start", type=int, help="first genus of a range (with --to)")
+    p.add_argument("--to", dest="end", type=int, help="last genus of a range (with --from)")
+    p.add_argument("--divisor-file", help="JSON file with a user-supplied divisor spec (with -g)")
+    p.add_argument("--json", action="store_true",
+                   help="print the certificate as JSON; a range prints one line per genus")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("class", help="print a named divisor class")
@@ -260,15 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse takes a class expression with a leading '-', such as
+        # -1/2*lambda, for an unknown option; pair takes it back as CLASSEXPR.
+        if args.command == "pair" and len(extra) == 1 and args.curve is not None and args.classexpr is None:
+            args.classexpr, extra = extra[0], []
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (*USAGE_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpinPicError as exc:

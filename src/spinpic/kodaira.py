@@ -117,8 +117,6 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
     """Pairing of the covering curve R with the canonical class; negative iff g <= 7."""
-    if ctx.g < 3:
-        raise ValueError(f"the uniruledness certificate needs genus >= 3, got {ctx.g}")
     r = testcurves.curve_map(ctx)["R"]
     return testcurves.intersect(r, catalog.canonical_s(ctx))
 
@@ -165,9 +163,6 @@ _RATIONALITY_NOTES = {
 def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> KodairaCertificate:
     """Classify one genus, returning the certificate with all evidence attached."""
     g = ctx.g
-    if g < 3:
-        raise ValueError(f"classification needs genus >= 3, got {g}")
-
     flags: list[str] = []
     annotations: list[str] = []
     if g <= 4:

@@ -51,6 +51,12 @@ class GenusCtx:
         return self.g // 2
 
 
+def require_classification_genus(ctx: GenusCtx) -> None:
+    """Reject g = 2: the named classes, the test curves and the certificates need g >= 3."""
+    if ctx.g < 3:
+        raise ValueError(f"this operation needs genus >= 3, got {ctx.g}")
+
+
 def m_labels(ctx: GenusCtx) -> tuple[str, ...]:
     return ("lambda",) + tuple(f"d{i}" for i in range(ctx.h + 1))
 
@@ -196,10 +202,8 @@ def _canonical_label(token: str) -> str:
         return "lambda"
     head = token[0]
     if head in _UNICODE_HEADS:
-        idx = int(token[1:])
-        if head == "β" and idx == 0:
-            return "b0s"
-        return f"{_UNICODE_HEADS[head]}{idx}"
+        # the index digits are kept as written, so δ01 is rejected like d01
+        return "b0s" if token == "β0" else _UNICODE_HEADS[head] + token[1:]
     return token
 
 

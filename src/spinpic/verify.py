@@ -215,7 +215,7 @@ def run_genus(g: int) -> list[Check]:
         rec.add("compat:G0-branching", Fraction(36), g0["a0"] + 2 * g0["b0s"])
 
     def theta_solve() -> None:
-        solved = testcurves.solve_thetanull(ctx, check=False)
+        solved = testcurves.solve_thetanull(ctx)
         rec.add("solve:thetanull", catalog.thetanull_class(ctx), solved)
         for name in ("F0", "G0", "H0"):
             rec.add(f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from spinpic import cli
+from spinpic import cli, kodaira
+from spinpic.picard import GenusCtx
 
 
 def run(capsys, *argv):
@@ -150,3 +151,57 @@ def test_usage_errors_exit_two(capsys):
 def test_bad_class_expression_exits_two(capsys):
     code, _, err = run(capsys, "pair", "R", "1/4*nope", "-g", "5")
     assert code == 2
+
+
+_DIVISOR_FILE_FAULTS = {
+    "string-b": '{"name": "s", "genus": 10, "a": "7", "b0": "1", "b": "22222"}',
+    "float-a": '{"name": "f", "genus": 10, "a": 7.5, "b0": "1", "b": ["2", "2", "2", "2", "2"]}',
+    "bool-b": '{"name": "t", "genus": 10, "a": "7", "b0": "1", "b": [true, 2, 2, 2, 2]}',
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVISOR_FILE_FAULTS))
+def test_malformed_divisor_file_exits_two(capsys, tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    if _DIVISOR_FILE_FAULTS[case] is not None:
+        path.write_text(_DIVISOR_FILE_FAULTS[case])
+    code, out, err = run(capsys, "classify", "-g", "10", "--divisor-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unicode_label_with_leading_zero_exits_two(capsys):
+    code, out, err = run(capsys, "pair", "B", "δ01", "-g", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, "pair", "R", "β0", "-g", "5") == run(capsys, "pair", "R", "b0s", "-g", "5")
+
+
+def test_pair_expression_with_leading_minus(capsys):
+    assert run(capsys, "pair", "R", "-1/2*lambda", "-g", "5") == (0, "-1584\n", "")
+    code, _, err = run(capsys, "pair", "R", "lambda", "-x", "-g", "5")
+    assert code == 2
+    assert "unrecognized arguments: -x" in err
+
+
+def test_classify_range_json_lines(capsys):
+    code, out, _ = run(capsys, "classify", "--from", "7", "--to", "10", "--json")
+    assert code == 0
+    assert out.splitlines() == [
+        json.dumps(kodaira.certificate_json(kodaira.classify(GenusCtx(g))), sort_keys=True)
+        for g in range(7, 11)
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("-g", "5", "--from", "3", "--to", "6"),
+    ("-g", "5", "--to", "6"),
+    ("--from", "3"),
+    ("--from", "6", "--to", "5"),
+    ("--from", "9", "--to", "10", "--divisor-file", "d.json"),
+])
+def test_classify_target_rules_exit_two(capsys, argv):
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,18 +16,25 @@ deliberately adds, renames or rewords a check):
     hashlib.sha256(verify.report_json(verify.build_report(3, 22)).encode()).hexdigest()
 
 The first hash covers every check record (4209 rows) and every certificate;
-the second covers the canonical `verify --json` report.
+the second covers the canonical `verify --json` report. The third covers the
+exit code and stdout of every invocation in `_cli_invocations()`, serialised
+as `json.dumps([[argv, code, stdout], ...])`.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 
-from spinpic import kodaira, verify
+from spinpic import cli, kodaira, verify
 from spinpic.picard import GenusCtx
 
 GENERA = range(3, 23)
 CHECKS_AND_CERTIFICATES_SHA256 = "1b40370b28509b401bc22bf2badadacb133bb87415d5335b10f44f1ec3983741"
 REPORT_SHA256 = "8ef3f518d82235de22a5971bd3891e778335241c8166ce3b5f9b2d8eacd2ba9c"
+CLI_SHA256 = "da0af1cf2358cabdef671beac6d7ec2b1fca98dc97a473dd6b43a5f9dbf4176e"
+CLI_GENERA = ("3", "8", "10", "17", "40")
+NAMED_CLASSES = ("canonical-m", "canonical-s", "thetanull", "bn", "m1", "D")
 
 
 def _sha256(text: str) -> str:
@@ -44,3 +51,26 @@ def test_checks_and_certificates_are_unchanged():
 
 def test_verify_report_is_unchanged():
     assert _sha256(verify.report_json(verify.build_report(3, 22))) == REPORT_SHA256
+
+
+def _cli_invocations():
+    for g in CLI_GENERA:
+        yield ["classify", "-g", g]
+        yield ["classify", "-g", g, "--json"]
+        for name in NAMED_CLASSES:
+            yield ["class", name, "-g", g]
+        yield ["pair", "--dump", "-g", g]
+        yield ["pair", "R", "canonical-s", "-g", g]
+        yield ["solve-thetanull", "-g", g]
+        yield ["counts", "-g", g]
+
+
+def test_cli_output_is_unchanged(capsys):
+    rows = []
+    for argv in _cli_invocations():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.run(argv)
+        rows.append([argv, code, out.getvalue()])
+    assert len(rows) == 60
+    assert _sha256(json.dumps(rows)) == CLI_SHA256

@@ -2,12 +2,16 @@
 
 The constant families the engine rests on are the pushforward
 multiplicities, the stored curve intersection numbers, the theta-null
-coefficients, the canonical classes on both sides and the closed form of
-the vanishing-theta-null class. Each case perturbs exactly one entry,
-written as `original(ctx) + basis_class(ctx, side, label)` so that an
-entry stored as zero is perturbed like any other, and asserts that the
-per-genus suite reports a failure.
+coefficients, the canonical classes on both sides, the closed form of
+the vanishing-theta-null class, the slope-rule bounds, the default
+divisor's a and b0, and the Brill-Noether b_i. Each case perturbs exactly
+one entry, written as `original(ctx) + basis_class(ctx, side, label)` so
+that an entry stored as zero is perturbed like any other, and asserts that
+the per-genus suite reports a failure. Divisor specs are perturbed on a
+copy, past their own validation, so that only `verify` can catch them.
 """
+
+import copy
 
 import pytest
 
@@ -73,6 +77,56 @@ def test_perturbed_named_class_coefficient_is_caught(attr, side, g, label, monke
     original = getattr(catalog, attr)
     monkeypatch.setattr(catalog, attr, lambda ctx: original(ctx) + basis_class(ctx, side, label))
     assert _failures(g), f"no check caught the perturbed {attr} coefficient at {label}, genus {g}"
+
+
+def _perturbed(spec, **fields):
+    out = copy.copy(spec)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+_SWEEP = range(3, 23)
+
+
+@pytest.mark.parametrize("g", _SWEEP)
+def test_perturbed_slope_bound_is_caught(g, monkeypatch):
+    original = catalog.slope_rule
+    monkeypatch.setattr(
+        catalog, "slope_rule", lambda ctx: catalog.SlopeRule(original(ctx).case, original(ctx).bound + 1)
+    )
+    assert _failures(g), f"no check caught the perturbed slope bound at genus {g}"
+
+
+@pytest.mark.parametrize("field", ("a", "b0"))
+@pytest.mark.parametrize("g", _SWEEP)
+def test_perturbed_default_divisor_is_caught(g, field, monkeypatch):
+    original = catalog.choose_d
+
+    def bumped(ctx, user=None):
+        spec = original(ctx, user)
+        return spec if user is not None else _perturbed(spec, **{field: getattr(spec, field) + 1})
+
+    monkeypatch.setattr(catalog, "choose_d", bumped)
+    assert _failures(g), f"no check caught the perturbed default {field} at genus {g}"
+
+
+_BN_CASES = [(g, i) for g in (5, 9, 11, 14) for i in range(1, GenusCtx(g).h + 1)]
+
+
+@pytest.mark.parametrize("g,i", _BN_CASES)
+def test_perturbed_bn_coefficient_is_caught(g, i, monkeypatch):
+    original = catalog.bn_class
+
+    def bumped(ctx):
+        spec = original(ctx)[1]
+        b = list(spec.b)
+        b[i - 1] += 1
+        spec = _perturbed(spec, b=tuple(b))
+        return catalog.divisor_class(spec), spec
+
+    monkeypatch.setattr(catalog, "bn_class", bumped)
+    assert _failures(g), f"no check caught the perturbed b_{i} at genus {g}"
 
 
 def test_unperturbed_suite_is_clean():
