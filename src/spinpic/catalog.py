@@ -154,10 +154,10 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     """Build a user-supplied spec from the JSON object format.
 
     The format is {"name": str, "genus": int, "a": "p/q", "b0": "p/q",
-    "b": ["p/q", ...]} with "b" optional. Each of a, b0 and the entries of
-    the list b must be a JSON integer or a "p/q" string; floats and bools
-    are rejected. Paths and JSON strings are accepted as well as
-    already-parsed mappings.
+    "b": ["p/q", ...]} with "b" optional. genus must be a JSON integer, and
+    each of a, b0 and the entries of the list b a JSON integer or a "p/q"
+    string; floats and bools are rejected. Paths and JSON strings are
+    accepted as well as already-parsed mappings.
     """
     if isinstance(data, Path):
         try:
@@ -171,6 +171,8 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     missing = {"name", "genus", "a", "b0"} - set(data)
     if missing:
         raise DivisorSpecError(f"divisor file is missing keys: {sorted(missing)}")
+    if isinstance(data["genus"], bool) or not isinstance(data["genus"], int):
+        raise DivisorSpecError(f"divisor file: genus must be an integer, got {data['genus']!r}")
     if data["genus"] != ctx.g:
         raise GenusMismatchError(f"divisor file is for genus {data['genus']}, expected {ctx.g}")
     b = data.get("b")

@@ -2,9 +2,9 @@
 
 Subcommands: classify, class, pair, solve-thetanull, counts, verify.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or
-input errors. All numbers print as exact "p/q" strings; there is no
-floating point anywhere in the output. Set SPINPIC_NO_COLOR to disable
-ANSI styling (it is also disabled when stdout is not a terminal).
+input errors, 141 when the reader of stdout closes it early. All numbers
+print as exact "p/q" strings; there is no floating point anywhere in the
+output.
 """
 
 from __future__ import annotations
@@ -17,9 +17,13 @@ import sys
 from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
-from .errors import USAGE_ERRORS, SideMismatchError, SpinPicError
+from .errors import SideMismatchError, SpinPicError
 from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
+
+# The largest genus any subcommand accepts; verify takes 17-25 s for genus
+# 1000 alone. A larger genus is refused before any work is done.
+MAX_GENUS = 1000
 
 # Each builder looks its function up on catalog at call time, so that a
 # patched or traced catalog function is the one that runs.
@@ -31,26 +35,6 @@ _NAMED_CLASSES = {
     "m1": lambda ctx: catalog.m1_theta_class(ctx),
     "D": lambda ctx: catalog.divisor_class(catalog.choose_d(ctx)),
 }
-
-
-def _color_enabled() -> bool:
-    if os.environ.get("SPINPIC_NO_COLOR"):
-        return False
-    return sys.stdout.isatty()
-
-
-def _style(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _ok(text: str) -> str:
-    return _style(text, "32")
-
-
-def _bad(text: str) -> str:
-    return _style(text, "31")
 
 
 def _canonical_json(obj) -> str:
@@ -160,9 +144,9 @@ def _cmd_solve_thetanull(args) -> int:
     print(f"solved class: {render_class(solved)}")
     print(f"closed form:  {render_class(closed)}")
     if solved == closed:
-        print(_ok("MATCH"))
+        print("MATCH")
         return 0
-    print(_bad("MISMATCH"))
+    print("MISMATCH")
     return 1
 
 
@@ -181,7 +165,7 @@ def _cmd_counts(args) -> int:
     for name, lhs, rhs in sc.identities():
         good = lhs == rhs
         failed += 0 if good else 1
-        mark = _ok("ok") if good else _bad("FAIL")
+        mark = "ok" if good else "FAIL"
         print(f"  identity {name}: {lhs} == {rhs}  {mark}")
     return 0 if failed == 0 else 1
 
@@ -192,7 +176,7 @@ def _cmd_verify(args) -> int:
         print(verify.report_json(report))
     else:
         for entry in report["payload"]["genera"]:
-            status = _ok("ok") if entry["failed"] == 0 else _bad(f"FAIL({entry['failed']})")
+            status = "ok" if entry["failed"] == 0 else f"FAIL({entry['failed']})"
             print(f"genus {entry['genus']}: {entry['checks']} checks  {status}")
         for failure in report["failures"]:
             print(
@@ -200,8 +184,7 @@ def _cmd_verify(args) -> int:
                 f"expected {failure['expected']}, got {failure['got']}"
             )
         total = report["payload"]["total-checks"]
-        label = _ok("OK") if report["status"] == "OK" else _bad("FAIL")
-        print(f"verify {args.start}..{args.end}: {label} "
+        print(f"verify {args.start}..{args.end}: {report['status']} "
               f"({total} checks, {len(report['failures'])} failures)")
     return 0 if report["status"] == "OK" else 1
 
@@ -272,8 +255,11 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for value in (getattr(args, name, None) for name in ("genus", "start", "end")):
+            if value is not None and value > MAX_GENUS:
+                raise ValueError(f"genus {value} is above the maximum {MAX_GENUS}")
         return args.func(args)
-    except (*USAGE_ERRORS, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpinPicError as exc:
@@ -282,7 +268,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. As Python's signal documentation
+        # advises, point stdout at devnull so that the flush at interpreter
+        # exit cannot raise again, and exit as a SIGPIPE kill would report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13  # SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

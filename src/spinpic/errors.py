@@ -5,7 +5,11 @@ class SpinPicError(Exception):
     """Base class for every domain error raised by this package."""
 
 
-class DimensionMismatchError(SpinPicError):
+class InputError(SpinPicError, ValueError):
+    """Bad input, not a failed verification; the CLI exits 2 on these, 1 on other SpinPicErrors."""
+
+
+class DimensionMismatchError(InputError):
     """Matrix/vector shapes are inconsistent."""
 
 
@@ -13,27 +17,27 @@ class SingularMatrixError(SpinPicError):
     """Exact elimination found rank < n."""
 
 
-class MixedBasisError(SpinPicError):
+class MixedBasisError(InputError):
     """Classes from different genera or different sides were combined."""
 
 
-class UnknownLabelError(SpinPicError):
+class UnknownLabelError(InputError):
     """A basis label is outside the basis fixed by the genus context."""
 
 
-class ClassSyntaxError(SpinPicError):
+class ClassSyntaxError(InputError):
     """A class expression does not match the grammar."""
 
 
-class SideMismatchError(SpinPicError):
+class SideMismatchError(InputError):
     """A test curve was paired with a class on the wrong side."""
 
 
-class GenusMismatchError(SpinPicError):
+class GenusMismatchError(InputError):
     """Objects built over different genus contexts were combined."""
 
 
-class NotCompositeError(SpinPicError):
+class NotCompositeError(InputError):
     """The Brill-Noether construction needs g+1 composite."""
 
 
@@ -41,23 +45,9 @@ class SlopeViolationError(SpinPicError):
     """A user-supplied divisor exceeds the slope bound for its genus."""
 
 
-class DivisorSpecError(SpinPicError):
+class DivisorSpecError(InputError):
     """A divisor specification violates its own invariants."""
 
 
 class VerificationFailureError(SpinPicError):
     """An internal exact identity that must hold did not."""
-
-
-# Errors that indicate bad input rather than a failed verification; the CLI
-# maps these to exit code 2 and everything else under SpinPicError to 1.
-USAGE_ERRORS = (
-    DimensionMismatchError,
-    MixedBasisError,
-    UnknownLabelError,
-    ClassSyntaxError,
-    SideMismatchError,
-    GenusMismatchError,
-    NotCompositeError,
-    DivisorSpecError,
-)

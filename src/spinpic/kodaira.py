@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
 from .exact import format_rational
-from .picard import S_SIDE, DivisorClass, GenusCtx, basis_class, lincomb
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -74,44 +74,31 @@ class Decomposition:
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
     """Decompose the spin-side canonical class against 8*theta + scaled D.
 
-    The lambda, a0, and b0s slots of the combination must balance to
-    13 - nu, -2, and -3 regardless of the divisor; these are asserted as
-    transcription guards. With a complete divisor, the remainders are
-    obtained by exact subtraction and then cross-checked against their
-    closed forms 3*b_i/(2*b0) - 2 - [i=1] and 2 - [i=1] + 3*b_i/(2*b0).
+    The remainder canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D)
+    is obtained by exact subtraction, and its lambda, a0 and b0s slots must
+    vanish whatever the divisor. A spec without boundary coefficients
+    stands for D = a*lambda - b0*d0 here, and its remainders stay
+    conditional.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
     nu = nu_value(spec)
-    theta = catalog.thetanull_class(ctx)
-    scale = Fraction(3, 2) / spec.b0
-
-    slot_checks = [
-        ("lambda", 8 * theta["lambda"] + scale * spec.a, 13 - nu),
-        ("a0", 8 * theta["a0"] + scale * (-spec.b0), Fraction(-2)),
-        ("b0s", 8 * theta["b0s"] + scale * (-2 * spec.b0), Fraction(-3)),
-    ]
-    for label, got, expected in slot_checks:
-        if got != expected:
-            raise VerificationFailureError(
-                f"decomposition {label} slot balances to {got}, expected {expected}"
-            )
-
-    if not spec.complete:
-        return Decomposition(ctx, spec, nu, None, None)
-
-    combo = lincomb([8, scale], [theta, transfer.pullback(catalog.divisor_class(spec))])
-    remainder = catalog.canonical_s(ctx) - nu * basis_class(ctx, S_SIDE, "lambda") - combo
+    if spec.complete:
+        d = catalog.divisor_class(spec)
+    else:
+        d = DivisorClass(ctx, M_SIDE, {"lambda": spec.a, "d0": -spec.b0})
+    remainder = lincomb(
+        [1, -nu, -8, -Fraction(3, 2) / spec.b0],
+        [catalog.canonical_s(ctx), basis_class(ctx, S_SIDE, "lambda"), catalog.thetanull_class(ctx),
+         transfer.pullback(d)],
+    )
     for label in ("lambda", "a0", "b0s"):
         if remainder[label] != 0:
             raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
+    if not spec.complete:
+        return Decomposition(ctx, spec, nu, None, None)
     c = tuple(remainder[f"a{i}"] for i in range(1, ctx.h + 1))
     c_prime = tuple(remainder[f"b{i}"] for i in range(1, ctx.h + 1))
-    for i in range(1, ctx.h + 1):
-        extra = 1 if i == 1 else 0
-        ratio = Fraction(3, 2) * spec.b[i - 1] / spec.b0
-        if c[i - 1] != ratio - 2 - extra or c_prime[i - 1] != 2 - extra + ratio:
-            raise VerificationFailureError(f"remainder at i={i} disagrees with its closed form")
     return Decomposition(ctx, spec, nu, c, c_prime)
 
 
@@ -154,7 +141,6 @@ def certificate_json(cert: KodairaCertificate) -> dict:
 
 
 _RATIONALITY_NOTES = {
-    2: "this moduli space is classically known to be rational",
     3: "this moduli space is known to be rational via the Scorza map",
     4: "this moduli space is known to be rational (Takagi-Zucconi)",
 }
@@ -212,9 +198,14 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
         "the class lambda is big and nef on the even spin moduli space",
     ]
 
+    if dec.nu < 0 or (dec.nu == 0 and g > 8):
+        raise VerificationFailureError(
+            f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"
+        )
+    if not dec.conditional and not dec.remainders_nonnegative():
+        raise VerificationFailureError(f"negative boundary remainder at genus {g}")
     if g == 8:
-        if dec.nu < 0:
-            raise VerificationFailureError(f"nu = {dec.nu} is negative at genus 8")
+        verdict = KAPPA_NONNEGATIVE
         if dec.nu != 0:
             annotations.append(f"nu = {format_rational(dec.nu)} > 0 here; the certificate still "
                                "only claims non-negative Kodaira dimension at genus 8")
@@ -222,15 +213,8 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
             "Kodaira dimension exactly 0 at genus 8 is known, but lies outside what this "
             "decomposition certifies"
         )
-        if not dec.conditional and not dec.remainders_nonnegative():
-            raise VerificationFailureError("negative boundary remainder at genus 8")
-        return KodairaCertificate(ctx, KAPPA_NONNEGATIVE, None, dec, flags=tuple(flags),
-                                  annotations=tuple(annotations), citations=tuple(citations))
-
-    if dec.nu <= 0:
-        raise VerificationFailureError(f"nu = {dec.nu} is not positive at genus {g}")
-    if not dec.conditional and not dec.remainders_nonnegative():
-        raise VerificationFailureError(f"negative boundary remainder at genus {g}")
-    citations.append("extension of pluricanonical forms over resolutions for g >= 4 (Ludwig)")
-    return KodairaCertificate(ctx, GENERAL_TYPE, None, dec, flags=tuple(flags),
+    else:
+        verdict = GENERAL_TYPE
+        citations.append("extension of pluricanonical forms over resolutions for g >= 4 (Ludwig)")
+    return KodairaCertificate(ctx, verdict, None, dec, flags=tuple(flags),
                               annotations=tuple(annotations), citations=tuple(citations))

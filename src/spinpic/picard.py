@@ -182,7 +182,8 @@ def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
         first._require_compatible(cls)
         sq = rational(s)
         for label, v in cls.coeff.items():
-            acc[label] = acc.get(label, _ZERO) + sq * v
+            term = v if sq == 1 else sq * v
+            acc[label] = acc[label] + term if label in acc else term
     return DivisorClass(first.ctx, first.side, acc)
 
 

@@ -1,8 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinpic import cli, kodaira
+import spinpic
+from spinpic import cli, errors, kodaira
 from spinpic.picard import GenusCtx
 
 
@@ -157,6 +167,8 @@ _DIVISOR_FILE_FAULTS = {
     "string-b": '{"name": "s", "genus": 10, "a": "7", "b0": "1", "b": "22222"}',
     "float-a": '{"name": "f", "genus": 10, "a": 7.5, "b0": "1", "b": ["2", "2", "2", "2", "2"]}',
     "bool-b": '{"name": "t", "genus": 10, "a": "7", "b0": "1", "b": [true, 2, 2, 2, 2]}',
+    "float-genus": '{"name": "f", "genus": 10.0, "a": "7", "b0": "1", "b": ["2", "2", "2", "2", "2"]}',
+    "bool-genus": '{"name": "t", "genus": true, "a": "7", "b0": "1"}',
     "missing": None,
 }
 
@@ -205,3 +217,122 @@ def test_classify_target_rules_exit_two(capsys, argv):
     code, out, err = run(capsys, "classify", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exit_code_classes():
+    # cli.run exits 2 on a ValueError and 1 on any other SpinPicError
+    domain = {name for name, c in vars(errors).items()
+              if isinstance(c, type) and issubclass(c, errors.SpinPicError)}
+    value_errors = {name for name in domain if issubclass(getattr(errors, name), ValueError)}
+    assert value_errors == {
+        "InputError", "DimensionMismatchError", "MixedBasisError", "UnknownLabelError",
+        "ClassSyntaxError", "SideMismatchError", "GenusMismatchError", "NotCompositeError",
+        "DivisorSpecError",
+    }
+    assert domain - value_errors == {
+        "SpinPicError", "SingularMatrixError", "SlopeViolationError", "VerificationFailureError",
+    }
+
+
+def _spawn(*argv):
+    """Start `python -m spinpic.cli argv` with this checkout's spinpic on the path."""
+    src = str(Path(spinpic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "spinpic.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # about 150 KB of text, more than a 64 KiB pipe buffer holds
+    with _spawn("classify", "--from", "3", "--to", "100") as proc:
+        assert proc.stdout.readline() == "genus 3: UNIRULED\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert code == 141
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-g", "10000000"),
+    ("verify", "--to", "1001"),
+    ("classify", "--from", "3", "--to", "1001"),
+    ("counts", "-g", "1001"),
+])
+def test_genus_above_ceiling_exits_two_at_once(argv):
+    with _spawn(*argv) as proc:
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_genus_at_ceiling_is_accepted(capsys):
+    code, out, _ = run(capsys, "classify", "-g", str(cli.MAX_GENUS), "--json")
+    assert code == 0 and json.loads(out)["genus"] == cli.MAX_GENUS
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    return code
+
+
+_GENUS_TOKENS = st.integers(-3, 12).map(str) | st.sampled_from(["1001", "10000000", "x", "3.0", ""])
+_TOKENS = st.one_of(
+    _GENUS_TOKENS,
+    st.sampled_from(["-g", "--from", "--to", "--json", "--dump", "--divisor-file", "--", "-", "-x",
+                     "R", "B", "F0", "G1", "H0", "F9", "canonical-s", "bn", "D", "m1",
+                     "lambda", "-1/2*lambda", "1/0*d0", "d01", "δ1", "a0 +", "b0s"]),
+    st.text(alphabet="0123456789/*+- abdglmsδλβ", max_size=8),
+)
+_COMMANDS = st.sampled_from(["classify", "class", "pair", "solve-thetanull", "counts", "verify"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMMANDS, st.lists(_TOKENS, max_size=6))
+def test_random_argv_exits_cleanly(command, tokens):
+    argv = [command, *tokens]
+    if command == "verify":
+        argv += ["--to", "12"]  # verify's default range reaches genus 22
+    _run_quiet(argv)
+
+
+_WELL_TYPED = st.integers(1, 7) | st.builds("{}/{}".format, st.integers(1, 14), st.integers(1, 2))
+_WRONGLY_TYPED = st.sampled_from([7.0, 1.5, True, False, None, [7], {"p": 7}])
+_FIELDS = {  # a well-typed and a wrongly typed value for each field of a genus-10 divisor file
+    "genus": (st.sampled_from([10, 9]), st.sampled_from([10.0, True, "10", None, [10]])),
+    "a": (_WELL_TYPED, _WRONGLY_TYPED),
+    "b0": (_WELL_TYPED, _WRONGLY_TYPED),
+    "b": (st.lists(_WELL_TYPED, min_size=5, max_size=5) | st.none(),
+          st.sampled_from(["22222", {"b": 2}, 2]) | st.lists(_WELL_TYPED, min_size=4, max_size=4).flatmap(
+              lambda b: _WRONGLY_TYPED.map(lambda v: [*b, v]))),
+}
+
+
+@st.composite
+def _divisor_files(draw):
+    """A divisor file for genus 10, and the field that is wrongly typed in it, if any."""
+    wrong = draw(st.sampled_from([None, *_FIELDS]))
+    doc = {"name": "random"}
+    for key, (good, bad) in _FIELDS.items():
+        doc[key] = draw(bad if key == wrong else good)
+    if doc["b"] is None:
+        del doc["b"]
+    return doc, wrong
+
+
+@settings(max_examples=150, deadline=None)
+@given(_divisor_files(), st.booleans())
+def test_random_divisor_file_exits_cleanly(case, as_json):
+    doc, wrong = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "divisor.json")
+        path.write_text(json.dumps(doc))
+        code = _run_quiet(["classify", "-g", "10", "--divisor-file", str(path), *(["--json"] if as_json else [])])
+    if wrong is not None:
+        assert code != 0, doc

@@ -4,18 +4,21 @@ The constant families the engine rests on are the pushforward
 multiplicities, the stored curve intersection numbers, the theta-null
 coefficients, the canonical classes on both sides, the closed form of
 the vanishing-theta-null class, the slope-rule bounds, the default
-divisor's a and b0, and the Brill-Noether b_i. Each case perturbs exactly
-one entry, written as `original(ctx) + basis_class(ctx, side, label)` so
-that an entry stored as zero is perturbed like any other, and asserts that
-the per-genus suite reports a failure. Divisor specs are perturbed on a
-copy, past their own validation, so that only `verify` can catch them.
+divisor's a and b0, the Brill-Noether b_i, and the nu, c_i and c'_i of
+the canonical decomposition. Each case perturbs exactly one entry,
+written as `original(ctx) + basis_class(ctx, side, label)` so that an
+entry stored as zero is perturbed like any other, and asserts that the
+per-genus suite reports a failure. Divisor specs and decompositions are
+perturbed on a copy, past their own validation, so that only `verify`
+can catch them.
 """
 
 import copy
+import dataclasses
 
 import pytest
 
-from spinpic import catalog, testcurves, transfer, verify
+from spinpic import catalog, kodaira, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, s_labels
 
 
@@ -127,6 +130,29 @@ def test_perturbed_bn_coefficient_is_caught(g, i, monkeypatch):
 
     monkeypatch.setattr(catalog, "bn_class", bumped)
     assert _failures(g), f"no check caught the perturbed b_{i} at genus {g}"
+
+
+_DECOMPOSITION_CASES = [
+    (g, field, i)
+    for g in (8, 9, 11, 14, 20)
+    for field, i in [("nu", None)] + [(f, i) for f in ("c", "c_prime") for i in range(1, GenusCtx(g).h + 1)]
+]
+
+
+@pytest.mark.parametrize("g,field,i", _DECOMPOSITION_CASES)
+def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
+    original = kodaira.decompose_canonical
+
+    def bumped(ctx, spec):
+        dec = original(ctx, spec)
+        if field == "nu":
+            return dataclasses.replace(dec, nu=dec.nu + 1)
+        values = list(getattr(dec, field))
+        values[i - 1] += 1
+        return dataclasses.replace(dec, **{field: tuple(values)})
+
+    monkeypatch.setattr(kodaira, "decompose_canonical", bumped)
+    assert _failures(g), f"no check caught +1 on {field} (i = {i}) at genus {g}"
 
 
 def test_unperturbed_suite_is_clean():
