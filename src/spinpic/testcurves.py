@@ -20,33 +20,66 @@ H0 rather than more of the same.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError
 from .exact import solve_exact
 from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, require_classification_genus
 
+_ZERO = Fraction(0)
+
 
 def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
-    """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient."""
+    """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
+
+    Labels the class does not store contribute 0 and are skipped, and the
+    sum starts from its first term, so a pairing of disjoint supports builds
+    no Fraction at all.
+    """
     if curve.side != x.side:
         raise SideMismatchError(
             f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
         )
     if curve.ctx != x.ctx:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
-    return sum((v * x.coeff.get(l, 0) for l, v in curve.coeff.items()), Fraction(0))
+    xc = x.coeff
+    total = None
+    for label, v in curve.coeff.items():
+        if label in xc:
+            term = v * xc[label]
+            total = term if total is None else total + term
+    return _ZERO if total is None else total
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
-    """The standard test curves at genus ctx.g, by name."""
+    """The standard test curves at genus ctx.g, by name.
+
+    Each call returns a fresh dict, so a caller may rebind its entries; the
+    curves themselves are immutable and built once per genus context.
+    """
+    return dict(_curve_table(ctx, transfer.pushforward_degree))
+
+
+@lru_cache(maxsize=8)
+def _curve_table(ctx: GenusCtx, degree) -> Mapping[str, DivisorClass]:
+    """The read-only table behind curve_map; R's entries come from `degree`.
+
+    Cached with the small policy of picard._basis: verify, solve_thetanull
+    and the uniruled certificate each ask for the table of the same genus.
+    The degree function is part of the key, so a table built before
+    transfer.pushforward_degree is replaced (as the mutation tests do) is
+    never served after it.
+    """
     require_classification_genus(ctx)
     g, h = ctx.g, ctx.h
     b = {"lambda": g + 1, "d0": 6 * g + 18}
     lift = (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0"))
     curves = {
         "B": DivisorClass(ctx, M_SIDE, b),
-        "R": DivisorClass(ctx, S_SIDE, {s: b[m] * transfer.pushforward_degree(ctx, s) for s, m in lift}),
+        "R": DivisorClass(ctx, S_SIDE, {s: b[m] * degree(ctx, s) for s, m in lift}),
         "F0": DivisorClass(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
         "G0": DivisorClass(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
         "H0": DivisorClass(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}),
@@ -54,7 +87,7 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     for i in range(1, h + 1):
         curves[f"F{i}"] = DivisorClass(ctx, S_SIDE, {f"a{i}": 2 - 2 * i})
         curves[f"G{i}"] = DivisorClass(ctx, S_SIDE, {f"b{i}": 2 - 2 * i})
-    return curves
+    return MappingProxyType(curves)
 
 
 def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -1,10 +1,10 @@
 """Per-genus verification: every exact identity the package claims, re-checked.
 
 Each genus produces a flat list of named checks with expected and observed
-values rendered as exact strings. The checks deliberately re-derive
-constants along independent routes (component degrees against stratum
-degrees, pencil relations against closed forms, a private copy of the
-curve tables) so that a single corrupted multiplicity, intersection
+values, rendered as exact strings when first read. The checks deliberately
+re-derive constants along independent routes (component degrees against
+stratum degrees, pencil relations against closed forms, a private copy of
+the curve tables) so that a single corrupted multiplicity, intersection
 number, or class coefficient flips at least one check to FAIL.
 """
 
@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import catalog, kodaira, testcurves, transfer
 from .exact import format_rational
@@ -33,10 +34,25 @@ from .picard import (
 
 @dataclass
 class Check:
+    """One named identity with its raw expected and observed values.
+
+    `expected` and `got` render those values to exact strings on first
+    read. Only failure records and callers that print checks read them, so
+    a passing suite renders nothing.
+    """
+
     name: str
     ok: bool
-    expected: str
-    got: str
+    raw_expected: object = field(repr=False)
+    raw_got: object = field(repr=False)
+
+    @cached_property
+    def expected(self) -> str:
+        return _fmt(self.raw_expected)
+
+    @cached_property
+    def got(self) -> str:
+        return _fmt(self.raw_got)
 
 
 def _fmt(value) -> str:
@@ -59,7 +75,7 @@ class _Recorder:
         self.checks: list[Check] = []
 
     def add(self, name: str, expected, got) -> None:
-        self.checks.append(Check(name, expected == got, _fmt(expected), _fmt(got)))
+        self.checks.append(Check(name, expected == got, expected, got))
 
     def section(self, name: str, fn) -> None:
         try:
@@ -192,21 +208,22 @@ def run_genus(g: int) -> list[Check]:
     def pullback_compat() -> None:
         # the elliptic-tail pencil downstairs: degree 12 on d0, -1 on d1
         tail = {"lambda": Fraction(1), "d0": Fraction(12), "d1": Fraction(-1)}
-        for label in m_labels(ctx):
-            x = transfer.pullback(basis_class(ctx, M_SIDE, label))
+        up = {label: transfer.pullback(basis_class(ctx, M_SIDE, label)) for label in m_labels(ctx)}
+        for label, x in up.items():
             rec.add(f"compat:F0:{label}", tail.get(label, Fraction(0)),
                     testcurves.intersect(curves["F0"], x))
             rec.add(f"compat:G0:{label}", 3 * tail.get(label, Fraction(0)),
                     testcurves.intersect(curves["G0"], x))
-        rec.add("compat:H0:d0", Fraction(2 - 2 * g),
-                testcurves.intersect(curves["H0"], transfer.pullback(basis_class(ctx, M_SIDE, "d0"))))
+        rec.add("compat:H0:d0", Fraction(2 - 2 * g), testcurves.intersect(curves["H0"], up["d0"]))
         for j in range(1, ctx.h + 1):
             rec.add(f"compat:H0:d{j}", Fraction(1 if j == 1 else 0),
-                    testcurves.intersect(curves["H0"], transfer.pullback(basis_class(ctx, M_SIDE, f"d{j}"))))
+                    testcurves.intersect(curves["H0"], up[f"d{j}"]))
+        zero = Fraction(0)
         for i in range(1, ctx.h + 1):
+            diagonal = Fraction(2 - 2 * i)
             for j in range(ctx.h + 1):
-                x = transfer.pullback(basis_class(ctx, M_SIDE, f"d{j}"))
-                want = Fraction(2 - 2 * i) if i == j else Fraction(0)
+                x = up[f"d{j}"]
+                want = diagonal if i == j else zero
                 rec.add(f"compat:F{i}:d{j}", want, testcurves.intersect(curves[f"F{i}"], x))
                 rec.add(f"compat:G{i}:d{j}", want, testcurves.intersect(curves[f"G{i}"], x))
         # branching consistency at the genus-0 boundary, in covering degrees

@@ -148,3 +148,40 @@ def test_solve_residuals_vanish():
 def test_r_pairs_canonical_negative_then_positive():
     assert intersect(curve_map(GenusCtx(7))["R"], canonical_s(GenusCtx(7))) == -7296
     assert intersect(curve_map(GenusCtx(8))["R"], canonical_s(GenusCtx(8))) == 51456
+
+
+@st.composite
+def sparse_classes(draw, genus, side):
+    ctx = GenusCtx(genus)
+    labels = draw(st.lists(st.sampled_from(labels_for(ctx, side)), unique=True))
+    return DivisorClass(ctx, side, {label: draw(rationals) for label in labels})
+
+
+@given(st.integers(3, 14), st.sampled_from([M_SIDE, S_SIDE]), st.data())
+def test_intersect_matches_full_basis_sum(g, side, data):
+    curve = data.draw(sparse_classes(g, side))
+    x = data.draw(sparse_classes(g, side))
+    got = intersect(curve, x)
+    assert type(got) is Fraction
+    assert got == sum(curve[l] * x[l] for l in labels_for(GenusCtx(g), side))
+
+
+@given(st.integers(3, 14), st.integers(3, 14), st.sampled_from([M_SIDE, S_SIDE]), st.data())
+def test_intersect_rejects_other_side_and_genus(g, other_g, side, data):
+    curve = data.draw(sparse_classes(g, side))
+    other_side = S_SIDE if side == M_SIDE else M_SIDE
+    with pytest.raises(SideMismatchError):
+        intersect(curve, data.draw(sparse_classes(g, other_side)))
+    if other_g != g:
+        with pytest.raises(GenusMismatchError):
+            intersect(curve, data.draw(sparse_classes(other_g, side)))
+
+
+def test_curve_map_returns_a_fresh_table():
+    ctx = GenusCtx(6)
+    curves = curve_map(ctx)
+    curves["H0"] += basis_class(ctx, S_SIDE, "a1")
+    del curves["G2"]
+    again = curve_map(ctx)
+    assert again["H0"]["a1"] == 1
+    assert "G2" in again

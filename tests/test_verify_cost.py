@@ -1,0 +1,155 @@
+"""The work shape of `verify`, pinned by counts rather than wall time.
+
+A passing genus renders no check value, pulls back each basis class a
+number of times that grows linearly in h (the Theta(h^2) `compat` block
+reuses one pullback per d_j), and builds its curve table once, while every
+use of the table still goes through `testcurves.curve_map`. A failing
+genus renders its failure records exactly as the eager renderer did, also
+when a patched constant would be hidden by a stale cached curve table.
+"""
+
+import sys
+
+from spinpic import catalog, testcurves, transfer, verify
+from spinpic.picard import S_SIDE, basis_class
+
+
+def _counting(monkeypatch, module, name):
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_passing_report_renders_nothing(monkeypatch):
+    calls = _counting(monkeypatch, verify, "_fmt")
+    report = verify.build_report(30, 30)
+    assert report["status"] == "OK"
+    assert report["payload"]["total-checks"] > 0
+    assert calls == []
+
+
+def test_check_renders_on_read(monkeypatch):
+    check = next(c for c in verify.run_genus(6) if c.name == "theta:pushforward")
+    calls = _counting(monkeypatch, verify, "_fmt")
+    assert check.expected == check.got == "520*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3"
+    assert check.expected == "520*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3"
+    assert calls == ["expected", "got"]
+
+
+def _bump_h0(original):
+    def bumped(ctx):
+        curves = original(ctx)
+        curves["H0"] += basis_class(ctx, S_SIDE, "a1")
+        return curves
+
+    return bumped
+
+
+def _drop_g2(original):
+    def dropped(ctx):
+        curves = original(ctx)
+        del curves["G2"]
+        return curves
+
+    return dropped
+
+
+def _bump_theta(original):
+    return lambda ctx: original(ctx) + basis_class(ctx, S_SIDE, "lambda")
+
+
+def _bump_canonical_s(original):
+    return lambda ctx: original(ctx) + 10**6 * basis_class(ctx, S_SIDE, "lambda")
+
+
+def _bump_lambda_degree(original):
+    return lambda ctx, label: original(ctx, label) + (label == "lambda")
+
+
+def _record(name, g, expected, got):
+    return {"check-name": name, "genus": g, "expected": expected, "got": got}
+
+
+# Rendered by the eager renderer, which formatted every value as its check
+# was recorded; lazy rendering must reproduce them byte for byte. The cached
+# curve table must not hide the patched degree from R (curves:table:R, lift).
+_MUTATIONS = [
+    (transfer, "pushforward_degree", _bump_lambda_degree, 6, [
+        _record("projection:lambda", 6, "2080*lambda", "2081*lambda"),
+        _record("projection:fuzz", 6, "7150*lambda - 17680*d0 - 95680*d1 - 5616*d2 + 2340*d3",
+                "114455/16*lambda - 17680*d0 - 95680*d1 - 5616*d2 + 2340*d3"),
+        _record("projection:matrix-product", 6, "true", "false"),
+        _record("theta:pushforward", 6, "520*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3",
+                "2081/4*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3"),
+        _record("curves:table:R", 6, "{a0=55296, b0s=28512, lambda=14560, side=S}",
+                "{a0=55296, b0s=28512, lambda=14567, side=S}"),
+        _record("lift:lambda", 6, "14560", "14567"),
+        _record("lift:fuzz", 6, "1294800", "2589657/2"),
+    ]),
+    (testcurves, "curve_map", _bump_h0, 6, [
+        _record("curves:table:H0", 6, "{a1=1, b0s=-5, side=S}", "{a1=2, b0s=-5, side=S}"),
+        _record("compat:H0:d1", 6, "1", "2"),
+    ]),
+    (testcurves, "curve_map", _drop_g2, 6, [
+        _record("curves:names", 6, "(B, F0, F1, F2, F3, G0, G1, G2, G3, H0, R)",
+                "(B, F0, F1, F2, F3, G0, G1, G3, H0, R)"),
+        _record("curves:table:G2", 6, "{b2=-2, side=S}", "missing"),
+        _record("pairings:exception", 6, "no exception", "KeyError: 'G2'"),
+        _record("compat:exception", 6, "no exception", "KeyError: 'G2'"),
+    ]),
+    (catalog, "thetanull_class", _bump_theta, 6, [
+        _record("theta:pushforward", 6, "520*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3",
+                "2600*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3"),
+        _record("pairing:F0*theta", 6, "0", "1"),
+        _record("pairing:G0*theta", 6, "0", "3"),
+        _record("solve:thetanull", 6, "5/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3",
+                "1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3"),
+        _record("kodaira:exception", 6, "no exception",
+                "VerificationFailureError: nonzero lambda remainder -8"),
+    ]),
+    (catalog, "canonical_s", _bump_canonical_s, 5, [
+        _record("canonical:splitting", 5, "b0s", "1000000*lambda + b0s"),
+        _record("kodaira:rk-sign", 5, "true", "false"),
+        _record("kodaira:exception", 5, "no exception",
+                "VerificationFailureError: nonzero lambda remainder 1000000"),
+    ]),
+]
+
+
+def test_failure_records_render_as_before(monkeypatch):
+    for module, name, mutate, g, want in _MUTATIONS:
+        assert verify.build_report(g, g)["status"] == "OK"  # caches warm, unpatched
+        with monkeypatch.context() as m:
+            m.setattr(module, name, mutate(getattr(module, name)))
+            report = verify.build_report(g, g)
+        assert report["status"] == "FAIL"
+        assert report["failures"] == want
+
+
+def _pullbacks(monkeypatch, g):
+    with monkeypatch.context() as m:
+        calls = _counting(m, transfer, "pullback")
+        verify.run_genus(g)
+    return len(calls)
+
+
+def test_pullbacks_grow_linearly_in_h(monkeypatch):
+    # linear a*h + b with b >= 0 at most doubles from h = 20 to h = 40;
+    # one pullback per (i, j) of the compat block would nearly quadruple
+    at_40, at_80 = _pullbacks(monkeypatch, 40), _pullbacks(monkeypatch, 80)
+    assert at_40 < at_80 <= 2 * at_40
+
+
+def test_curve_table_is_built_once_per_genus(monkeypatch):
+    testcurves._curve_table.cache_clear()
+    callers = _counting(monkeypatch, testcurves, "curve_map")
+    verify.run_genus(9)
+    assert testcurves._curve_table.cache_info().misses == 1
+    # every use still goes through the module attribute, so patches reach it
+    assert set(callers) == {"run_genus", "thetanull_system", "uniruled_certificate"}
