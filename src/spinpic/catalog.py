@@ -189,13 +189,17 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 
 # --- canonical and theta-null classes ---------------------------------------
 
+# shared by every class below instead of one equal Fraction per basis label
+_MINUS_TWO = Fraction(-2)
+_MINUS_HALF = Fraction(-1, 2)
+
 
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the curve side: 13*lambda - 2*d0 - 3*d1 - 2*(d2 + ...)."""
     require_classification_genus(ctx)
-    coeff = {"lambda": Fraction(13), "d0": Fraction(-2), "d1": Fraction(-3)}
+    coeff = {"lambda": Fraction(13), "d0": _MINUS_TWO, "d1": Fraction(-3)}
     for i in range(2, ctx.h + 1):
-        coeff[f"d{i}"] = Fraction(-2)
+        coeff[f"d{i}"] = _MINUS_TWO
     return DivisorClass(ctx, M_SIDE, coeff)
 
 
@@ -208,14 +212,14 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     require_classification_genus(ctx)
     coeff = {
         "lambda": Fraction(13),
-        "a0": Fraction(-2),
+        "a0": _MINUS_TWO,
         "b0s": Fraction(-3),
         "a1": Fraction(-3),
         "b1": Fraction(-3),
     }
     for i in range(2, ctx.h + 1):
-        coeff[f"a{i}"] = Fraction(-2)
-        coeff[f"b{i}"] = Fraction(-2)
+        coeff[f"a{i}"] = _MINUS_TWO
+        coeff[f"b{i}"] = _MINUS_TWO
     return DivisorClass(ctx, S_SIDE, coeff)
 
 
@@ -224,7 +228,7 @@ def thetanull_class(ctx: GenusCtx) -> DivisorClass:
     require_classification_genus(ctx)
     coeff = {"lambda": Fraction(1, 4), "a0": Fraction(-1, 16)}
     for i in range(1, ctx.h + 1):
-        coeff[f"b{i}"] = Fraction(-1, 2)
+        coeff[f"b{i}"] = _MINUS_HALF
     return DivisorClass(ctx, S_SIDE, coeff)
 
 
@@ -243,7 +247,13 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
 
 
 def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:
-    """Normalized Brill-Noether divisor class and its spec, for composite g+1.
+    """Normalized Brill-Noether divisor class and its spec, for composite g+1."""
+    spec = _bn_spec(ctx)
+    return divisor_class(spec), spec
+
+
+def _bn_spec(ctx: GenusCtx) -> DivisorSpec:
+    """The normalized Brill-Noether divisor spec, for composite g+1.
 
     The pencil parameters are fixed as r+1 = smallest prime factor of g+1
     and d = g + r - (g+1)/(r+1); the normalized class does not depend on
@@ -256,8 +266,7 @@ def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:
         raise NotCompositeError(f"g+1 = {g + 1} is prime; no Brill-Noether divisor at genus {g}")
     r = f - 1
     d = g + r - (g + 1) // f
-    spec = DivisorSpec(ctx, BrillNoether(r, d), *_bn_coefficients(g, ctx.h))
-    return divisor_class(spec), spec
+    return DivisorSpec(ctx, BrillNoether(r, d), *_bn_coefficients(g, ctx.h))
 
 
 # --- the slope rule and the choice of D --------------------------------------
@@ -308,7 +317,7 @@ def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
             )
         return user
     if rule.case == CASE_COMPOSITE:
-        return bn_class(ctx)[1]
+        return _bn_spec(ctx)
     if rule.case == CASE_GENUS_TEN:
         return DivisorSpec(ctx, K3(), a=Fraction(7), b0=Fraction(1), b=None)
     k = (ctx.g + 2) // 2

@@ -46,7 +46,7 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 def format_rational(q: Fraction | int) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(q))
+    return str(q if type(q) is Fraction else Fraction(q))
 
 
 def _check_rect(a: Sequence[Sequence[Fraction]]) -> tuple[int, int]:

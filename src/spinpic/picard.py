@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -109,13 +110,13 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         basis = _basis(self.ctx, self.side)
-        unknown = set(self.coeff) - basis.keys()
-        if unknown:
+        if not self.coeff.keys() <= basis.keys():
+            unknown = set(self.coeff) - basis.keys()
             raise UnknownLabelError(
                 f"labels {sorted(unknown)} are not in the side-{self.side} basis at genus "
                 f"{self.ctx.g} (basis: {', '.join(basis)})"
             )
-        values = ((label, rational(v)) for label, v in self.coeff.items())
+        values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.coeff.items())
         object.__setattr__(self, "coeff", MappingProxyType({l: v for l, v in values if v}))
 
     def __getitem__(self, label: str) -> Fraction:
@@ -141,21 +142,16 @@ class DivisorClass:
             )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_compatible(other)
-        acc = dict(self.coeff)
-        for label, v in other.coeff.items():
-            acc[label] = acc.get(label, _ZERO) + v
-        return DivisorClass(self.ctx, self.side, acc)
+        return lincomb((1, 1), (self, other))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + -other
+        return lincomb((1, -1), (self, other))
 
     def __neg__(self) -> "DivisorClass":
         return self.scaled(-1)
 
     def scaled(self, scalar) -> "DivisorClass":
-        s = rational(scalar)
-        return DivisorClass(self.ctx, self.side, {l: s * v for l, v in self.coeff.items()})
+        return lincomb((scalar,), (self,))
 
     __mul__ = scaled
     __rmul__ = scaled
@@ -173,18 +169,31 @@ def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
 
 
 def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
-    """Exact linear combination sum(scalars[k] * classes[k]), over nonzeros only."""
+    """Exact linear combination sum(scalars[k] * classes[k]), over nonzeros only.
+
+    The one arithmetic kernel for classes: `+`, `-` and scalar multiples
+    call it too. Each label's terms are summed as an integer numerator over
+    that label's own common denominator, and each nonzero sum becomes one
+    reduced Fraction at the end.
+    """
     if not classes or len(scalars) != len(classes):
         raise MixedBasisError("lincomb needs equally long, nonempty scalar and class lists")
     first = classes[0]
-    acc: dict[str, Fraction] = {}
+    acc: dict[str, tuple[int, int]] = {}
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
         sq = rational(s)
+        sn, sd = sq.numerator, sq.denominator
         for label, v in cls.coeff.items():
-            term = v if sq == 1 else sq * v
-            acc[label] = acc[label] + term if label in acc else term
-    return DivisorClass(first.ctx, first.side, acc)
+            n, d = sn * v.numerator, sd * v.denominator
+            if label in acc:
+                an, ad = acc[label]
+                if ad != d:
+                    m = lcm(ad, d)
+                    an, n, d = an * (m // ad), n * (m // d), m
+                n += an
+            acc[label] = (n, d)
+    return DivisorClass(first.ctx, first.side, {l: Fraction(n, d) for l, (n, d) in acc.items() if n})
 
 
 # --- text format -----------------------------------------------------------

@@ -18,7 +18,15 @@ deliberately adds, renames or rewords a check):
 The first hash covers every check record (4209 rows) and every certificate;
 the second covers the canonical `verify --json` report. The third covers the
 exit code and stdout of every invocation in `_cli_invocations()`, serialised
-as `json.dumps([[argv, code, stdout], ...])`.
+as `json.dumps([[argv, code, stdout], ...])`. The fourth covers the stdout of
+`spinpic classify --from 3 --to 300 --json`, the certificates far past the
+tabulated range (298 JSONL lines), taken from an in-process `cli.run` with
+stdout redirected:
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.run(["classify", "--from", "3", "--to", "300", "--json"])
+    hashlib.sha256(out.getvalue().encode()).hexdigest()
 """
 
 import hashlib
@@ -33,6 +41,7 @@ GENERA = range(3, 23)
 CHECKS_AND_CERTIFICATES_SHA256 = "1b40370b28509b401bc22bf2badadacb133bb87415d5335b10f44f1ec3983741"
 REPORT_SHA256 = "8ef3f518d82235de22a5971bd3891e778335241c8166ce3b5f9b2d8eacd2ba9c"
 CLI_SHA256 = "da0af1cf2358cabdef671beac6d7ec2b1fca98dc97a473dd6b43a5f9dbf4176e"
+CERTIFICATES_3_300_SHA256 = "35561aaf3120182237df3675a04864c884f3a4fefb8cf5819b0faf1d3c486ad9"
 CLI_GENERA = ("3", "8", "10", "17", "40")
 NAMED_CLASSES = ("canonical-m", "canonical-s", "thetanull", "bn", "m1", "D")
 
@@ -74,3 +83,12 @@ def test_cli_output_is_unchanged(capsys):
         rows.append([argv, code, out.getvalue()])
     assert len(rows) == 60
     assert _sha256(json.dumps(rows)) == CLI_SHA256
+
+
+def test_high_genus_certificates_are_unchanged():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(["classify", "--from", "3", "--to", "300", "--json"])
+    assert code == 0
+    assert len(out.getvalue().splitlines()) == 298
+    assert _sha256(out.getvalue()) == CERTIFICATES_3_300_SHA256

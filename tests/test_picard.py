@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -99,6 +100,74 @@ def test_lincomb_bilinear(data):
     t = data.draw(rationals)
     assert lincomb([s, t], [x, y]) == s * x + t * y
     assert lincomb([s], [lincomb([t], [x])]) == (s * t) * x
+
+
+# Denominators up to 10^12 are almost always pairwise unrelated; the small
+# ones make labels collide on equal and on shared-factor denominators.
+_unrelated = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 12) | st.integers(1, 10**12)
+)
+
+
+@st.composite
+def _sparse_terms(draw):
+    """(ctx, side, scalars, classes): a few sparse classes with mixed scalar kinds."""
+    ctx = GenusCtx(draw(st.integers(3, 40)))
+    side = draw(st.sampled_from([M_SIDE, S_SIDE]))
+    labels = labels_for(ctx, side)
+    scalar = st.one_of(
+        st.integers(-20, 20),
+        st.integers(-3, 3).map(lambda k: 2**ctx.g + k),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+        _unrelated,
+    )
+    pairs = draw(st.lists(
+        st.tuples(scalar, st.dictionaries(st.sampled_from(labels), _unrelated)), min_size=1, max_size=5
+    ))
+    # negated copies of some terms, so that labels (or everything) cancel to zero
+    undo = draw(st.lists(st.sampled_from(range(len(pairs))), unique=True))
+    pairs += [(-Fraction(pairs[k][0]), pairs[k][1]) for k in undo]
+    return ctx, side, [s for s, _ in pairs], [DivisorClass(ctx, side, c) for _, c in pairs]
+
+
+def _oracle(ctx, side, scalars, classes):
+    """Per-label sum of Fraction products, with no picard operator involved."""
+    sums = {
+        label: sum((Fraction(s) * cls.coeff.get(label, 0) for s, cls in zip(scalars, classes)), Fraction(0))
+        for label in labels_for(ctx, side)
+    }
+    return {label: v for label, v in sums.items() if v}
+
+
+def _assert_stored_canonically(cls):
+    for v in cls.coeff.values():
+        assert type(v) is Fraction
+        assert v != 0 and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@given(_sparse_terms())
+def test_lincomb_matches_per_label_fraction_sums(terms):
+    ctx, side, scalars, classes = terms
+    got = lincomb(scalars, classes)
+    _assert_stored_canonically(got)
+    assert dict(got.coeff) == _oracle(ctx, side, scalars, classes)
+    cancelled = lincomb(scalars + [-Fraction(s) for s in scalars], classes + classes)
+    assert cancelled.is_zero()
+
+
+@given(_sparse_terms())
+def test_class_operators_match_per_label_fraction_sums(terms):
+    ctx, side, scalars, classes = terms
+    x, y = classes[0], classes[-1]
+    s = scalars[0]
+    for got, want in (
+        (x + y, _oracle(ctx, side, [1, 1], [x, y])),
+        (x - y, _oracle(ctx, side, [1, -1], [x, y])),
+        (-x, _oracle(ctx, side, [-1], [x])),
+        (x.scaled(s), _oracle(ctx, side, [s], [x])),
+    ):
+        _assert_stored_canonically(got)
+        assert dict(got.coeff) == want
 
 
 def test_parse_thetanull_shape():

@@ -6,11 +6,15 @@ reuses one pullback per d_j), and builds its curve table once, while every
 use of the table still goes through `testcurves.curve_map`. A failing
 genus renders its failure records exactly as the eager renderer did, also
 when a patched constant would be hidden by a stale cached curve table.
+A certificate builds the class of its auxiliary divisor once.
 """
 
 import sys
 
-from spinpic import catalog, testcurves, transfer, verify
+import pytest
+
+from spinpic import catalog, kodaira, testcurves, transfer, verify
+from spinpic.picard import GenusCtx
 from spinpic.picard import S_SIDE, basis_class
 
 
@@ -153,3 +157,11 @@ def test_curve_table_is_built_once_per_genus(monkeypatch):
     assert testcurves._curve_table.cache_info().misses == 1
     # every use still goes through the module attribute, so patches reach it
     assert set(callers) == {"run_genus", "thetanull_system", "uniruled_certificate"}
+
+
+@pytest.mark.parametrize("g", (9, 14))
+def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
+    # composite g+1: choose_d takes the Brill-Noether spec without its class
+    calls = _counting(monkeypatch, catalog, "divisor_class")
+    assert kodaira.classify(GenusCtx(g)).verdict == kodaira.GENERAL_TYPE
+    assert calls == ["decompose_canonical"]
