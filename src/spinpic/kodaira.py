@@ -160,6 +160,9 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
     if g in _RATIONALITY_NOTES:
         annotations.append(_RATIONALITY_NOTES[g])
 
+    # a user divisor steeper than the slope bound is rejected at every genus,
+    # also where the verdict does not use it
+    spec = catalog.choose_d(ctx, user_d)
     if g <= 7:
         rk = uniruled_certificate(ctx)
         if rk >= 0:
@@ -173,7 +176,6 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
         return KodairaCertificate(ctx, UNIRULED, rk, None, flags=tuple(flags),
                                   annotations=tuple(annotations), citations=citations)
 
-    spec = catalog.choose_d(ctx, user_d)
     dec = decompose_canonical(ctx, spec)
     annotations.append(
         "the bi coefficient of the combination 8*theta + (3/(2*b0))*pullback(D) "

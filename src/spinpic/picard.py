@@ -28,10 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
-from .exact import format_rational, rational
+from .exact import rational
 
 M_SIDE = "M"
 S_SIDE = "S"
@@ -171,29 +171,55 @@ def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
 def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
     """Exact linear combination sum(scalars[k] * classes[k]), over nonzeros only.
 
-    The one arithmetic kernel for classes: `+`, `-` and scalar multiples
-    call it too. Each label's terms are summed as an integer numerator over
-    that label's own common denominator, and each nonzero sum becomes one
-    reduced Fraction at the end.
+    `+`, `-` and scalar multiples call it too. Each term goes through
+    _sum_terms, the integer kernel that the parser and the transfer maps
+    share.
     """
     if not classes or len(scalars) != len(classes):
         raise MixedBasisError("lincomb needs equally long, nonempty scalar and class lists")
     first = classes[0]
-    acc: dict[str, tuple[int, int]] = {}
+    scaled = []
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
-        sq = rational(s)
-        sn, sd = sq.numerator, sq.denominator
-        for label, v in cls.coeff.items():
-            n, d = sn * v.numerator, sd * v.denominator
-            if label in acc:
-                an, ad = acc[label]
-                if ad != d:
-                    m = lcm(ad, d)
-                    an, n, d = an * (m // ad), n * (m // d), m
-                n += an
-            acc[label] = (n, d)
-    return DivisorClass(first.ctx, first.side, {l: Fraction(n, d) for l, (n, d) in acc.items() if n})
+        scaled.append((rational(s), cls))
+    return _sum_terms(first.ctx, first.side, (
+        (label, sq.numerator * v.numerator, sq.denominator * v.denominator)
+        for sq, cls in scaled
+        for label, v in cls.coeff.items()
+    ))
+
+
+def _sum_terms(ctx: GenusCtx, side: str, terms: Iterable[tuple[str, int, int]]) -> DivisorClass:
+    """The class summing (label, numerator, denominator) terms; the labels must be in the basis.
+
+    The one arithmetic kernel for classes. Each label's terms are summed as
+    an integer numerator over that label's own common denominator, and each
+    nonzero sum becomes one reduced Fraction at the end.
+    """
+    acc: dict[str, tuple[int, int]] = {}
+    for label, n, d in terms:
+        if label in acc:
+            an, ad = acc[label]
+            if ad != d:
+                m = lcm(ad, d)
+                an, n, d = an * (m // ad), n * (m // d), m
+            n += an
+        acc[label] = (n, d)
+    # Fraction(n) skips the gcd that Fraction(n, 1) would take
+    return _trusted(ctx, side, {
+        l: Fraction(n) if d == 1 else Fraction(n, d) for l, (n, d) in acc.items() if n
+    })
+
+
+def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorClass:
+    """A class from coefficients already known to be nonzero reduced Fractions under basis labels.
+
+    Skips the validation and coercion of DivisorClass.__post_init__, which
+    every class built by the public constructor still goes through.
+    """
+    cls = object.__new__(DivisorClass)
+    vars(cls).update(ctx=ctx, side=side, coeff=MappingProxyType(coeff))
+    return cls
 
 
 # --- text format -----------------------------------------------------------
@@ -221,25 +247,29 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     """Parse a class expression against the basis of (ctx, side).
 
     Raises UnknownLabelError for labels outside the basis and
-    ClassSyntaxError for anything that does not match the grammar.
+    ClassSyntaxError for anything that does not match the grammar. The
+    terms are summed by the same integer kernel as lincomb.
     """
-    basis = _basis(ctx, side)
     s = text.strip()
     if s == "0":
         return zero_class(ctx, side)
     if not s:
         raise ClassSyntaxError("empty class expression")
+    return _sum_terms(ctx, side, _parse_terms(s, text, ctx, side))
 
-    coeff: dict[str, Fraction] = {}
+
+def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[str, int, int]]:
+    """Each term of the stripped expression s as (label, numerator, denominator)."""
+    basis = _basis(ctx, side)
+    # s is stripped, so whitespace after a term is always followed by a sign
     pos = 0
-    first = True
     while pos < len(s):
         sign = 1
         m = _SIGN_RE.match(s, pos)
         if m is not None:
             sign = 1 if m.group(1) == "+" else -1
             pos = m.end()
-        elif not first:
+        elif pos:
             raise ClassSyntaxError(f"expected '+' or '-' before position {pos} in {text!r}")
         m = _TERM_RE.match(s, pos)
         if m is None:
@@ -250,14 +280,16 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
                 f"label {m.group('label')!r} is not in the side-{side} basis at genus {ctx.g} "
                 f"(basis: {', '.join(basis)})"
             )
-        value = rational(m.group("num").replace(" ", "")) if m.group("num") else Fraction(1)
-        coeff[label] = coeff.get(label, _ZERO) + sign * value
+        num = m.group("num")
+        if num is None:
+            yield label, sign, 1
+        else:
+            p, _, q = num.partition("/")
+            d = int(q) if q else 1
+            if d == 0:
+                raise ValueError(f"zero denominator: {num.replace(' ', '')!r}")
+            yield label, sign * int(p), d
         pos = m.end()
-        first = False
-        ws = re.match(r"\s*", s[pos:])
-        if ws and pos + ws.end() == len(s):
-            pos = len(s)
-    return DivisorClass(ctx, side, coeff)
 
 
 def render_class(x: DivisorClass) -> str:
@@ -267,14 +299,21 @@ def render_class(x: DivisorClass) -> str:
     the input grammar and parse_class(render_class(x)) == x.
     """
     parts: list[str] = []
-    for label in x.labels():
-        v = x.coeff.get(label, 0)
-        if v == 0:
+    coeff = x.coeff
+    for label in _basis(x.ctx, x.side):
+        v = coeff.get(label)
+        if v is None:
             continue
-        mag = format_rational(abs(v))
-        term = label if abs(v) == 1 else f"{mag}*{label}"
-        if not parts:
-            parts.append(term if v > 0 else f"-{term}")
+        n, d = v.numerator, v.denominator
+        mag = abs(n)
+        if d != 1:
+            term = f"{mag}/{d}*{label}"
+        elif mag != 1:
+            term = f"{mag}*{label}"
         else:
-            parts.append(f"+ {term}" if v > 0 else f"- {term}")
+            term = label
+        if parts:
+            parts.append(f"- {term}" if n < 0 else f"+ {term}")
+        else:
+            parts.append(f"-{term}" if n < 0 else term)
     return " ".join(parts) if parts else "0"

@@ -19,6 +19,8 @@ from .picard import (
     S_SIDE,
     DivisorClass,
     GenusCtx,
+    _sum_terms,
+    _trusted,
     basis_class,
     m_labels,
     s_labels,
@@ -70,18 +72,22 @@ def pullback(x: DivisorClass) -> DivisorClass:
             out["a0"], out["b0s"] = v, 2 * v
         else:
             out[f"a{label[1:]}"] = out[f"b{label[1:]}"] = v
-    return DivisorClass(x.ctx, S_SIDE, out)
+    # images of basis labels are basis labels, and v and 2*v are nonzero reduced Fractions
+    return _trusted(x.ctx, S_SIDE, out)
 
 
 def pushforward(x: DivisorClass) -> DivisorClass:
-    """Pushforward to the curve side, one nonzero coefficient at a time."""
+    """Pushforward to the curve side, summed in integers per curve-side label.
+
+    a0 and b0s both land on d0, where their terms may cancel.
+    """
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
-    out: dict[str, Fraction] = {}
-    for label, v in x.coeff.items():
-        m = _m_image(label)
-        out[m] = out.get(m, 0) + pushforward_degree(x.ctx, label) * v
-    return DivisorClass(x.ctx, M_SIDE, out)
+    ctx = x.ctx
+    return _sum_terms(ctx, M_SIDE, (
+        (_m_image(label), pushforward_degree(ctx, label) * v.numerator, v.denominator)
+        for label, v in x.coeff.items()
+    ))
 
 
 def pullback_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:

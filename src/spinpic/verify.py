@@ -121,6 +121,15 @@ def run_genus(g: int) -> list[Check]:
     rec = _Recorder()
     n_even = transfer.even_component_degree(g)
     curves = testcurves.curve_map(ctx)
+    # Built once and shared by the sections; each is still looked up on its
+    # module at call time, so a patched builder is the one that runs.
+    basis = {label: basis_class(ctx, M_SIDE, label) for label in m_labels(ctx)}
+    up = {label: transfer.pullback(x) for label, x in basis.items()}
+    n_id = {label: n_even * x for label, x in basis.items()}
+    canonical_m = catalog.canonical_m(ctx)
+    canonical_s = catalog.canonical_s(ctx)
+    theta = catalog.thetanull_class(ctx)
+    m1 = catalog.m1_theta_class(ctx)
 
     def counts() -> None:
         sc = transfer.spin_counts(ctx)
@@ -128,36 +137,28 @@ def run_genus(g: int) -> list[Check]:
             rec.add(f"counts:{name}", rhs, lhs)
 
     def projection() -> None:
-        for label in m_labels(ctx):
-            x = basis_class(ctx, M_SIDE, label)
-            rec.add(f"projection:{label}", n_even * x, transfer.pushforward(transfer.pullback(x)))
+        for label, x in up.items():
+            rec.add(f"projection:{label}", n_id[label], transfer.pushforward(x))
         x = _fuzz_class(ctx, M_SIDE, salt=1)
         rec.add("projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x)))
-        # second route: compose the column maps with lincomb, not the maps in turn
+        # second route: compose the pullback columns with the pushforward
+        # columns by lincomb, not the maps in turn
         push = transfer.pushforward_matrix(ctx)
-        prod = {
-            m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff])
-            for m, col in transfer.pullback_matrix(ctx).items()
-        }
-        n_id = {m: n_even * basis_class(ctx, M_SIDE, m) for m in m_labels(ctx)}
+        prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in up.items()}
         rec.add("projection:matrix-product", True, prod == n_id)
 
     def named_classes() -> None:
         rec.add(
             "canonical:splitting",
             basis_class(ctx, S_SIDE, "b0s"),
-            catalog.canonical_s(ctx) - transfer.pullback(catalog.canonical_m(ctx)),
+            canonical_s - transfer.pullback(canonical_m),
         )
-        rec.add(
-            "theta:pushforward",
-            catalog.m1_theta_class(ctx),
-            transfer.pushforward(catalog.thetanull_class(ctx)),
-        )
+        rec.add("theta:pushforward", m1, transfer.pushforward(theta))
         for cls, name in (
-            (catalog.canonical_m(ctx), "canonical-m"),
-            (catalog.canonical_s(ctx), "canonical-s"),
-            (catalog.thetanull_class(ctx), "thetanull"),
-            (catalog.m1_theta_class(ctx), "m1"),
+            (canonical_m, "canonical-m"),
+            (canonical_s, "canonical-s"),
+            (theta, "thetanull"),
+            (m1, "m1"),
         ):
             rec.add(f"roundtrip:{name}", cls, parse_class(render_class(cls), ctx, cls.side))
 
@@ -187,7 +188,6 @@ def run_genus(g: int) -> list[Check]:
             )
 
     def pairings() -> None:
-        theta = catalog.thetanull_class(ctx)
         for name in ("F0", "G0", "H0"):
             rec.add(f"pairing:{name}*theta", Fraction(0), testcurves.intersect(curves[name], theta))
         for i in range(1, ctx.h + 1):
@@ -196,19 +196,15 @@ def run_genus(g: int) -> list[Check]:
 
     def lift() -> None:
         b, r = curves["B"], curves["R"]
-        probes = [(label, basis_class(ctx, M_SIDE, label)) for label in m_labels(ctx)]
-        probes.append(("fuzz", _fuzz_class(ctx, M_SIDE, salt=2)))
-        for label, x in probes:
-            rec.add(
-                f"lift:{label}",
-                n_even * testcurves.intersect(b, x),
-                testcurves.intersect(r, transfer.pullback(x)),
-            )
+        fuzz = _fuzz_class(ctx, M_SIDE, salt=2)
+        probes = [(label, x, up[label]) for label, x in basis.items()]
+        probes.append(("fuzz", fuzz, transfer.pullback(fuzz)))
+        for label, x, x_up in probes:
+            rec.add(f"lift:{label}", n_even * testcurves.intersect(b, x), testcurves.intersect(r, x_up))
 
     def pullback_compat() -> None:
         # the elliptic-tail pencil downstairs: degree 12 on d0, -1 on d1
         tail = {"lambda": Fraction(1), "d0": Fraction(12), "d1": Fraction(-1)}
-        up = {label: transfer.pullback(basis_class(ctx, M_SIDE, label)) for label in m_labels(ctx)}
         for label, x in up.items():
             rec.add(f"compat:F0:{label}", tail.get(label, Fraction(0)),
                     testcurves.intersect(curves["F0"], x))
@@ -233,7 +229,7 @@ def run_genus(g: int) -> list[Check]:
 
     def theta_solve() -> None:
         solved = testcurves.solve_thetanull(ctx)
-        rec.add("solve:thetanull", catalog.thetanull_class(ctx), solved)
+        rec.add("solve:thetanull", theta, solved)
         for name in ("F0", "G0", "H0"):
             rec.add(f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved))
 
@@ -252,14 +248,14 @@ def run_genus(g: int) -> list[Check]:
             scale = Fraction(3, 2) / spec.b0
             assembled = (
                 dec.nu * basis_class(ctx, S_SIDE, "lambda")
-                + 8 * catalog.thetanull_class(ctx)
+                + 8 * theta
                 + scale * transfer.pullback(catalog.divisor_class(spec))
                 + DivisorClass(ctx, S_SIDE, {
                     **{f"a{i}": dec.c[i - 1] for i in range(1, ctx.h + 1)},
                     **{f"b{i}": dec.c_prime[i - 1] for i in range(1, ctx.h + 1)},
                 })
             )
-            rec.add("kodaira:decomposition-identity", catalog.canonical_s(ctx), assembled)
+            rec.add("kodaira:decomposition-identity", canonical_s, assembled)
             if g >= 8:
                 rec.add("kodaira:remainders-nonnegative", True, dec.remainders_nonnegative())
         verdict = kodaira.classify(ctx).verdict

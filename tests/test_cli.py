@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import cli, errors, kodaira
+from spinpic import catalog, cli, errors, kodaira
 from spinpic.picard import GenusCtx
 
 
@@ -132,6 +132,28 @@ def test_classify_divisor_file_slope_violation(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "-g", "10", "--divisor-file", str(path))
     assert code == 1
     assert "slope" in err
+
+
+@pytest.mark.parametrize("g", (3, 5, 7))
+def test_classify_divisor_file_slope_violation_below_genus_eight(g, capsys, tmp_path):
+    # the uniruled verdict does not use D, but a steep divisor is still rejected
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"name": "steep", "genus": g, "a": "100", "b0": "1"}))
+    code, out, err = run(capsys, "classify", "-g", str(g), "--divisor-file", str(path))
+    assert code == 1
+    assert out == ""
+    bound = catalog.slope_rule(GenusCtx(g)).bound
+    assert err == f"FAIL: slope a/b0 = 100 exceeds the genus-{g} bound {bound}\n"
+
+
+@pytest.mark.parametrize("as_json", ([], ["--json"]))
+def test_classify_divisor_file_within_bound_below_genus_eight(as_json, capsys, tmp_path):
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"name": "shallow", "genus": 5, "a": "6", "b0": "1", "b": ["1", "1"]}))
+    code, out, _ = run(capsys, "classify", "-g", "5", "--divisor-file", str(path), *as_json)
+    assert code == 0
+    assert (code, out) == run(capsys, "classify", "-g", "5", *as_json)[:2]
+    assert out.startswith('{\n  "c": null,' if as_json else "genus 5: UNIRULED\n  R . K = -2976\n")
 
 
 def test_verify_small_range(capsys):

@@ -66,6 +66,15 @@ def test_unknown_labels_rejected():
         basis_class(ctx, M_SIDE, "a0")
 
 
+def test_public_constructor_coerces_values():
+    # only the kernel's private constructor skips this; every DivisorClass(...) call coerces
+    cls = DivisorClass(GenusCtx(5), M_SIDE, {"lambda": 3, "d0": "2/4", "d1": 0, "d2": "0/7"})
+    assert dict(cls.coeff) == {"lambda": Fraction(3), "d0": Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in cls.coeff.values())
+    with pytest.raises(ValueError, match="zero denominator"):
+        DivisorClass(GenusCtx(5), M_SIDE, {"d0": "1/0"})
+
+
 def test_lincomb_identity_and_inverse():
     ctx = GenusCtx(5)
     lam = basis_class(ctx, M_SIDE, "lambda")
@@ -226,3 +235,73 @@ def test_render_orders_alpha_before_beta():
 @given(classes())
 def test_parse_render_round_trip(x):
     assert parse_class(render_class(x), x.ctx, x.side) == x
+
+
+# --- parse_class against a per-label Fraction oracle --------------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _class_expressions(draw):
+    """(ctx, side, text, terms): a class expression and its (sign, p, q, label) terms.
+
+    q is None for a bare label and p may be 0. Some terms are repeated with
+    the opposite sign, so that labels (or everything) cancel to zero.
+    """
+    ctx = GenusCtx(draw(st.integers(3, 40)))
+    side = draw(st.sampled_from([M_SIDE, S_SIDE]))
+    term = st.tuples(
+        st.sampled_from([1, -1]),
+        st.integers(0, 10**6),
+        st.none() | st.integers(1, 12) | st.integers(1, 10**12),
+        st.sampled_from(labels_for(ctx, side)),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=12))
+    undo = draw(st.lists(st.sampled_from(range(len(terms))), unique=True))
+    terms += [(-terms[k][0], *terms[k][1:]) for k in undo]
+    text = draw(_SPACE)
+    for k, (sign, p, q, label) in enumerate(terms):
+        if k or sign < 0 or draw(st.booleans()):
+            text += ("+" if sign > 0 else "-") + draw(_SPACE)
+        if q is not None:
+            text += f"{p}{draw(_SPACE)}/{draw(_SPACE)}{q}{draw(_SPACE)}*{draw(_SPACE)}"
+        text += label + draw(_SPACE)
+    return ctx, side, text, terms
+
+
+def _parse_oracle(terms):
+    sums = {}
+    for sign, p, q, label in terms:
+        sums[label] = sums.get(label, Fraction(0)) + sign * (Fraction(1) if q is None else Fraction(p, q))
+    return {label: v for label, v in sums.items() if v}
+
+
+@given(_class_expressions())
+def test_parse_class_matches_per_label_fraction_sums(expression):
+    ctx, side, text, terms = expression
+    got = parse_class(text, ctx, side)
+    _assert_stored_canonically(got)
+    assert got.coeff.keys() <= set(labels_for(ctx, side))
+    assert dict(got.coeff) == _parse_oracle(terms)
+
+
+def test_parse_drops_cancelled_labels():
+    ctx = GenusCtx(5)
+    got = parse_class("d1 - d1 + 2*d0", ctx, M_SIDE)
+    assert dict(got.coeff) == {"d0": Fraction(2)}
+    assert parse_class("1/2*d1 - 2/4*d1", ctx, M_SIDE).is_zero()
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("1/0*lambda", ValueError, "zero denominator: '1/0'"),
+    ("d1 + 3 / 0*d0", ValueError, "zero denominator: '3/0'"),
+    ("lambda + d9", UnknownLabelError,
+     "label 'd9' is not in the side-M basis at genus 5 (basis: lambda, d0, d1, d2)"),
+    ("lambda d1", ClassSyntaxError, "expected '+' or '-' before position 6 in 'lambda d1'"),
+    ("2*d0 -d1 3*d2", ClassSyntaxError, "expected '+' or '-' before position 8 in '2*d0 -d1 3*d2'"),
+])
+def test_parse_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_class(text, GenusCtx(5), M_SIDE)
+    assert str(info.value) == message

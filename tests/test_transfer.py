@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from spinpic.transfer import (
     even_component_degree,
     odd_component_degree,
     pullback,
+    pushforward_degree,
     pullback_matrix,
     pushforward,
     pushforward_matrix,
@@ -125,3 +129,80 @@ def test_spin_counts_identities_full_range(g):
 def test_component_degrees_sum():
     for g in range(2, 61):
         assert even_component_degree(g) + odd_component_degree(g) == 2 ** (2 * g)
+
+
+# --- the transfer maps against per-label Fraction oracles ---------------------
+
+# Denominators up to 10^12 are almost always pairwise unrelated.
+_unrelated = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 12) | st.integers(1, 10**12)
+)
+
+
+def _sparse_class(ctx, side, draw):
+    return DivisorClass(ctx, side, draw(st.dictionaries(st.sampled_from(labels_for(ctx, side)), _unrelated)))
+
+
+def _assert_canonical_in_basis(cls):
+    basis = set(labels_for(cls.ctx, cls.side))
+    for label, v in cls.coeff.items():
+        assert label in basis
+        assert type(v) is Fraction
+        assert v != 0 and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def _pullback_oracle(x):
+    out = {"lambda": x["lambda"], "a0": x["d0"], "b0s": 2 * x["d0"]}
+    for i in range(1, x.ctx.h + 1):
+        out[f"a{i}"] = out[f"b{i}"] = x[f"d{i}"]
+    return {label: v for label, v in out.items() if v}
+
+
+def _pushforward_oracle(x):
+    ctx = x.ctx
+    out = {
+        "lambda": pushforward_degree(ctx, "lambda") * x["lambda"],
+        "d0": pushforward_degree(ctx, "a0") * x["a0"] + pushforward_degree(ctx, "b0s") * x["b0s"],
+    }
+    for i in range(1, ctx.h + 1):
+        out[f"d{i}"] = sum(pushforward_degree(ctx, f"{k}{i}") * x[f"{k}{i}"] for k in "ab")
+    return {label: v for label, v in out.items() if v}
+
+
+@given(st.integers(3, 40), st.data())
+def test_pullback_matches_per_label_oracle(g, data):
+    x = _sparse_class(GenusCtx(g), M_SIDE, data.draw)
+    got = pullback(x)
+    _assert_canonical_in_basis(got)
+    assert dict(got.coeff) == _pullback_oracle(x)
+
+
+@given(st.integers(3, 40), st.data(), st.sets(st.sampled_from(["d0", "di", "all"])))
+def test_pushforward_matches_per_label_oracle(g, data, cancel):
+    ctx = GenusCtx(g)
+    x = _sparse_class(ctx, S_SIDE, data.draw)
+    coeff = dict(x.coeff)
+    # a0 against b0s cancels into d0, ai against bi into di
+    if "d0" in cancel:
+        a0 = coeff.setdefault("a0", Fraction(1, 3))
+        coeff["b0s"] = -a0 * pushforward_degree(ctx, "a0") / pushforward_degree(ctx, "b0s")
+    i = data.draw(st.integers(1, ctx.h))
+    if "di" in cancel:
+        ai = coeff.setdefault(f"a{i}", Fraction(-7, 5))
+        coeff[f"b{i}"] = -ai * pushforward_degree(ctx, f"a{i}") / pushforward_degree(ctx, f"b{i}")
+    if "all" in cancel:
+        coeff = {}
+    x = DivisorClass(ctx, S_SIDE, coeff)
+    got = pushforward(x)
+    _assert_canonical_in_basis(got)
+    assert dict(got.coeff) == _pushforward_oracle(x)
+    if "d0" in cancel:
+        assert "d0" not in got.coeff
+    if "di" in cancel:
+        assert f"d{i}" not in got.coeff
+
+
+def test_pushforward_drops_cancelled_d0():
+    ctx = GenusCtx(3)  # deg a0 = 16, deg b0s = 10
+    x = DivisorClass(ctx, S_SIDE, {"a0": 5, "b0s": -8, "lambda": Fraction(1, 36)})
+    assert dict(pushforward(x).coeff) == {"lambda": Fraction(1)}

@@ -6,16 +6,20 @@ reuses one pullback per d_j), and builds its curve table once, while every
 use of the table still goes through `testcurves.curve_map`. A failing
 genus renders its failure records exactly as the eager renderer did, also
 when a patched constant would be hidden by a stale cached curve table.
-A certificate builds the class of its auxiliary divisor once.
+A certificate builds the class of its auxiliary divisor once. A genus
+builds each named class and each basis-class pullback once and shares it
+across its sections, and the class parser builds one Fraction per label,
+not per term.
 """
 
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from spinpic import catalog, kodaira, testcurves, transfer, verify
-from spinpic.picard import GenusCtx
-from spinpic.picard import S_SIDE, basis_class
+from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
 
 def _counting(monkeypatch, module, name):
@@ -165,3 +169,63 @@ def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
     calls = _counting(monkeypatch, catalog, "divisor_class")
     assert kodaira.classify(GenusCtx(g)).verdict == kodaira.GENERAL_TYPE
     assert calls == ["decompose_canonical"]
+
+
+_NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_class")
+
+
+def test_named_classes_are_built_once_per_genus(monkeypatch):
+    callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
+    verify.run_genus(40)
+    # kodaira builds its own copies; verify's sections share one each
+    from_run_genus = {name: calls.count("run_genus") for name, calls in callers.items()}
+    assert from_run_genus == dict.fromkeys(_NAMED_BUILDERS, 1)
+    callers_seen = {caller for calls in callers.values() for caller in calls}
+    assert callers_seen <= {"run_genus", "decompose_canonical", "uniruled_certificate"}
+
+
+def test_each_basis_class_is_pulled_back_once(monkeypatch):
+    ctx = GenusCtx(40)
+    original, pulled = transfer.pullback, Counter()
+
+    def counting(x):
+        pulled[str(x)] += 1
+        return original(x)
+
+    monkeypatch.setattr(transfer, "pullback", counting)
+    verify.run_genus(40)
+    # a basis class renders as its bare label
+    assert [pulled[label] for label in labels_for(ctx, M_SIDE)] == [1] * (ctx.h + 2)
+
+
+def _fraction_constructions(monkeypatch, fn):
+    """fn() and the number of Fractions it builds, also those that arithmetic builds directly."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counting_new)
+        if "_from_coprime_ints" in vars(Fraction):  # Python 3.12+ arithmetic bypasses __new__
+            coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+            def counting_coprime(cls, n, d):
+                built.append(cls)
+                return coprime(cls, n, d)
+
+            m.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        result = fn()
+    return result, len(built)
+
+
+def test_parser_builds_one_fraction_per_label(monkeypatch):
+    ctx = GenusCtx(40)
+    labels = labels_for(ctx, M_SIDE)
+    terms = [f"{k % 7 + 1}/{k % 5 + 1}*{labels[k % len(labels)]}" for k in range(2000)]
+    text = " + ".join(terms)
+    cls, built = _fraction_constructions(monkeypatch, lambda: parse_class(text, ctx, M_SIDE))
+    assert len(cls.coeff) == len(labels)
+    assert built <= len(labels)  # three per term before the integer kernel
