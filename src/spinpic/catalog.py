@@ -23,7 +23,7 @@ from .errors import (
     SlopeViolationError,
 )
 from .exact import rational
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, require_classification_genus
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -165,7 +165,10 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
         except OSError as exc:
             raise DivisorSpecError(f"cannot read divisor file: {exc}") from exc
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError as exc:
+            raise DivisorSpecError("divisor file: JSON is nested too deeply to read") from exc
     if not isinstance(data, Mapping):
         raise DivisorSpecError("divisor file must hold a JSON object")
     missing = {"name", "genus", "a", "b0"} - set(data)
@@ -189,6 +192,10 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 
 # --- canonical and theta-null classes ---------------------------------------
 
+# The four closed forms below hold nonzero Fractions under basis labels by
+# construction, so they skip the constructor's validation (picard._trusted);
+# tests/test_catalog.py checks each against the validating constructor.
+
 # shared by every class below instead of one equal Fraction per basis label
 _MINUS_TWO = Fraction(-2)
 _MINUS_HALF = Fraction(-1, 2)
@@ -200,7 +207,7 @@ def canonical_m(ctx: GenusCtx) -> DivisorClass:
     coeff = {"lambda": Fraction(13), "d0": _MINUS_TWO, "d1": Fraction(-3)}
     for i in range(2, ctx.h + 1):
         coeff[f"d{i}"] = _MINUS_TWO
-    return DivisorClass(ctx, M_SIDE, coeff)
+    return _trusted(ctx, M_SIDE, coeff)
 
 
 def canonical_s(ctx: GenusCtx) -> DivisorClass:
@@ -220,7 +227,7 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     for i in range(2, ctx.h + 1):
         coeff[f"a{i}"] = _MINUS_TWO
         coeff[f"b{i}"] = _MINUS_TWO
-    return DivisorClass(ctx, S_SIDE, coeff)
+    return _trusted(ctx, S_SIDE, coeff)
 
 
 def thetanull_class(ctx: GenusCtx) -> DivisorClass:
@@ -229,7 +236,7 @@ def thetanull_class(ctx: GenusCtx) -> DivisorClass:
     coeff = {"lambda": Fraction(1, 4), "a0": Fraction(-1, 16)}
     for i in range(1, ctx.h + 1):
         coeff[f"b{i}"] = _MINUS_HALF
-    return DivisorClass(ctx, S_SIDE, coeff)
+    return _trusted(ctx, S_SIDE, coeff)
 
 
 def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
@@ -243,7 +250,7 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
     coeff = {"lambda": Fraction(scale * (2**g + 1)), "d0": Fraction(-scale * 2 ** (g - 3))}
     for i in range(1, ctx.h + 1):
         coeff[f"d{i}"] = Fraction(-scale * (2 ** (g - i) - 1) * (2**i - 1))
-    return DivisorClass(ctx, M_SIDE, coeff)
+    return _trusted(ctx, M_SIDE, coeff)
 
 
 def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:

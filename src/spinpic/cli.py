@@ -21,7 +21,7 @@ from .errors import SideMismatchError, SpinPicError
 from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
 
-# The largest genus any subcommand accepts; verify takes 2.5-3 s for genus
+# The largest genus any subcommand accepts; verify takes about 2 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
 MAX_GENUS = 1000
 

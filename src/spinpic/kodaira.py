@@ -35,6 +35,8 @@ FLAG_FORMAL_BASIS = "FORMAL_BASIS"
 # same rule is evaluated but the certificate is stamped EXTRAPOLATED.
 MAX_TABULATED_GENUS = 22
 
+_ZERO = Fraction(0)
+
 
 def nu_value(spec: catalog.DivisorSpec) -> Fraction:
     """The lambda surplus of the canonical class over the fixed combination.
@@ -92,13 +94,15 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         [catalog.canonical_s(ctx), basis_class(ctx, S_SIDE, "lambda"), catalog.thetanull_class(ctx),
          transfer.pullback(d)],
     )
+    # every label read below is in the basis, so __getitem__'s label check is skipped
+    rest = remainder.coeff
     for label in ("lambda", "a0", "b0s"):
-        if remainder[label] != 0:
-            raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
+        if label in rest:
+            raise VerificationFailureError(f"nonzero {label} remainder {rest[label]}")
     if not spec.complete:
         return Decomposition(ctx, spec, nu, None, None)
-    c = tuple(remainder[f"a{i}"] for i in range(1, ctx.h + 1))
-    c_prime = tuple(remainder[f"b{i}"] for i in range(1, ctx.h + 1))
+    c = tuple(rest.get(f"a{i}", _ZERO) for i in range(1, ctx.h + 1))
+    c_prime = tuple(rest.get(f"b{i}", _ZERO) for i in range(1, ctx.h + 1))
     return Decomposition(ctx, spec, nu, c, c_prime)
 
 

@@ -135,7 +135,8 @@ class DivisorClass:
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {type(other).__name__}")
-        if self.ctx != other.ctx or self.side != other.side:
+        # classes built from one context share that object, so identity decides most calls
+        if not (self.ctx is other.ctx or self.ctx == other.ctx) or self.side != other.side:
             raise MixedBasisError(
                 f"cannot combine side-{self.side} genus-{self.ctx.g} with "
                 f"side-{other.side} genus-{other.ctx.g}"
@@ -181,10 +182,11 @@ def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
     scaled = []
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
-        scaled.append((rational(s), cls))
+        q = rational(s)
+        scaled.append((q.numerator, q.denominator, cls))
     return _sum_terms(first.ctx, first.side, (
-        (label, sq.numerator * v.numerator, sq.denominator * v.denominator)
-        for sq, cls in scaled
+        (label, sn * v.numerator, sd * v.denominator)
+        for sn, sd, cls in scaled
         for label, v in cls.coeff.items()
     ))
 
@@ -215,7 +217,8 @@ def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorCla
     """A class from coefficients already known to be nonzero reduced Fractions under basis labels.
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
-    every class built by the public constructor still goes through.
+    every class built by the public constructor still goes through. The
+    kernel's outputs and catalog's closed-form named classes are built here.
     """
     cls = object.__new__(DivisorClass)
     vars(cls).update(ctx=ctx, side=side, coeff=MappingProxyType(coeff))

@@ -43,7 +43,7 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
         raise SideMismatchError(
             f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
         )
-    if curve.ctx != x.ctx:
+    if not (curve.ctx is x.ctx or curve.ctx == x.ctx):
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
     xc = x.coeff
     total = None

@@ -29,7 +29,16 @@ from spinpic.errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, parse_class, render_class
+from spinpic.picard import (
+    DivisorClass,
+    GenusCtx,
+    M_SIDE,
+    S_SIDE,
+    basis_class,
+    labels_for,
+    parse_class,
+    render_class,
+)
 from spinpic.transfer import pullback, pushforward
 
 
@@ -83,6 +92,24 @@ def test_m1_theta_small_genera():
 def test_m1_theta_is_pushforward_of_thetanull(g):
     ctx = GenusCtx(g)
     assert pushforward(thetanull_class(ctx)) == m1_theta_class(ctx)
+
+
+_CLOSED_FORMS = ((canonical_m, M_SIDE), (canonical_s, S_SIDE), (thetanull_class, S_SIDE),
+                 (m1_theta_class, M_SIDE))
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_closed_forms_pass_the_validating_constructor(g):
+    # the closed forms skip DivisorClass validation; this guards that path
+    ctx = GenusCtx(g)
+    for build, side in _CLOSED_FORMS:
+        cls = build(ctx)
+        assert (cls.ctx, cls.side) == (ctx, side)
+        assert cls == DivisorClass(ctx, side, dict(cls.coeff))
+        assert set(cls.coeff) <= set(labels_for(ctx, side))
+        assert all(type(v) is Fraction and v != 0 for v in cls.coeff.values())
+        with pytest.raises(TypeError):
+            cls.coeff["lambda"] = Fraction(1)
 
 
 def test_bn_class_genus9():

@@ -192,6 +192,8 @@ _DIVISOR_FILE_FAULTS = {
     "float-genus": '{"name": "f", "genus": 10.0, "a": "7", "b0": "1", "b": ["2", "2", "2", "2", "2"]}',
     "bool-genus": '{"name": "t", "genus": true, "a": "7", "b0": "1"}',
     "missing": None,
+    # json.loads raises RecursionError on nesting this deep
+    "deep-nesting": '{"a": ' + "[" * 200000 + "]" * 200000 + "}",
 }
 
 

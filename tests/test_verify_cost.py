@@ -9,7 +9,8 @@ when a patched constant would be hidden by a stale cached curve table.
 A certificate builds the class of its auxiliary divisor once. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
-not per term.
+not per term. Classes and curves built from one genus context share that
+object, so comparing their contexts costs no GenusCtx.__eq__ call per check.
 """
 
 import sys
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinpic import catalog, kodaira, testcurves, transfer, verify
+from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
 
@@ -229,3 +230,25 @@ def test_parser_builds_one_fraction_per_label(monkeypatch):
     cls, built = _fraction_constructions(monkeypatch, lambda: parse_class(text, ctx, M_SIDE))
     assert len(cls.coeff) == len(labels)
     assert built <= len(labels)  # three per term before the integer kernel
+
+
+def _context_comparisons(monkeypatch, g):
+    # a fresh genus: cached curves or bases from an earlier GenusCtx(g) would
+    # hold another context object, equal but not identical
+    testcurves._curve_table.cache_clear()
+    picard._basis.cache_clear()
+    original, calls = GenusCtx.__eq__, []
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(GenusCtx, "__eq__", counting)
+        assert all(c.ok for c in verify.run_genus(g))
+    return len(calls)
+
+
+def test_context_comparisons_do_not_grow_with_h(monkeypatch):
+    # one __eq__ per pairing and lincomb term would grow as h^2
+    assert _context_comparisons(monkeypatch, 20) == _context_comparisons(monkeypatch, 60)
