@@ -25,7 +25,7 @@ from .catalog import (
     thetanull_class,
 )
 from .errors import SpinPicError
-from .exact import Rational, format_rational, rational, solve_exact
+from .exact import Rational, format_rational, rational
 from .kodaira import (
     GENERAL_TYPE,
     KAPPA_NONNEGATIVE,
@@ -91,7 +91,6 @@ __all__ = [
     "render_class",
     "rho",
     "slope_rule",
-    "solve_exact",
     "solve_thetanull",
     "spin_counts",
     "thetanull_class",

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
-from .errors import SideMismatchError, SpinPicError
+from .errors import InputError, SideMismatchError, SpinPicError
 from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
 
@@ -37,10 +37,6 @@ _NAMED_CLASSES = {
 }
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _cmd_classify(args) -> int:
     if args.genus is not None:
         if args.start is not None or args.end is not None:
@@ -48,7 +44,7 @@ def _cmd_classify(args) -> int:
         ctx = GenusCtx(args.genus)
         user = None if args.divisor_file is None else catalog.load_divisor_spec(Path(args.divisor_file), ctx)
         certs = [kodaira.classify(ctx, user)]
-        dump = _canonical_json
+        dump = verify.report_json
     else:
         if args.start is None or args.end is None or args.start > args.end:
             raise ValueError("classify needs -g N, or --from A --to B with A <= B")
@@ -98,19 +94,15 @@ def _cmd_pair(args) -> int:
             name: {label: format_rational(c[label]) for label in c.labels()}
             for name, c in curves.items()
         }
-        print(_canonical_json(table))
+        print(verify.report_json(table))
         return 0
     if args.curve is None or args.classexpr is None:
-        print("error: pair needs CURVE and CLASSEXPR (or --dump)", file=sys.stderr)
-        return 2
+        raise InputError("pair needs CURVE and CLASSEXPR (or --dump)")
     token = args.curve
     if token not in curves:
-        print(
-            f"error: unknown curve {token!r} at genus {ctx.g} "
-            f"(available: {', '.join(curves)})",
-            file=sys.stderr,
+        raise InputError(
+            f"unknown curve {token!r} at genus {ctx.g} (available: {', '.join(curves)})"
         )
-        return 2
     curve = curves[token]
     if args.classexpr in _NAMED_CLASSES:
         cls = _NAMED_CLASSES[args.classexpr](ctx)
@@ -235,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full per-genus verification suite")
     p.add_argument("--from", dest="start", type=int, default=3, help="first genus (default 3)")
-    p.add_argument("--to", dest="end", type=int, default=22, help="last genus (default 22)")
+    p.add_argument("--to", dest="end", type=int, default=kodaira.MAX_TABULATED_GENUS,
+                   help=f"last genus (default {kodaira.MAX_TABULATED_GENUS})")
     p.add_argument("--json", action="store_true", help="print the machine-readable report")
     p.set_defaults(func=_cmd_verify)
 

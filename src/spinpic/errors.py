@@ -9,12 +9,8 @@ class InputError(SpinPicError, ValueError):
     """Bad input, not a failed verification; the CLI exits 2 on these, 1 on other SpinPicErrors."""
 
 
-class DimensionMismatchError(InputError):
-    """Matrix/vector shapes are inconsistent."""
-
-
 class SingularMatrixError(SpinPicError):
-    """Exact elimination found rank < n."""
+    """The pencil relations of the theta-null re-derivation are dependent."""
 
 
 class MixedBasisError(InputError):

@@ -135,8 +135,8 @@ class DivisorClass:
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {type(other).__name__}")
-        # classes built from one context share that object, so identity decides most calls
-        if not (self.ctx is other.ctx or self.ctx == other.ctx) or self.side != other.side:
+        # GenusCtx holds only g, so comparing genera compares contexts without a dataclass __eq__
+        if self.ctx.g != other.ctx.g or self.side != other.side:
             raise MixedBasisError(
                 f"cannot combine side-{self.side} genus-{self.ctx.g} with "
                 f"side-{other.side} genus-{other.ctx.g}"

@@ -19,14 +19,14 @@ H0 rather than more of the same.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 from . import transfer
-from .errors import GenusMismatchError, SideMismatchError
-from .exact import solve_exact
+from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
 from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, require_classification_genus
 
 _ZERO = Fraction(0)
@@ -43,7 +43,7 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
         raise SideMismatchError(
             f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
         )
-    if not (curve.ctx is x.ctx or curve.ctx == x.ctx):
+    if curve.ctx.g != x.ctx.g:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
     xc = x.coeff
     total = None
@@ -113,18 +113,42 @@ def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction
     return rows, rhs
 
 
+def _det3(m) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _solve3(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve the 3x3 system rows . x = rhs exactly.
+
+    Each equation is scaled to integers by the lcm of its denominators, and
+    Cramer's rule runs in exact ints, so each unknown becomes one Fraction.
+    Raises SingularMatrixError when the determinant is 0.
+    """
+    scaled = []
+    for eq in (row + [r] for row, r in zip(rows, rhs)):
+        scale = math.lcm(*(v.denominator for v in eq))
+        scaled.append([v.numerator * (scale // v.denominator) for v in eq])
+    # det(A) = det(A^T), so Cramer's rule replaces a row of the transpose, not a column of A
+    cols = list(zip(*scaled))
+    det = _det3(cols[:3])
+    if det == 0:
+        raise SingularMatrixError("the pencil relations are dependent (determinant 0)")
+    return [Fraction(_det3(cols[:k] + cols[3:] + cols[k + 1:3]), det) for k in range(3)]
+
+
 def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
     """Re-derive the theta-null class from the pencil relations.
 
     Solves the system of thetanull_system exactly and assembles the class
-    with the boundary coefficients entered negatively. The result is not
-    compared with the closed form here: verify's solve:thetanull check and
-    the CLI's MATCH/MISMATCH line do that.
+    with the boundary coefficients entered negatively; the ai coefficients
+    vanish and are not stored. The result is not compared with the closed
+    form here: verify's solve:thetanull check and the CLI's MATCH/MISMATCH
+    line do that.
     """
     rows, rhs = thetanull_system(ctx)
-    lam, a0, b0 = solve_exact(rows, rhs)
+    lam, a0, b0 = _solve3(rows, rhs)
     coeff = {"lambda": lam, "a0": -a0, "b0s": -b0}
     for i in range(1, ctx.h + 1):
-        coeff[f"a{i}"] = Fraction(0)
         coeff[f"b{i}"] = Fraction(-1, 2)
     return DivisorClass(ctx, S_SIDE, coeff)

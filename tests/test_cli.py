@@ -62,9 +62,15 @@ def test_pair_expression(capsys):
 
 
 def test_pair_unknown_curve(capsys):
-    code, _, err = run(capsys, "pair", "F9", "thetanull", "-g", "5")
-    assert code == 2
-    assert "unknown curve" in err
+    assert run(capsys, "pair", "F9", "thetanull", "-g", "5") == (
+        2, "",
+        "error: unknown curve 'F9' at genus 5 (available: B, R, F0, G0, H0, F1, G1, F2, G2)\n",
+    )
+
+
+@pytest.mark.parametrize("argv", [("pair", "-g", "5"), ("pair", "G2", "-g", "5")])
+def test_pair_needs_curve_and_class(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: pair needs CURVE and CLASSEXPR (or --dump)\n")
 
 
 def test_pair_side_mismatch(capsys):
@@ -249,7 +255,7 @@ def test_exit_code_classes():
               if isinstance(c, type) and issubclass(c, errors.SpinPicError)}
     value_errors = {name for name in domain if issubclass(getattr(errors, name), ValueError)}
     assert value_errors == {
-        "InputError", "DimensionMismatchError", "MixedBasisError", "UnknownLabelError",
+        "InputError", "MixedBasisError", "UnknownLabelError",
         "ClassSyntaxError", "SideMismatchError", "GenusMismatchError", "NotCompositeError",
         "DivisorSpecError",
     }

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinpic import cli, testcurves, verify
 from spinpic.catalog import canonical_s, thetanull_class
 from spinpic.errors import GenusMismatchError, SideMismatchError
 from spinpic.picard import (
@@ -143,6 +144,33 @@ def test_solve_residuals_vanish():
     curves = curve_map(ctx)
     for name in ("F0", "G0", "H0"):
         assert intersect(curves[name], solved) == 0
+
+
+@pytest.fixture
+def dependent_pencils(monkeypatch):
+    """curve_map with H0's b0s entry dropped, so the H0 relation reads 0 = 0."""
+    original = testcurves.curve_map
+
+    def patched(ctx):
+        curves = original(ctx)
+        h0 = curves["H0"]
+        curves["H0"] = DivisorClass(ctx, S_SIDE, {l: v for l, v in h0.coeff.items() if l != "b0s"})
+        return curves
+
+    monkeypatch.setattr(testcurves, "curve_map", patched)
+
+
+def test_singular_pencil_system_fails_the_cli(dependent_pencils, capsys):
+    code = cli.run(["solve-thetanull", "-g", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("FAIL: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_singular_pencil_system_fails_verify(dependent_pencils):
+    failed = {c.name: c.got for c in verify.run_genus(5) if not c.ok}
+    assert failed["solve:exception"].startswith("SingularMatrixError: ")
 
 
 def test_r_pairs_canonical_negative_then_positive():

@@ -9,8 +9,9 @@ when a patched constant would be hidden by a stale cached curve table.
 A certificate builds the class of its auxiliary divisor once. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
-not per term. Classes and curves built from one genus context share that
-object, so comparing their contexts costs no GenusCtx.__eq__ call per check.
+not per term. Classes and curves are checked for a common genus by
+comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also when
+cached curves hold an earlier, equal context object.
 """
 
 import sys
@@ -232,11 +233,13 @@ def test_parser_builds_one_fraction_per_label(monkeypatch):
     assert built <= len(labels)  # three per term before the integer kernel
 
 
-def _context_comparisons(monkeypatch, g):
-    # a fresh genus: cached curves or bases from an earlier GenusCtx(g) would
-    # hold another context object, equal but not identical
+def _context_comparisons(monkeypatch, g, warm=False):
+    # warm: the curve table and bases cached by an earlier run_genus(g) hold
+    # that run's context object, equal to this run's but not identical
     testcurves._curve_table.cache_clear()
     picard._basis.cache_clear()
+    if warm:
+        verify.run_genus(g)
     original, calls = GenusCtx.__eq__, []
 
     def counting(self, other):
@@ -252,3 +255,10 @@ def _context_comparisons(monkeypatch, g):
 def test_context_comparisons_do_not_grow_with_h(monkeypatch):
     # one __eq__ per pairing and lincomb term would grow as h^2
     assert _context_comparisons(monkeypatch, 20) == _context_comparisons(monkeypatch, 60)
+
+
+def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypatch):
+    # a second run_genus(g) in one process pairs its classes with cached
+    # curves that hold the first run's context
+    low, high = (_context_comparisons(monkeypatch, g, warm=True) for g in (20, 60))
+    assert high <= 3 * low
