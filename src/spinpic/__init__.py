@@ -25,7 +25,7 @@ from .catalog import (
     thetanull_class,
 )
 from .errors import SpinPicError
-from .exact import Rational, format_rational, rational
+from .exact import format_rational, rational
 from .kodaira import (
     GENERAL_TYPE,
     KAPPA_NONNEGATIVE,
@@ -63,7 +63,6 @@ __all__ = [
     "KAPPA_NONNEGATIVE",
     "KodairaCertificate",
     "M_SIDE",
-    "Rational",
     "S_SIDE",
     "SlopeRule",
     "SpinCounts",

@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 

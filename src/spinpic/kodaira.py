@@ -8,6 +8,10 @@ The engine certifies one of three verdicts with exact rational evidence:
 * GENERAL_TYPE (g >= 9): the decomposition has nu > 0 and, when the
   auxiliary divisor is completely known, non-negative boundary remainders.
 
+Those three sign rules live in `judge` and nowhere else: `classify`
+gathers the evidence its genus needs and asks `judge` for the verdict, and
+`verify` judges the evidence it has already computed.
+
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
 on the certificate as a named hypothesis, not silently assumed.
@@ -57,7 +61,6 @@ class Decomposition:
     their non-negativity is conditional rather than checked.
     """
 
-    ctx: GenusCtx
     d_spec: catalog.DivisorSpec
     nu: Fraction
     c: tuple[Fraction, ...] | None
@@ -100,10 +103,10 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         if label in rest:
             raise VerificationFailureError(f"nonzero {label} remainder {rest[label]}")
     if not spec.complete:
-        return Decomposition(ctx, spec, nu, None, None)
+        return Decomposition(spec, nu, None, None)
     c = tuple(rest.get(f"a{i}", _ZERO) for i in range(1, ctx.h + 1))
     c_prime = tuple(rest.get(f"b{i}", _ZERO) for i in range(1, ctx.h + 1))
-    return Decomposition(ctx, spec, nu, c, c_prime)
+    return Decomposition(spec, nu, c, c_prime)
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
@@ -150,9 +153,36 @@ _RATIONALITY_NOTES = {
 }
 
 
+def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
+    """The verdict that the evidence certifies, by the three sign rules.
+
+    rk (the pairing R . K) is read for g <= 7, dec from g = 8 on. Evidence
+    that certifies nothing raises VerificationFailureError.
+    """
+    g = ctx.g
+    if g <= 7:
+        if rk >= 0:
+            raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
+        return UNIRULED
+    if dec.nu < 0 or (dec.nu == 0 and g > 8):
+        raise VerificationFailureError(
+            f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"
+        )
+    if not dec.conditional and not dec.remainders_nonnegative():
+        raise VerificationFailureError(f"negative boundary remainder at genus {g}")
+    return KAPPA_NONNEGATIVE if g == 8 else GENERAL_TYPE
+
+
 def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> KodairaCertificate:
     """Classify one genus, returning the certificate with all evidence attached."""
     g = ctx.g
+    # a user divisor steeper than the slope bound is rejected at every genus,
+    # also where the verdict does not use it
+    spec = catalog.choose_d(ctx, user_d)
+    rk = uniruled_certificate(ctx) if g <= 7 else None
+    dec = decompose_canonical(ctx, spec) if g >= 8 else None
+    verdict = judge(ctx, rk, dec)
+
     flags: list[str] = []
     annotations: list[str] = []
     if g <= 4:
@@ -163,55 +193,36 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
         )
     if g in _RATIONALITY_NOTES:
         annotations.append(_RATIONALITY_NOTES[g])
-
-    # a user divisor steeper than the slope bound is rejected at every genus,
-    # also where the verdict does not use it
-    spec = catalog.choose_d(ctx, user_d)
-    if g <= 7:
-        rk = uniruled_certificate(ctx)
-        if rk >= 0:
-            raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
-        citations = (
+    if verdict == UNIRULED:
+        citations = [
             "R is a covering curve, so a negative pairing puts the canonical class outside "
             "the pseudo-effective cone",
             "uniruledness of varieties with non-pseudo-effective canonical class "
             "(Boucksom-Demailly-Paun-Peternell)",
-        )
-        return KodairaCertificate(ctx, UNIRULED, rk, None, flags=tuple(flags),
-                                  annotations=tuple(annotations), citations=citations)
-
-    dec = decompose_canonical(ctx, spec)
-    annotations.append(
-        "the bi coefficient of the combination 8*theta + (3/(2*b0))*pullback(D) "
-        "is 4 + 3*b_i/(2*b0); the remainders are computed from the exact identity, "
-        "never transcribed"
-    )
-    if not spec.complete:
-        flags.append(FLAG_CONDITIONAL)
+        ]
+    else:
         annotations.append(
-            "boundary coefficients b_i of D are not recorded here; non-negativity of the "
-            "remainders is conditional on b_i/b0 being large enough"
+            "the bi coefficient of the combination 8*theta + (3/(2*b0))*pullback(D) "
+            "is 4 + 3*b_i/(2*b0); the remainders are computed from the exact identity, "
+            "never transcribed"
         )
-    if g > MAX_TABULATED_GENUS:
-        flags.append(FLAG_EXTRAPOLATED)
-        annotations.append(
-            f"the auxiliary-divisor rule is tabulated for 3 <= g <= {MAX_TABULATED_GENUS}; "
-            "this certificate extrapolates it"
-        )
-
-    citations = [
-        f"effectivity of the auxiliary divisor ({catalog.provenance_name(spec.provenance)})",
-        "the class lambda is big and nef on the even spin moduli space",
-    ]
-
-    if dec.nu < 0 or (dec.nu == 0 and g > 8):
-        raise VerificationFailureError(
-            f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"
-        )
-    if not dec.conditional and not dec.remainders_nonnegative():
-        raise VerificationFailureError(f"negative boundary remainder at genus {g}")
-    if g == 8:
-        verdict = KAPPA_NONNEGATIVE
+        if dec.conditional:
+            flags.append(FLAG_CONDITIONAL)
+            annotations.append(
+                "boundary coefficients b_i of D are not recorded here; non-negativity of the "
+                "remainders is conditional on b_i/b0 being large enough"
+            )
+        if g > MAX_TABULATED_GENUS:
+            flags.append(FLAG_EXTRAPOLATED)
+            annotations.append(
+                f"the auxiliary-divisor rule is tabulated for 3 <= g <= {MAX_TABULATED_GENUS}; "
+                "this certificate extrapolates it"
+            )
+        citations = [
+            f"effectivity of the auxiliary divisor ({catalog.provenance_name(spec.provenance)})",
+            "the class lambda is big and nef on the even spin moduli space",
+        ]
+    if verdict == KAPPA_NONNEGATIVE:
         if dec.nu != 0:
             annotations.append(f"nu = {format_rational(dec.nu)} > 0 here; the certificate still "
                                "only claims non-negative Kodaira dimension at genus 8")
@@ -219,8 +230,7 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
             "Kodaira dimension exactly 0 at genus 8 is known, but lies outside what this "
             "decomposition certifies"
         )
-    else:
-        verdict = GENERAL_TYPE
+    elif verdict == GENERAL_TYPE:
         citations.append("extension of pluricanonical forms over resolutions for g >= 4 (Ludwig)")
-    return KodairaCertificate(ctx, verdict, None, dec, flags=tuple(flags),
+    return KodairaCertificate(ctx, verdict, rk, dec, flags=tuple(flags),
                               annotations=tuple(annotations), citations=tuple(citations))

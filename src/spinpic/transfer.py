@@ -22,7 +22,6 @@ from .picard import (
     _sum_terms,
     _trusted,
     basis_class,
-    m_labels,
     s_labels,
 )
 
@@ -90,11 +89,6 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     ))
 
 
-def pullback_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:
-    """Columns of pullback: each curve-side basis label mapped to its image class."""
-    return {m: pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)}
-
-
 def pushforward_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """Columns of pushforward: each spin-side basis label mapped to its image class."""
     return {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
@@ -126,9 +120,6 @@ class SpinCounts:
         for i in range(1, self.ctx.h + 1):
             out.append((f"a{i}+b{i}=even", self.deg_a[i - 1] + self.deg_b[i - 1], self.n_even))
         return out
-
-    def violations(self) -> list[str]:
-        return [name for name, lhs, rhs in self.identities() if lhs != rhs]
 
 
 def spin_counts(ctx: GenusCtx) -> SpinCounts:

@@ -174,7 +174,8 @@ def run_genus(g: int) -> list[Check]:
         for i in range(1, ctx.h + 1):
             ratio = spec.b[i - 1] / spec.b0
             rec.add(f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), ratio)
-            rec.add(f"bn:ratio-bound-d{i}", True, ratio >= Fraction(4, 3))
+            # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2
+            rec.add(f"bn:ratio-bound-d{i}", True, ratio >= (2 if i == 1 else Fraction(4, 3)))
 
     def curve_tables() -> None:
         expected = _expected_curve_table(ctx)
@@ -259,10 +260,9 @@ def run_genus(g: int) -> list[Check]:
             rec.add("kodaira:decomposition-identity", canonical_s, assembled)
             if g >= 8:
                 rec.add("kodaira:remainders-nonnegative", True, dec.remainders_nonnegative())
-        verdict = kodaira.classify(ctx).verdict
         expected = kodaira.UNIRULED if g <= 7 else (
             kodaira.KAPPA_NONNEGATIVE if g == 8 else kodaira.GENERAL_TYPE)
-        rec.add("kodaira:verdict", expected, verdict)
+        rec.add("kodaira:verdict", expected, kodaira.judge(ctx, rk, dec))
 
     rec.section("counts", counts)
     rec.section("projection", projection)

@@ -129,7 +129,7 @@ def test_criterion_7_transfer_consistency_stress():
             for label in ("lambda",) + tuple(f"d{i}" for i in range(ctx.h + 1)):
                 x = basis_class(ctx, M_SIDE, label)
                 assert pushforward(pullback(x)) == n * x
-            assert spin_counts(ctx).violations() == []
+            assert [name for name, lhs, rhs in spin_counts(ctx).identities() if lhs != rhs] == []
 
 
 def test_criterion_8_verdicts_and_verify_exit(capsys):

@@ -188,6 +188,8 @@ def test_divisor_spec_validation():
     ctx = GenusCtx(9)
     with pytest.raises(DivisorSpecError):
         DivisorSpec(ctx, UserSupplied("bad"), a=Fraction(-1), b0=Fraction(1))
+    for a in (Fraction(1, 2), Fraction(1)):  # any a > 0 is accepted
+        assert DivisorSpec(ctx, UserSupplied("small"), a=a, b0=Fraction(1)).a == a
     with pytest.raises(DivisorSpecError):
         DivisorSpec(ctx, UserSupplied("bad"), a=Fraction(1), b0=Fraction(1), b=(Fraction(1),))
     with pytest.raises(DivisorSpecError):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from spinpic.catalog import (
     divisor_class,
     thetanull_class,
 )
-from spinpic.errors import GenusMismatchError, SlopeViolationError
+from spinpic.errors import GenusMismatchError, SlopeViolationError, VerificationFailureError
 from spinpic.kodaira import (
     FLAG_CONDITIONAL,
     FLAG_EXTRAPOLATED,
@@ -21,6 +22,7 @@ from spinpic.kodaira import (
     certificate_json,
     classify,
     decompose_canonical,
+    judge,
     nu_value,
     uniruled_certificate,
 )
@@ -165,3 +167,61 @@ def test_certificate_json_shapes():
     doc10 = certificate_json(classify(GenusCtx(10)))
     assert doc10["nu"] == "1/2" and doc10["c"] is None
     assert FLAG_CONDITIONAL in doc10["flags"]
+
+
+def _evidence(g):
+    ctx = GenusCtx(g)
+    return ctx, decompose_canonical(ctx, choose_d(ctx))
+
+
+def _judge_failure(ctx, rk, dec):
+    with pytest.raises(VerificationFailureError) as info:
+        judge(ctx, rk, dec)
+    return str(info.value)
+
+
+def test_judge_on_hand_built_evidence():
+    ctx10, dec10 = _evidence(10)
+    assert dec10.conditional and judge(ctx10, None, dec10) == GENERAL_TYPE
+    assert _judge_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
+    ctx8, dec8 = _evidence(8)
+    assert _judge_failure(ctx8, None, dataclasses.replace(dec8, nu=Fraction(-1, 5))) == (
+        "nu = -1/5 is negative at genus 8"
+    )
+    ctx9, dec9 = _evidence(9)
+    assert _judge_failure(ctx9, None, dataclasses.replace(dec9, nu=Fraction(0))) == (
+        "nu = 0 is not positive at genus 9"
+    )
+    negative_c1 = dataclasses.replace(dec9, c=(Fraction(-1),) + dec9.c[1:])
+    assert _judge_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
+
+
+# At g = 12 the slope bound is 295/42. With b0 = 1, c_1 = -3 + (3/2)*b_1 and
+# c_i = -2 + (3/2)*b_i for i >= 2, so b_1 = 2 and b_i = 4/3 sit exactly on
+# the remainder threshold.
+_CTX12 = GenusCtx(12)
+_THRESHOLD_B = (Fraction(2),) + (Fraction(4, 3),) * 5
+
+
+def _threshold_spec(b):
+    return DivisorSpec(_CTX12, UserSupplied("threshold"), a=Fraction(295, 42), b0=Fraction(1), b=b)
+
+
+def test_divisor_on_the_remainder_threshold():
+    spec = _threshold_spec(_THRESHOLD_B)
+    dec = decompose_canonical(_CTX12, spec)
+    assert dec.c == (0,) * 6
+    assert dec.c_prime == (4,) * 6
+    assert dec.remainders_nonnegative()
+    cert = classify(_CTX12, spec)
+    assert cert.verdict == GENERAL_TYPE and FLAG_CONDITIONAL not in cert.flags
+
+
+@pytest.mark.parametrize("i", (1, 6))
+def test_divisor_just_below_the_remainder_threshold(i):
+    b = list(_THRESHOLD_B)
+    b[i - 1] -= Fraction(1, 10**9)
+    spec = _threshold_spec(tuple(b))
+    assert not decompose_canonical(_CTX12, spec).remainders_nonnegative()
+    with pytest.raises(VerificationFailureError, match="^negative boundary remainder at genus 12$"):
+        classify(_CTX12, spec)

@@ -15,6 +15,7 @@ can catch them.
 
 import copy
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -130,6 +131,20 @@ def test_perturbed_bn_coefficient_is_caught(g, i, monkeypatch):
 
     monkeypatch.setattr(catalog, "bn_class", bumped)
     assert _failures(g), f"no check caught the perturbed b_{i} at genus {g}"
+
+
+def test_ratio_bound_d1_guards_c1(monkeypatch):
+    # c_1 = -3 + (3/2)*b_1/b0 needs b_1/b0 >= 2; 3/2 clears the 4/3 bound of i >= 2
+    original = catalog.bn_class
+
+    def weakened(ctx):
+        cls, spec = original(ctx)
+        return cls, _perturbed(spec, b=(Fraction(3, 2) * spec.b0,) + spec.b[1:])
+
+    monkeypatch.setattr(catalog, "bn_class", weakened)
+    checks = {c.name: c.ok for c in verify.run_genus(9)}
+    assert checks["bn:ratio-bound-d1"] is False
+    assert all(checks[f"bn:ratio-bound-d{i}"] for i in range(2, GenusCtx(9).h + 1))
 
 
 _DECOMPOSITION_CASES = [

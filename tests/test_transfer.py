@@ -22,7 +22,6 @@ from spinpic.transfer import (
     odd_component_degree,
     pullback,
     pushforward_degree,
-    pullback_matrix,
     pushforward,
     pushforward_matrix,
     spin_counts,
@@ -104,10 +103,8 @@ def test_matrix_product_is_scaled_identity(g):
     ctx = GenusCtx(g)
     n = even_component_degree(g)
     push = pushforward_matrix(ctx)
-    prod = {
-        m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff])
-        for m, col in pullback_matrix(ctx).items()
-    }
+    columns = {m: pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)}
+    prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in columns.items()}
     assert prod == {m: n * basis_class(ctx, M_SIDE, m) for m in m_labels(ctx)}
 
 
@@ -123,7 +120,7 @@ def test_spin_counts_small_genera():
 
 @pytest.mark.parametrize("g", range(2, 61))
 def test_spin_counts_identities_full_range(g):
-    assert spin_counts(GenusCtx(g)).violations() == []
+    assert [name for name, lhs, rhs in spin_counts(GenusCtx(g)).identities() if lhs != rhs] == []
 
 
 def test_component_degrees_sum():

@@ -11,7 +11,9 @@ builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
 comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also when
-cached curves hold an earlier, equal context object.
+cached curves hold an earlier, equal context object. The kodaira section
+judges the evidence it computed itself: it picks D, pairs R with K and
+decomposes K once each, and never calls classify.
 """
 
 import sys
@@ -262,3 +264,16 @@ def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypat
     # curves that hold the first run's context
     low, high = (_context_comparisons(monkeypatch, g, warm=True) for g in (20, 60))
     assert high <= 3 * low
+
+
+@pytest.mark.parametrize("g", (5, 9))
+def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
+    classify = _counting(monkeypatch, kodaira, "classify")
+    evidence = {name: _counting(monkeypatch, module, name) for module, name in (
+        (catalog, "choose_d"),
+        (kodaira, "decompose_canonical"),
+        (kodaira, "uniruled_certificate"),
+    )}
+    assert all(c.ok for c in verify.run_genus(g))
+    assert classify == []
+    assert {name: len(calls) for name, calls in evidence.items()} == dict.fromkeys(evidence, 1)
