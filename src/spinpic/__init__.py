@@ -12,7 +12,6 @@ from .catalog import (
     DivisorSpec,
     GiesekerPetri,
     K3,
-    SlopeRule,
     UserSupplied,
     bn_class,
     canonical_m,
@@ -21,7 +20,6 @@ from .catalog import (
     divisor_class,
     m1_theta_class,
     rho,
-    slope_rule,
     thetanull_class,
 )
 from .errors import SpinPicError
@@ -64,7 +62,6 @@ __all__ = [
     "KodairaCertificate",
     "M_SIDE",
     "S_SIDE",
-    "SlopeRule",
     "SpinCounts",
     "SpinPicError",
     "UNIRULED",
@@ -89,7 +86,6 @@ __all__ = [
     "rational",
     "render_class",
     "rho",
-    "slope_rule",
     "solve_thetanull",
     "spin_counts",
     "thetanull_class",

@@ -1,11 +1,11 @@
-"""Named divisor classes, effective-divisor specifications, and slope rules.
+"""Named divisor classes, effective-divisor specifications, and the choice of D.
 
 This module owns every class that the rest of the package refers to by
 name: the canonical classes on both sides of the covering, the theta-null
 divisor class on the spin side, its pushforward (the vanishing-theta-null
-locus on the curve side), the Brill-Noether divisor for composite g+1, and
-the genus-indexed rule that picks the auxiliary effective divisor D used
-by the classification.
+locus on the curve side), and the Brill-Noether divisor for composite g+1.
+choose_d is the one rule that picks the auxiliary effective divisor D used
+by the classification; the slope of that D is the genus's slope bound.
 """
 
 from __future__ import annotations
@@ -40,13 +40,18 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_prime_factor(n) == n
-
-
 def _bn_coefficients(g: int, h: int) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
     """(a, b0, (b_1, ..., b_h)) of the normalized Brill-Noether divisor: g+3, (g+1)/6, i(g-i)."""
     return Fraction(g + 3), Fraction(g + 1, 6), tuple(Fraction(i * (g - i)) for i in range(1, h + 1))
+
+
+def _gp_coefficients(k: int) -> tuple[Fraction, Fraction]:
+    """(a, b0) of the Gieseker-Petri divisor at g = 2k-2: slope (6k^2+k-6)/(k(k-1))."""
+    return Fraction(6 * k * k + k - 6), Fraction(k * (k - 1))
+
+
+# (a, b0) of the K3 divisor at genus 10
+_K3_COEFFICIENTS = (Fraction(7), Fraction(1))
 
 
 # --- divisor specifications -------------------------------------------------
@@ -121,13 +126,14 @@ class DivisorSpec:
         elif isinstance(p, GiesekerPetri):
             if g != 2 * p.k - 2:
                 raise DivisorSpecError(f"Gieseker-Petri provenance needs g = 2k-2, got g={g}, k={p.k}")
-            k = p.k
-            if self.slope != Fraction(6 * k * k + k - 6, k * (k - 1)):
+            a, b0 = _gp_coefficients(p.k)
+            if self.slope != a / b0:
                 raise DivisorSpecError("Gieseker-Petri slope must be (6k^2+k-6)/(k(k-1))")
         elif isinstance(p, K3):
             if g != 10:
                 raise DivisorSpecError("the K3 divisor exists at genus 10 only")
-            if self.slope != 7:
+            a, b0 = _K3_COEFFICIENTS
+            if self.slope != a / b0:
                 raise DivisorSpecError("the K3 divisor has slope 7")
 
 
@@ -162,13 +168,15 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     if isinstance(data, Path):
         try:
             data = data.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DivisorSpecError(f"cannot read divisor file: {exc}") from exc
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except RecursionError as exc:
             raise DivisorSpecError("divisor file: JSON is nested too deeply to read") from exc
+        except ValueError as exc:
+            raise DivisorSpecError(f"divisor file is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise DivisorSpecError("divisor file must hold a JSON object")
     missing = {"name", "genus", "a", "b0"} - set(data)
@@ -276,59 +284,35 @@ def _bn_spec(ctx: GenusCtx) -> DivisorSpec:
     return DivisorSpec(ctx, BrillNoether(r, d), *_bn_coefficients(g, ctx.h))
 
 
-# --- the slope rule and the choice of D --------------------------------------
-
-CASE_COMPOSITE = "composite"
-CASE_GENUS_TEN = "genus-ten"
-CASE_EVEN_PRIME_PLUS_ONE = "even-prime-plus-one"
-
-
-@dataclass(frozen=True)
-class SlopeRule:
-    case: str
-    bound: Fraction
-
-
-def slope_rule(ctx: GenusCtx) -> SlopeRule:
-    """The genus-indexed slope bound a/b0 for the auxiliary divisor D.
-
-    Exactly one case applies to each g >= 3: genus ten wins at g = 10,
-    composite g+1 gives 6 + 12/(g+1), and the only genera left over have
-    g even with g+1 prime, where g = 2k-2 gives (6k^2+k-6)/(k(k-1)).
-    """
-    require_classification_genus(ctx)
-    g = ctx.g
-    if g == 10:
-        return SlopeRule(CASE_GENUS_TEN, Fraction(7))
-    if not _is_prime(g + 1):
-        return SlopeRule(CASE_COMPOSITE, Fraction(6) + Fraction(12, g + 1))
-    # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
-    k = (g + 2) // 2
-    return SlopeRule(CASE_EVEN_PRIME_PLUS_ONE, Fraction(6 * k * k + k - 6, k * (k - 1)))
+# --- the choice of D ---------------------------------------------------------
 
 
 def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
     """Pick the auxiliary divisor D, or validate a user-supplied one.
 
-    User specs must respect the slope bound of the genus; otherwise they
-    cannot support the classification argument and SlopeViolationError is
-    raised.
+    Exactly one divisor applies to each g >= 3: the K3 divisor at g = 10,
+    Brill-Noether for composite g+1, and otherwise (g even with g+1 prime)
+    Gieseker-Petri at g = 2k-2. Its slope a/b0 is the genus's bound: user
+    specs must not exceed it, since a steeper divisor cannot support the
+    classification argument, and SlopeViolationError is raised.
     """
-    rule = slope_rule(ctx)
-    if user is not None:
-        if user.ctx != ctx:
-            raise GenusMismatchError(f"divisor is for genus {user.ctx.g}, expected {ctx.g}")
-        if user.slope > rule.bound:
-            raise SlopeViolationError(
-                f"slope a/b0 = {user.slope} exceeds the genus-{ctx.g} bound {rule.bound}"
-            )
-        return user
-    if rule.case == CASE_COMPOSITE:
-        return _bn_spec(ctx)
-    if rule.case == CASE_GENUS_TEN:
-        return DivisorSpec(ctx, K3(), a=Fraction(7), b0=Fraction(1), b=None)
-    k = (ctx.g + 2) // 2
-    return DivisorSpec(ctx, GiesekerPetri(k), a=Fraction(6 * k * k + k - 6), b0=Fraction(k * (k - 1)), b=None)
+    require_classification_genus(ctx)
+    g = ctx.g
+    if g == 10:
+        d = DivisorSpec(ctx, K3(), *_K3_COEFFICIENTS)
+    elif _smallest_prime_factor(g + 1) <= g:
+        d = _bn_spec(ctx)
+    else:
+        # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
+        k = (g + 2) // 2
+        d = DivisorSpec(ctx, GiesekerPetri(k), *_gp_coefficients(k))
+    if user is None:
+        return d
+    if user.ctx != ctx:
+        raise GenusMismatchError(f"divisor is for genus {user.ctx.g}, expected {ctx.g}")
+    if user.slope > d.slope:
+        raise SlopeViolationError(f"slope a/b0 = {user.slope} exceeds the genus-{g} bound {d.slope}")
+    return user
 
 
 def provenance_name(p: Provenance) -> str:

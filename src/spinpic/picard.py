@@ -229,7 +229,8 @@ def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorCla
 
 _TERM_RE = re.compile(
     r"(?:(?P<num>\d+(?:\s*/\s*\d+)?)\s*\*\s*)?"
-    r"(?P<label>λ|lambda|[dab]\d+s?|[δαβ]\d+)"
+    r"(?P<label>λ|lambda|[dab]\d+s?|[δαβ]\d+)",
+    re.ASCII,  # \d and \s match ASCII only; the λ/δ/α/β literals still match
 )
 _SIGN_RE = re.compile(r"\s*([+-])\s*")
 

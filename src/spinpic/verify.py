@@ -4,8 +4,9 @@ Each genus produces a flat list of named checks with expected and observed
 values, rendered as exact strings when first read. The checks deliberately
 re-derive constants along independent routes (component degrees against
 stratum degrees, pencil relations against closed forms, a private copy of
-the curve tables) so that a single corrupted multiplicity, intersection
-number, or class coefficient flips at least one check to FAIL.
+the curve tables, a private slope table for each genus's divisor D) so
+that a single corrupted multiplicity, intersection number, or class
+coefficient flips at least one check to FAIL.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from . import catalog, kodaira, testcurves, transfer
 from .exact import format_rational
@@ -115,6 +117,18 @@ def _expected_curve_table(ctx: GenusCtx) -> dict[str, tuple[str, dict[str, int]]
     return table
 
 
+def _expected_slope(g: int) -> tuple[bool, Fraction]:
+    # Private copy of the slope of each genus's D: (whether g+1 is composite,
+    # the bound). Brill-Noether 6 + 12/(g+1) for composite g+1, K3 7 at
+    # g = 10, Gieseker-Petri (6k^2+k-6)/(k(k-1)) at g = 2k-2 otherwise.
+    if g == 10:
+        return False, Fraction(7)
+    if any((g + 1) % p == 0 for p in range(2, isqrt(g + 1) + 1)):
+        return True, 6 + Fraction(12, g + 1)
+    k = g // 2 + 1
+    return False, Fraction(6 * k * k + k - 6, k * (k - 1))
+
+
 def run_genus(g: int) -> list[Check]:
     """Run every per-genus check; g >= 3."""
     ctx = GenusCtx(g)
@@ -130,6 +144,7 @@ def run_genus(g: int) -> list[Check]:
     canonical_s = catalog.canonical_s(ctx)
     theta = catalog.thetanull_class(ctx)
     m1 = catalog.m1_theta_class(ctx)
+    composite, slope_bound = _expected_slope(g)
 
     def counts() -> None:
         sc = transfer.spin_counts(ctx)
@@ -163,13 +178,12 @@ def run_genus(g: int) -> list[Check]:
             rec.add(f"roundtrip:{name}", cls, parse_class(render_class(cls), ctx, cls.side))
 
     def brill_noether() -> None:
-        rule = catalog.slope_rule(ctx)
-        if rule.case != catalog.CASE_COMPOSITE:
+        if not composite:
             return
         cls, spec = catalog.bn_class(ctx)
         prov = spec.provenance
         rec.add("bn:rho", -1, catalog.rho(g, prov.r, prov.d))
-        rec.add("bn:slope", rule.bound, spec.slope)
+        rec.add("bn:slope", slope_bound, spec.slope)
         rec.add("bn:lambda", Fraction(g + 3), cls["lambda"])
         for i in range(1, ctx.h + 1):
             ratio = spec.b[i - 1] / spec.b0
@@ -240,7 +254,7 @@ def run_genus(g: int) -> list[Check]:
         rec.add("kodaira:rk-sign", g <= 7, rk < 0)
         spec = catalog.choose_d(ctx)
         nu = kodaira.nu_value(spec)
-        rec.add("kodaira:nu-from-slope", 11 - Fraction(3, 2) * catalog.slope_rule(ctx).bound, nu)
+        rec.add("kodaira:nu-from-slope", 11 - Fraction(3, 2) * slope_bound, nu)
         if g == 8:
             rec.add("kodaira:nu-zero", Fraction(0), nu)
         if g >= 9:

@@ -5,9 +5,6 @@ import pytest
 
 from spinpic.catalog import (
     BrillNoether,
-    CASE_COMPOSITE,
-    CASE_EVEN_PRIME_PLUS_ONE,
-    CASE_GENUS_TEN,
     DivisorSpec,
     GiesekerPetri,
     K3,
@@ -20,7 +17,6 @@ from spinpic.catalog import (
     load_divisor_spec,
     m1_theta_class,
     rho,
-    slope_rule,
     thetanull_class,
 )
 from spinpic.errors import (
@@ -144,19 +140,21 @@ def test_bn_boundary_ratios(g):
 
 
 def test_slope_rule_cases():
-    assert slope_rule(GenusCtx(10)).case == CASE_GENUS_TEN
-    assert slope_rule(GenusCtx(10)).bound == 7
-    r12 = slope_rule(GenusCtx(12))
-    assert r12.case == CASE_EVEN_PRIME_PLUS_ONE and r12.bound == Fraction(295, 42)
-    r9 = slope_rule(GenusCtx(9))
-    assert r9.case == CASE_COMPOSITE and r9.bound == Fraction(36, 5)
+    # the genus's bound is the slope of its own D
+    d10 = choose_d(GenusCtx(10))
+    assert d10.provenance == K3() and d10.slope == 7
+    d12 = choose_d(GenusCtx(12))
+    assert d12.provenance == GiesekerPetri(7) and d12.slope == Fraction(295, 42)
+    d9 = choose_d(GenusCtx(9))
+    assert isinstance(d9.provenance, BrillNoether) and d9.slope == Fraction(36, 5)
 
 
 @pytest.mark.parametrize("g", range(3, 41))
 def test_slope_rule_total(g):
-    rule = slope_rule(GenusCtx(g))
-    assert rule.case in (CASE_COMPOSITE, CASE_GENUS_TEN, CASE_EVEN_PRIME_PLUS_ONE)
-    assert rule.bound > 0
+    d = choose_d(GenusCtx(g))
+    assert isinstance(d.provenance, BrillNoether) == (not _prime(g + 1))
+    assert isinstance(d.provenance, (BrillNoether, K3, GiesekerPetri))
+    assert d.slope > 0
 
 
 def test_choose_d_defaults():
@@ -182,6 +180,15 @@ def test_choose_d_user_slope_check():
         choose_d(ctx, steep)
     with pytest.raises(GenusMismatchError):
         choose_d(GenusCtx(11), fine)
+    # the bound is the slope of the genus's own D: Brill-Noether, K3, Gieseker-Petri
+    for g in (9, 10, 12):
+        ctx = GenusCtx(g)
+        bound = choose_d(ctx).slope
+        equal = DivisorSpec(ctx, UserSupplied("equal"), a=bound, b0=Fraction(1))
+        assert choose_d(ctx, equal) is equal
+        steeper = DivisorSpec(ctx, UserSupplied("steeper"), a=bound + Fraction(1, 10**9), b0=Fraction(1))
+        with pytest.raises(SlopeViolationError, match=f"exceeds the genus-{g} bound {bound}$"):
+            choose_d(ctx, steeper)
 
 
 def test_divisor_spec_validation():
@@ -196,6 +203,15 @@ def test_divisor_spec_validation():
         DivisorSpec(ctx, BrillNoether(1, 6), a=Fraction(12), b0=Fraction(5, 3))
     with pytest.raises(DivisorSpecError):
         DivisorSpec(GenusCtx(9), K3(), a=Fraction(7), b0=Fraction(1))
+    with pytest.raises(DivisorSpecError, match="the K3 divisor has slope 7"):
+        DivisorSpec(GenusCtx(10), K3(), a=Fraction(8), b0=Fraction(1))
+    with pytest.raises(DivisorSpecError, match="needs g = 2k-2"):
+        DivisorSpec(GenusCtx(11), GiesekerPetri(7), a=Fraction(295), b0=Fraction(42))
+    with pytest.raises(DivisorSpecError, match="Gieseker-Petri slope must be"):
+        DivisorSpec(GenusCtx(12), GiesekerPetri(7), a=Fraction(296), b0=Fraction(42))
+    # a scaled Gieseker-Petri spec keeps its slope and is accepted
+    scaled = DivisorSpec(GenusCtx(12), GiesekerPetri(7), a=Fraction(590), b0=Fraction(84))
+    assert scaled.slope == Fraction(295, 42)
     with pytest.raises(DivisorSpecError):
         divisor_class(DivisorSpec(GenusCtx(10), K3(), a=Fraction(7), b0=Fraction(1)))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import catalog, cli, errors, kodaira
+from spinpic import cli, errors, kodaira
 from spinpic.picard import GenusCtx
 
 
@@ -148,7 +148,7 @@ def test_classify_divisor_file_slope_violation_below_genus_eight(g, capsys, tmp_
     code, out, err = run(capsys, "classify", "-g", str(g), "--divisor-file", str(path))
     assert code == 1
     assert out == ""
-    bound = catalog.slope_rule(GenusCtx(g)).bound
+    bound = {3: "9", 5: "8", 7: "15/2"}[g]
     assert err == f"FAIL: slope a/b0 = 100 exceeds the genus-{g} bound {bound}\n"
 
 
@@ -189,6 +189,10 @@ def test_usage_errors_exit_two(capsys):
 def test_bad_class_expression_exits_two(capsys):
     code, _, err = run(capsys, "pair", "R", "1/4*nope", "-g", "5")
     assert code == 2
+    # the grammar's digits are ASCII; an Arabic-Indic two is not read as 2
+    code, out, err = run(capsys, "pair", "R", "\u0662*lambda", "-g", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _DIVISOR_FILE_FAULTS = {
@@ -200,17 +204,31 @@ _DIVISOR_FILE_FAULTS = {
     "missing": None,
     # json.loads raises RecursionError on nesting this deep
     "deep-nesting": '{"a": ' + "[" * 200000 + "]" * 200000 + "}",
+    "empty": "",
+    "not-json": "name: steep\ngenus: 10\n",
+    "non-ascii-digit": '{"name": "n", "genus": 10, "a": "\\u0667", "b0": "1"}',
+    "not-utf8": b'{"name": "\xff", "genus": 10, "a": "7", "b0": "1"}',
+}
+
+# the decode faults name the divisor file instead of printing a bare json or codec message
+_DIVISOR_FILE_PREFIXES = {
+    "empty": "error: divisor file is not valid JSON: ",
+    "not-json": "error: divisor file is not valid JSON: ",
+    "not-utf8": "error: cannot read divisor file: ",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_DIVISOR_FILE_FAULTS))
 def test_malformed_divisor_file_exits_two(capsys, tmp_path, case):
     path = tmp_path / f"{case}.json"
-    if _DIVISOR_FILE_FAULTS[case] is not None:
-        path.write_text(_DIVISOR_FILE_FAULTS[case])
+    content = _DIVISOR_FILE_FAULTS[case]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
     code, out, err = run(capsys, "classify", "-g", "10", "--divisor-file", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(_DIVISOR_FILE_PREFIXES.get(case, "error: ")) and err.count("\n") == 1
 
 
 def test_unicode_label_with_leading_zero_exits_two(capsys):

@@ -3,14 +3,15 @@
 The constant families the engine rests on are the pushforward
 multiplicities, the stored curve intersection numbers, the theta-null
 coefficients, the canonical classes on both sides, the closed form of
-the vanishing-theta-null class, the slope-rule bounds, the default
-divisor's a and b0, the Brill-Noether b_i, and the nu, c_i and c'_i of
-the canonical decomposition. Each case perturbs exactly one entry,
-written as `original(ctx) + basis_class(ctx, side, label)` so that an
-entry stored as zero is perturbed like any other, and asserts that the
-per-genus suite reports a failure. Divisor specs and decompositions are
-perturbed on a copy, past their own validation, so that only `verify`
-can catch them.
+the vanishing-theta-null class, the coefficients of each genus's divisor
+D where they are written, the default divisor's a and b0, the
+Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
+decomposition. Each case perturbs exactly one entry, written as
+`original(ctx) + basis_class(ctx, side, label)` so that an entry stored
+as zero is perturbed like any other, and asserts that the per-genus suite
+reports a failure. Divisor specs and decompositions are perturbed on a
+copy, past their own validation, and the coefficient sources of D are
+the ones that validation reads, so that only `verify` can catch them.
 """
 
 import copy
@@ -93,13 +94,49 @@ def _perturbed(spec, **fields):
 _SWEEP = range(3, 23)
 
 
+def _bump_d_source(monkeypatch, g, field):
+    """Raise a or b0 of genus g's own D by 1 where its coefficients are written.
+
+    choose_d and DivisorSpec's validation of a named divisor read the same
+    source, so the bumped D passes its own validation.
+    """
+    i = ("a", "b0").index(field)
+
+    def bump(coefficients):
+        return coefficients[:i] + (coefficients[i] + 1,) + coefficients[i + 1:]
+
+    provenance = catalog.choose_d(GenusCtx(g)).provenance
+    if isinstance(provenance, catalog.K3):
+        monkeypatch.setattr(catalog, "_K3_COEFFICIENTS", bump(catalog._K3_COEFFICIENTS))
+        return
+    name = "_bn_coefficients" if isinstance(provenance, catalog.BrillNoether) else "_gp_coefficients"
+    original = getattr(catalog, name)
+    monkeypatch.setattr(catalog, name, lambda *args: bump(original(*args)))
+
+
+def _assert_slope_bound_caught(g):
+    # the slope of D is the genus's bound; verify's private slope table is the oracle
+    failed = {c.name for c in _failures(g)}
+    assert "kodaira:nu-from-slope" in failed, f"the perturbed slope of D at genus {g} was not caught"
+
+
 @pytest.mark.parametrize("g", _SWEEP)
 def test_perturbed_slope_bound_is_caught(g, monkeypatch):
-    original = catalog.slope_rule
-    monkeypatch.setattr(
-        catalog, "slope_rule", lambda ctx: catalog.SlopeRule(original(ctx).case, original(ctx).bound + 1)
-    )
-    assert _failures(g), f"no check caught the perturbed slope bound at genus {g}"
+    before = catalog.choose_d(GenusCtx(g))
+    _bump_d_source(monkeypatch, g, "a")
+    assert catalog.choose_d(GenusCtx(g)).a == before.a + 1
+    _assert_slope_bound_caught(g)
+
+
+_GIESEKER_PETRI_GENERA = [g for g in _SWEEP if g != 10 and all((g + 1) % p for p in range(2, g + 1))]
+
+
+@pytest.mark.parametrize("g", _GIESEKER_PETRI_GENERA)
+def test_perturbed_gieseker_petri_b0_is_caught(g, monkeypatch):
+    before = catalog.choose_d(GenusCtx(g))
+    _bump_d_source(monkeypatch, g, "b0")
+    assert catalog.choose_d(GenusCtx(g)).b0 == before.b0 + 1
+    _assert_slope_bound_caught(g)
 
 
 @pytest.mark.parametrize("field", ("a", "b0"))
