@@ -23,7 +23,6 @@ from .catalog import (
     thetanull_class,
 )
 from .errors import SpinPicError
-from .exact import format_rational, rational
 from .kodaira import (
     GENERAL_TYPE,
     KAPPA_NONNEGATIVE,
@@ -42,11 +41,12 @@ from .picard import (
     basis_class,
     lincomb,
     parse_class,
+    rational,
     render_class,
     zero_class,
 )
 from .testcurves import curve_map, intersect, solve_thetanull
-from .transfer import SpinCounts, pullback, pushforward, spin_counts
+from .transfer import degree_identities, pullback, pushforward
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "KodairaCertificate",
     "M_SIDE",
     "S_SIDE",
-    "SpinCounts",
     "SpinPicError",
     "UNIRULED",
     "UserSupplied",
@@ -74,8 +73,8 @@ __all__ = [
     "classify",
     "curve_map",
     "decompose_canonical",
+    "degree_identities",
     "divisor_class",
-    "format_rational",
     "intersect",
     "lincomb",
     "m1_theta_class",
@@ -87,7 +86,6 @@ __all__ = [
     "render_class",
     "rho",
     "solve_thetanull",
-    "spin_counts",
     "thetanull_class",
     "uniruled_certificate",
     "zero_class",

@@ -22,8 +22,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .exact import rational
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, rational, require_classification_genus
 
 
 def rho(g: int, r: int, d: int) -> int:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SideMismatchError, SpinPicError
-from .exact import format_rational
 from .picard import GenusCtx, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 2 s for genus
@@ -63,17 +62,17 @@ def _cmd_classify(args) -> int:
 def _print_certificate(cert: kodaira.KodairaCertificate) -> None:
     print(f"genus {cert.ctx.g}: {cert.verdict}")
     if cert.rk is not None:
-        print(f"  R . K = {format_rational(cert.rk)}")
+        print(f"  R . K = {cert.rk}")
     dec = cert.decomposition
     if dec is not None:
-        print(f"  nu = {format_rational(dec.nu)}")
+        print(f"  nu = {dec.nu}")
         print(f"  divisor D: {catalog.provenance_name(dec.d_spec.provenance)}, "
-              f"slope a/b0 = {format_rational(dec.d_spec.slope)}")
+              f"slope a/b0 = {dec.d_spec.slope}")
         if dec.conditional:
             print("  remainders: CONDITIONAL (no boundary coefficients supplied)")
         else:
-            print(f"  remainders c  = ({', '.join(format_rational(v) for v in dec.c)})")
-            print(f"  remainders c' = ({', '.join(format_rational(v) for v in dec.c_prime)})")
+            print(f"  remainders c  = ({', '.join(map(str, dec.c))})")
+            print(f"  remainders c' = ({', '.join(map(str, dec.c_prime))})")
     print(f"  flags: {', '.join(cert.flags) if cert.flags else '(none)'}")
     for note in cert.annotations:
         print(f"  note: {note}")
@@ -91,7 +90,7 @@ def _cmd_pair(args) -> int:
     curves = testcurves.curve_map(ctx)
     if args.dump:
         table = {
-            name: {label: format_rational(c[label]) for label in c.labels()}
+            name: {label: str(c[label]) for label in c.labels()}
             for name, c in curves.items()
         }
         print(verify.report_json(table))
@@ -112,7 +111,7 @@ def _cmd_pair(args) -> int:
         raise SideMismatchError(
             f"curve {token} pairs with side-{curve.side} classes, got side-{cls.side}"
         )
-    print(format_rational(testcurves.intersect(curve, cls)))
+    print(testcurves.intersect(curve, cls))
     return 0
 
 
@@ -124,14 +123,13 @@ def _cmd_solve_thetanull(args) -> int:
     for name, row, r in zip(("F0", "G0", "H0"), rows, rhs):
         parts = []
         for c, u in zip(row, unknowns):
-            term = f"{format_rational(abs(c))}*{u}"
+            term = f"{abs(c)}*{u}"
             parts.append((f"- {term}" if c < 0 else f"+ {term}") if parts else
                          (f"-{term}" if c < 0 else term))
-        print(f"  {name}: {' '.join(parts)} = {format_rational(r)}")
+        print(f"  {name}: {' '.join(parts)} = {r}")
     solved = testcurves.solve_thetanull(ctx)
     lam, a0, b0 = (solved["lambda"], -solved["a0"], -solved["b0s"])
-    print(f"solution: Lbar = {format_rational(lam)}, A0bar = {format_rational(a0)}, "
-          f"B0bar = {format_rational(b0)}")
+    print(f"solution: Lbar = {lam}, A0bar = {a0}, B0bar = {b0}")
     closed = catalog.thetanull_class(ctx)
     print(f"solved class: {render_class(solved)}")
     print(f"closed form:  {render_class(closed)}")
@@ -144,22 +142,19 @@ def _cmd_solve_thetanull(args) -> int:
 
 def _cmd_counts(args) -> int:
     ctx = GenusCtx(args.genus)
-    sc = transfer.spin_counts(ctx)
-    print(f"genus {ctx.g}: covering of total degree {sc.total_degree}")
-    print(f"  even component degree {sc.n_even}")
-    print(f"  odd component degree  {sc.n_odd}")
-    print(f"  deg(A0/d0) = {sc.deg_a0}")
-    print(f"  deg(B0/d0) = {sc.deg_b0}")
+    g, degree = ctx.g, transfer.pushforward_degree
+    print(f"genus {g}: covering of total degree {transfer.total_degree(g)}")
+    print(f"  even component degree {transfer.even_component_degree(g)}")
+    print(f"  odd component degree  {transfer.odd_component_degree(g)}")
+    print(f"  deg(A0/d0) = {degree(ctx, 'a0')}")
+    print(f"  deg(B0/d0) = {degree(ctx, 'b0s')}")
     for i in range(1, ctx.h + 1):
-        print(f"  deg(A{i}/d{i}) = {sc.deg_a[i - 1]}")
-        print(f"  deg(B{i}/d{i}) = {sc.deg_b[i - 1]}")
-    failed = 0
-    for name, lhs, rhs in sc.identities():
-        good = lhs == rhs
-        failed += 0 if good else 1
-        mark = "ok" if good else "FAIL"
-        print(f"  identity {name}: {lhs} == {rhs}  {mark}")
-    return 0 if failed == 0 else 1
+        print(f"  deg(A{i}/d{i}) = {degree(ctx, f'a{i}')}")
+        print(f"  deg(B{i}/d{i}) = {degree(ctx, f'b{i}')}")
+    identities = transfer.degree_identities(ctx)
+    for name, lhs, rhs in identities:
+        print(f"  identity {name}: {lhs} == {rhs}  {'ok' if lhs == rhs else 'FAIL'}")
+    return 0 if all(lhs == rhs for _, lhs, rhs in identities) else 1
 
 
 def _cmd_verify(args) -> int:

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .exact import format_rational
 from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, lincomb
 
 UNIRULED = "UNIRULED"
@@ -138,10 +137,10 @@ def certificate_json(cert: KodairaCertificate) -> dict:
     return {
         "genus": cert.ctx.g,
         "verdict": cert.verdict,
-        "nu": None if dec is None else format_rational(dec.nu),
-        "rk": None if cert.rk is None else format_rational(cert.rk),
-        "c": None if dec is None or dec.conditional else [format_rational(v) for v in dec.c],
-        "c_prime": None if dec is None or dec.conditional else [format_rational(v) for v in dec.c_prime],
+        "nu": None if dec is None else str(dec.nu),
+        "rk": None if cert.rk is None else str(cert.rk),
+        "c": None if dec is None or dec.conditional else [str(v) for v in dec.c],
+        "c_prime": None if dec is None or dec.conditional else [str(v) for v in dec.c_prime],
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }
@@ -224,7 +223,7 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
         ]
     if verdict == KAPPA_NONNEGATIVE:
         if dec.nu != 0:
-            annotations.append(f"nu = {format_rational(dec.nu)} > 0 here; the certificate still "
+            annotations.append(f"nu = {dec.nu} > 0 here; the certificate still "
                                "only claims non-negative Kodaira dimension at genus 8")
         annotations.append(
             "Kodaira dimension exactly 0 at genus 8 is known, but lies outside what this "

@@ -12,6 +12,12 @@ spin-side label for the second genus-0 boundary class is spelled ``b0s``
 in every text format so that it can never be confused with the divisor
 slope coefficient b_0 used elsewhere.
 
+Every scalar is a standard library Fraction, which already keeps the
+canonical form (reduced, positive denominator, zero stored as 0/1), and
+no floating point appears anywhere, in memory or in output. External
+output prints a rational as str(q): "p/q", or just "p" when the
+denominator is 1. rational() is the strict parser that reads it back.
+
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
 
@@ -31,10 +37,32 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
-from .exact import rational
 
 M_SIDE = "M"
 S_SIDE = "S"
+
+_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$", re.ASCII)
+
+
+def rational(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, Fraction, or "p/q" string to a canonical rational.
+
+    Decimal notation is rejected on purpose: the text formats of this
+    package carry exact fractions only.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = _RATIONAL_RE.match(value)
+        if m is None:
+            raise ValueError(f"not an exact rational: {value!r}")
+        den = int(m.group(2) or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(m.group(1)), den)
+    raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +260,8 @@ _TERM_RE = re.compile(
     r"(?P<label>λ|lambda|[dab]\d+s?|[δαβ]\d+)",
     re.ASCII,  # \d and \s match ASCII only; the λ/δ/α/β literals still match
 )
-_SIGN_RE = re.compile(r"\s*([+-])\s*")
+_SIGN_RE = re.compile(r"\s*([+-])\s*", re.ASCII)
+_ASCII_WHITESPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 
 _UNICODE_HEADS = {"δ": "d", "α": "a", "β": "b"}
 
@@ -254,7 +283,7 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     ClassSyntaxError for anything that does not match the grammar. The
     terms are summed by the same integer kernel as lincomb.
     """
-    s = text.strip()
+    s = text.strip(_ASCII_WHITESPACE)
     if s == "0":
         return zero_class(ctx, side)
     if not s:

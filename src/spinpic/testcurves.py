@@ -54,32 +54,36 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     return _ZERO if total is None else total
 
 
+# R's entries: each spin-side label with the label of B it lifts
+_LIFT = (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0"))
+
+
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """The standard test curves at genus ctx.g, by name.
 
     Each call returns a fresh dict, so a caller may rebind its entries; the
-    curves themselves are immutable and built once per genus context.
+    curves themselves are immutable and built once per genus and degrees.
     """
-    return dict(_curve_table(ctx, transfer.pushforward_degree))
+    degrees = tuple(transfer.pushforward_degree(ctx, s) for s, _ in _LIFT)
+    return dict(_curve_table(ctx, degrees))
 
 
 @lru_cache(maxsize=8)
-def _curve_table(ctx: GenusCtx, degree) -> Mapping[str, DivisorClass]:
-    """The read-only table behind curve_map; R's entries come from `degree`.
+def _curve_table(ctx: GenusCtx, degrees: tuple[int, ...]) -> Mapping[str, DivisorClass]:
+    """The read-only table behind curve_map; R's entries are B's times `degrees`.
 
     Cached with the small policy of picard._basis: verify, solve_thetanull
     and the uniruled certificate each ask for the table of the same genus.
-    The degree function is part of the key, so a table built before
-    transfer.pushforward_degree is replaced (as the mutation tests do) is
-    never served after it.
+    The key holds the covering degrees R is built from, as
+    transfer.pushforward_degree gives them at call time, so a table built
+    from other degrees (as the mutation tests make) is never served.
     """
     require_classification_genus(ctx)
     g, h = ctx.g, ctx.h
     b = {"lambda": g + 1, "d0": 6 * g + 18}
-    lift = (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0"))
     curves = {
         "B": DivisorClass(ctx, M_SIDE, b),
-        "R": DivisorClass(ctx, S_SIDE, {s: b[m] * degree(ctx, s) for s, m in lift}),
+        "R": DivisorClass(ctx, S_SIDE, {s: b[m] * n for (s, m), n in zip(_LIFT, degrees)}),
         "F0": DivisorClass(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
         "G0": DivisorClass(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
         "H0": DivisorClass(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}),

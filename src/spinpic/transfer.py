@@ -5,12 +5,12 @@ relative degree 2^(g-1)(2^g+1) and an odd one of degree 2^(g-1)(2^g-1);
 everything here lives on the even component. Pullback splits boundary
 classes (d0 -> a0 + 2*b0s, di -> ai + bi) and fixes lambda; pushforward
 multiplies each spin-side basis class by the covering degree of the
-boundary stratum it sits on.
+boundary stratum it sits on. pushforward_degree is that one table, and
+degree_identities ties it to the component degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SideMismatchError, UnknownLabelError
@@ -21,9 +21,11 @@ from .picard import (
     GenusCtx,
     _sum_terms,
     _trusted,
-    basis_class,
-    s_labels,
 )
+
+
+def total_degree(g: int) -> int:
+    return 2 ** (2 * g)
 
 
 def even_component_degree(g: int) -> int:
@@ -89,48 +91,18 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     ))
 
 
-def pushforward_matrix(ctx: GenusCtx) -> dict[str, DivisorClass]:
-    """Columns of pushforward: each spin-side basis label mapped to its image class."""
-    return {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
+def degree_identities(ctx: GenusCtx) -> list[tuple[str, int, int]]:
+    """The identities (name, lhs, rhs) tying the stratum degrees to the component degrees.
 
-
-@dataclass(frozen=True)
-class SpinCounts:
-    """Degree bookkeeping for the covering at one genus.
-
-    The three identities returned by identities() tie the stratum degrees
-    to the component degrees; they are this package's first defense against
-    transcription errors in the multiplicity table.
+    They are this package's first defense against transcription errors in
+    the multiplicity table.
     """
-
-    ctx: GenusCtx
-    total_degree: int
-    n_even: int
-    n_odd: int
-    deg_a0: int
-    deg_b0: int
-    deg_a: tuple[int, ...]
-    deg_b: tuple[int, ...]
-
-    def identities(self) -> list[tuple[str, int, int]]:
-        out = [
-            ("even+odd=total", self.n_even + self.n_odd, self.total_degree),
-            ("a0+2*b0=even", self.deg_a0 + 2 * self.deg_b0, self.n_even),
-        ]
-        for i in range(1, self.ctx.h + 1):
-            out.append((f"a{i}+b{i}=even", self.deg_a[i - 1] + self.deg_b[i - 1], self.n_even))
-        return out
-
-
-def spin_counts(ctx: GenusCtx) -> SpinCounts:
-    g = ctx.g
-    return SpinCounts(
-        ctx=ctx,
-        total_degree=2 ** (2 * g),
-        n_even=even_component_degree(g),
-        n_odd=odd_component_degree(g),
-        deg_a0=pushforward_degree(ctx, "a0"),
-        deg_b0=pushforward_degree(ctx, "b0s"),
-        deg_a=tuple(pushforward_degree(ctx, f"a{i}") for i in range(1, ctx.h + 1)),
-        deg_b=tuple(pushforward_degree(ctx, f"b{i}") for i in range(1, ctx.h + 1)),
-    )
+    n_even = even_component_degree(ctx.g)
+    out = [
+        ("even+odd=total", n_even + odd_component_degree(ctx.g), total_degree(ctx.g)),
+        ("a0+2*b0=even", pushforward_degree(ctx, "a0") + 2 * pushforward_degree(ctx, "b0s"), n_even),
+    ]
+    for i in range(1, ctx.h + 1):
+        lhs = pushforward_degree(ctx, f"a{i}") + pushforward_degree(ctx, f"b{i}")
+        out.append((f"a{i}+b{i}=even", lhs, n_even))
+    return out

@@ -19,7 +19,6 @@ from functools import cached_property
 from math import isqrt
 
 from . import catalog, kodaira, testcurves, transfer
-from .exact import format_rational
 from .picard import (
     M_SIDE,
     S_SIDE,
@@ -31,6 +30,7 @@ from .picard import (
     m_labels,
     parse_class,
     render_class,
+    s_labels,
 )
 
 
@@ -62,8 +62,6 @@ def _fmt(value) -> str:
         return render_class(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (Fraction, int)):
-        return format_rational(value)
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
     if isinstance(value, dict):
@@ -147,8 +145,7 @@ def run_genus(g: int) -> list[Check]:
     composite, slope_bound = _expected_slope(g)
 
     def counts() -> None:
-        sc = transfer.spin_counts(ctx)
-        for name, lhs, rhs in sc.identities():
+        for name, lhs, rhs in transfer.degree_identities(ctx):
             rec.add(f"counts:{name}", rhs, lhs)
 
     def projection() -> None:
@@ -158,7 +155,7 @@ def run_genus(g: int) -> list[Check]:
         rec.add("projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x)))
         # second route: compose the pullback columns with the pushforward
         # columns by lincomb, not the maps in turn
-        push = transfer.pushforward_matrix(ctx)
+        push = {s: transfer.pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
         prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in up.items()}
         rec.add("projection:matrix-product", True, prod == n_id)
 

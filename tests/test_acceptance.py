@@ -12,7 +12,7 @@ from spinpic import catalog, cli, kodaira, testcurves, transfer, verify
 from spinpic.errors import NotCompositeError
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, lincomb, parse_class
 from spinpic.testcurves import curve_map, intersect, solve_thetanull
-from spinpic.transfer import even_component_degree, pullback, pushforward, spin_counts
+from spinpic.transfer import degree_identities, even_component_degree, pullback, pushforward
 
 
 @contextlib.contextmanager
@@ -129,7 +129,7 @@ def test_criterion_7_transfer_consistency_stress():
             for label in ("lambda",) + tuple(f"d{i}" for i in range(ctx.h + 1)):
                 x = basis_class(ctx, M_SIDE, label)
                 assert pushforward(pullback(x)) == n * x
-            assert [name for name, lhs, rhs in spin_counts(ctx).identities() if lhs != rhs] == []
+            assert [name for name, lhs, rhs in degree_identities(ctx) if lhs != rhs] == []
 
 
 def test_criterion_8_verdicts_and_verify_exit(capsys):

@@ -190,9 +190,12 @@ def test_bad_class_expression_exits_two(capsys):
     code, _, err = run(capsys, "pair", "R", "1/4*nope", "-g", "5")
     assert code == 2
     # the grammar's digits are ASCII; an Arabic-Indic two is not read as 2
-    code, out, err = run(capsys, "pair", "R", "\u0662*lambda", "-g", "5")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # and its whitespace is ASCII: a no-break, em or line-separator space is no space
+    for expr in ("\u0662*lambda", "lambda\u00a0+\u00a0a0", "\u2003lambda\u2003", "lambda\u2028-\u2028a0"):
+        code, out, err = run(capsys, "pair", "R", expr, "-g", "5")
+        assert (code, out) == (2, ""), expr
+        assert err.startswith("error: ") and err.count("\n") == 1, expr
+    assert run(capsys, "pair", "R", " lambda\t+ \ta0\t", "-g", "5")[:2] == (0, "15456\n")
 
 
 _DIVISOR_FILE_FAULTS = {

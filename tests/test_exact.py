@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpic.errors import SingularMatrixError
-from spinpic.exact import format_rational, rational
+from spinpic.picard import rational
 from spinpic.testcurves import _solve3
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -37,13 +37,6 @@ def test_rational_rejects_non_fractions(bad):
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)
-
-
-def test_format_rational():
-    assert format_rational(Fraction(1, 4)) == "1/4"
-    assert format_rational(Fraction(-3, 2)) == "-3/2"
-    assert format_rational(Fraction(8, 4)) == "2"
-    assert format_rational(0) == "0"
 
 
 @given(rationals, rationals)

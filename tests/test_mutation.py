@@ -1,10 +1,11 @@
 """Single +1 perturbations of any constant must flip at least one verify check.
 
 The constant families the engine rests on are the pushforward
-multiplicities, the stored curve intersection numbers, the theta-null
-coefficients, the canonical classes on both sides, the closed form of
-the vanishing-theta-null class, the coefficients of each genus's divisor
-D where they are written, the default divisor's a and b0, the
+multiplicities, the even, odd and total degrees of the covering, the
+stored curve intersection numbers, the theta-null coefficients, the
+canonical classes on both sides, the closed form of the
+vanishing-theta-null class, the coefficients of each genus's divisor D
+where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
 decomposition. Each case perturbs exactly one entry, written as
 `original(ctx) + basis_class(ctx, side, label)` so that an entry stored
@@ -37,6 +38,14 @@ def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
 
     monkeypatch.setattr(transfer, "pushforward_degree", bumped)
     assert _failures(6), f"no check caught the perturbed multiplicity at {label}"
+
+
+@pytest.mark.parametrize("name", ("even_component_degree", "odd_component_degree", "total_degree"))
+@pytest.mark.parametrize("g", (3, 6, 9))
+def test_perturbed_component_degree_is_caught(g, name, monkeypatch):
+    original = getattr(transfer, name)
+    monkeypatch.setattr(transfer, name, lambda genus: original(genus) + 1)
+    assert _failures(g), f"no check caught the perturbed {name} at genus {g}"
 
 
 _CTX5 = GenusCtx(5)

@@ -15,16 +15,17 @@ from spinpic.picard import (
     labels_for,
     lincomb,
     m_labels,
+    s_labels,
     zero_class,
 )
 from spinpic.transfer import (
+    degree_identities,
     even_component_degree,
     odd_component_degree,
     pullback,
     pushforward_degree,
     pushforward,
-    pushforward_matrix,
-    spin_counts,
+    total_degree,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
@@ -102,25 +103,25 @@ def test_transfer_maps_are_linear(g, data):
 def test_matrix_product_is_scaled_identity(g):
     ctx = GenusCtx(g)
     n = even_component_degree(g)
-    push = pushforward_matrix(ctx)
+    push = {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
     columns = {m: pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)}
     prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in columns.items()}
     assert prod == {m: n * basis_class(ctx, M_SIDE, m) for m in m_labels(ctx)}
 
 
 def test_spin_counts_small_genera():
-    sc3 = spin_counts(GenusCtx(3))
-    assert (sc3.total_degree, sc3.n_even, sc3.n_odd) == (64, 36, 28)
-    assert (sc3.deg_a0, sc3.deg_b0) == (16, 10)
-    assert sc3.deg_a0 + 2 * sc3.deg_b0 == sc3.n_even
+    assert (total_degree(3), even_component_degree(3), odd_component_degree(3)) == (64, 36, 28)
+    ctx3 = GenusCtx(3)
+    deg_a0, deg_b0 = pushforward_degree(ctx3, "a0"), pushforward_degree(ctx3, "b0s")
+    assert (deg_a0, deg_b0) == (16, 10)
+    assert deg_a0 + 2 * deg_b0 == even_component_degree(3)
 
-    sc2 = spin_counts(GenusCtx(2))
-    assert (sc2.n_even, sc2.n_odd, sc2.total_degree) == (10, 6, 16)
+    assert (even_component_degree(2), odd_component_degree(2), total_degree(2)) == (10, 6, 16)
 
 
 @pytest.mark.parametrize("g", range(2, 61))
 def test_spin_counts_identities_full_range(g):
-    assert [name for name, lhs, rhs in spin_counts(GenusCtx(g)).identities() if lhs != rhs] == []
+    assert [name for name, lhs, rhs in degree_identities(GenusCtx(g)) if lhs != rhs] == []
 
 
 def test_component_degrees_sum():

@@ -5,7 +5,9 @@ number of times that grows linearly in h (the Theta(h^2) `compat` block
 reuses one pullback per d_j), and builds its curve table once, while every
 use of the table still goes through `testcurves.curve_map`. A failing
 genus renders its failure records exactly as the eager renderer did, also
-when a patched constant would be hidden by a stale cached curve table.
+when a patched constant would be hidden by a stale cached curve table. A
+patched component degree reaches R in a warm curve table and leaves no
+stale table behind.
 A certificate builds the class of its auxiliary divisor once. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
@@ -165,6 +167,29 @@ def test_curve_table_is_built_once_per_genus(monkeypatch):
     assert testcurves._curve_table.cache_info().misses == 1
     # every use still goes through the module attribute, so patches reach it
     assert set(callers) == {"run_genus", "thetanull_system", "uniruled_certificate"}
+
+
+def _bump_even_degree(original):
+    return lambda g: original(g) + 1
+
+
+def test_patched_component_degree_reaches_a_warm_curve_table(monkeypatch):
+    # R's lambda entry reads even_component_degree through pushforward_degree
+    assert all(c.ok for c in verify.run_genus(6))  # table for genus 6 cached
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
+        failed = {c.name for c in verify.run_genus(6) if not c.ok}
+    # verify's private curve table holds R's lambda entry at the true degree
+    assert "curves:table:R" in failed
+
+
+def test_patched_component_degree_leaves_no_stale_curve_table(monkeypatch):
+    testcurves._curve_table.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
+        assert not all(c.ok for c in verify.run_genus(6))
+    assert [c.name for c in verify.run_genus(6) if not c.ok] == []
+    assert testcurves.curve_map(GenusCtx(6))["R"]["lambda"] == 14560
 
 
 @pytest.mark.parametrize("g", (9, 14))
