@@ -159,10 +159,11 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     """Build a user-supplied spec from the JSON object format.
 
     The format is {"name": str, "genus": int, "a": "p/q", "b0": "p/q",
-    "b": ["p/q", ...]} with "b" optional. genus must be a JSON integer, and
-    each of a, b0 and the entries of the list b a JSON integer or a "p/q"
-    string; floats and bools are rejected. Paths and JSON strings are
-    accepted as well as already-parsed mappings.
+    "b": ["p/q", ...]} with "b" optional. name must be a JSON string, genus
+    a JSON integer, and each of a, b0 and the entries of the list b a JSON
+    integer or a "p/q" string with q a positive integer; floats and bools
+    are rejected. Paths and JSON strings are accepted as well as
+    already-parsed mappings.
     """
     if isinstance(data, Path):
         try:
@@ -181,6 +182,8 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     missing = {"name", "genus", "a", "b0"} - set(data)
     if missing:
         raise DivisorSpecError(f"divisor file is missing keys: {sorted(missing)}")
+    if not isinstance(data["name"], str):
+        raise DivisorSpecError(f"divisor file: name must be a string, got {data['name']!r}")
     if isinstance(data["genus"], bool) or not isinstance(data["genus"], int):
         raise DivisorSpecError(f"divisor file: genus must be an integer, got {data['genus']!r}")
     if data["genus"] != ctx.g:
@@ -190,7 +193,7 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
         raise DivisorSpecError(f"divisor file: b must be a JSON list, got {b!r}")
     return DivisorSpec(
         ctx=ctx,
-        provenance=UserSupplied(str(data["name"])),
+        provenance=UserSupplied(data["name"]),
         a=_spec_value("a", data["a"]),
         b0=_spec_value("b0", data["b0"]),
         b=None if b is None else tuple(_spec_value("b", v) for v in b),

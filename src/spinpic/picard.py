@@ -41,7 +41,7 @@ from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
 M_SIDE = "M"
 S_SIDE = "S"
 
-_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$", re.ASCII)
+_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$", re.ASCII)
 
 
 def rational(value: int | str | Fraction) -> Fraction:

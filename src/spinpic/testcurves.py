@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, require_classification_genus
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
 
 _ZERO = Fraction(0)
 
@@ -59,39 +56,37 @@ _LIFT = (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0"))
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
-    """The standard test curves at genus ctx.g, by name.
+    """The standard test curves at genus ctx.g, by name, built on every call.
 
-    Each call returns a fresh dict, so a caller may rebind its entries; the
-    curves themselves are immutable and built once per genus and degrees.
-    """
-    degrees = tuple(transfer.pushforward_degree(ctx, s) for s, _ in _LIFT)
-    return dict(_curve_table(ctx, degrees))
-
-
-@lru_cache(maxsize=8)
-def _curve_table(ctx: GenusCtx, degrees: tuple[int, ...]) -> Mapping[str, DivisorClass]:
-    """The read-only table behind curve_map; R's entries are B's times `degrees`.
-
-    Cached with the small policy of picard._basis: verify, solve_thetanull
-    and the uniruled certificate each ask for the table of the same genus.
-    The key holds the covering degrees R is built from, as
-    transfer.pushforward_degree gives them at call time, so a table built
-    from other degrees (as the mutation tests make) is never served.
+    R's entries are B's times the covering degrees that
+    transfer.pushforward_degree gives at call time, and the dict is fresh,
+    so a caller may rebind or delete its entries. Every entry is a nonzero
+    Fraction under a basis label by construction, so the curves skip the
+    constructor's validation (picard._trusted), as catalog's closed forms
+    do; tests/test_catalog.py checks each against the validating constructor.
     """
     require_classification_genus(ctx)
-    g, h = ctx.g, ctx.h
-    b = {"lambda": g + 1, "d0": 6 * g + 18}
+    g = ctx.g
+    b = {"lambda": Fraction(g + 1), "d0": Fraction(6 * g + 18)}
+    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s)) for s, m in _LIFT)
     curves = {
-        "B": DivisorClass(ctx, M_SIDE, b),
-        "R": DivisorClass(ctx, S_SIDE, {s: b[m] * n for (s, m), n in zip(_LIFT, degrees)}),
-        "F0": DivisorClass(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
-        "G0": DivisorClass(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
-        "H0": DivisorClass(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}),
+        "B": _trusted(ctx, M_SIDE, b),
+        # a degree of 0 leaves no entry, as the constructor would drop it
+        "R": _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}),
+        "F0": _trusted(ctx, S_SIDE, {"lambda": Fraction(1), "a0": Fraction(12), "b1": Fraction(-1)}),
+        "G0": _trusted(ctx, S_SIDE, {
+            "lambda": Fraction(3), "a0": Fraction(12), "b0s": Fraction(12), "a1": Fraction(-3),
+        }),
+        "H0": _trusted(ctx, S_SIDE, {"b0s": Fraction(1 - g), "a1": Fraction(1)}),
+        # 2 - 2i vanishes at i = 1, so F1 and G1 store nothing
+        "F1": _trusted(ctx, S_SIDE, {}),
+        "G1": _trusted(ctx, S_SIDE, {}),
     }
-    for i in range(1, h + 1):
-        curves[f"F{i}"] = DivisorClass(ctx, S_SIDE, {f"a{i}": 2 - 2 * i})
-        curves[f"G{i}"] = DivisorClass(ctx, S_SIDE, {f"b{i}": 2 - 2 * i})
-    return MappingProxyType(curves)
+    for i in range(2, ctx.h + 1):
+        v = Fraction(2 - 2 * i)
+        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {f"a{i}": v})
+        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {f"b{i}": v})
+    return curves
 
 
 def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -35,6 +35,7 @@ from spinpic.picard import (
     parse_class,
     render_class,
 )
+from spinpic.testcurves import curve_map
 from spinpic.transfer import pullback, pushforward
 
 
@@ -96,10 +97,11 @@ _CLOSED_FORMS = ((canonical_m, M_SIDE), (canonical_s, S_SIDE), (thetanull_class,
 
 @pytest.mark.parametrize("g", range(3, 61))
 def test_closed_forms_pass_the_validating_constructor(g):
-    # the closed forms skip DivisorClass validation; this guards that path
+    # the closed forms and the test curves skip DivisorClass validation; this guards that path
     ctx = GenusCtx(g)
-    for build, side in _CLOSED_FORMS:
-        cls = build(ctx)
+    built = [(build(ctx), side) for build, side in _CLOSED_FORMS]
+    built += [(c, M_SIDE if name == "B" else S_SIDE) for name, c in curve_map(ctx).items()]
+    for cls, side in built:
         assert (cls.ctx, cls.side) == (ctx, side)
         assert cls == DivisorClass(ctx, side, dict(cls.coeff))
         assert set(cls.coeff) <= set(labels_for(ctx, side))

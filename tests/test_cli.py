@@ -211,6 +211,9 @@ _DIVISOR_FILE_FAULTS = {
     "not-json": "name: steep\ngenus: 10\n",
     "non-ascii-digit": '{"name": "n", "genus": 10, "a": "\\u0667", "b0": "1"}',
     "not-utf8": b'{"name": "\xff", "genus": 10, "a": "7", "b0": "1"}',
+    # the grammar is integer ["/" positive-integer], so a signed denominator is malformed
+    "signed-denominator": '{"name": "s", "genus": 10, "a": "-7/-1", "b0": "1"}',
+    "number-name": '{"name": 5, "genus": 10, "a": "7", "b0": "1"}',
 }
 
 # the decode faults name the divisor file instead of printing a bare json or codec message
@@ -356,6 +359,7 @@ def test_random_argv_exits_cleanly(command, tokens):
 _WELL_TYPED = st.integers(1, 7) | st.builds("{}/{}".format, st.integers(1, 14), st.integers(1, 2))
 _WRONGLY_TYPED = st.sampled_from([7.0, 1.5, True, False, None, [7], {"p": 7}])
 _FIELDS = {  # a well-typed and a wrongly typed value for each field of a genus-10 divisor file
+    "name": (st.text(max_size=8), st.sampled_from([5, None, True, 1.5, ["n"], {"n": "n"}])),
     "genus": (st.sampled_from([10, 9]), st.sampled_from([10.0, True, "10", None, [10]])),
     "a": (_WELL_TYPED, _WRONGLY_TYPED),
     "b0": (_WELL_TYPED, _WRONGLY_TYPED),
@@ -369,7 +373,7 @@ _FIELDS = {  # a well-typed and a wrongly typed value for each field of a genus-
 def _divisor_files(draw):
     """A divisor file for genus 10, and the field that is wrongly typed in it, if any."""
     wrong = draw(st.sampled_from([None, *_FIELDS]))
-    doc = {"name": "random"}
+    doc = {}
     for key, (good, bad) in _FIELDS.items():
         doc[key] = draw(bad if key == wrong else good)
     if doc["b"] is None:

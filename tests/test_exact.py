@@ -28,7 +28,7 @@ def test_rational_parsing():
     assert rational(Fraction(1, 2)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a", "", "1/0", "1//2", "1e3"])
+@pytest.mark.parametrize("bad", ["1.5", "a", "", "1/0", "1//2", "1e3", "3/-4", "1/+2", "-3/-4"])
 def test_rational_rejects_non_fractions(bad):
     with pytest.raises(ValueError):
         rational(bad)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinpic import cli, testcurves, verify
+from spinpic import cli, testcurves, transfer, verify
 from spinpic.catalog import canonical_s, thetanull_class
 from spinpic.errors import GenusMismatchError, SideMismatchError
 from spinpic.picard import (
@@ -213,3 +213,13 @@ def test_curve_map_returns_a_fresh_table():
     again = curve_map(ctx)
     assert again["H0"]["a1"] == 1
     assert "G2" in again
+
+
+def test_zero_covering_degree_leaves_no_entry_in_r(monkeypatch):
+    ctx = GenusCtx(6)
+    original = transfer.pushforward_degree
+    monkeypatch.setattr(transfer, "pushforward_degree",
+                        lambda c, label: 0 if label == "b0s" else original(c, label))
+    r = curve_map(ctx)["R"]
+    assert "b0s" not in r.coeff
+    assert r == DivisorClass(ctx, S_SIDE, {"lambda": 14560, "a0": 55296, "b0s": 0})
