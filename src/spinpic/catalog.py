@@ -159,11 +159,11 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     """Build a user-supplied spec from the JSON object format.
 
     The format is {"name": str, "genus": int, "a": "p/q", "b0": "p/q",
-    "b": ["p/q", ...]} with "b" optional. name must be a JSON string, genus
-    a JSON integer, and each of a, b0 and the entries of the list b a JSON
-    integer or a "p/q" string with q a positive integer; floats and bools
-    are rejected. Paths and JSON strings are accepted as well as
-    already-parsed mappings.
+    "b": ["p/q", ...]} with "b" optional. name must be a JSON string of
+    printable characters, genus a JSON integer, and each of a, b0 and the
+    entries of the list b a JSON integer or a "p/q" string with q a
+    positive integer; floats and bools are rejected. Paths and JSON
+    strings are accepted as well as already-parsed mappings.
     """
     if isinstance(data, Path):
         try:
@@ -182,8 +182,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     missing = {"name", "genus", "a", "b0"} - set(data)
     if missing:
         raise DivisorSpecError(f"divisor file is missing keys: {sorted(missing)}")
-    if not isinstance(data["name"], str):
-        raise DivisorSpecError(f"divisor file: name must be a string, got {data['name']!r}")
+    # a line break or other control character in name would forge certificate lines
+    if not isinstance(data["name"], str) or not data["name"].isprintable():
+        raise DivisorSpecError(f"divisor file: name must be a printable string, got {data['name']!r}")
     if isinstance(data["genus"], bool) or not isinstance(data["genus"], int):
         raise DivisorSpecError(f"divisor file: genus must be an integer, got {data['genus']!r}")
     if data["genus"] != ctx.g:
@@ -300,20 +301,25 @@ def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
     """
     require_classification_genus(ctx)
     g = ctx.g
+    # the rule gives D's (a, b0) and a builder for D, so that checking a
+    # user spec against the bound builds neither D nor its b_i
     if g == 10:
-        d = DivisorSpec(ctx, K3(), *_K3_COEFFICIENTS)
+        a, b0 = _K3_COEFFICIENTS
+        build = lambda: DivisorSpec(ctx, K3(), a, b0)
     elif _smallest_prime_factor(g + 1) <= g:
-        d = _bn_spec(ctx)
+        a, b0, _ = _bn_coefficients(g, 0)  # h = 0: no boundary coefficients
+        build = lambda: _bn_spec(ctx)
     else:
         # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
         k = (g + 2) // 2
-        d = DivisorSpec(ctx, GiesekerPetri(k), *_gp_coefficients(k))
+        a, b0 = _gp_coefficients(k)
+        build = lambda: DivisorSpec(ctx, GiesekerPetri(k), a, b0)
     if user is None:
-        return d
+        return build()
     if user.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {user.ctx.g}, expected {ctx.g}")
-    if user.slope > d.slope:
-        raise SlopeViolationError(f"slope a/b0 = {user.slope} exceeds the genus-{g} bound {d.slope}")
+    if user.slope > a / b0:
+        raise SlopeViolationError(f"slope a/b0 = {user.slope} exceeds the genus-{g} bound {a / b0}")
     return user
 
 

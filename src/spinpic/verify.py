@@ -1,12 +1,14 @@
 """Per-genus verification: every exact identity the package claims, re-checked.
 
-Each genus produces a flat list of named checks with expected and observed
-values, rendered as exact strings when first read. The checks deliberately
+Each genus streams (name, expected, got) triples of raw values, one section
+after another; a section that raises ends in a failed `<section>:exception`
+after what it already yielded. `build_report` counts the stream and renders
+only failures; `run_genus` lists it as `Check`s. The identities deliberately
 re-derive constants along independent routes (component degrees against
 stratum degrees, pencil relations against closed forms, a private copy of
 the curve tables, a private slope table for each genus's divisor D) so
 that a single corrupted multiplicity, intersection number, or class
-coefficient flips at least one check to FAIL.
+coefficient flips at least one identity to FAIL.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from .picard import (
 
 @dataclass
 class Check:
-    """One named identity with its raw expected and observed values.
+    """One identity of `run_genus`'s list, with its raw expected and observed values.
 
     `expected` and `got` render those values to exact strings on first
-    read. Only failure records and callers that print checks read them, so
-    a passing suite renders nothing.
+    read, through the same `_fmt` that renders the report's failure
+    records, so a caller that only reads `ok` renders nothing.
     """
 
     name: str
@@ -68,22 +70,6 @@ def _fmt(value) -> str:
         items = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
         return "{" + items + "}"
     return str(value)
-
-
-class _Recorder:
-    def __init__(self) -> None:
-        self.checks: list[Check] = []
-
-    def add(self, name: str, expected, got) -> None:
-        self.checks.append(Check(name, expected == got, expected, got))
-
-    def section(self, name: str, fn) -> None:
-        try:
-            fn()
-        except Exception as exc:  # a crashed identity is a failed identity
-            self.checks.append(
-                Check(f"{name}:exception", False, "no exception", f"{type(exc).__name__}: {exc}")
-            )
 
 
 def _fuzz_class(ctx: GenusCtx, side: str, salt: int) -> DivisorClass:
@@ -127,10 +113,9 @@ def _expected_slope(g: int) -> tuple[bool, Fraction]:
     return False, Fraction(6 * k * k + k - 6, k * (k - 1))
 
 
-def run_genus(g: int) -> list[Check]:
-    """Run every per-genus check; g >= 3."""
+def _identities(g: int):
+    """Yield (name, expected, got) for every per-genus identity, in order; g >= 3."""
     ctx = GenusCtx(g)
-    rec = _Recorder()
     n_even = transfer.even_component_degree(g)
     curves = testcurves.curve_map(ctx)
     # Built once and shared by the sections; each is still looked up on its
@@ -144,77 +129,73 @@ def run_genus(g: int) -> list[Check]:
     m1 = catalog.m1_theta_class(ctx)
     composite, slope_bound = _expected_slope(g)
 
-    def counts() -> None:
+    def counts():
         for name, lhs, rhs in transfer.degree_identities(ctx):
-            rec.add(f"counts:{name}", rhs, lhs)
+            yield f"counts:{name}", rhs, lhs
 
-    def projection() -> None:
+    def projection():
         for label, x in up.items():
-            rec.add(f"projection:{label}", n_id[label], transfer.pushforward(x))
+            yield f"projection:{label}", n_id[label], transfer.pushforward(x)
         x = _fuzz_class(ctx, M_SIDE, salt=1)
-        rec.add("projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x)))
+        yield "projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x))
         # second route: compose the pullback columns with the pushforward
         # columns by lincomb, not the maps in turn
         push = {s: transfer.pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
         prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in up.items()}
-        rec.add("projection:matrix-product", True, prod == n_id)
+        yield "projection:matrix-product", True, prod == n_id
 
-    def named_classes() -> None:
-        rec.add(
-            "canonical:splitting",
-            basis_class(ctx, S_SIDE, "b0s"),
-            canonical_s - transfer.pullback(canonical_m),
-        )
-        rec.add("theta:pushforward", m1, transfer.pushforward(theta))
+    def named_classes():
+        yield "canonical:splitting", basis_class(ctx, S_SIDE, "b0s"), canonical_s - transfer.pullback(canonical_m)
+        yield "theta:pushforward", m1, transfer.pushforward(theta)
         for cls, name in (
             (canonical_m, "canonical-m"),
             (canonical_s, "canonical-s"),
             (theta, "thetanull"),
             (m1, "m1"),
         ):
-            rec.add(f"roundtrip:{name}", cls, parse_class(render_class(cls), ctx, cls.side))
+            yield f"roundtrip:{name}", cls, parse_class(render_class(cls), ctx, cls.side)
 
-    def brill_noether() -> None:
+    def brill_noether():
         if not composite:
             return
         cls, spec = catalog.bn_class(ctx)
         prov = spec.provenance
-        rec.add("bn:rho", -1, catalog.rho(g, prov.r, prov.d))
-        rec.add("bn:slope", slope_bound, spec.slope)
-        rec.add("bn:lambda", Fraction(g + 3), cls["lambda"])
+        yield "bn:rho", -1, catalog.rho(g, prov.r, prov.d)
+        yield "bn:slope", slope_bound, spec.slope
+        yield "bn:lambda", Fraction(g + 3), cls["lambda"]
         for i in range(1, ctx.h + 1):
             ratio = spec.b[i - 1] / spec.b0
-            rec.add(f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), ratio)
+            yield f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), ratio
             # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2
-            rec.add(f"bn:ratio-bound-d{i}", True, ratio >= (2 if i == 1 else Fraction(4, 3)))
+            yield f"bn:ratio-bound-d{i}", True, ratio >= (2 if i == 1 else Fraction(4, 3))
 
-    def curve_tables() -> None:
+    def curve_tables():
         expected = _expected_curve_table(ctx)
-        rec.add("curves:names", sorted(expected), sorted(curves))
+        yield "curves:names", sorted(expected), sorted(curves)
         for name, (side, numbers) in expected.items():
             got = curves.get(name)
-            rec.add(
+            yield (
                 f"curves:table:{name}",
                 {"side": side, **{k: Fraction(v) for k, v in numbers.items() if v != 0}},
                 {"side": got.side, **got.coeff} if got is not None else "missing",
             )
 
-    def pairings() -> None:
+    def pairings():
         for name in ("F0", "G0", "H0"):
-            rec.add(f"pairing:{name}*theta", Fraction(0), testcurves.intersect(curves[name], theta))
+            yield f"pairing:{name}*theta", Fraction(0), testcurves.intersect(curves[name], theta)
         for i in range(1, ctx.h + 1):
-            rec.add(f"pairing:F{i}*theta", Fraction(0), testcurves.intersect(curves[f"F{i}"], theta))
-            rec.add(f"pairing:G{i}*theta", Fraction(i - 1), testcurves.intersect(curves[f"G{i}"], theta))
+            yield f"pairing:F{i}*theta", Fraction(0), testcurves.intersect(curves[f"F{i}"], theta)
+            yield f"pairing:G{i}*theta", Fraction(i - 1), testcurves.intersect(curves[f"G{i}"], theta)
 
-    def lift() -> None:
+    def lift():
         b, r = curves["B"], curves["R"]
         fuzz = _fuzz_class(ctx, M_SIDE, salt=2)
         probes = [(label, x, up[label]) for label, x in basis.items()]
         probes.append(("fuzz", fuzz, transfer.pullback(fuzz)))
         for label, x, x_up in probes:
-            rec.add(f"lift:{label}", n_even * testcurves.intersect(b, x), testcurves.intersect(r, x_up))
+            yield f"lift:{label}", n_even * testcurves.intersect(b, x), testcurves.intersect(r, x_up)
 
-    def pullback_compat() -> None:
+    def pullback_compat():
         # The oracle is exact ints: an int compares with a Fraction on
         # Fraction's fast path, and renders to the same string.
         intersect = testcurves.intersect
@@ -223,39 +204,39 @@ def run_genus(g: int) -> list[Check]:
         f0, g0, h0 = curves["F0"], curves["G0"], curves["H0"]
         for label, x in up.items():
             want = tail.get(label, 0)
-            rec.add(f"compat:F0:{label}", want, intersect(f0, x))
-            rec.add(f"compat:G0:{label}", 3 * want, intersect(g0, x))
-        rec.add("compat:H0:d0", 2 - 2 * g, intersect(h0, up["d0"]))
+            yield f"compat:F0:{label}", want, intersect(f0, x)
+            yield f"compat:G0:{label}", 3 * want, intersect(g0, x)
+        yield "compat:H0:d0", 2 - 2 * g, intersect(h0, up["d0"])
         for j in range(1, ctx.h + 1):
-            rec.add(f"compat:H0:d{j}", 1 if j == 1 else 0, intersect(h0, up[f"d{j}"]))
+            yield f"compat:H0:d{j}", 1 if j == 1 else 0, intersect(h0, up[f"d{j}"])
         columns = [up[f"d{j}"] for j in range(ctx.h + 1)]
         for i in range(1, ctx.h + 1):
             f_i, g_i = curves[f"F{i}"], curves[f"G{i}"]
             diagonal = 2 - 2 * i
             for j, x in enumerate(columns):
                 want = diagonal if i == j else 0
-                rec.add(f"compat:F{i}:d{j}", want, intersect(f_i, x))
-                rec.add(f"compat:G{i}:d{j}", want, intersect(g_i, x))
+                yield f"compat:F{i}:d{j}", want, intersect(f_i, x)
+                yield f"compat:G{i}:d{j}", want, intersect(g_i, x)
         # branching consistency at the genus-0 boundary, in covering degrees
-        rec.add("compat:F0-branching", 12, f0["a0"] + 2 * f0["b0s"])
-        rec.add("compat:G0-branching", 36, g0["a0"] + 2 * g0["b0s"])
+        yield "compat:F0-branching", 12, f0["a0"] + 2 * f0["b0s"]
+        yield "compat:G0-branching", 36, g0["a0"] + 2 * g0["b0s"]
 
-    def theta_solve() -> None:
+    def theta_solve():
         solved = testcurves.solve_thetanull(ctx)
-        rec.add("solve:thetanull", theta, solved)
+        yield "solve:thetanull", theta, solved
         for name in ("F0", "G0", "H0"):
-            rec.add(f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved))
+            yield f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved)
 
-    def classification() -> None:
+    def classification():
         rk = kodaira.uniruled_certificate(ctx)
-        rec.add("kodaira:rk-sign", g <= 7, rk < 0)
+        yield "kodaira:rk-sign", g <= 7, rk < 0
         spec = catalog.choose_d(ctx)
         nu = kodaira.nu_value(spec)
-        rec.add("kodaira:nu-from-slope", 11 - Fraction(3, 2) * slope_bound, nu)
+        yield "kodaira:nu-from-slope", 11 - Fraction(3, 2) * slope_bound, nu
         if g == 8:
-            rec.add("kodaira:nu-zero", Fraction(0), nu)
+            yield "kodaira:nu-zero", Fraction(0), nu
         if g >= 9:
-            rec.add("kodaira:nu-positive", True, nu > 0)
+            yield "kodaira:nu-positive", True, nu > 0
         dec = kodaira.decompose_canonical(ctx, spec)
         if spec.complete:
             scale = Fraction(3, 2) / spec.b0
@@ -268,41 +249,45 @@ def run_genus(g: int) -> list[Check]:
                     **{f"b{i}": dec.c_prime[i - 1] for i in range(1, ctx.h + 1)},
                 })
             )
-            rec.add("kodaira:decomposition-identity", canonical_s, assembled)
+            yield "kodaira:decomposition-identity", canonical_s, assembled
             if g >= 8:
-                rec.add("kodaira:remainders-nonnegative", True, dec.remainders_nonnegative())
+                yield "kodaira:remainders-nonnegative", True, dec.remainders_nonnegative()
         expected = kodaira.UNIRULED if g <= 7 else (
             kodaira.KAPPA_NONNEGATIVE if g == 8 else kodaira.GENERAL_TYPE)
-        rec.add("kodaira:verdict", expected, kodaira.judge(ctx, rk, dec))
+        yield "kodaira:verdict", expected, kodaira.judge(ctx, rk, dec)
 
-    rec.section("counts", counts)
-    rec.section("projection", projection)
-    rec.section("named-classes", named_classes)
-    rec.section("brill-noether", brill_noether)
-    rec.section("curves", curve_tables)
-    rec.section("pairings", pairings)
-    rec.section("lift", lift)
-    rec.section("compat", pullback_compat)
-    rec.section("solve", theta_solve)
-    rec.section("kodaira", classification)
-    return rec.checks
+    for section, identities in (
+        ("counts", counts), ("projection", projection), ("named-classes", named_classes),
+        ("brill-noether", brill_noether), ("curves", curve_tables), ("pairings", pairings),
+        ("lift", lift), ("compat", pullback_compat), ("solve", theta_solve), ("kodaira", classification),
+    ):
+        try:
+            yield from identities()
+        except Exception as exc:  # a crashed identity is a failed identity
+            yield f"{section}:exception", "no exception", f"{type(exc).__name__}: {exc}"
+
+
+def run_genus(g: int) -> list[Check]:
+    """Every per-genus identity as a `Check`, in order; g >= 3."""
+    return [Check(name, expected == got, expected, got) for name, expected, got in _identities(g)]
 
 
 def build_report(start: int, end: int) -> dict:
-    """Run the suite over [start, end] and assemble the machine-readable report."""
+    """Run the suite over [start, end] and assemble the machine-readable report from the stream."""
     if start < 3 or end < start:
         raise ValueError(f"verification range must satisfy 3 <= start <= end, got {start}..{end}")
     genera = []
     failures = []
     total = 0
     for g in range(start, end + 1):
-        checks = run_genus(g)
-        failed = [c for c in checks if not c.ok]
-        genera.append({"genus": g, "checks": len(checks), "failed": len(failed)})
-        failures.extend(
-            {"check-name": c.name, "genus": g, "expected": c.expected, "got": c.got} for c in failed
-        )
-        total += len(checks)
+        count = failed = 0
+        for name, expected, got in _identities(g):
+            count += 1
+            if expected != got:
+                failed += 1
+                failures.append({"check-name": name, "genus": g, "expected": _fmt(expected), "got": _fmt(got)})
+        genera.append({"genus": g, "checks": count, "failed": failed})
+        total += count
     return {
         "command": "verify",
         "genus-range": [start, end],

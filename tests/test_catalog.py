@@ -193,6 +193,20 @@ def test_choose_d_user_slope_check():
             choose_d(ctx, steeper)
 
 
+def test_choose_d_checks_a_user_spec_without_building_d(monkeypatch):
+    ctx = GenusCtx(300)
+    user = DivisorSpec(ctx, UserSupplied("flat"), a=Fraction(6), b0=Fraction(1))
+    original, built = DivisorSpec.__post_init__, []
+
+    def counting(self):
+        built.append(self.provenance)
+        original(self)
+
+    monkeypatch.setattr(DivisorSpec, "__post_init__", counting)
+    assert choose_d(ctx, user) is user
+    assert built == []
+
+
 def test_divisor_spec_validation():
     ctx = GenusCtx(9)
     with pytest.raises(DivisorSpecError):

@@ -214,6 +214,8 @@ _DIVISOR_FILE_FAULTS = {
     # the grammar is integer ["/" positive-integer], so a signed denominator is malformed
     "signed-denominator": '{"name": "s", "genus": 10, "a": "-7/-1", "b0": "1"}',
     "number-name": '{"name": 5, "genus": 10, "a": "7", "b0": "1"}',
+    # printed raw, such a name would forge a verdict line inside the certificate
+    "control-character-name": '{"name": "x)\\nverdict: UNIRULED\\n(", "genus": 10, "a": "7", "b0": "1"}',
 }
 
 # the decode faults name the divisor file instead of printing a bare json or codec message

@@ -1,13 +1,16 @@
 """The work shape of `verify`, pinned by counts rather than wall time.
 
-A passing genus renders no check value, pulls back each basis class a
-number of times that grows linearly in h (the Theta(h^2) `compat` block
-reuses one pullback per d_j), and takes every use of the curve table
+The report counts each genus's stream of identities and builds no `Check`
+for it. A passing genus renders no check value, pulls back each basis
+class a number of times that grows linearly in h (the Theta(h^2) `compat`
+block reuses one pullback per d_j), and takes every use of the curve table
 through `testcurves.curve_map`, which builds the table on every call. A
 failing genus renders its failure records exactly as the eager renderer
-did. A patched component degree reaches R, also after an unpatched run of
-the same genus, and leaves no stale R behind once the patch is undone.
-A certificate builds the class of its auxiliary divisor once. A genus
+did, counts as many checks in the report as `run_genus` lists, and keeps
+the identities a crashed section yielded before it raised. A patched
+component degree reaches R, also after an unpatched run of the same
+genus, and leaves no stale R behind once the patch is undone. A
+certificate builds the class of its auxiliary divisor once. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
@@ -45,6 +48,14 @@ def test_passing_report_renders_nothing(monkeypatch):
     assert report["status"] == "OK"
     assert report["payload"]["total-checks"] > 0
     assert calls == []
+
+
+def test_report_builds_no_check(monkeypatch):
+    built = _counting(monkeypatch, verify, "Check")
+    report = verify.build_report(30, 30)
+    assert report["status"] == "OK"
+    assert report["payload"]["total-checks"] > 0
+    assert built == []
 
 
 def test_check_renders_on_read(monkeypatch):
@@ -141,8 +152,18 @@ def test_failure_records_render_as_before(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(module, name, mutate(getattr(module, name)))
             report = verify.build_report(g, g)
+            checks = verify.run_genus(g)
         assert report["status"] == "FAIL"
         assert report["failures"] == want
+        # the report counts the same stream that run_genus lists
+        assert report["payload"]["total-checks"] == len(checks)
+        if mutate is _drop_g2:
+            # a crashed section keeps the identities it yielded before the crash
+            names = [c.name for c in checks]
+            crash = names.index("pairings:exception")
+            assert names[crash - 6:crash] == [
+                f"pairing:{curve}*theta" for curve in ("F0", "G0", "H0", "F1", "G1", "F2")
+            ]
 
 
 def _pullbacks(monkeypatch, g):
@@ -163,7 +184,7 @@ def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
     callers = _counting(monkeypatch, testcurves, "curve_map")
     verify.run_genus(9)
     # every use goes through the module attribute, so patches reach it
-    assert set(callers) == {"run_genus", "thetanull_system", "uniruled_certificate"}
+    assert set(callers) == {"_identities", "thetanull_system", "uniruled_certificate"}
 
 
 def _bump_even_degree(original):
@@ -203,10 +224,10 @@ def test_named_classes_are_built_once_per_genus(monkeypatch):
     callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
     verify.run_genus(40)
     # kodaira builds its own copies; verify's sections share one each
-    from_run_genus = {name: calls.count("run_genus") for name, calls in callers.items()}
-    assert from_run_genus == dict.fromkeys(_NAMED_BUILDERS, 1)
+    from_identities = {name: calls.count("_identities") for name, calls in callers.items()}
+    assert from_identities == dict.fromkeys(_NAMED_BUILDERS, 1)
     callers_seen = {caller for calls in callers.values() for caller in calls}
-    assert callers_seen <= {"run_genus", "decompose_canonical", "uniruled_certificate"}
+    assert callers_seen <= {"_identities", "decompose_canonical", "uniruled_certificate"}
 
 
 def test_each_basis_class_is_pulled_back_once(monkeypatch):
