@@ -284,7 +284,12 @@ def _bn_spec(ctx: GenusCtx) -> DivisorSpec:
         raise NotCompositeError(f"g+1 = {g + 1} is prime; no Brill-Noether divisor at genus {g}")
     r = f - 1
     d = g + r - (g + 1) // f
-    return DivisorSpec(ctx, BrillNoether(r, d), *_bn_coefficients(g, ctx.h))
+    if rho(g, r, d) != -1:
+        raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, r, d)}")
+    # validation would only compare _bn_coefficients with itself: skip it, as picard._trusted does
+    spec = object.__new__(DivisorSpec)
+    vars(spec).update(zip(("a", "b0", "b"), _bn_coefficients(g, ctx.h)), ctx=ctx, provenance=BrillNoether(r, d))
+    return spec
 
 
 # --- the choice of D ---------------------------------------------------------

@@ -20,7 +20,7 @@ from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SideMismatchError, SpinPicError
 from .picard import GenusCtx, parse_class, render_class
 
-# The largest genus any subcommand accepts; verify takes about 1 s for genus
+# The largest genus any subcommand accepts; verify takes about 0.3 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
 MAX_GENUS = 1000
 

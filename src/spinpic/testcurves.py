@@ -29,6 +29,15 @@ from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_cl
 _ZERO = Fraction(0)
 
 
+def _require_pairable(curve: DivisorClass, x: DivisorClass) -> None:
+    if curve.side != x.side:
+        raise SideMismatchError(
+            f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
+        )
+    if curve.ctx.g != x.ctx.g:
+        raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
+
+
 def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
 
@@ -36,12 +45,7 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     sum starts from its first term, so a pairing of disjoint supports builds
     no Fraction at all.
     """
-    if curve.side != x.side:
-        raise SideMismatchError(
-            f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
-        )
-    if curve.ctx.g != x.ctx.g:
-        raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
+    _require_pairable(curve, x)
     xc = x.coeff
     total = None
     for label, v in curve.coeff.items():

@@ -2,13 +2,15 @@
 
 Each genus streams (name, expected, got) triples of raw values, one section
 after another; a section that raises ends in a failed `<section>:exception`
-after what it already yielded. `build_report` counts the stream and renders
-only failures; `run_genus` lists it as `Check`s. The identities deliberately
-re-derive constants along independent routes (component degrees against
-stratum degrees, pencil relations against closed forms, a private copy of
-the curve tables, a private slope table for each genus's divisor D) so
-that a single corrupted multiplicity, intersection number, or class
-coefficient flips at least one identity to FAIL.
+after what it already yielded. compat's Theta(h^2) block, F_i and G_i for
+i >= 1 against every pi*d_j, streams as one sparse row family (`_Row`) per
+i. `build_report` counts the stream and renders only failures, of a row only
+where its sides may differ; `run_genus` lists every identity as a `Check`.
+The identities deliberately re-derive constants along independent routes
+(component degrees against stratum degrees, pencil relations against closed
+forms, a private copy of the curve tables, a private slope table for each
+genus's divisor D) so that a single corrupted multiplicity, intersection
+number, or class coefficient flips at least one identity to FAIL.
 """
 
 from __future__ import annotations
@@ -72,6 +74,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@dataclass(frozen=True)
+class _Row:
+    """compat:F{i}:d{j}, compat:G{i}:d{j} for j = 0..h, expecting 2-2i at j = i; got by (F or G, j), else 0."""
+
+    i: int
+    h: int
+    got: dict[tuple[str, int], Fraction]
+
+    def __len__(self) -> int:
+        return 2 * (self.h + 1)
+
+    def triples(self, dense: bool = True):
+        """(name, expected, got) in stream order, for every j or only where the sides may differ."""
+        for j in range(self.h + 1) if dense else sorted({j for _, j in self.got} | {self.i}):
+            want = 2 - 2 * self.i if j == self.i else 0
+            for kind in "FG":
+                yield f"compat:{kind}{self.i}:d{j}", want, self.got.get((kind, j), 0)
+
+
 def _fuzz_class(ctx: GenusCtx, side: str, salt: int) -> DivisorClass:
     rng = random.Random(ctx.g * 7919 + salt)
     coeff = {label: Fraction(rng.randint(-60, 60), rng.randint(1, 16)) for label in labels_for(ctx, side)}
@@ -114,7 +135,7 @@ def _expected_slope(g: int) -> tuple[bool, Fraction]:
 
 
 def _identities(g: int):
-    """Yield (name, expected, got) for every per-genus identity, in order; g >= 3."""
+    """Yield (name, expected, got) for every per-genus identity, or a `_Row` of them, in order; g >= 3."""
     ctx = GenusCtx(g)
     n_even = transfer.even_component_degree(g)
     curves = testcurves.curve_map(ctx)
@@ -198,25 +219,33 @@ def _identities(g: int):
     def pullback_compat():
         # The oracle is exact ints: an int compares with a Fraction on
         # Fraction's fast path, and renders to the same string.
-        intersect = testcurves.intersect
         # the elliptic-tail pencil downstairs: degree 12 on d0, -1 on d1
         tail = {"lambda": 1, "d0": 12, "d1": -1}
         f0, g0, h0 = curves["F0"], curves["G0"], curves["H0"]
         for label, x in up.items():
             want = tail.get(label, 0)
-            yield f"compat:F0:{label}", want, intersect(f0, x)
-            yield f"compat:G0:{label}", 3 * want, intersect(g0, x)
-        yield "compat:H0:d0", 2 - 2 * g, intersect(h0, up["d0"])
+            yield f"compat:F0:{label}", want, testcurves.intersect(f0, x)
+            yield f"compat:G0:{label}", 3 * want, testcurves.intersect(g0, x)
+        yield "compat:H0:d0", 2 - 2 * g, testcurves.intersect(h0, up["d0"])
         for j in range(1, ctx.h + 1):
-            yield f"compat:H0:d{j}", 1 if j == 1 else 0, intersect(h0, up[f"d{j}"])
-        columns = [up[f"d{j}"] for j in range(ctx.h + 1)]
+            yield f"compat:H0:d{j}", 1 if j == 1 else 0, testcurves.intersect(h0, up[f"d{j}"])
+        # index: label -> [(j, coefficient in pi*d_j)]; kinds: first column per (side, genus), for the guards
+        index, kinds = {}, {}
+        for j, x in enumerate(up[f"d{j}"] for j in range(ctx.h + 1)):
+            kinds.setdefault((x.side, x.ctx.g), x)
+            for label, c in x.coeff.items():
+                index.setdefault(label, []).append((j, c))
         for i in range(1, ctx.h + 1):
-            f_i, g_i = curves[f"F{i}"], curves[f"G{i}"]
-            diagonal = 2 - 2 * i
-            for j, x in enumerate(columns):
-                want = diagonal if i == j else 0
-                yield f"compat:F{i}:d{j}", want, intersect(f_i, x)
-                yield f"compat:G{i}:d{j}", want, intersect(g_i, x)
+            pair = curves[f"F{i}"], curves[f"G{i}"]
+            for x in kinds.values():
+                for curve in pair:
+                    testcurves._require_pairable(curve, x)
+            got = {}  # summed from the first term in entry order, as intersect sums
+            for kind, curve in zip("FG", pair):
+                for label, v in curve.coeff.items():
+                    for j, c in index.get(label, ()):
+                        got[kind, j] = got[kind, j] + v * c if (kind, j) in got else v * c
+            yield _Row(i, ctx.h, got)
         # branching consistency at the genus-0 boundary, in covering degrees
         yield "compat:F0-branching", 12, f0["a0"] + 2 * f0["b0s"]
         yield "compat:G0-branching", 36, g0["a0"] + 2 * g0["b0s"]
@@ -268,8 +297,9 @@ def _identities(g: int):
 
 
 def run_genus(g: int) -> list[Check]:
-    """Every per-genus identity as a `Check`, in order; g >= 3."""
-    return [Check(name, expected == got, expected, got) for name, expected, got in _identities(g)]
+    """Every per-genus identity as a `Check`, in order, row families expanded; g >= 3."""
+    return [Check(name, expected == got, expected, got) for item in _identities(g)
+            for name, expected, got in (item.triples() if isinstance(item, _Row) else (item,))]
 
 
 def build_report(start: int, end: int) -> dict:
@@ -281,11 +311,12 @@ def build_report(start: int, end: int) -> dict:
     total = 0
     for g in range(start, end + 1):
         count = failed = 0
-        for name, expected, got in _identities(g):
-            count += 1
-            if expected != got:
-                failed += 1
-                failures.append({"check-name": name, "genus": g, "expected": _fmt(expected), "got": _fmt(got)})
+        for item in _identities(g):
+            count += len(item) if (row := isinstance(item, _Row)) else 1
+            for name, expected, got in item.triples(dense=False) if row else (item,):
+                if expected != got:
+                    failed += 1
+                    failures.append({"check-name": name, "genus": g, "expected": _fmt(expected), "got": _fmt(got)})
         genera.append({"genus": g, "checks": count, "failed": failed})
         total += count
     return {

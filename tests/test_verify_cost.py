@@ -1,9 +1,13 @@
 """The work shape of `verify`, pinned by counts rather than wall time.
 
 The report counts each genus's stream of identities and builds no `Check`
-for it. A passing genus renders no check value, pulls back each basis
-class a number of times that grows linearly in h (the Theta(h^2) `compat`
-block reuses one pullback per d_j), and takes every use of the curve table
+for it. The Theta(h^2) `compat` block of F_i/G_i pairings is evaluated
+per row: one row family per i pairs both curves with every pi*d_j at once,
+so the report's `intersect` calls grow linearly in h, while `run_genus`
+still lists all 2h(h+1) identities in the dense order. A passing genus
+renders no check value, pulls back each basis class a number of times
+that grows linearly in h (the block reuses one pullback per d_j), and
+takes every use of the curve table
 through `testcurves.curve_map`, which builds the table on every call. A
 failing genus renders its failure records exactly as the eager renderer
 did, counts as many checks in the report as `run_genus` lists, and keeps
@@ -20,6 +24,7 @@ judges the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, and never calls classify.
 """
 
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -178,6 +183,31 @@ def test_pullbacks_grow_linearly_in_h(monkeypatch):
     # one pullback per (i, j) of the compat block would nearly quadruple
     at_40, at_80 = _pullbacks(monkeypatch, 40), _pullbacks(monkeypatch, 80)
     assert at_40 < at_80 <= 2 * at_40
+
+
+def _report_intersections(monkeypatch, g):
+    with monkeypatch.context() as m:
+        calls = _counting(m, testcurves, "intersect")
+        assert verify.build_report(g, g)["status"] == "OK"
+    return len(calls)
+
+
+def test_report_intersections_grow_linearly_in_h(monkeypatch):
+    # linear a*h + b with b >= 0 at most doubles from h = 40 to h = 80;
+    # one intersect per (i, j) of the compat block would nearly quadruple
+    at_80, at_160 = _report_intersections(monkeypatch, 80), _report_intersections(monkeypatch, 160)
+    assert at_80 < at_160 <= 2 * at_80
+
+
+def test_run_genus_lists_the_whole_compat_block_in_dense_order():
+    h = GenusCtx(13).h
+    names = [c.name for c in verify.run_genus(13)]
+    block = [n for n in names if re.fullmatch(r"compat:[FG][1-9]\d*:d\d+", n)]
+    assert block == [
+        f"compat:{kind}{i}:d{j}" for i in range(1, h + 1) for j in range(h + 1) for kind in "FG"
+    ]
+    start = names.index(block[0])
+    assert names[start:start + len(block)] == block
 
 
 def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
