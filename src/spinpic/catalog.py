@@ -146,7 +146,8 @@ def divisor_class(spec: DivisorSpec) -> DivisorClass:
     coeff = {"lambda": spec.a, "d0": -spec.b0}
     for i in range(1, spec.ctx.h + 1):
         coeff[f"d{i}"] = -spec.b[i - 1]
-    return DivisorClass(spec.ctx, M_SIDE, coeff)
+    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _bn_spec
+    return _trusted(spec.ctx, M_SIDE, coeff)
 
 
 def _spec_value(key: str, value) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, lincomb
+from .picard import M_SIDE, S_SIDE, GenusCtx, _trusted, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -72,7 +72,8 @@ class Decomposition:
     def remainders_nonnegative(self) -> bool:
         if self.conditional:
             raise VerificationFailureError("remainders are conditional; no sign information")
-        return all(v >= 0 for v in self.c) and all(v >= 0 for v in self.c_prime)
+        # a Fraction's denominator is positive, so its numerator carries its sign
+        return all(v.numerator >= 0 for v in self.c) and all(v.numerator >= 0 for v in self.c_prime)
 
 
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
@@ -90,11 +91,12 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     if spec.complete:
         d = catalog.divisor_class(spec)
     else:
-        d = DivisorClass(ctx, M_SIDE, {"lambda": spec.a, "d0": -spec.b0})
+        # a, b0 > 0 is validated, and every basis holds lambda and d0
+        d = _trusted(ctx, M_SIDE, {"lambda": spec.a, "d0": -spec.b0})
     remainder = lincomb(
         [1, -nu, -8, -Fraction(3, 2) / spec.b0],
-        [catalog.canonical_s(ctx), basis_class(ctx, S_SIDE, "lambda"), catalog.thetanull_class(ctx),
-         transfer.pullback(d)],
+        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": Fraction(1)}),
+         catalog.thetanull_class(ctx), transfer.pullback(d)],
     )
     # every label read below is in the basis, so __getitem__'s label check is skipped
     rest = remainder.coeff

@@ -119,7 +119,7 @@ def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
     return tuple(_basis(ctx, side))
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,10 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 
 
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
-    return DivisorClass(ctx, side, {label: 1})
+    if label not in (basis := _basis(ctx, side)):
+        raise UnknownLabelError(f"labels {[label]} are not in the side-{side} basis at genus {ctx.g} "
+                                f"(basis: {', '.join(basis)})")
+    return _trusted(ctx, side, {label: _ONE})
 
 
 def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
@@ -245,8 +248,10 @@ def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorCla
     """A class from coefficients already known to be nonzero reduced Fractions under basis labels.
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
-    every class built by the public constructor still goes through. The
-    kernel's outputs and catalog's closed-form named classes are built here.
+    every class built by the public constructor still goes through. Built
+    here: the kernel's outputs (lincomb, parse_class, pushforward), basis_class,
+    pullback, catalog's closed forms and divisor_class, the test curves,
+    solve_thetanull, and decompose_canonical's lambda and slope-only D.
     """
     cls = object.__new__(DivisorClass)
     vars(cls).update(ctx=ctx, side=side, coeff=MappingProxyType(coeff))

@@ -112,7 +112,8 @@ def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction
     for name in ("F0", "G0", "H0"):
         c = curves[name]
         rows.append([c["lambda"], -c["a0"], -c["b0s"]])
-        rhs.append(Fraction(1, 2) * sum(c[f"b{i}"] for i in range(1, ctx.h + 1)))
+        # every spin-side label that starts with b, but b0s, is one of b1..bh
+        rhs.append(Fraction(1, 2) * sum(v for l, v in c.coeff.items() if l[0] == "b" and l != "b0s"))
     return rows, rhs
 
 
@@ -151,7 +152,7 @@ def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
     """
     rows, rhs = thetanull_system(ctx)
     lam, a0, b0 = _solve3(rows, rhs)
-    coeff = {"lambda": lam, "a0": -a0, "b0s": -b0}
-    for i in range(1, ctx.h + 1):
-        coeff[f"b{i}"] = Fraction(-1, 2)
-    return DivisorClass(ctx, S_SIDE, coeff)
+    # zero solutions are dropped, as the constructor drops them
+    coeff = {label: v for label, v in (("lambda", lam), ("a0", -a0), ("b0s", -b0)) if v}
+    coeff |= dict.fromkeys((f"b{i}" for i in range(1, ctx.h + 1)), Fraction(-1, 2))
+    return _trusted(ctx, S_SIDE, coeff)

@@ -269,15 +269,15 @@ def _identities(g: int):
         dec = kodaira.decompose_canonical(ctx, spec)
         if spec.complete:
             scale = Fraction(3, 2) / spec.b0
-            assembled = (
-                dec.nu * basis_class(ctx, S_SIDE, "lambda")
-                + 8 * theta
-                + scale * transfer.pullback(catalog.divisor_class(spec))
-                + DivisorClass(ctx, S_SIDE, {
+            assembled = lincomb([dec.nu, 8, scale, 1], [
+                basis_class(ctx, S_SIDE, "lambda"),
+                theta,
+                transfer.pullback(catalog.divisor_class(spec)),
+                DivisorClass(ctx, S_SIDE, {
                     **{f"a{i}": dec.c[i - 1] for i in range(1, ctx.h + 1)},
                     **{f"b{i}": dec.c_prime[i - 1] for i in range(1, ctx.h + 1)},
-                })
-            )
+                }),
+            ])
             yield "kodaira:decomposition-identity", canonical_s, assembled
             if g >= 8:
                 yield "kodaira:remainders-nonnegative", True, dec.remainders_nonnegative()

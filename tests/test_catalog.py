@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinpic import kodaira, transfer
 from spinpic.catalog import (
     BrillNoether,
     DivisorSpec,
@@ -24,6 +25,7 @@ from spinpic.errors import (
     GenusMismatchError,
     NotCompositeError,
     SlopeViolationError,
+    UnknownLabelError,
 )
 from spinpic.picard import (
     DivisorClass,
@@ -35,7 +37,7 @@ from spinpic.picard import (
     parse_class,
     render_class,
 )
-from spinpic.testcurves import curve_map
+from spinpic.testcurves import curve_map, solve_thetanull
 from spinpic.transfer import pullback, pushforward
 
 
@@ -95,6 +97,16 @@ _CLOSED_FORMS = ((canonical_m, M_SIDE), (canonical_s, S_SIDE), (thetanull_class,
                  (m1_theta_class, M_SIDE))
 
 
+def _assert_validated_form(cls, ctx, side):
+    """cls is what the validating constructor builds from its own coefficients."""
+    assert (cls.ctx, cls.side) == (ctx, side)
+    assert cls == DivisorClass(ctx, side, dict(cls.coeff))
+    assert set(cls.coeff) <= set(labels_for(ctx, side))
+    assert all(type(v) is Fraction and v != 0 for v in cls.coeff.values())
+    with pytest.raises(TypeError):
+        cls.coeff["lambda"] = Fraction(1)
+
+
 @pytest.mark.parametrize("g", range(3, 61))
 def test_closed_forms_pass_the_validating_constructor(g):
     # the closed forms and the test curves skip DivisorClass validation; this guards that path
@@ -102,12 +114,63 @@ def test_closed_forms_pass_the_validating_constructor(g):
     built = [(build(ctx), side) for build, side in _CLOSED_FORMS]
     built += [(c, M_SIDE if name == "B" else S_SIDE) for name, c in curve_map(ctx).items()]
     for cls, side in built:
-        assert (cls.ctx, cls.side) == (ctx, side)
-        assert cls == DivisorClass(ctx, side, dict(cls.coeff))
-        assert set(cls.coeff) <= set(labels_for(ctx, side))
-        assert all(type(v) is Fraction and v != 0 for v in cls.coeff.values())
-        with pytest.raises(TypeError):
-            cls.coeff["lambda"] = Fraction(1)
+        _assert_validated_form(cls, ctx, side)
+
+
+def _decomposition_inputs(monkeypatch, ctx, spec):
+    """The D that decompose_canonical pulls back for spec, and its lambda class."""
+    lincomb, pullback, seen = kodaira.lincomb, transfer.pullback, []
+
+    def recording_lincomb(scalars, classes):
+        seen.append(classes[1])  # the class that -nu scales
+        return lincomb(scalars, classes)
+
+    def recording_pullback(x):
+        seen.append(x)
+        return pullback(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(kodaira, "lincomb", recording_lincomb)
+        m.setattr(transfer, "pullback", recording_pullback)
+        kodaira.decompose_canonical(ctx, spec)
+    return seen
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_engine_builders_pass_the_validating_constructor(g, monkeypatch):
+    # these builders skip DivisorClass validation too, each on input it has already checked
+    ctx = GenusCtx(g)
+    for side in (M_SIDE, S_SIDE):
+        for label in labels_for(ctx, side):
+            cls = basis_class(ctx, side, label)
+            _assert_validated_form(cls, ctx, side)
+            assert cls == DivisorClass(ctx, side, {label: 1})
+    b = tuple(Fraction(i, 3) for i in range(1, ctx.h + 1))
+    complete = DivisorSpec(ctx, UserSupplied("complete"), a=Fraction(13, 2), b0=Fraction(1, 5), b=b)
+    own = choose_d(ctx)  # complete where it is the Brill-Noether divisor
+    for spec in (complete, own) if own.complete else (complete,):
+        cls = divisor_class(spec)
+        _assert_validated_form(cls, ctx, M_SIDE)
+        want = {"lambda": spec.a, "d0": -spec.b0, **{f"d{i}": -v for i, v in enumerate(spec.b, 1)}}
+        assert cls == DivisorClass(ctx, M_SIDE, want)
+    _assert_validated_form(solve_thetanull(ctx), ctx, S_SIDE)
+    slope_only = DivisorSpec(ctx, UserSupplied("slope-only"), a=Fraction(13, 2), b0=Fraction(1, 5))
+    d, lam = _decomposition_inputs(monkeypatch, ctx, slope_only)
+    _assert_validated_form(d, ctx, M_SIDE)
+    assert d == DivisorClass(ctx, M_SIDE, {"lambda": Fraction(13, 2), "d0": Fraction(-1, 5)})
+    _assert_validated_form(lam, ctx, S_SIDE)
+    assert lam == DivisorClass(ctx, S_SIDE, {"lambda": 1})
+
+
+def test_basis_class_rejects_an_unknown_label_as_the_constructor_does():
+    ctx = GenusCtx(3)
+    want = "labels ['d2'] are not in the side-M basis at genus 3 (basis: lambda, d0, d1)"
+    with pytest.raises(UnknownLabelError) as raised:
+        basis_class(ctx, M_SIDE, "d2")
+    assert str(raised.value) == want
+    with pytest.raises(UnknownLabelError) as raised:
+        DivisorClass(ctx, M_SIDE, {"d2": 1})
+    assert str(raised.value) == want
 
 
 def test_bn_class_genus9():
@@ -124,8 +187,9 @@ def test_bn_slope_genus8():
 
 
 def test_bn_needs_composite():
-    with pytest.raises(NotCompositeError):
+    with pytest.raises(NotCompositeError) as raised:
         bn_class(GenusCtx(10))
+    assert str(raised.value) == "g+1 = 11 is prime; no Brill-Noether divisor at genus 10"
 
 
 def _prime(n):

@@ -41,6 +41,7 @@ def test_class_bn_prime_genus_fails_usage(capsys):
     code, _, err = run(capsys, "class", "bn", "-g", "10")
     assert code == 2
     assert "prime" in err
+    assert err == "error: g+1 = 11 is prime; no Brill-Noether divisor at genus 10\n"
 
 
 def test_class_d_incomplete_fails_usage(capsys):
@@ -115,6 +116,14 @@ def test_classify_human_genus7(capsys):
     assert code == 0
     assert "UNIRULED" in out
     assert "R . K = -7296" in out
+
+
+def test_classify_human_rationality_notes(capsys):
+    note = "  note: this moduli space is known to be rational (Takagi-Zucconi)\n"
+    code, out, _ = run(capsys, "classify", "-g", "4")
+    assert code == 0
+    assert note in out
+    assert note not in run(capsys, "classify", "-g", "5")[1]
 
 
 def test_classify_divisor_file(capsys, tmp_path):

@@ -26,7 +26,8 @@ from spinpic.kodaira import (
     nu_value,
     uniruled_certificate,
 )
-from spinpic.picard import GenusCtx, S_SIDE, basis_class, lincomb
+from spinpic import picard
+from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, basis_class, lincomb
 from spinpic.transfer import pullback
 
 
@@ -123,6 +124,24 @@ def test_classify_verdicts():
         cert = classify(GenusCtx(g))
         assert cert.verdict == GENERAL_TYPE
         assert cert.nu > 0
+
+
+@pytest.mark.parametrize("g", (9, 12, 300))
+def test_classify_builds_no_class_through_the_validating_constructor(g, monkeypatch):
+    # every class of a certificate comes from a closed form or a checked spec,
+    # so none is re-validated and no genus basis is built (g = 12 has a slope-only D)
+    ctx = GenusCtx(g)
+    picard._basis.cache_clear()
+    original, validated = DivisorClass.__post_init__, []
+
+    def counting(self):
+        validated.append(self.side)
+        original(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+    assert classify(ctx).verdict == GENERAL_TYPE
+    assert validated == []
+    assert picard._basis.cache_info().misses == 0
 
 
 def test_classify_flags():
