@@ -156,6 +156,16 @@ def _spec_value(key: str, value) -> Fraction:
     return rational(value)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is rejected, not silently overwritten."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise DivisorSpecError(f"divisor file: key {key!r} is repeated")
+        out[key] = value
+    return out
+
+
 def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     """Build a user-supplied spec from the JSON object format.
 
@@ -163,8 +173,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     "b": ["p/q", ...]} with "b" optional. name must be a JSON string of
     printable characters, genus a JSON integer, and each of a, b0 and the
     entries of the list b a JSON integer or a "p/q" string with q a
-    positive integer; floats and bools are rejected. Paths and JSON
-    strings are accepted as well as already-parsed mappings.
+    positive integer; floats and bools are rejected, and so is a key that
+    appears twice in one object. Paths and JSON strings are accepted as
+    well as already-parsed mappings.
     """
     if isinstance(data, Path):
         try:
@@ -173,7 +184,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
             raise DivisorSpecError(f"cannot read divisor file: {exc}") from exc
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
+        except DivisorSpecError:  # a ValueError too, whose own message names the repeated key
+            raise
         except RecursionError as exc:
             raise DivisorSpecError("divisor file: JSON is nested too deeply to read") from exc
         except ValueError as exc:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _trusted, lincomb
+from .picard import _ONE, _ZERO, M_SIDE, S_SIDE, GenusCtx, _trusted, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -37,8 +37,6 @@ FLAG_FORMAL_BASIS = "FORMAL_BASIS"
 # The divisor construction is tabulated for 3 <= g <= 22; beyond that the
 # same rule is evaluated but the certificate is stamped EXTRAPOLATED.
 MAX_TABULATED_GENUS = 22
-
-_ZERO = Fraction(0)
 
 
 def nu_value(spec: catalog.DivisorSpec) -> Fraction:
@@ -95,7 +93,7 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         d = _trusted(ctx, M_SIDE, {"lambda": spec.a, "d0": -spec.b0})
     remainder = lincomb(
         [1, -nu, -8, -Fraction(3, 2) / spec.b0],
-        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": Fraction(1)}),
+        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": _ONE}),
          catalog.thetanull_class(ctx), transfer.pullback(d)],
     )
     # every label read below is in the basis, so __getitem__'s label check is skipped

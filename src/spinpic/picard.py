@@ -86,18 +86,6 @@ def require_classification_genus(ctx: GenusCtx) -> None:
         raise ValueError(f"this operation needs genus >= 3, got {ctx.g}")
 
 
-def m_labels(ctx: GenusCtx) -> tuple[str, ...]:
-    return ("lambda",) + tuple(f"d{i}" for i in range(ctx.h + 1))
-
-
-def s_labels(ctx: GenusCtx) -> tuple[str, ...]:
-    out = ["lambda", "a0", "b0s"]
-    for i in range(1, ctx.h + 1):
-        out.append(f"a{i}")
-        out.append(f"b{i}")
-    return tuple(out)
-
-
 @lru_cache(maxsize=8)
 def _basis(ctx: GenusCtx, side: str) -> Mapping[str, None]:
     """Read-only, ordered label set of the (ctx, side) basis.
@@ -107,16 +95,22 @@ def _basis(ctx: GenusCtx, side: str) -> Mapping[str, None]:
     thousand labels.
     """
     if side == M_SIDE:
-        labels = m_labels(ctx)
+        labels = ["lambda", *(f"d{i}" for i in range(ctx.h + 1))]
     elif side == S_SIDE:
-        labels = s_labels(ctx)
+        labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, ctx.h + 1) for k in "ab")]
     else:
         raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
     return MappingProxyType(dict.fromkeys(labels))
 
 
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
+    """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S."""
     return tuple(_basis(ctx, side))
+
+
+def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownLabelError:
+    return UnknownLabelError(f"labels {sorted(labels)} are not in the side-{side} basis at genus {ctx.g} "
+                             f"(basis: {', '.join(_basis(ctx, side))})")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -139,11 +133,7 @@ class DivisorClass:
     def __post_init__(self) -> None:
         basis = _basis(self.ctx, self.side)
         if not self.coeff.keys() <= basis.keys():
-            unknown = set(self.coeff) - basis.keys()
-            raise UnknownLabelError(
-                f"labels {sorted(unknown)} are not in the side-{self.side} basis at genus "
-                f"{self.ctx.g} (basis: {', '.join(basis)})"
-            )
+            raise _unknown_labels(self.coeff.keys() - basis.keys(), self.ctx, self.side)
         values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.coeff.items())
         object.__setattr__(self, "coeff", MappingProxyType({l: v for l, v in values if v}))
 
@@ -194,9 +184,8 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 
 
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
-    if label not in (basis := _basis(ctx, side)):
-        raise UnknownLabelError(f"labels {[label]} are not in the side-{side} basis at genus {ctx.g} "
-                                f"(basis: {', '.join(basis)})")
+    if label not in _basis(ctx, side):
+        raise _unknown_labels((label,), ctx, side)
     return _trusted(ctx, side, {label: _ONE})
 
 

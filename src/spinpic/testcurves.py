@@ -24,9 +24,7 @@ from fractions import Fraction
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
-
-_ZERO = Fraction(0)
+from .picard import _ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
 
 
 def _require_pairable(curve: DivisorClass, x: DivisorClass) -> None:
@@ -55,24 +53,21 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     return _ZERO if total is None else total
 
 
-# R's entries: each spin-side label with the label of B it lifts
-_LIFT = (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0"))
-
-
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """The standard test curves at genus ctx.g, by name, built on every call.
 
-    R's entries are B's times the covering degrees that
-    transfer.pushforward_degree gives at call time, and the dict is fresh,
-    so a caller may rebind or delete its entries. Every entry is a nonzero
-    Fraction under a basis label by construction, so the curves skip the
-    constructor's validation (picard._trusted), as catalog's closed forms
-    do; tests/test_catalog.py checks each against the validating constructor.
+    R's entries are B's at each label's image (transfer._m_image) times the
+    covering degrees of transfer.pushforward_degree at call time, and the
+    dict is fresh, so a caller may rebind or delete its entries. Every entry
+    is a nonzero Fraction under a basis label by construction, so the curves
+    skip the constructor's validation (picard._trusted), as catalog's closed
+    forms do; tests/test_catalog.py checks each against the validating constructor.
     """
     require_classification_genus(ctx)
     g = ctx.g
     b = {"lambda": Fraction(g + 1), "d0": Fraction(6 * g + 18)}
-    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s)) for s, m in _LIFT)
+    lift = ((s, b[transfer._m_image(s)] * transfer.pushforward_degree(ctx, s))
+            for s in ("lambda", "a0", "b0s"))
     curves = {
         "B": _trusted(ctx, M_SIDE, b),
         # a degree of 0 leaves no entry, as the constructor would drop it

@@ -31,10 +31,8 @@ from .picard import (
     basis_class,
     labels_for,
     lincomb,
-    m_labels,
     parse_class,
     render_class,
-    s_labels,
 )
 
 
@@ -141,7 +139,7 @@ def _identities(g: int):
     curves = testcurves.curve_map(ctx)
     # Built once and shared by the sections; each is still looked up on its
     # module at call time, so a patched builder is the one that runs.
-    basis = {label: basis_class(ctx, M_SIDE, label) for label in m_labels(ctx)}
+    basis = {label: basis_class(ctx, M_SIDE, label) for label in labels_for(ctx, M_SIDE)}
     up = {label: transfer.pullback(x) for label, x in basis.items()}
     n_id = {label: n_even * x for label, x in basis.items()}
     canonical_m = catalog.canonical_m(ctx)
@@ -161,7 +159,7 @@ def _identities(g: int):
         yield "projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x))
         # second route: compose the pullback columns with the pushforward
         # columns by lincomb, not the maps in turn
-        push = {s: transfer.pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
+        push = {s: transfer.pushforward(basis_class(ctx, S_SIDE, s)) for s in labels_for(ctx, S_SIDE)}
         prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in up.items()}
         yield "projection:matrix-product", True, prod == n_id
 
@@ -229,17 +227,16 @@ def _identities(g: int):
         yield "compat:H0:d0", 2 - 2 * g, testcurves.intersect(h0, up["d0"])
         for j in range(1, ctx.h + 1):
             yield f"compat:H0:d{j}", 1 if j == 1 else 0, testcurves.intersect(h0, up[f"d{j}"])
-        # index: label -> [(j, coefficient in pi*d_j)]; kinds: first column per (side, genus), for the guards
-        index, kinds = {}, {}
-        for j, x in enumerate(up[f"d{j}"] for j in range(ctx.h + 1)):
-            kinds.setdefault((x.side, x.ctx.g), x)
-            for label, c in x.coeff.items():
+        # index: label -> [(j, coefficient in pi*d_j)]
+        index = {}
+        for j in range(ctx.h + 1):
+            for label, c in up[f"d{j}"].coeff.items():
                 index.setdefault(label, []).append((j, c))
         for i in range(1, ctx.h + 1):
             pair = curves[f"F{i}"], curves[f"G{i}"]
-            for x in kinds.values():
-                for curve in pair:
-                    testcurves._require_pairable(curve, x)
+            # F0 paired with every column above, so all share its side and genus and d0 guards for them all
+            for curve in pair:
+                testcurves._require_pairable(curve, up["d0"])
             got = {}  # summed from the first term in entry order, as intersect sums
             for kind, curve in zip("FG", pair):
                 for label, v in curve.coeff.items():

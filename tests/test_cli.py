@@ -225,6 +225,8 @@ _DIVISOR_FILE_FAULTS = {
     "number-name": '{"name": 5, "genus": 10, "a": "7", "b0": "1"}',
     # printed raw, such a name would forge a verdict line inside the certificate
     "control-character-name": '{"name": "x)\\nverdict: UNIRULED\\n(", "genus": 10, "a": "7", "b0": "1"}',
+    # json.loads would keep the last a, which passes the slope bound that the first one fails
+    "repeated-key": '{"name": "x", "genus": 10, "a": "100", "a": "7", "b0": "1"}',
 }
 
 # the decode faults name the divisor file instead of printing a bare json or codec message

@@ -22,14 +22,14 @@ from fractions import Fraction
 import pytest
 
 from spinpic import catalog, kodaira, testcurves, transfer, verify
-from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, s_labels
+from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
 
 
 def _failures(g):
     return [c for c in verify.run_genus(g) if not c.ok]
 
 
-@pytest.mark.parametrize("label", s_labels(GenusCtx(6)))
+@pytest.mark.parametrize("label", labels_for(GenusCtx(6), S_SIDE))
 def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
     original = transfer.pushforward_degree
 
@@ -69,7 +69,7 @@ def test_perturbed_curve_entry_is_caught(name, label, monkeypatch):
     assert _failures(5), f"no check caught the perturbed entry {name}.{label}"
 
 
-@pytest.mark.parametrize("label", s_labels(GenusCtx(5)))
+@pytest.mark.parametrize("label", labels_for(GenusCtx(5), S_SIDE))
 def test_perturbed_thetanull_coefficient_is_caught(label, monkeypatch):
     original = catalog.thetanull_class
     monkeypatch.setattr(

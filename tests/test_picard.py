@@ -14,10 +14,8 @@ from spinpic.picard import (
     basis_class,
     labels_for,
     lincomb,
-    m_labels,
     parse_class,
     render_class,
-    s_labels,
     zero_class,
 )
 
@@ -44,8 +42,17 @@ def test_genus_ctx():
 @pytest.mark.parametrize("g", range(3, 16))
 def test_basis_sizes(g):
     ctx = GenusCtx(g)
-    assert len(m_labels(ctx)) == ctx.h + 2
-    assert len(s_labels(ctx)) == 2 * ctx.h + 3
+    assert len(labels_for(ctx, M_SIDE)) == ctx.h + 2
+    assert len(labels_for(ctx, S_SIDE)) == 2 * ctx.h + 3
+
+
+@pytest.mark.parametrize(("g", "m", "s"), [
+    (5, ("lambda", "d0", "d1", "d2"), ("lambda", "a0", "b0s", "a1", "b1", "a2", "b2")),
+    (6, ("lambda", "d0", "d1", "d2", "d3"), ("lambda", "a0", "b0s", "a1", "b1", "a2", "b2", "a3", "b3")),
+])
+def test_basis_labels_in_order(g, m, s):
+    assert labels_for(GenusCtx(g), M_SIDE) == m
+    assert labels_for(GenusCtx(g), S_SIDE) == s
 
 
 def test_slot_set_is_frozen():

@@ -14,8 +14,6 @@ from spinpic.picard import (
     basis_class,
     labels_for,
     lincomb,
-    m_labels,
-    s_labels,
     zero_class,
 )
 from spinpic.transfer import (
@@ -73,7 +71,7 @@ def test_sides_enforced():
 def test_projection_identity_on_basis(g):
     ctx = GenusCtx(g)
     n = even_component_degree(g)
-    for label in m_labels(ctx):
+    for label in labels_for(ctx, M_SIDE):
         x = basis_class(ctx, M_SIDE, label)
         assert pushforward(pullback(x)) == n * x
 
@@ -103,10 +101,10 @@ def test_transfer_maps_are_linear(g, data):
 def test_matrix_product_is_scaled_identity(g):
     ctx = GenusCtx(g)
     n = even_component_degree(g)
-    push = {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in s_labels(ctx)}
-    columns = {m: pullback(basis_class(ctx, M_SIDE, m)) for m in m_labels(ctx)}
+    push = {s: pushforward(basis_class(ctx, S_SIDE, s)) for s in labels_for(ctx, S_SIDE)}
+    columns = {m: pullback(basis_class(ctx, M_SIDE, m)) for m in labels_for(ctx, M_SIDE)}
     prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in columns.items()}
-    assert prod == {m: n * basis_class(ctx, M_SIDE, m) for m in m_labels(ctx)}
+    assert prod == {m: n * basis_class(ctx, M_SIDE, m) for m in labels_for(ctx, M_SIDE)}
 
 
 def test_spin_counts_small_genera():

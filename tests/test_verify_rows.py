@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from spinpic import testcurves, transfer, verify
 from spinpic.errors import GenusMismatchError, SideMismatchError
-from spinpic.picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, s_labels
+from spinpic.picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, labels_for
 
 
 def _with(cls, label, value):
@@ -98,7 +98,7 @@ _NONZERO = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3
 def _faults(draw):
     g = draw(st.integers(3, 61))
     ctx = GenusCtx(g)
-    h, labels = ctx.h, s_labels(ctx)
+    h, labels = ctx.h, labels_for(ctx, S_SIDE)
     curve_faults, column_faults = [], []
     for _ in range(draw(st.integers(1, 4))):
         label, value = draw(st.sampled_from(labels)), draw(_NONZERO)
@@ -181,4 +181,28 @@ def test_a_row_raises_what_intersect_raises_before_its_first_identity(name, faul
     report = verify.build_report(g, g)
     assert {"check-name": "compat:exception", "genus": g, "expected": "no exception",
             "got": checks[crash].got} in report["failures"]
+    assert report["payload"]["total-checks"] == len(checks)
+
+
+def test_a_foreign_column_ends_compat_before_the_first_row(monkeypatch):
+    # F0 pairs with every pullback column before the rows run, so one column
+    # at another genus ends the section there: the rows need guard only
+    # against d0
+    g = 12
+    _patched(monkeypatch, [], [(3, lambda x: DivisorClass(GenusCtx(g + 2), S_SIDE, dict(x.coeff)))])
+    ctx = GenusCtx(g)
+    column = transfer.pullback(basis_class(ctx, M_SIDE, "d3"))
+    with pytest.raises(GenusMismatchError) as raised:
+        testcurves.intersect(testcurves.curve_map(ctx)["F0"], column)
+    crash = f"GenusMismatchError: {raised.value}"
+    checks = verify.run_genus(g)
+    compat = [c for c in checks if c.name.startswith("compat:")]
+    assert [c.name for c in compat] == [
+        f"compat:{kind}0:{label}" for label in ("lambda", "d0", "d1", "d2") for kind in "FG"
+    ] + ["compat:exception"]
+    assert all(c.ok for c in compat[:-1]) and compat[-1].got == crash
+    report = verify.build_report(g, g)
+    assert [f for f in report["failures"] if f["check-name"].startswith("compat:")] == [
+        {"check-name": "compat:exception", "genus": g, "expected": "no exception", "got": crash}
+    ]
     assert report["payload"]["total-checks"] == len(checks)
