@@ -39,9 +39,14 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _bn_coefficients(g: int, h: int) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
-    """(a, b0, (b_1, ..., b_h)) of the normalized Brill-Noether divisor: g+3, (g+1)/6, i(g-i)."""
-    return Fraction(g + 3), Fraction(g + 1, 6), tuple(Fraction(i * (g - i)) for i in range(1, h + 1))
+def _bn_coefficients(g: int) -> tuple[Fraction, Fraction]:
+    """(a, b0) of the normalized Brill-Noether divisor: g+3, (g+1)/6."""
+    return Fraction(g + 3), Fraction(g + 1, 6)
+
+
+def _bn_boundary(g: int, h: int) -> tuple[Fraction, ...]:
+    """(b_1, ..., b_h) of the normalized Brill-Noether divisor: b_i = i(g-i)."""
+    return tuple(Fraction(i * (g - i)) for i in range(1, h + 1))
 
 
 def _gp_coefficients(k: int) -> tuple[Fraction, Fraction]:
@@ -120,7 +125,7 @@ class DivisorSpec:
         if isinstance(p, BrillNoether):
             if rho(g, p.r, p.d) != -1:
                 raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, p.r, p.d)}")
-            if (self.a, self.b0, self.b) != _bn_coefficients(g, h):
+            if (self.a, self.b0, self.b) != (*_bn_coefficients(g), _bn_boundary(g, h)):
                 raise DivisorSpecError("Brill-Noether coefficients must be a=g+3, b0=(g+1)/6, b_i=i(g-i)")
         elif isinstance(p, GiesekerPetri):
             if g != 2 * p.k - 2:
@@ -146,7 +151,7 @@ def divisor_class(spec: DivisorSpec) -> DivisorClass:
     coeff = {"lambda": spec.a, "d0": -spec.b0}
     for i in range(1, spec.ctx.h + 1):
         coeff[f"d{i}"] = -spec.b[i - 1]
-    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _bn_spec
+    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_spec
     return _trusted(spec.ctx, M_SIDE, coeff)
 
 
@@ -173,9 +178,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     "b": ["p/q", ...]} with "b" optional. name must be a JSON string of
     printable characters, genus a JSON integer, and each of a, b0 and the
     entries of the list b a JSON integer or a "p/q" string with q a
-    positive integer; floats and bools are rejected, and so is a key that
-    appears twice in one object. Paths and JSON strings are accepted as
-    well as already-parsed mappings.
+    positive integer; floats and bools are rejected, and so are any other
+    key and a key that appears twice in one object. Paths and JSON strings
+    are accepted as well as already-parsed mappings.
     """
     if isinstance(data, Path):
         try:
@@ -196,6 +201,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
     missing = {"name", "genus", "a", "b0"} - set(data)
     if missing:
         raise DivisorSpecError(f"divisor file is missing keys: {sorted(missing)}")
+    unknown = set(data) - {"name", "genus", "a", "b0", "b"}
+    if unknown:  # a misspelt b would otherwise certify as if no b_i were given
+        raise DivisorSpecError(f"divisor file has unknown keys: {sorted(unknown, key=repr)}")
     # a line break or other control character in name would forge certificate lines
     if not isinstance(data["name"], str) or not data["name"].isprintable():
         raise DivisorSpecError(f"divisor file: name must be a printable string, got {data['name']!r}")
@@ -280,61 +288,53 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
 
 def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:
     """Normalized Brill-Noether divisor class and its spec, for composite g+1."""
-    spec = _bn_spec(ctx)
-    return divisor_class(spec), spec
-
-
-def _bn_spec(ctx: GenusCtx) -> DivisorSpec:
-    """The normalized Brill-Noether divisor spec, for composite g+1.
-
-    The pencil parameters are fixed as r+1 = smallest prime factor of g+1
-    and d = g + r - (g+1)/(r+1); the normalized class does not depend on
-    this choice, which only labels the provenance.
-    """
     require_classification_genus(ctx)
-    g = ctx.g
-    f = _smallest_prime_factor(g + 1)
-    if f == g + 1:
-        raise NotCompositeError(f"g+1 = {g + 1} is prime; no Brill-Noether divisor at genus {g}")
-    r = f - 1
-    d = g + r - (g + 1) // f
-    if rho(g, r, d) != -1:
-        raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, r, d)}")
-    # validation would only compare _bn_coefficients with itself: skip it, as picard._trusted does
-    spec = object.__new__(DivisorSpec)
-    vars(spec).update(zip(("a", "b0", "b"), _bn_coefficients(g, ctx.h)), ctx=ctx, provenance=BrillNoether(r, d))
-    return spec
+    provenance, a, b0 = _rule(ctx.g)
+    if not isinstance(provenance, BrillNoether):  # only if g+1 is prime, as at K3's g = 10
+        raise NotCompositeError(f"g+1 = {ctx.g + 1} is prime; no Brill-Noether divisor at genus {ctx.g}")
+    spec = _own_spec(ctx, provenance, a, b0, _bn_boundary(ctx.g, ctx.h))
+    return divisor_class(spec), spec
 
 
 # --- the choice of D ---------------------------------------------------------
 
 
-def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
-    """Pick the auxiliary divisor D, or validate a user-supplied one.
+def _rule(g: int) -> tuple[Provenance, Fraction, Fraction]:
+    """(provenance, a, b0) of genus g's D: K3 at g = 10, Brill-Noether if g+1 is composite, else Gieseker-Petri."""
+    if g == 10:
+        return (K3(), *_K3_COEFFICIENTS)
+    f = _smallest_prime_factor(g + 1)
+    if f <= g:
+        r = f - 1  # the normalized class does not depend on this choice, which only labels the provenance
+        d = g + r - (g + 1) // f
+        if rho(g, r, d) != -1:
+            raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, r, d)}")
+        return (BrillNoether(r, d), *_bn_coefficients(g))
+    # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
+    k = g // 2 + 1
+    return (GiesekerPetri(k), *_gp_coefficients(k))
 
-    Exactly one divisor applies to each g >= 3: the K3 divisor at g = 10,
-    Brill-Noether for composite g+1, and otherwise (g even with g+1 prime)
-    Gieseker-Petri at g = 2k-2. Its slope a/b0 is the genus's bound: user
-    specs must not exceed it, since a steeper divisor cannot support the
-    classification argument, and SlopeViolationError is raised.
+
+def _own_spec(ctx: GenusCtx, provenance: Provenance, a: Fraction, b0: Fraction, b=None) -> DivisorSpec:
+    """A named divisor's spec, unvalidated: validation would compare its coefficients with themselves."""
+    spec = object.__new__(DivisorSpec)
+    vars(spec).update(ctx=ctx, provenance=provenance, a=a, b0=b0, b=b)
+    return spec
+
+
+def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
+    """Pick the auxiliary divisor D by _rule, or validate a user-supplied one.
+
+    D's slope a/b0 is the genus's bound: a steeper user spec cannot support
+    the classification argument and raises SlopeViolationError. Checking a
+    user spec builds no D.
     """
     require_classification_genus(ctx)
     g = ctx.g
-    # the rule gives D's (a, b0) and a builder for D, so that checking a
-    # user spec against the bound builds neither D nor its b_i
-    if g == 10:
-        a, b0 = _K3_COEFFICIENTS
-        build = lambda: DivisorSpec(ctx, K3(), a, b0)
-    elif _smallest_prime_factor(g + 1) <= g:
-        a, b0, _ = _bn_coefficients(g, 0)  # h = 0: no boundary coefficients
-        build = lambda: _bn_spec(ctx)
-    else:
-        # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
-        k = (g + 2) // 2
-        a, b0 = _gp_coefficients(k)
-        build = lambda: DivisorSpec(ctx, GiesekerPetri(k), a, b0)
+    provenance, a, b0 = _rule(g)
     if user is None:
-        return build()
+        b = _bn_boundary(g, ctx.h) if isinstance(provenance, BrillNoether) else None
+        return _own_spec(ctx, provenance, a, b0, b)
     if user.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {user.ctx.g}, expected {ctx.g}")
     if user.slope > a / b0:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
-from .errors import InputError, SideMismatchError, SpinPicError
+from .errors import InputError, SpinPicError
 from .picard import GenusCtx, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 0.3 s for genus
@@ -107,10 +107,6 @@ def _cmd_pair(args) -> int:
         cls = _NAMED_CLASSES[args.classexpr](ctx)
     else:
         cls = parse_class(args.classexpr, ctx, curve.side)
-    if cls.side != curve.side:
-        raise SideMismatchError(
-            f"curve {token} pairs with side-{curve.side} classes, got side-{cls.side}"
-        )
     print(testcurves.intersect(curve, cls))
     return 0
 

@@ -5,7 +5,10 @@ relative degree 2^(g-1)(2^g+1) and an odd one of degree 2^(g-1)(2^g-1);
 everything here lives on the even component. Pullback splits boundary
 classes (d0 -> a0 + 2*b0s, di -> ai + bi) and fixes lambda; pushforward
 multiplies each spin-side basis class by the covering degree of the
-boundary stratum it sits on. pushforward_degree is that one table, and
+boundary stratum it sits on, a product of theta-characteristic counts by
+Cornalba's description of the spin boundary: A_i and B_i (i >= 1) carry
+even or odd ones on both components, A_0 any and B_0 even ones on the
+genus-(g-1) normalization. pushforward_degree is that one table, and
 degree_identities ties it to the component degrees.
 """
 
@@ -42,15 +45,15 @@ def pushforward_degree(ctx: GenusCtx, label: str) -> int:
     if label == "lambda":
         return even_component_degree(g)
     if label == "a0":
-        return 2 ** (2 * g - 2)
+        return total_degree(g - 1)
     if label == "b0s":
-        return 2 ** (g - 2) * (2 ** (g - 1) + 1)
+        return even_component_degree(g - 1)
     kind, i = label[0], int(label[1:])
     if kind not in ("a", "b") or not 1 <= i <= ctx.h:
         raise UnknownLabelError(f"no pushforward degree for label {label!r} at genus {g}")
     if kind == "a":
-        return 2 ** (g - 2) * (2**i + 1) * (2 ** (g - i) + 1)
-    return 2 ** (g - 2) * (2**i - 1) * (2 ** (g - i) - 1)
+        return even_component_degree(i) * even_component_degree(g - i)
+    return odd_component_degree(i) * odd_component_degree(g - i)
 
 
 def _m_image(label: str) -> str:

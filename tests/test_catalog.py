@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinpic import kodaira, transfer
+from spinpic import catalog, kodaira, transfer
 from spinpic.catalog import (
     BrillNoether,
     DivisorSpec,
@@ -258,17 +258,31 @@ def test_choose_d_user_slope_check():
 
 
 def test_choose_d_checks_a_user_spec_without_building_d(monkeypatch):
-    ctx = GenusCtx(300)
+    ctx = GenusCtx(300)  # g+1 = 7*43: D is Brill-Noether, with h = 150 coefficients b_i
     user = DivisorSpec(ctx, UserSupplied("flat"), a=Fraction(6), b0=Fraction(1))
     original, built = DivisorSpec.__post_init__, []
+    original_boundary, boundaries = catalog._bn_boundary, []
 
     def counting(self):
         built.append(self.provenance)
         original(self)
 
+    def counting_boundary(g, h):
+        boundaries.append(g)
+        return original_boundary(g, h)
+
     monkeypatch.setattr(DivisorSpec, "__post_init__", counting)
+    monkeypatch.setattr(catalog, "_bn_boundary", counting_boundary)
     assert choose_d(ctx, user) is user
-    assert built == []
+    assert built == [] and boundaries == []
+    assert choose_d(ctx).complete and boundaries == [300]  # the counter sees a D being built
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_choose_d_passes_the_validating_constructor(g):
+    # K3, Gieseker-Petri and Brill-Noether defaults skip validation that they would pass
+    d = choose_d(GenusCtx(g))
+    assert DivisorSpec(d.ctx, d.provenance, d.a, d.b0, d.b) == d
 
 
 def test_divisor_spec_validation():
@@ -309,6 +323,8 @@ def test_load_divisor_spec(tmp_path):
         load_divisor_spec(dict(payload, genus=5), ctx)
     with pytest.raises(DivisorSpecError):
         load_divisor_spec({"name": "x", "genus": 4}, ctx)
+    with pytest.raises(DivisorSpecError, match=r"^divisor file has unknown keys: \['bs', 'c'\]$"):
+        load_divisor_spec({**payload, "bs": payload["b"], "c": "1"}, ctx)
 
 
 def test_canonical_ops_need_genus_three():

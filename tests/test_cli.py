@@ -75,8 +75,8 @@ def test_pair_needs_curve_and_class(capsys, argv):
 
 
 def test_pair_side_mismatch(capsys):
-    code, _, err = run(capsys, "pair", "B", "thetanull", "-g", "5")
-    assert code == 2
+    code, out, err = run(capsys, "pair", "B", "thetanull", "-g", "5")
+    assert (code, out, err) == (2, "", "error: a side-M curve pairs with side-M classes, got side-S\n")
 
 
 def test_pair_dump(capsys):
@@ -227,6 +227,8 @@ _DIVISOR_FILE_FAULTS = {
     "control-character-name": '{"name": "x)\\nverdict: UNIRULED\\n(", "genus": 10, "a": "7", "b0": "1"}',
     # json.loads would keep the last a, which passes the slope bound that the first one fails
     "repeated-key": '{"name": "x", "genus": 10, "a": "100", "a": "7", "b0": "1"}',
+    # read without its misspelt b, this file would certify a CONDITIONAL verdict
+    "unknown-key": '{"name":"x","genus":10,"a":"7","b0":"1","bs":["2","2","2","2","2"]}',
 }
 
 # the decode faults name the divisor file instead of printing a bare json or codec message

@@ -127,6 +127,35 @@ def test_component_degrees_sum():
         assert even_component_degree(g) + odd_component_degree(g) == 2 ** (2 * g)
 
 
+def _arf_counts(top):
+    """Even and odd theta-characteristic counts E(h), O(h) for h <= top, by counting, not closed form.
+
+    A genus-(h+1) characteristic is a genus-h one beside a genus-1 one, and
+    their Arf invariants add: E(1) = 3, O(1) = 1, E(h+1) = 3E(h) + O(h),
+    O(h+1) = E(h) + 3O(h). Index 0 is unused.
+    """
+    even, odd = [0, 3], [0, 1]
+    while len(even) <= top:
+        e, o = even[-1], odd[-1]
+        even.append(3 * e + o)
+        odd.append(e + 3 * o)
+    return even, odd
+
+
+_E, _O = _arf_counts(60)
+
+
+@pytest.mark.parametrize("g", range(2, 61))
+def test_stratum_degrees_match_the_arf_recursion(g):
+    ctx = GenusCtx(g)
+    assert odd_component_degree(g) == _O[g]
+    want = {"lambda": _E[g], "a0": _E[g - 1] + _O[g - 1], "b0s": _E[g - 1]}
+    for i in range(1, ctx.h + 1):
+        want[f"a{i}"] = _E[i] * _E[g - i]
+        want[f"b{i}"] = _O[i] * _O[g - i]
+    assert {label: pushforward_degree(ctx, label) for label in labels_for(ctx, S_SIDE)} == want
+
+
 # --- the transfer maps against per-label Fraction oracles ---------------------
 
 # Denominators up to 10^12 are almost always pairwise unrelated.
