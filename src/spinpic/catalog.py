@@ -11,7 +11,6 @@ by the classification; the slope of that D is the genus's slope bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
@@ -22,7 +21,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, rational, require_classification_genus
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, _Value, rational, require_classification_genus
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -61,32 +60,35 @@ _K3_COEFFICIENTS = (Fraction(7), Fraction(1))
 # --- divisor specifications -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrillNoether:
-    r: int
-    d: int
+class BrillNoether(_Value):
+    __slots__ = __match_args__ = ("r", "d")
+
+    def __init__(self, r: int, d: int) -> None:
+        self._init(r=r, d=d)
 
 
-@dataclass(frozen=True)
-class K3:
-    pass
+class K3(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GiesekerPetri:
-    k: int
+class GiesekerPetri(_Value):
+    __slots__ = __match_args__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        self._init(k=k)
 
 
-@dataclass(frozen=True)
-class UserSupplied:
-    name: str
+class UserSupplied(_Value):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._init(name=name)
 
 
 Provenance = Union[BrillNoether, K3, GiesekerPetri, UserSupplied]
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
+class DivisorSpec(_Value):
     """An effective divisor a*lambda - b0*d0 - sum b_i*di on the curve side.
 
     b holds (b_1, ..., b_h) when all boundary coefficients are known;
@@ -94,11 +96,12 @@ class DivisorSpec:
     computation that would need the b_i as conditional.
     """
 
-    ctx: GenusCtx
-    provenance: Provenance
-    a: Fraction
-    b0: Fraction
-    b: tuple[Fraction, ...] | None = None
+    __match_args__ = ("ctx", "provenance", "a", "b0", "b")
+
+    def __init__(self, ctx: GenusCtx, provenance: Provenance, a: Fraction, b0: Fraction,
+                 b: tuple[Fraction, ...] | None = None) -> None:
+        self._init(ctx=ctx, provenance=provenance, a=a, b0=b0, b=b)
+        self.__post_init__()
 
     @property
     def complete(self) -> bool:

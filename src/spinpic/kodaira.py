@@ -19,12 +19,11 @@ on the certificate as a named hypothesis, not silently assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import _ONE, _ZERO, M_SIDE, S_SIDE, GenusCtx, _trusted, lincomb
+from .picard import _ONE, _ZERO, M_SIDE, S_SIDE, GenusCtx, _trusted, _Value, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -49,8 +48,7 @@ def nu_value(spec: catalog.DivisorSpec) -> Fraction:
     return 11 - Fraction(3, 2) * spec.slope
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainders.
 
     c and c_prime hold the ai / bi remainder coefficients; they are None
@@ -58,10 +56,11 @@ class Decomposition:
     their non-negativity is conditional rather than checked.
     """
 
-    d_spec: catalog.DivisorSpec
-    nu: Fraction
-    c: tuple[Fraction, ...] | None
-    c_prime: tuple[Fraction, ...] | None
+    __slots__ = __match_args__ = ("d_spec", "nu", "c", "c_prime")
+
+    def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, c: tuple[Fraction, ...] | None,
+                 c_prime: tuple[Fraction, ...] | None) -> None:
+        self._init(d_spec=d_spec, nu=nu, c=c, c_prime=c_prime)
 
     @property
     def conditional(self) -> bool:
@@ -114,17 +113,15 @@ def uniruled_certificate(ctx: GenusCtx) -> Fraction:
     return testcurves.intersect(r, catalog.canonical_s(ctx))
 
 
-@dataclass(frozen=True)
-class KodairaCertificate:
+class KodairaCertificate(_Value):
     """Per-genus verdict plus the exact numbers that justify it."""
 
-    ctx: GenusCtx
-    verdict: str
-    rk: Fraction | None
-    decomposition: Decomposition | None
-    flags: tuple[str, ...]
-    annotations: tuple[str, ...]
-    citations: tuple[str, ...]
+    __slots__ = __match_args__ = ("ctx", "verdict", "rk", "decomposition", "flags", "annotations", "citations")
+
+    def __init__(self, ctx: GenusCtx, verdict: str, rk: Fraction | None, decomposition: Decomposition | None,
+                 flags: tuple[str, ...], annotations: tuple[str, ...], citations: tuple[str, ...]) -> None:
+        self._init(ctx=ctx, verdict=verdict, rk=rk, decomposition=decomposition, flags=flags,
+                   annotations=annotations, citations=citations)
 
     @property
     def nu(self) -> Fraction | None:

@@ -29,7 +29,6 @@ input and βi maps to b0s for i = 0):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -48,11 +47,11 @@ def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a canonical rational.
 
     Decimal notation is rejected on purpose: the text formats of this
-    package carry exact fractions only.
+    package carry exact fractions only. A bool is not read as 0 or 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
@@ -65,11 +64,49 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class GenusCtx:
+class _Value:
+    """What a frozen dataclass would generate over the fields in __match_args__: ==, hash, repr, no assignment.
+
+    Written out because importing dataclasses also loads inspect, ast, dis and
+    tokenize, which would weigh on every CLI start. __init__ sets fields by _init.
+    """
+
+    __slots__ = __match_args__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), self._values()
+
+
+class GenusCtx(_Value):
     """Genus context; h = floor(g/2) is derived, never stored."""
 
-    g: int
+    __slots__ = __match_args__ = ("g",)
+
+    def __init__(self, g: int) -> None:
+        self._init(g=g)
+        self.__post_init__()
+
+    def __hash__(self) -> int:  # hashed for every _basis lookup, so kept off the generic path
+        return hash(self.g)
 
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
@@ -116,8 +153,7 @@ def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownL
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Value):
     """A formal divisor class: exact coefficients over a fixed basis.
 
     Instances are immutable and store only their nonzero coefficients, in
@@ -126,9 +162,11 @@ class DivisorClass:
     basis label that is not stored gives 0.
     """
 
-    ctx: GenusCtx
-    side: str
-    coeff: Mapping[str, Fraction] = field(default_factory=dict)
+    __match_args__ = ("ctx", "side", "coeff")
+
+    def __init__(self, ctx: GenusCtx, side: str, coeff: Mapping[str, Fraction] = MappingProxyType({})) -> None:
+        self._init(ctx=ctx, side=side, coeff=coeff)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         basis = _basis(self.ctx, self.side)
@@ -153,12 +191,17 @@ class DivisorClass:
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {type(other).__name__}")
-        # GenusCtx holds only g, so comparing genera compares contexts without a dataclass __eq__
+        # GenusCtx holds only g, so comparing genera compares contexts without a GenusCtx.__eq__ call
         if self.ctx.g != other.ctx.g or self.side != other.side:
             raise MixedBasisError(
                 f"cannot combine side-{self.side} genus-{self.ctx.g} with "
                 f"side-{other.side} genus-{other.ctx.g}"
             )
+
+    def __eq__(self, other):  # genera by g, as in _require_compatible; this also leaves classes unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ctx.g == other.ctx.g and self.side == other.side and self.coeff == other.coeff
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return lincomb((1, 1), (self, other))

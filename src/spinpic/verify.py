@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -28,6 +27,7 @@ from .picard import (
     S_SIDE,
     DivisorClass,
     GenusCtx,
+    _Value,
     basis_class,
     labels_for,
     lincomb,
@@ -36,7 +36,6 @@ from .picard import (
 )
 
 
-@dataclass
 class Check:
     """One identity of `run_genus`'s list, with its raw expected and observed values.
 
@@ -45,10 +44,17 @@ class Check:
     records, so a caller that only reads `ok` renders nothing.
     """
 
-    name: str
-    ok: bool
-    raw_expected: object = field(repr=False)
-    raw_got: object = field(repr=False)
+    def __init__(self, name: str, ok: bool, raw_expected: object, raw_got: object) -> None:
+        self.name, self.ok, self.raw_expected, self.raw_got = name, ok, raw_expected, raw_got
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.ok, self.raw_expected, self.raw_got) == (
+            other.name, other.ok, other.raw_expected, other.raw_got)
+
+    def __repr__(self) -> str:
+        return f"Check(name={self.name!r}, ok={self.ok!r})"
 
     @cached_property
     def expected(self) -> str:
@@ -72,13 +78,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(_Value):
     """compat:F{i}:d{j}, compat:G{i}:d{j} for j = 0..h, expecting 2-2i at j = i; got by (F or G, j), else 0."""
 
-    i: int
-    h: int
-    got: dict[tuple[str, int], Fraction]
+    __slots__ = __match_args__ = ("i", "h", "got")
+
+    def __init__(self, i: int, h: int, got: dict[tuple[str, int], Fraction]) -> None:
+        self._init(i=i, h=h, got=got)
 
     def __len__(self) -> int:
         return 2 * (self.h + 1)

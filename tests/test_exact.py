@@ -34,9 +34,11 @@ def test_rational_rejects_non_fractions(bad):
         rational(bad)
 
 
-def test_rational_rejects_floats():
+@pytest.mark.parametrize("bad", [0.5, True, False])
+def test_rational_rejects_floats(bad):
+    # a bool is an int, but reading True as 1 would let a flag pass for a coefficient
     with pytest.raises(TypeError):
-        rational(0.5)
+        rational(bad)
 
 
 @given(rationals, rationals)

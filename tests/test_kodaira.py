@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from spinpic.kodaira import (
     GENERAL_TYPE,
     KAPPA_NONNEGATIVE,
     UNIRULED,
+    Decomposition,
     certificate_json,
     classify,
     decompose_canonical,
@@ -204,14 +204,14 @@ def test_judge_on_hand_built_evidence():
     assert dec10.conditional and judge(ctx10, None, dec10) == GENERAL_TYPE
     assert _judge_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
     ctx8, dec8 = _evidence(8)
-    assert _judge_failure(ctx8, None, dataclasses.replace(dec8, nu=Fraction(-1, 5))) == (
+    assert _judge_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.c, dec8.c_prime)) == (
         "nu = -1/5 is negative at genus 8"
     )
     ctx9, dec9 = _evidence(9)
-    assert _judge_failure(ctx9, None, dataclasses.replace(dec9, nu=Fraction(0))) == (
+    assert _judge_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.c, dec9.c_prime)) == (
         "nu = 0 is not positive at genus 9"
     )
-    negative_c1 = dataclasses.replace(dec9, c=(Fraction(-1),) + dec9.c[1:])
+    negative_c1 = Decomposition(dec9.d_spec, dec9.nu, (Fraction(-1),) + dec9.c[1:], dec9.c_prime)
     assert _judge_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
 
 

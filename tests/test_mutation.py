@@ -16,7 +16,6 @@ the ones that validation reads, so that only `verify` can catch them.
 """
 
 import copy
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -207,13 +206,16 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
     def bumped(ctx, spec):
         dec = original(ctx, spec)
         if field == "nu":
-            return dataclasses.replace(dec, nu=dec.nu + 1)
+            return kodaira.Decomposition(dec.d_spec, dec.nu + 1, dec.c, dec.c_prime)
         values = list(getattr(dec, field))
         values[i - 1] += 1
-        return dataclasses.replace(dec, **{field: tuple(values)})
+        fields = {"d_spec": dec.d_spec, "nu": dec.nu, "c": dec.c, "c_prime": dec.c_prime, field: tuple(values)}
+        return kodaira.Decomposition(**fields)
 
     monkeypatch.setattr(kodaira, "decompose_canonical", bumped)
-    assert _failures(g), f"no check caught +1 on {field} (i = {i}) at genus {g}"
+    # a bumped decomposition that crashed verify would be caught only as kodaira:exception
+    caught = [c.name for c in _failures(g) if not c.name.endswith(":exception")]
+    assert caught, f"no check caught +1 on {field} (i = {i}) at genus {g}"
 
 
 def test_unperturbed_suite_is_clean():
