@@ -309,9 +309,7 @@ def _rule(g: int) -> tuple[Provenance, Fraction, Fraction]:
     f = _smallest_prime_factor(g + 1)
     if f <= g:
         r = f - 1  # the normalized class does not depend on this choice, which only labels the provenance
-        d = g + r - (g + 1) // f
-        if rho(g, r, d) != -1:
-            raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, r, d)}")
+        d = g + r - (g + 1) // f  # (r+1)(g-d+r) = f * (g+1)/f = g+1, so rho = -1
         return (BrillNoether(r, d), *_bn_coefficients(g))
     # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
     k = g // 2 + 1

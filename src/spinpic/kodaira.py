@@ -8,9 +8,9 @@ The engine certifies one of three verdicts with exact rational evidence:
 * GENERAL_TYPE (g >= 9): the decomposition has nu > 0 and, when the
   auxiliary divisor is completely known, non-negative boundary remainders.
 
-Those three sign rules live in `judge` and nowhere else: `classify`
-gathers the evidence its genus needs and asks `judge` for the verdict, and
-`verify` judges the evidence it has already computed.
+The three sign rules live in `judge` alone, and the choice of evidence in
+MAX_RK_GENUS alone. `classify` gathers that evidence and ends in `certify`;
+`verify` runs `certify` on the evidence it has already computed.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -36,6 +36,8 @@ FLAG_FORMAL_BASIS = "FORMAL_BASIS"
 # The divisor construction is tabulated for 3 <= g <= 22; beyond that the
 # same rule is evaluated but the certificate is stamped EXTRAPOLATED.
 MAX_TABULATED_GENUS = 22
+# R . K is the evidence up to this genus, the decomposition of K from the next one on.
+MAX_RK_GENUS = 7
 
 
 def nu_value(spec: catalog.DivisorSpec) -> Fraction:
@@ -152,11 +154,11 @@ _RATIONALITY_NOTES = {
 def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
     """The verdict that the evidence certifies, by the three sign rules.
 
-    rk (the pairing R . K) is read for g <= 7, dec from g = 8 on. Evidence
+    rk (the pairing R . K) is read up to MAX_RK_GENUS, dec after it. Evidence
     that certifies nothing raises VerificationFailureError.
     """
     g = ctx.g
-    if g <= 7:
+    if g <= MAX_RK_GENUS:
         if rk >= 0:
             raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
         return UNIRULED
@@ -170,13 +172,19 @@ def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
 
 
 def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> KodairaCertificate:
-    """Classify one genus, returning the certificate with all evidence attached."""
-    g = ctx.g
+    """Classify one genus: gather only the evidence its genus uses, then `certify` it."""
     # a user divisor steeper than the slope bound is rejected at every genus,
     # also where the verdict does not use it
     spec = catalog.choose_d(ctx, user_d)
-    rk = uniruled_certificate(ctx) if g <= 7 else None
-    dec = decompose_canonical(ctx, spec) if g >= 8 else None
+    if ctx.g <= MAX_RK_GENUS:
+        return certify(ctx, uniruled_certificate(ctx), None)
+    return certify(ctx, None, decompose_canonical(ctx, spec))
+
+
+def certify(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> KodairaCertificate:
+    """Pure: keep only the evidence the genus uses, `judge` it, add flags, notes and citations; D is dec.d_spec."""
+    g = ctx.g
+    rk, dec = (rk, None) if g <= MAX_RK_GENUS else (None, dec)
     verdict = judge(ctx, rk, dec)
 
     flags: list[str] = []
@@ -215,7 +223,7 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
                 "this certificate extrapolates it"
             )
         citations = [
-            f"effectivity of the auxiliary divisor ({catalog.provenance_name(spec.provenance)})",
+            f"effectivity of the auxiliary divisor ({catalog.provenance_name(dec.d_spec.provenance)})",
             "the class lambda is big and nef on the even spin moduli space",
         ]
     if verdict == KAPPA_NONNEGATIVE:

@@ -175,6 +175,9 @@ class DivisorClass(_Value):
         values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.coeff.items())
         object.__setattr__(self, "coeff", MappingProxyType({l: v for l, v in values if v}))
 
+    def __reduce__(self):  # the read-only coeff mapping does not pickle; a plain dict does
+        return DivisorClass, (self.ctx, self.side, dict(self.coeff))
+
     def __getitem__(self, label: str) -> Fraction:
         if label not in _basis(self.ctx, self.side):
             raise UnknownLabelError(

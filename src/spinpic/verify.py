@@ -10,7 +10,8 @@ The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
 genus's divisor D) so that a single corrupted multiplicity, intersection
-number, or class coefficient flips at least one identity to FAIL.
+number, or class coefficient flips at least one identity to FAIL. The
+kodaira section checks what `kodaira.certify` makes of its own evidence.
 """
 
 from __future__ import annotations
@@ -284,9 +285,19 @@ def _identities(g: int):
             yield "kodaira:decomposition-identity", canonical_s, assembled
             if g >= 8:
                 yield "kodaira:remainders-nonnegative", True, dec.remainders_nonnegative()
+        # the engine's certificate of this evidence, against verify's own rules for each field
+        cert = kodaira.certificate_json(kodaira.certify(ctx, rk, dec))
         expected = kodaira.UNIRULED if g <= 7 else (
             kodaira.KAPPA_NONNEGATIVE if g == 8 else kodaira.GENERAL_TYPE)
-        yield "kodaira:verdict", expected, kodaira.judge(ctx, rk, dec)
+        yield "kodaira:verdict", expected, cert["verdict"]
+        flags = ((kodaira.FLAG_FORMAL_BASIS, g <= 4), (kodaira.FLAG_CONDITIONAL, g >= 8 and not composite),
+                 (kodaira.FLAG_EXTRAPOLATED, g > 22))
+        yield "kodaira:flags", [flag for flag, on in flags if on], cert["flags"]
+        yield "kodaira:rk", str(rk) if g <= 7 else None, cert["rk"]
+        # remainders only where D is complete, one per i = 1..h
+        for name, key, values in (("c", "c", dec.c), ("c-prime", "c_prime", dec.c_prime)):
+            want = [str(values[i]) for i in range(ctx.h)] if g >= 8 and composite else None
+            yield f"kodaira:{name}", want, cert[key]
 
     for section, identities in (
         ("counts", counts), ("projection", projection), ("named-classes", named_classes),

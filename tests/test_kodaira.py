@@ -18,8 +18,10 @@ from spinpic.kodaira import (
     GENERAL_TYPE,
     KAPPA_NONNEGATIVE,
     UNIRULED,
+    MAX_RK_GENUS,
     Decomposition,
     certificate_json,
+    certify,
     classify,
     decompose_canonical,
     judge,
@@ -213,6 +215,19 @@ def test_judge_on_hand_built_evidence():
     )
     negative_c1 = Decomposition(dec9.d_spec, dec9.nu, (Fraction(-1),) + dec9.c[1:], dec9.c_prime)
     assert _judge_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
+
+
+@pytest.mark.parametrize("g", (3, 7, 8, 9, 10, 23))
+def test_certify_keeps_only_the_evidence_its_genus_uses(g):
+    # classify gathers only that evidence; certify drops the rest of what it is given
+    ctx = GenusCtx(g)
+    rk, dec = uniruled_certificate(ctx), decompose_canonical(ctx, choose_d(ctx))
+    cert = certify(ctx, rk, dec)
+    assert cert == classify(ctx)
+    if g <= MAX_RK_GENUS:
+        assert (cert.rk, cert.decomposition) == (rk, None)
+    else:
+        assert (cert.rk, cert.decomposition) == (None, dec)
 
 
 # At g = 12 the slope bound is 295/42. With b0 = 1, c_1 = -3 + (3/2)*b_1 and

@@ -7,7 +7,8 @@ canonical classes on both sides, the closed form of the
 vanishing-theta-null class, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
-decomposition. Each case perturbs exactly one entry, written as
+decomposition, and each field of the certificate that `kodaira.certify`
+makes of that evidence. Each case perturbs exactly one entry, written as
 `original(ctx) + basis_class(ctx, side, label)` so that an entry stored
 as zero is perturbed like any other, and asserts that the per-genus suite
 reports a failure. Divisor specs and decompositions are perturbed on a
@@ -216,6 +217,62 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
     # a bumped decomposition that crashed verify would be caught only as kodaira:exception
     caught = [c.name for c in _failures(g) if not c.name.endswith(":exception")]
     assert caught, f"no check caught +1 on {field} (i = {i}) at genus {g}"
+
+
+def _drop_flag(flag):
+    return lambda cert: _perturbed(cert, flags=tuple(f for f in cert.flags if f != flag))
+
+
+def _add_flag(flag):
+    return lambda cert: _perturbed(cert, flags=cert.flags + (flag,))
+
+
+def _trailing_zero(field):
+    def appended(cert):
+        dec = cert.decomposition
+        fields = {"d_spec": dec.d_spec, "nu": dec.nu, "c": dec.c, "c_prime": dec.c_prime}
+        fields[field] += (Fraction(0),)
+        return _perturbed(cert, decomposition=kodaira.Decomposition(**fields))
+
+    return appended
+
+
+# (genus, change to certify's result, the check that must catch it); each
+# flag is dropped and added at the edge of the genera that carry it
+_CERTIFICATE_CASES = {
+    "drop FORMAL_BASIS": (4, _drop_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
+    "add FORMAL_BASIS": (5, _add_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
+    "drop CONDITIONAL": (10, _drop_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
+    "add CONDITIONAL": (9, _add_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
+    "drop EXTRAPOLATED": (23, _drop_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
+    "add EXTRAPOLATED": (22, _add_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
+    "UNIRULED to KAPPA_NONNEGATIVE": (7, lambda cert: _perturbed(cert, verdict=kodaira.KAPPA_NONNEGATIVE),
+                                      "kodaira:verdict"),
+    "KAPPA_NONNEGATIVE to GENERAL_TYPE": (8, lambda cert: _perturbed(cert, verdict=kodaira.GENERAL_TYPE),
+                                          "kodaira:verdict"),
+    "GENERAL_TYPE to UNIRULED": (9, lambda cert: _perturbed(cert, verdict=kodaira.UNIRULED), "kodaira:verdict"),
+    "clear rk": (7, lambda cert: _perturbed(cert, rk=None), "kodaira:rk"),
+    "set rk": (8, lambda cert: _perturbed(cert, rk=Fraction(-1)), "kodaira:rk"),
+    "trailing c": (9, _trailing_zero("c"), "kodaira:c"),
+    "trailing c_prime": (9, _trailing_zero("c_prime"), "kodaira:c-prime"),
+}
+
+
+@pytest.mark.parametrize("g,change,check", _CERTIFICATE_CASES.values(), ids=_CERTIFICATE_CASES)
+def test_perturbed_certificate_is_caught(g, change, check, monkeypatch):
+    original, changed = kodaira.certify, []
+
+    def perturbed(ctx, rk, dec):
+        cert = original(ctx, rk, dec)
+        out = change(cert)
+        changed.append(kodaira.certificate_json(out) != kodaira.certificate_json(cert))
+        return out
+
+    monkeypatch.setattr(kodaira, "certify", perturbed)
+    failed = {c.name for c in _failures(g)}
+    assert changed == [True], "the perturbation left the certificate as it was"
+    # a perturbed certificate that crashed verify would be caught only as kodaira:exception
+    assert check in failed and "kodaira:exception" not in failed, failed
 
 
 def test_unperturbed_suite_is_clean():

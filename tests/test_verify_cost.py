@@ -20,8 +20,9 @@ across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
 comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also when
 cached bases hold an earlier, equal context object. The kodaira section
-judges the evidence it computed itself: it picks D, pairs R with K and
-decomposes K once each, and never calls classify.
+certifies the evidence it computed itself: it picks D, pairs R with K and
+decomposes K once each, hands them to one certify call, which alone calls
+judge, and never calls classify.
 """
 
 import re
@@ -340,6 +341,8 @@ def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypat
 @pytest.mark.parametrize("g", (5, 9))
 def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
     classify = _counting(monkeypatch, kodaira, "classify")
+    certify = _counting(monkeypatch, kodaira, "certify")
+    judge = _counting(monkeypatch, kodaira, "judge")
     evidence = {name: _counting(monkeypatch, module, name) for module, name in (
         (catalog, "choose_d"),
         (kodaira, "decompose_canonical"),
@@ -347,4 +350,5 @@ def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
     )}
     assert all(c.ok for c in verify.run_genus(g))
     assert classify == []
+    assert certify == ["classification"] and judge == ["certify"]
     assert {name: len(calls) for name, calls in evidence.items()} == dict.fromkeys(evidence, 1)
