@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import GenusCtx, parse_class, render_class
+from .picard import GenusCtx, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 0.3 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
@@ -89,10 +89,11 @@ def _cmd_pair(args) -> int:
     ctx = GenusCtx(args.genus)
     curves = testcurves.curve_map(ctx)
     if args.dump:
-        table = {
-            name: {label: str(c[label]) for label in c.labels()}
-            for name, c in curves.items()
-        }
+        # a curve stores its nonzero entries only, so every other cell is "0"
+        table = {}
+        for name, c in curves.items():
+            row = table[name] = dict.fromkeys(labels_for(ctx, c.side), "0")
+            row.update((label, str(v)) for label, v in c.coeff.items())
         print(verify.report_json(table))
         return 0
     if args.curve is None or args.classexpr is None:

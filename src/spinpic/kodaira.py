@@ -155,13 +155,17 @@ def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
     """The verdict that the evidence certifies, by the three sign rules.
 
     rk (the pairing R . K) is read up to MAX_RK_GENUS, dec after it. Evidence
-    that certifies nothing raises VerificationFailureError.
+    that is missing or certifies nothing raises VerificationFailureError.
     """
     g = ctx.g
     if g <= MAX_RK_GENUS:
+        if rk is None:
+            raise VerificationFailureError(f"no R . K evidence at genus {g}")
         if rk >= 0:
             raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
         return UNIRULED
+    if dec is None:
+        raise VerificationFailureError(f"no decomposition of the canonical class at genus {g}")
     if dec.nu < 0 or (dec.nu == 0 and g > 8):
         raise VerificationFailureError(
             f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"

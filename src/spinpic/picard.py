@@ -105,9 +105,6 @@ class GenusCtx(_Value):
         self._init(g=g)
         self.__post_init__()
 
-    def __hash__(self) -> int:  # hashed for every _basis lookup, so kept off the generic path
-        return hash(self.g)
-
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError(f"genus must be an integer >= 2, got {self.g!r}")
@@ -124,30 +121,40 @@ def require_classification_genus(ctx: GenusCtx) -> None:
 
 
 @lru_cache(maxsize=8)
-def _basis(ctx: GenusCtx, side: str) -> Mapping[str, None]:
-    """Read-only, ordered label set of the (ctx, side) basis.
+def _basis(g: int, side: str) -> Mapping[str, None]:
+    """Read-only, ordered label set of the side basis at genus g.
 
-    Cached, so a label check costs one lookup. The cache is small because
+    Cached, so a label check costs one lookup. It is keyed by the int genus,
+    so a lookup never compares GenusCtx objects. The cache is small because
     a sweep visits each genus once, and a basis near g = 700 holds about a
     thousand labels.
     """
+    h = GenusCtx(g).h
     if side == M_SIDE:
-        labels = ["lambda", *(f"d{i}" for i in range(ctx.h + 1))]
+        labels = ["lambda", *(f"d{i}" for i in range(h + 1))]
     elif side == S_SIDE:
-        labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, ctx.h + 1) for k in "ab")]
+        labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab")]
     else:
         raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
     return MappingProxyType(dict.fromkeys(labels))
 
 
+@lru_cache(maxsize=8)
+def _labels(g: int, side: str) -> tuple[str, ...]:
+    return tuple(_basis(g, side))
+
+
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
-    """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S."""
-    return tuple(_basis(ctx, side))
+    """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S.
+
+    The tuple is cached per genus and side and shared by every caller.
+    """
+    return _labels(ctx.g, side)
 
 
 def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownLabelError:
     return UnknownLabelError(f"labels {sorted(labels)} are not in the side-{side} basis at genus {ctx.g} "
-                             f"(basis: {', '.join(_basis(ctx, side))})")
+                             f"(basis: {', '.join(_basis(ctx.g, side))})")
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -169,7 +176,7 @@ class DivisorClass(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        basis = _basis(self.ctx, self.side)
+        basis = _basis(self.ctx.g, self.side)
         if not self.coeff.keys() <= basis.keys():
             raise _unknown_labels(self.coeff.keys() - basis.keys(), self.ctx, self.side)
         values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.coeff.items())
@@ -179,7 +186,7 @@ class DivisorClass(_Value):
         return DivisorClass, (self.ctx, self.side, dict(self.coeff))
 
     def __getitem__(self, label: str) -> Fraction:
-        if label not in _basis(self.ctx, self.side):
+        if label not in _basis(self.ctx.g, self.side):
             raise UnknownLabelError(
                 f"label {label!r} is not in the side-{self.side} basis at genus {self.ctx.g}"
             )
@@ -230,7 +237,7 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 
 
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
-    if label not in _basis(ctx, side):
+    if label not in _basis(ctx.g, side):
         raise _unknown_labels((label,), ctx, side)
     return _trusted(ctx, side, {label: _ONE})
 
@@ -333,7 +340,7 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
 
 def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[str, int, int]]:
     """Each term of the stripped expression s as (label, numerator, denominator)."""
-    basis = _basis(ctx, side)
+    basis = _basis(ctx.g, side)
     # s is stripped, so whitespace after a term is always followed by a sign
     pos = 0
     while pos < len(s):
@@ -373,7 +380,7 @@ def render_class(x: DivisorClass) -> str:
     """
     parts: list[str] = []
     coeff = x.coeff
-    for label in _basis(x.ctx, x.side):
+    for label in _basis(x.ctx.g, x.side):
         v = coeff.get(label)
         if v is None:
             continue

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import cli, errors, kodaira
-from spinpic.picard import GenusCtx
+from spinpic import cli, errors, kodaira, testcurves, verify
+from spinpic.picard import DivisorClass, GenusCtx
 
 
 def run(capsys, *argv):
@@ -86,6 +86,27 @@ def test_pair_dump(capsys):
     assert table["B"] == {"lambda": "4", "d0": "36", "d1": "0"}
     assert table["H0"]["b0s"] == "-2"
     assert set(table) == {"B", "R", "F0", "G0", "H0", "F1", "G1"}
+
+
+def test_pair_dump_matches_the_dense_table(capsys):
+    # the oracle reads every (curve, label) cell through __getitem__
+    for g in range(3, 61):
+        curves = testcurves.curve_map(GenusCtx(g))
+        dense = {name: {label: str(c[label]) for label in c.labels()} for name, c in curves.items()}
+        assert run(capsys, "pair", "--dump", "-g", str(g)) == (0, verify.report_json(dense) + "\n", "")
+
+
+def test_pair_dump_reads_no_cell_by_label(capsys, monkeypatch):
+    original, reads = DivisorClass.__getitem__, []
+
+    def counting(self, label):
+        reads.append(label)
+        return original(self, label)
+
+    monkeypatch.setattr(DivisorClass, "__getitem__", counting)
+    code, out, _ = run(capsys, "pair", "--dump", "-g", "40")
+    assert code == 0 and json.loads(out)["G20"]["b20"] == "-38"
+    assert reads == []
 
 
 def test_counts(capsys):

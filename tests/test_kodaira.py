@@ -230,6 +230,20 @@ def test_certify_keeps_only_the_evidence_its_genus_uses(g):
         assert (cert.rk, cert.decomposition) == (None, dec)
 
 
+@pytest.mark.parametrize("g, missing", (
+    (5, "no R . K evidence at genus 5"),
+    (9, "no decomposition of the canonical class at genus 9"),
+))
+def test_certify_names_the_missing_evidence(g, missing):
+    ctx = GenusCtx(g)
+    # the evidence of the other genus range does not stand in for the missing one
+    other = (None, decompose_canonical(ctx, choose_d(ctx))) if g <= MAX_RK_GENUS else (Fraction(-1), None)
+    for rk, dec in ((None, None), other):
+        with pytest.raises(VerificationFailureError, match=f"^{missing}$"):
+            certify(ctx, rk, dec)
+        assert _judge_failure(ctx, rk, dec) == missing
+
+
 # At g = 12 the slope bound is 295/42. With b0 = 1, c_1 = -3 + (3/2)*b_1 and
 # c_i = -2 + (3/2)*b_i for i >= 2, so b_1 = 2 and b_i = 4/3 sit exactly on
 # the remainder threshold.
