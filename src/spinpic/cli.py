@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import GenusCtx, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 0.3 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
@@ -90,9 +90,10 @@ def _cmd_pair(args) -> int:
     curves = testcurves.curve_map(ctx)
     if args.dump:
         # a curve stores its nonzero entries only, so every other cell is "0"
+        zero = {side: dict.fromkeys(labels_for(ctx, side), "0") for side in (M_SIDE, S_SIDE)}
         table = {}
         for name, c in curves.items():
-            row = table[name] = dict.fromkeys(labels_for(ctx, c.side), "0")
+            row = table[name] = dict(zero[c.side])
             row.update((label, str(v)) for label, v in c.coeff.items())
         print(verify.report_json(table))
         return 0

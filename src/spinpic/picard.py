@@ -139,17 +139,9 @@ def _basis(g: int, side: str) -> Mapping[str, None]:
     return MappingProxyType(dict.fromkeys(labels))
 
 
-@lru_cache(maxsize=8)
-def _labels(g: int, side: str) -> tuple[str, ...]:
-    return tuple(_basis(g, side))
-
-
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
-    """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S.
-
-    The tuple is cached per genus and side and shared by every caller.
-    """
-    return _labels(ctx.g, side)
+    """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S."""
+    return tuple(_basis(ctx.g, side))
 
 
 def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownLabelError:

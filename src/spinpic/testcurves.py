@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
@@ -57,17 +54,14 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
-    """The standard test curves at genus ctx.g, by name, in a fresh dict.
+    """The standard test curves at genus ctx.g, by name, built on every call.
 
-    B, R, F0, G0 and H0 are built on every call: R's entries are B's at
-    each label's image (transfer._m_image) times the covering degrees of
-    transfer.pushforward_degree at call time. The one-entry curves Fi, Gi
-    depend on g alone and are immutable, so they are built once per genus
-    (_one_entry_curves) and shared. The dict is fresh, so a caller may
-    rebind or delete its entries. Every entry is a nonzero Fraction under a
-    basis label by construction, so the curves skip the constructor's
-    validation (picard._trusted), as catalog's closed forms do;
-    tests/test_catalog.py checks each against the validating constructor.
+    R's entries are B's at each label's image (transfer._m_image) times the
+    covering degrees of transfer.pushforward_degree at call time, and the
+    dict is fresh, so a caller may rebind or delete its entries. Every entry
+    is a nonzero Fraction under a basis label by construction, so the curves
+    skip the constructor's validation (picard._trusted), as catalog's closed
+    forms do; tests/test_catalog.py checks each against the validating constructor.
     """
     require_classification_genus(ctx)
     g = ctx.g
@@ -83,26 +77,15 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
             "lambda": Fraction(3), "a0": Fraction(12), "b0s": Fraction(12), "a1": Fraction(-3),
         }),
         "H0": _trusted(ctx, S_SIDE, {"b0s": Fraction(1 - g), "a1": Fraction(1)}),
+        # 2 - 2i vanishes at i = 1, so F1 and G1 store nothing
+        "F1": _trusted(ctx, S_SIDE, {}),
+        "G1": _trusted(ctx, S_SIDE, {}),
     }
-    curves.update(_one_entry_curves(g))
-    return curves
-
-
-@lru_cache(maxsize=8)
-def _one_entry_curves(g: int) -> Mapping[str, DivisorClass]:
-    """F1, G1, ..., Fh, Gh at genus g in that order: Fi has 2-2i at ai, Gi has 2-2i at bi.
-
-    Cached by the int genus for as few genera as picard._basis (eight),
-    since at g = 1000 they are a thousand curves.
-    """
-    ctx = GenusCtx(g)
-    # 2 - 2i vanishes at i = 1, so F1 and G1 store nothing
-    curves = {"F1": _trusted(ctx, S_SIDE, {}), "G1": _trusted(ctx, S_SIDE, {})}
     for i in range(2, ctx.h + 1):
         v = Fraction(2 - 2 * i)
         curves[f"F{i}"] = _trusted(ctx, S_SIDE, {f"a{i}": v})
         curves[f"G{i}"] = _trusted(ctx, S_SIDE, {f"b{i}": v})
-    return MappingProxyType(curves)
+    return curves
 
 
 def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -8,8 +8,7 @@ still lists all 2h(h+1) identities in the dense order. A passing genus
 renders no check value, pulls back each basis class a number of times
 that grows linearly in h (the block reuses one pullback per d_j), and
 takes every use of the curve table
-through `testcurves.curve_map`, which builds B, R, F0, G0 and H0 on every
-call and builds the one-entry curves Fi, Gi once per genus. A
+through `testcurves.curve_map`, which builds the table on every call. A
 failing genus renders its failure records exactly as the eager renderer
 did, counts as many checks in the report as `run_genus` lists, and keeps
 the identities a crashed section yielded before it raised. A patched
@@ -19,9 +18,8 @@ certificate builds the class of its auxiliary divisor once. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
-comparing ctx.g, so no check costs a GenusCtx.__eq__ call, although the
-shared one-entry curves hold a context object equal to the caller's but
-not identical, also on a second run of a genus. The kodaira section
+comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also on a
+second run of a genus. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which alone calls
 judge, and never calls classify.
@@ -234,31 +232,6 @@ def test_patched_component_degree_reaches_a_warm_curve_table(monkeypatch):
     assert "curves:table:R" in failed
 
 
-def _curve_builders(monkeypatch, g):
-    with monkeypatch.context() as m:
-        built = _counting(m, testcurves, "_trusted")
-        testcurves.curve_map(GenusCtx(g))
-    return Counter(built)
-
-
-def test_one_entry_curves_are_built_once_per_genus(monkeypatch):
-    testcurves._one_entry_curves.cache_clear()
-    h = GenusCtx(30).h
-    cold, warm = _curve_builders(monkeypatch, 30), _curve_builders(monkeypatch, 30)
-    # B, R, F0, G0 and H0 on every call; F1, G1, ..., Fh, Gh on the first only
-    assert cold == {"curve_map": 5, "_one_entry_curves": 2 * h}
-    assert warm == {"curve_map": 5}
-
-
-def test_patched_covering_degree_reaches_r_on_a_warm_genus(monkeypatch):
-    ctx = GenusCtx(6)
-    assert testcurves.curve_map(ctx)["R"]["lambda"] == 14560  # the genus is warm from here on
-    with monkeypatch.context() as m:
-        m.setattr(transfer, "pushforward_degree", _bump_lambda_degree(transfer.pushforward_degree))
-        assert testcurves.curve_map(ctx)["R"]["lambda"] == 14567
-    assert testcurves.curve_map(ctx)["R"]["lambda"] == 14560
-
-
 def test_patched_component_degree_leaves_no_stale_curve_table(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
@@ -336,10 +309,8 @@ def test_parser_builds_one_fraction_per_label(monkeypatch):
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
-    # the shared one-entry curves hold a context object equal to this run's
-    # but not identical; warm: an earlier run_genus(g) filled the caches
+    # warm: an earlier run_genus(g) filled the basis cache
     picard._basis.cache_clear()
-    testcurves._one_entry_curves.cache_clear()
     if warm:
         verify.run_genus(g)
     original, calls = GenusCtx.__eq__, []
@@ -360,8 +331,8 @@ def test_context_comparisons_do_not_grow_with_h(monkeypatch):
 
 
 def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypatch):
-    # a second run_genus(g) in one process reads the bases and curves
-    # that the first run cached
+    # a second run_genus(g) in one process checks its labels against the
+    # bases that the first run cached
     low, high = (_context_comparisons(monkeypatch, g, warm=True) for g in (20, 60))
     assert high <= 3 * low
 
