@@ -4,8 +4,11 @@ This module owns every class that the rest of the package refers to by
 name: the canonical classes on both sides of the covering, the theta-null
 divisor class on the spin side, its pushforward (the vanishing-theta-null
 locus on the curve side), and the Brill-Noether divisor for composite g+1.
-choose_d is the one rule that picks the auxiliary effective divisor D used
-by the classification; the slope of that D is the genus's slope bound.
+_rule alone writes the auxiliary effective divisor D that the classification
+uses (its provenance, a and b0), and choose_d(ctx) builds the genus's own D;
+the slope of that D is the genus's slope bound. A named provenance
+(BrillNoether, K3, GiesekerPetri) is accepted only for that D; any other
+divisor is UserSupplied(name).
 """
 
 from __future__ import annotations
@@ -38,23 +41,9 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _bn_coefficients(g: int) -> tuple[Fraction, Fraction]:
-    """(a, b0) of the normalized Brill-Noether divisor: g+3, (g+1)/6."""
-    return Fraction(g + 3), Fraction(g + 1, 6)
-
-
 def _bn_boundary(g: int, h: int) -> tuple[Fraction, ...]:
     """(b_1, ..., b_h) of the normalized Brill-Noether divisor: b_i = i(g-i)."""
     return tuple(Fraction(i * (g - i)) for i in range(1, h + 1))
-
-
-def _gp_coefficients(k: int) -> tuple[Fraction, Fraction]:
-    """(a, b0) of the Gieseker-Petri divisor at g = 2k-2: slope (6k^2+k-6)/(k(k-1))."""
-    return Fraction(6 * k * k + k - 6), Fraction(k * (k - 1))
-
-
-# (a, b0) of the K3 divisor at genus 10
-_K3_COEFFICIENTS = (Fraction(7), Fraction(1))
 
 
 # --- divisor specifications -------------------------------------------------
@@ -93,7 +82,9 @@ class DivisorSpec(_Value):
 
     b holds (b_1, ..., b_h) when all boundary coefficients are known;
     specs with b = None carry only the slope data (a, b0) and mark every
-    computation that would need the b_i as conditional.
+    computation that would need the b_i as conditional. A spec whose
+    provenance is not UserSupplied must equal its genus's own D, the one
+    choose_d(ctx) builds; any other divisor is UserSupplied(name).
     """
 
     __match_args__ = ("ctx", "provenance", "a", "b0", "b")
@@ -124,24 +115,13 @@ class DivisorSpec(_Value):
                 raise DivisorSpecError(f"expected {h} boundary coefficients at genus {g}, got {len(self.b)}")
             if any(v <= 0 for v in self.b):
                 raise DivisorSpecError("all boundary coefficients b_i must be positive")
-        p = self.provenance
-        if isinstance(p, BrillNoether):
-            if rho(g, p.r, p.d) != -1:
-                raise DivisorSpecError(f"Brill-Noether provenance needs rho(g,r,d) = -1, got {rho(g, p.r, p.d)}")
-            if (self.a, self.b0, self.b) != (*_bn_coefficients(g), _bn_boundary(g, h)):
-                raise DivisorSpecError("Brill-Noether coefficients must be a=g+3, b0=(g+1)/6, b_i=i(g-i)")
-        elif isinstance(p, GiesekerPetri):
-            if g != 2 * p.k - 2:
-                raise DivisorSpecError(f"Gieseker-Petri provenance needs g = 2k-2, got g={g}, k={p.k}")
-            a, b0 = _gp_coefficients(p.k)
-            if self.slope != a / b0:
-                raise DivisorSpecError("Gieseker-Petri slope must be (6k^2+k-6)/(k(k-1))")
-        elif isinstance(p, K3):
-            if g != 10:
-                raise DivisorSpecError("the K3 divisor exists at genus 10 only")
-            a, b0 = _K3_COEFFICIENTS
-            if self.slope != a / b0:
-                raise DivisorSpecError("the K3 divisor has slope 7")
+        if not isinstance(self.provenance, UserSupplied) and self != (own := _own_d(self.ctx)):
+            # the provenance may be any object, so the message names only own's
+            raise DivisorSpecError(
+                f"a named provenance, here {self.provenance!r}, is accepted only for genus {g}'s own D: "
+                f"{provenance_name(own.provenance)} with a={own.a}, b0={own.b0} and "
+                f"{'its' if own.complete else 'no'} b_i; give any other divisor as UserSupplied(name)"
+            )
 
 
 def divisor_class(spec: DivisorSpec) -> DivisorClass:
@@ -154,7 +134,7 @@ def divisor_class(spec: DivisorSpec) -> DivisorClass:
     coeff = {"lambda": spec.a, "d0": -spec.b0}
     for i in range(1, spec.ctx.h + 1):
         coeff[f"d{i}"] = -spec.b[i - 1]
-    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_spec
+    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_d
     return _trusted(spec.ctx, M_SIDE, coeff)
 
 
@@ -292,10 +272,9 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
 def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:
     """Normalized Brill-Noether divisor class and its spec, for composite g+1."""
     require_classification_genus(ctx)
-    provenance, a, b0 = _rule(ctx.g)
-    if not isinstance(provenance, BrillNoether):  # only if g+1 is prime, as at K3's g = 10
+    spec = _own_d(ctx)
+    if not isinstance(spec.provenance, BrillNoether):  # only if g+1 is prime, as at K3's g = 10
         raise NotCompositeError(f"g+1 = {ctx.g + 1} is prime; no Brill-Noether divisor at genus {ctx.g}")
-    spec = _own_spec(ctx, provenance, a, b0, _bn_boundary(ctx.g, ctx.h))
     return divisor_class(spec), spec
 
 
@@ -305,41 +284,41 @@ def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:
 def _rule(g: int) -> tuple[Provenance, Fraction, Fraction]:
     """(provenance, a, b0) of genus g's D: K3 at g = 10, Brill-Noether if g+1 is composite, else Gieseker-Petri."""
     if g == 10:
-        return (K3(), *_K3_COEFFICIENTS)
+        return K3(), Fraction(7), Fraction(1)
     f = _smallest_prime_factor(g + 1)
     if f <= g:
         r = f - 1  # the normalized class does not depend on this choice, which only labels the provenance
         d = g + r - (g + 1) // f  # (r+1)(g-d+r) = f * (g+1)/f = g+1, so rho = -1
-        return (BrillNoether(r, d), *_bn_coefficients(g))
-    # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1)
+        return BrillNoether(r, d), Fraction(g + 3), Fraction(g + 1, 6)
+    # g+1 an odd prime forces g even here (g+1 = 2 would mean g = 1); slope (6k^2+k-6)/(k(k-1))
     k = g // 2 + 1
-    return (GiesekerPetri(k), *_gp_coefficients(k))
+    return GiesekerPetri(k), Fraction(6 * k * k + k - 6), Fraction(k * (k - 1))
 
 
-def _own_spec(ctx: GenusCtx, provenance: Provenance, a: Fraction, b0: Fraction, b=None) -> DivisorSpec:
-    """A named divisor's spec, unvalidated: validation would compare its coefficients with themselves."""
+def _own_d(ctx: GenusCtx) -> DivisorSpec:
+    """Genus ctx.g's own D, unvalidated: DivisorSpec validates a named provenance by comparing with it."""
+    provenance, a, b0 = _rule(ctx.g)
+    b = _bn_boundary(ctx.g, ctx.h) if isinstance(provenance, BrillNoether) else None
     spec = object.__new__(DivisorSpec)
     vars(spec).update(ctx=ctx, provenance=provenance, a=a, b0=b0, b=b)
     return spec
 
 
 def choose_d(ctx: GenusCtx, user: DivisorSpec | None = None) -> DivisorSpec:
-    """Pick the auxiliary divisor D by _rule, or validate a user-supplied one.
+    """Build the genus's own D, or validate a user-supplied one against it.
 
     D's slope a/b0 is the genus's bound: a steeper user spec cannot support
     the classification argument and raises SlopeViolationError. Checking a
-    user spec builds no D.
+    user spec reads the bound from _rule and builds no D.
     """
     require_classification_genus(ctx)
-    g = ctx.g
-    provenance, a, b0 = _rule(g)
     if user is None:
-        b = _bn_boundary(g, ctx.h) if isinstance(provenance, BrillNoether) else None
-        return _own_spec(ctx, provenance, a, b0, b)
+        return _own_d(ctx)
     if user.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {user.ctx.g}, expected {ctx.g}")
+    _, a, b0 = _rule(ctx.g)
     if user.slope > a / b0:
-        raise SlopeViolationError(f"slope a/b0 = {user.slope} exceeds the genus-{g} bound {a / b0}")
+        raise SlopeViolationError(f"slope a/b0 = {user.slope} exceeds the genus-{ctx.g} bound {a / b0}")
     return user
 
 

@@ -89,6 +89,8 @@ def _cmd_pair(args) -> int:
     ctx = GenusCtx(args.genus)
     curves = testcurves.curve_map(ctx)
     if args.dump:
+        if args.curve is not None or args.classexpr is not None:
+            raise InputError("pair --dump takes no CURVE or CLASSEXPR")
         # a curve stores its nonzero entries only, so every other cell is "0"
         zero = {side: dict.fromkeys(labels_for(ctx, side), "0") for side in (M_SIDE, S_SIDE)}
         table = {}

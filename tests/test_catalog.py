@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -294,20 +296,44 @@ def test_divisor_spec_validation():
     with pytest.raises(DivisorSpecError):
         DivisorSpec(ctx, UserSupplied("bad"), a=Fraction(1), b0=Fraction(1), b=(Fraction(1),))
     with pytest.raises(DivisorSpecError):
-        DivisorSpec(ctx, BrillNoether(1, 6), a=Fraction(12), b0=Fraction(5, 3))
-    with pytest.raises(DivisorSpecError):
-        DivisorSpec(GenusCtx(9), K3(), a=Fraction(7), b0=Fraction(1))
-    with pytest.raises(DivisorSpecError, match="the K3 divisor has slope 7"):
-        DivisorSpec(GenusCtx(10), K3(), a=Fraction(8), b0=Fraction(1))
-    with pytest.raises(DivisorSpecError, match="needs g = 2k-2"):
-        DivisorSpec(GenusCtx(11), GiesekerPetri(7), a=Fraction(295), b0=Fraction(42))
-    with pytest.raises(DivisorSpecError, match="Gieseker-Petri slope must be"):
-        DivisorSpec(GenusCtx(12), GiesekerPetri(7), a=Fraction(296), b0=Fraction(42))
-    # a scaled Gieseker-Petri spec keeps its slope and is accepted
-    scaled = DivisorSpec(GenusCtx(12), GiesekerPetri(7), a=Fraction(590), b0=Fraction(84))
-    assert scaled.slope == Fraction(295, 42)
-    with pytest.raises(DivisorSpecError):
         divisor_class(DivisorSpec(GenusCtx(10), K3(), a=Fraction(7), b0=Fraction(1)))
+
+
+@pytest.mark.parametrize("g,provenance,a,b0,b,own", [
+    pytest.param(9, BrillNoether(1, 6), 12, Fraction(5, 3), None,
+                 "brill-noether(r=1, d=5) with a=12, b0=5/3 and its b_i", id="rho-not-minus-one"),
+    pytest.param(9, K3(), 7, 1, None, "brill-noether(r=1, d=5) with a=12, b0=5/3 and its b_i", id="k3-off-genus-10"),
+    pytest.param(10, K3(), 8, 1, None, "k3 with a=7, b0=1 and no b_i", id="k3-slope-8"),
+    pytest.param(10, K3(), 7, 1, (2, 2, 2, 2, 2), "k3 with a=7, b0=1 and no b_i", id="k3-with-b_i"),
+    pytest.param(11, GiesekerPetri(7), 295, 42, None, "brill-noether(r=1, d=6) with a=14, b0=2 and its b_i",
+                 id="gp-g-not-2k-2"),
+    pytest.param(12, GiesekerPetri(7), 296, 42, None, "gieseker-petri(k=7) with a=295, b0=42 and no b_i",
+                 id="gp-wrong-a"),
+    pytest.param(12, GiesekerPetri(7), 590, 84, None, "gieseker-petri(k=7) with a=295, b0=42 and no b_i",
+                 id="gp-scaled"),
+    # rho(11, 2, 9) = -1, but _rule labels genus 11's D with r = 1
+    pytest.param(11, BrillNoether(2, 9), 14, 2, (10, 18, 24, 28, 30),
+                 "brill-noether(r=1, d=6) with a=14, b0=2 and its b_i", id="bn-other-r"),
+    pytest.param(14, GiesekerPetri(8), 386, 56, None, "brill-noether(r=2, d=11) with a=17, b0=5/2 and its b_i",
+                 id="gp-g-plus-1-composite"),
+    pytest.param(10, "k3", 7, 1, None, "k3 with a=7, b0=1 and no b_i", id="not-a-provenance"),
+])
+def test_named_provenance_is_accepted_only_for_the_genus_own_d(g, provenance, a, b0, b, own):
+    with pytest.raises(DivisorSpecError) as exc:
+        DivisorSpec(GenusCtx(g), provenance, a=a, b0=b0, b=b)
+    assert str(exc.value) == (
+        f"a named provenance, here {provenance!r}, is accepted only for genus {g}'s own D: {own}; "
+        "give any other divisor as UserSupplied(name)"
+    )
+
+
+@pytest.mark.parametrize("g", [9, 10, 12])
+def test_a_certificate_with_a_named_d_survives_copy_and_pickle(g):
+    # deepcopy and unpickling rebuild the named D through the validating constructor
+    cert = kodaira.classify(GenusCtx(g))
+    for twin in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
+        assert twin == cert
+        assert kodaira.certificate_json(twin) == kodaira.certificate_json(cert)
 
 
 def test_load_divisor_spec(tmp_path):

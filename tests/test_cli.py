@@ -74,6 +74,11 @@ def test_pair_needs_curve_and_class(capsys, argv):
     assert run(capsys, *argv) == (2, "", "error: pair needs CURVE and CLASSEXPR (or --dump)\n")
 
 
+@pytest.mark.parametrize("argv", [("pair", "B", "lambda", "--dump", "-g", "3"), ("pair", "--dump", "B", "-g", "3")])
+def test_pair_dump_takes_no_curve_or_class(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: pair --dump takes no CURVE or CLASSEXPR\n")
+
+
 def test_pair_side_mismatch(capsys):
     code, out, err = run(capsys, "pair", "B", "thetanull", "-g", "5")
     assert (code, out, err) == (2, "", "error: a side-M curve pairs with side-M classes, got side-S\n")

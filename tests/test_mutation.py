@@ -103,24 +103,20 @@ def _perturbed(spec, **fields):
 _SWEEP = range(3, 23)
 
 
-def _bump_d_source(monkeypatch, g, field):
-    """Raise a or b0 of genus g's own D by 1 where its coefficients are written.
+def _bump_d_source(monkeypatch, field):
+    """Raise a or b0 of each genus's own D by 1 where they are written: catalog._rule.
 
-    choose_d and DivisorSpec's validation of a named divisor read the same
-    source, so the bumped D passes its own validation.
+    choose_d and DivisorSpec's check of a named provenance both read _rule,
+    through _own_d, so the bumped D passes its own validation.
     """
-    i = ("a", "b0").index(field)
+    i = ("a", "b0").index(field) + 1
+    original = catalog._rule
 
-    def bump(coefficients):
-        return coefficients[:i] + (coefficients[i] + 1,) + coefficients[i + 1:]
+    def bumped(genus):
+        rule = original(genus)
+        return rule[:i] + (rule[i] + 1,) + rule[i + 1:]
 
-    provenance = catalog.choose_d(GenusCtx(g)).provenance
-    if isinstance(provenance, catalog.K3):
-        monkeypatch.setattr(catalog, "_K3_COEFFICIENTS", bump(catalog._K3_COEFFICIENTS))
-        return
-    name = "_bn_coefficients" if isinstance(provenance, catalog.BrillNoether) else "_gp_coefficients"
-    original = getattr(catalog, name)
-    monkeypatch.setattr(catalog, name, lambda *args: bump(original(*args)))
+    monkeypatch.setattr(catalog, "_rule", bumped)
 
 
 def _assert_slope_bound_caught(g):
@@ -132,7 +128,7 @@ def _assert_slope_bound_caught(g):
 @pytest.mark.parametrize("g", _SWEEP)
 def test_perturbed_slope_bound_is_caught(g, monkeypatch):
     before = catalog.choose_d(GenusCtx(g))
-    _bump_d_source(monkeypatch, g, "a")
+    _bump_d_source(monkeypatch, "a")
     assert catalog.choose_d(GenusCtx(g)).a == before.a + 1
     _assert_slope_bound_caught(g)
 
@@ -143,7 +139,7 @@ _GIESEKER_PETRI_GENERA = [g for g in _SWEEP if g != 10 and all((g + 1) % p for p
 @pytest.mark.parametrize("g", _GIESEKER_PETRI_GENERA)
 def test_perturbed_gieseker_petri_b0_is_caught(g, monkeypatch):
     before = catalog.choose_d(GenusCtx(g))
-    _bump_d_source(monkeypatch, g, "b0")
+    _bump_d_source(monkeypatch, "b0")
     assert catalog.choose_d(GenusCtx(g)).b0 == before.b0 + 1
     _assert_slope_bound_caught(g)
 
