@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 0.3 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
@@ -121,12 +121,7 @@ def _cmd_solve_thetanull(args) -> int:
     unknowns = ("Lbar", "A0bar", "B0bar")
     print(f"genus {ctx.g}: pencil relations in ({', '.join(unknowns)})")
     for name, row, r in zip(("F0", "G0", "H0"), rows, rhs):
-        parts = []
-        for c, u in zip(row, unknowns):
-            term = f"{abs(c)}*{u}"
-            parts.append((f"- {term}" if c < 0 else f"+ {term}") if parts else
-                         (f"-{term}" if c < 0 else term))
-        print(f"  {name}: {' '.join(parts)} = {r}")
+        print(f"  {name}: {_join_signed((c < 0, f'{abs(c)}*{u}') for c, u in zip(row, unknowns))} = {r}")
     solved = testcurves.solve_thetanull(ctx)
     lam, a0, b0 = (solved["lambda"], -solved["a0"], -solved["b0s"])
     print(f"solution: Lbar = {lam}, A0bar = {a0}, B0bar = {b0}")

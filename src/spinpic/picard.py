@@ -145,7 +145,10 @@ def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
 
 
 def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownLabelError:
-    return UnknownLabelError(f"labels {sorted(labels)} are not in the side-{side} basis at genus {ctx.g} "
+    """The one error for labels outside the side basis at ctx.g; it names one label alone, several as a list."""
+    labels = sorted(labels)
+    what = f"label {labels[0]!r} is" if len(labels) == 1 else f"labels {labels} are"
+    return UnknownLabelError(f"{what} not in the side-{side} basis at genus {ctx.g} "
                              f"(basis: {', '.join(_basis(ctx.g, side))})")
 
 
@@ -179,9 +182,7 @@ class DivisorClass(_Value):
 
     def __getitem__(self, label: str) -> Fraction:
         if label not in _basis(self.ctx.g, self.side):
-            raise UnknownLabelError(
-                f"label {label!r} is not in the side-{self.side} basis at genus {self.ctx.g}"
-            )
+            raise _unknown_labels((label,), self.ctx, self.side)
         return self.coeff.get(label, _ZERO)
 
     def labels(self) -> tuple[str, ...]:
@@ -348,10 +349,7 @@ def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[
             raise ClassSyntaxError(f"expected a term at position {pos} in {text!r}")
         label = _canonical_label(m.group("label"))
         if label not in basis:
-            raise UnknownLabelError(
-                f"label {m.group('label')!r} is not in the side-{side} basis at genus {ctx.g} "
-                f"(basis: {', '.join(basis)})"
-            )
+            raise _unknown_labels((m.group("label"),), ctx, side)  # the token as written, λ or δ included
         num = m.group("num")
         if num is None:
             yield label, sign, 1
@@ -370,7 +368,7 @@ def render_class(x: DivisorClass) -> str:
     Unit coefficients render as the bare label, so the output stays inside
     the input grammar and parse_class(render_class(x)) == x.
     """
-    parts: list[str] = []
+    terms = []
     coeff = x.coeff
     for label in _basis(x.ctx.g, x.side):
         v = coeff.get(label)
@@ -378,14 +376,14 @@ def render_class(x: DivisorClass) -> str:
             continue
         n, d = v.numerator, v.denominator
         mag = abs(n)
-        if d != 1:
-            term = f"{mag}/{d}*{label}"
-        elif mag != 1:
-            term = f"{mag}*{label}"
-        else:
-            term = label
-        if parts:
-            parts.append(f"- {term}" if n < 0 else f"+ {term}")
-        else:
-            parts.append(f"-{term}" if n < 0 else term)
-    return " ".join(parts) if parts else "0"
+        terms.append((n < 0, f"{mag}/{d}*{label}" if d != 1 else f"{mag}*{label}" if mag != 1 else label))
+    return _join_signed(terms)
+
+
+def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
+    """The signed sum "-t1 + t2 - t3" of (negative, term) pairs in order, or "0" when there are none."""
+    text = " ".join([f"- {term}" if negative else f"+ {term}" for negative, term in terms])
+    if not text:
+        return "0"
+    # the first term keeps a minus sign without the space, and drops a plus
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -27,23 +27,20 @@ from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
 from .picard import _ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
 
 
-def _require_pairable(curve: DivisorClass, x: DivisorClass) -> None:
+def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
+    """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
+
+    The only pairing in the package; verify's compat rows call it too.
+    Labels the class does not store contribute 0 and are skipped, and the
+    sum starts from its first term, so a pairing of disjoint supports builds
+    no Fraction at all.
+    """
     if curve.side != x.side:
         raise SideMismatchError(
             f"a side-{curve.side} curve pairs with side-{curve.side} classes, got side-{x.side}"
         )
     if curve.ctx.g != x.ctx.g:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
-
-
-def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
-    """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
-
-    Labels the class does not store contribute 0 and are skipped, and the
-    sum starts from its first term, so a pairing of disjoint supports builds
-    no Fraction at all.
-    """
-    _require_pairable(curve, x)
     xc = x.coeff
     total = None
     for label, v in curve.coeff.items():

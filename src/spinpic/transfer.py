@@ -16,15 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SideMismatchError, UnknownLabelError
-from .picard import (
-    M_SIDE,
-    S_SIDE,
-    DivisorClass,
-    GenusCtx,
-    _sum_terms,
-    _trusted,
-)
+from .errors import SideMismatchError
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _basis, _sum_terms, _trusted, _unknown_labels
 
 
 def total_degree(g: int) -> int:
@@ -48,10 +41,11 @@ def pushforward_degree(ctx: GenusCtx, label: str) -> int:
         return total_degree(g - 1)
     if label == "b0s":
         return even_component_degree(g - 1)
-    kind, i = label[0], int(label[1:])
-    if kind not in ("a", "b") or not 1 <= i <= ctx.h:
-        raise UnknownLabelError(f"no pushforward degree for label {label!r} at genus {g}")
-    if kind == "a":
+    # checked only here, so that R's three labels above build no genus basis
+    if label not in _basis(g, S_SIDE):
+        raise _unknown_labels((label,), ctx, S_SIDE)
+    i = int(label[1:])
+    if label[0] == "a":
         return even_component_degree(i) * even_component_degree(g - i)
     return odd_component_degree(i) * odd_component_degree(g - i)
 

@@ -4,8 +4,11 @@ Each genus streams (name, expected, got) triples of raw values, one section
 after another; a section that raises ends in a failed `<section>:exception`
 after what it already yielded. compat's Theta(h^2) block, F_i and G_i for
 i >= 1 against every pi*d_j, streams as one sparse row family (`_Row`) per
-i. `build_report` counts the stream and renders only failures, of a row only
-where its sides may differ; `run_genus` lists every identity as a `Check`.
+i; a row pairs each curve through `testcurves.intersect`, like every other
+pairing here, with pi*d0 and with each pi*d_j that stores one of the
+curve's labels. `build_report` counts the stream and renders only
+failures, of a row only where its sides may differ; `run_genus` lists
+every identity as a `Check`.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -234,21 +237,21 @@ def _identities(g: int):
         yield "compat:H0:d0", 2 - 2 * g, testcurves.intersect(h0, up["d0"])
         for j in range(1, ctx.h + 1):
             yield f"compat:H0:d{j}", 1 if j == 1 else 0, testcurves.intersect(h0, up[f"d{j}"])
-        # index: label -> [(j, coefficient in pi*d_j)]
+        # index: label -> every j whose pi*d_j stores it
         index = {}
         for j in range(ctx.h + 1):
-            for label, c in up[f"d{j}"].coeff.items():
-                index.setdefault(label, []).append((j, c))
+            for label in up[f"d{j}"].coeff:
+                index.setdefault(label, []).append(j)
         for i in range(1, ctx.h + 1):
-            pair = curves[f"F{i}"], curves[f"G{i}"]
-            # F0 paired with every column above, so all share its side and genus and d0 guards for them all
-            for curve in pair:
-                testcurves._require_pairable(curve, up["d0"])
-            got = {}  # summed from the first term in entry order, as intersect sums
-            for kind, curve in zip("FG", pair):
-                for label, v in curve.coeff.items():
-                    for j, c in index.get(label, ()):
-                        got[kind, j] = got[kind, j] + v * c if (kind, j) in got else v * c
+            got = {}
+            for kind in "FG":
+                curve = curves[f"{kind}{i}"]
+                # pi*d0 always, so a curve of the wrong side or genus raises before the row yields;
+                # every column that stores none of the curve's labels pairs to 0
+                got[kind, 0] = testcurves.intersect(curve, up["d0"])
+                for label in curve.coeff:
+                    for j in index.get(label, ()):
+                        got[kind, j] = testcurves.intersect(curve, up[f"d{j}"])
             yield _Row(i, ctx.h, got)
         # branching consistency at the genus-0 boundary, in covering degrees
         yield "compat:F0-branching", 12, f0["a0"] + 2 * f0["b0s"]

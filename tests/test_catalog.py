@@ -166,7 +166,7 @@ def test_engine_builders_pass_the_validating_constructor(g, monkeypatch):
 
 def test_basis_class_rejects_an_unknown_label_as_the_constructor_does():
     ctx = GenusCtx(3)
-    want = "labels ['d2'] are not in the side-M basis at genus 3 (basis: lambda, d0, d1)"
+    want = "label 'd2' is not in the side-M basis at genus 3 (basis: lambda, d0, d1)"
     with pytest.raises(UnknownLabelError) as raised:
         basis_class(ctx, M_SIDE, "d2")
     assert str(raised.value) == want

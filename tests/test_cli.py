@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import cli, errors, kodaira, testcurves, verify
+from spinpic import catalog, cli, errors, kodaira, testcurves, verify
 from spinpic.picard import DivisorClass, GenusCtx
 
 
@@ -129,6 +129,14 @@ def test_solve_thetanull_match(capsys):
     assert "Lbar = 1/4, A0bar = 1/16, B0bar = 0" in out
 
 
+def test_solve_thetanull_mismatch_exits_one(capsys, monkeypatch):
+    closed = catalog.thetanull_class
+    monkeypatch.setattr(catalog, "thetanull_class", lambda ctx: 2 * closed(ctx))
+    code, out, err = run(capsys, "solve-thetanull", "-g", "5")
+    assert (code, err) == (1, "")
+    assert out.endswith("closed form:  1/2*lambda - 1/8*a0 - b1 - b2\nMISMATCH\n")
+
+
 def test_classify_json_genus8(capsys):
     code, out, _ = run(capsys, "classify", "-g", "8", "--json")
     assert code == 0
@@ -204,6 +212,25 @@ def test_verify_small_range(capsys):
     assert "OK" in out
 
 
+def test_verify_failure_lines_exit_one(capsys, monkeypatch):
+    # one curve entry off: G2's -2 at b2 becomes -3
+    curve_map = testcurves.curve_map
+
+    def patched(ctx):
+        curves = curve_map(ctx)
+        curves["G2"] = DivisorClass(ctx, "S", {"b2": -3})
+        return curves
+
+    monkeypatch.setattr(testcurves, "curve_map", patched)
+    assert run(capsys, "verify", "--from", "5", "--to", "5") == (1, (
+        "genus 5: 82 checks  FAIL(3)\n"
+        "  FAIL curves:table:G2 at genus 5: expected {b2=-2, side=S}, got {b2=-3, side=S}\n"
+        "  FAIL pairing:G2*theta at genus 5: expected 1, got 3/2\n"
+        "  FAIL compat:G2:d2 at genus 5: expected -2, got -3\n"
+        "verify 5..5: FAIL (82 checks, 3 failures)\n"
+    ), "")
+
+
 def test_verify_json_round_trips_byte_identically(capsys):
     code, out, _ = run(capsys, "verify", "--from", "3", "--to", "4", "--json")
     assert code == 0
@@ -255,13 +282,18 @@ _DIVISOR_FILE_FAULTS = {
     "repeated-key": '{"name": "x", "genus": 10, "a": "100", "a": "7", "b0": "1"}',
     # read without its misspelt b, this file would certify a CONDITIONAL verdict
     "unknown-key": '{"name":"x","genus":10,"a":"7","b0":"1","bs":["2","2","2","2","2"]}',
+    "zero-b": '{"name": "z", "genus": 10, "a": "7", "b0": "1", "b": ["0", "1", "1", "1", "1"]}',
+    "negative-b": '{"name": "n", "genus": 10, "a": "7", "b0": "1", "b": ["1", "1", "-1", "1", "1"]}',
 }
 
-# the decode faults name the divisor file instead of printing a bare json or codec message
+# the decode faults name the divisor file instead of printing a bare json or
+# codec message; a b_i that is not positive gives the whole line below
 _DIVISOR_FILE_PREFIXES = {
     "empty": "error: divisor file is not valid JSON: ",
     "not-json": "error: divisor file is not valid JSON: ",
     "not-utf8": "error: cannot read divisor file: ",
+    "zero-b": "error: all boundary coefficients b_i must be positive\n",
+    "negative-b": "error: all boundary coefficients b_i must be positive\n",
 }
 
 

@@ -1,8 +1,11 @@
-"""The runtime package stays stdlib-only and quick to start.
+"""The runtime package stays stdlib-only, quick to start, and writes each primitive once.
 
 Every import in src/spinpic is stdlib or spinpic, and none is dataclasses:
 importing it also loads inspect, ast, dis and tokenize, a large share of a
 short CLI command's time, so the value classes are written out by hand.
+The same ast walk keeps two primitives in one home: only
+picard._unknown_labels builds an UnknownLabelError, and no module reaches
+into testcurves' private names, so every pairing goes through intersect.
 """
 
 import ast
@@ -43,3 +46,39 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     probe = f"import sys, spinpic.cli; print(sorted({sorted(SLOW_TO_IMPORT)} & sys.modules.keys()))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _call_sites(path: Path, name: str) -> list[str]:
+    """The innermost enclosing function of each call to `name` or `x.name` in the module ('' at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_only_picard_unknown_labels_builds_an_unknown_label_error():
+    sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py")) for where in _call_sites(path, "UnknownLabelError")]
+    assert sites == [("picard.py", "_unknown_labels")]
+
+
+def _private_names_read(path: Path, module: str) -> list[str]:
+    """Private names of spinpic.`module` that the file imports from it or reads as `module._name`."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"spinpic.{module}"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+            names.append(node.attr)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_module_reads_a_private_testcurves_name():
+    reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "testcurves.py"
+             if (names := _private_names_read(path, "testcurves"))}
+    assert reads == {}

@@ -63,6 +63,9 @@ def test_decompose_genus10_is_conditional():
     assert dec.nu == Fraction(1, 2)
     assert dec.conditional
     assert dec.c is None and dec.c_prime is None
+    with pytest.raises(VerificationFailureError) as raised:
+        dec.remainders_nonnegative()
+    assert str(raised.value) == "remainders are conditional; no sign information"
 
 
 def test_decompose_genus_mismatch():

@@ -71,6 +71,20 @@ def test_unknown_labels_rejected():
         DivisorClass(ctx, S_SIDE, {"d0": 1})
     with pytest.raises(UnknownLabelError):
         basis_class(ctx, M_SIDE, "a0")
+    # one label is named alone, several as a list, each with the basis
+    basis = "not in the side-M basis at genus 5 (basis: lambda, d0, d1, d2)"
+    with pytest.raises(UnknownLabelError) as raised:
+        zero_class(ctx, M_SIDE)["d3"]
+    assert str(raised.value) == f"label 'd3' is {basis}"
+    with pytest.raises(UnknownLabelError) as raised:
+        DivisorClass(ctx, M_SIDE, {"d9": 1, "a0": 1})
+    assert str(raised.value) == f"labels ['a0', 'd9'] are {basis}"
+
+
+def test_a_side_other_than_m_or_s_is_refused():
+    with pytest.raises(ValueError) as raised:
+        labels_for(GenusCtx(5), "X")
+    assert str(raised.value) == "side must be 'M' or 'S', got 'X'"
 
 
 def test_public_constructor_coerces_values():
@@ -101,6 +115,9 @@ def test_lincomb_mixed_basis():
         lincomb([1, 1], [a, c])
     with pytest.raises(MixedBasisError):
         lincomb([], [])
+    with pytest.raises(TypeError) as raised:
+        a + 1
+    assert str(raised.value) == "expected a DivisorClass, got int"
 
 
 @given(classes(), rationals, rationals)
@@ -305,6 +322,9 @@ def test_parse_drops_cancelled_labels():
     ("d1 + 3 / 0*d0", ValueError, "zero denominator: '3/0'"),
     ("lambda + d9", UnknownLabelError,
      "label 'd9' is not in the side-M basis at genus 5 (basis: lambda, d0, d1, d2)"),
+    # the message names the token as written, not its ASCII form
+    ("lambda + \u03b49", UnknownLabelError,
+     "label '\u03b49' is not in the side-M basis at genus 5 (basis: lambda, d0, d1, d2)"),
     ("lambda d1", ClassSyntaxError, "expected '+' or '-' before position 6 in 'lambda d1'"),
     ("2*d0 -d1 3*d2", ClassSyntaxError, "expected '+' or '-' before position 8 in '2*d0 -d1 3*d2'"),
 ])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinpic.errors import SideMismatchError
+from spinpic import picard
+from spinpic.errors import SideMismatchError, UnknownLabelError
 from spinpic.picard import (
     DivisorClass,
     GenusCtx,
@@ -16,6 +17,8 @@ from spinpic.picard import (
     lincomb,
     zero_class,
 )
+from spinpic.kodaira import MAX_RK_GENUS, classify
+from spinpic.testcurves import curve_map
 from spinpic.transfer import (
     degree_identities,
     even_component_degree,
@@ -231,3 +234,25 @@ def test_pushforward_drops_cancelled_d0():
     ctx = GenusCtx(3)  # deg a0 = 16, deg b0s = 10
     x = DivisorClass(ctx, S_SIDE, {"a0": 5, "b0s": -8, "lambda": Fraction(1, 36)})
     assert dict(pushforward(x).coeff) == {"lambda": Fraction(1)}
+
+
+# int() reads the index of a01, a+1, "a 1" and the Arabic-Indic a\u0663 as 1 or 3, so
+# pushforward_degree checks the label against the basis rather than parse its index
+@pytest.mark.parametrize("label", ["a01", "a+1", "a 1", "a\u0663", f"a{GenusCtx(6).h + 1}", "d1", "", "zz"])
+def test_pushforward_degree_rejects_a_label_outside_the_basis(label):
+    with pytest.raises(UnknownLabelError) as raised:
+        pushforward_degree(GenusCtx(6), label)
+    assert str(raised.value) == (
+        f"label {label!r} is not in the side-S basis at genus 6 (basis: lambda, a0, b0s, a1, b1, a2, b2, a3, b3)"
+    )
+
+
+def test_the_covering_curve_builds_no_genus_basis():
+    # R's entries need the degrees of lambda, a0 and b0s only, which are
+    # answered before the basis check, so R.K certificates build no basis
+    picard._basis.cache_clear()
+    for g in range(3, MAX_RK_GENUS + 1):
+        ctx = GenusCtx(g)
+        assert curve_map(ctx)["R"].coeff.keys() == {"lambda", "a0", "b0s"}
+        assert classify(ctx).rk < 0
+    assert picard._basis.cache_info().misses == 0
