@@ -43,6 +43,14 @@ S_SIDE = "S"
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$", re.ASCII)
 
 
+def _ints(p: str, q: str | None) -> tuple[int, int]:
+    """The integer pair of "p/q" from its digit strings, q = None meaning 1: the one p/q reader of both grammars."""
+    d = 1 if q is None else int(q)
+    if d == 0:
+        raise ValueError(f"zero denominator: {f'{p}/{q}'!r}")
+    return int(p), d
+
+
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a canonical rational.
 
@@ -57,10 +65,7 @@ def rational(value: int | str | Fraction) -> Fraction:
         m = _RATIONAL_RE.match(value)
         if m is None:
             raise ValueError(f"not an exact rational: {value!r}")
-        den = int(m.group(2) or 1)
-        if den == 0:
-            raise ValueError(f"zero denominator: {value!r}")
-        return Fraction(int(m.group(1)), den)
+        return Fraction(*_ints(m[1], m[2]))
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
@@ -296,7 +301,7 @@ def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorCla
 # --- text format -----------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"(?:(?P<num>\d+(?:\s*/\s*\d+)?)\s*\*\s*)?"
+    r"(?:(?P<p>\d+)(?:\s*/\s*(?P<q>\d+))?\s*\*\s*)?"
     r"(?P<label>λ|lambda|[dab]\d+s?|[δαβ]\d+)",
     re.ASCII,  # \d and \s match ASCII only; the λ/δ/α/β literals still match
 )
@@ -350,15 +355,8 @@ def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[
         label = _canonical_label(m.group("label"))
         if label not in basis:
             raise _unknown_labels((m.group("label"),), ctx, side)  # the token as written, λ or δ included
-        num = m.group("num")
-        if num is None:
-            yield label, sign, 1
-        else:
-            p, _, q = num.partition("/")
-            d = int(q) if q else 1
-            if d == 0:
-                raise ValueError(f"zero denominator: {num.replace(' ', '')!r}")
-            yield label, sign * int(p), d
+        n, d = _ints(m["p"] or "1", m["q"])
+        yield label, sign * n, d
         pos = m.end()
 
 

@@ -8,7 +8,7 @@ i; a row pairs each curve through `testcurves.intersect`, like every other
 pairing here, with pi*d0 and with each pi*d_j that stores one of the
 curve's labels. `build_report` counts the stream and renders only
 failures, of a row only where its sides may differ; `run_genus` lists
-every identity as a `Check`.
+every identity as a `Check` with both sides already rendered.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from . import catalog, kodaira, testcurves, transfer
@@ -40,33 +39,13 @@ from .picard import (
 )
 
 
-class Check:
-    """One identity of `run_genus`'s list, with its raw expected and observed values.
+class Check(_Value):
+    """One identity of `run_genus`'s list: its name, whether it holds, and both sides rendered by `_fmt`."""
 
-    `expected` and `got` render those values to exact strings on first
-    read, through the same `_fmt` that renders the report's failure
-    records, so a caller that only reads `ok` renders nothing.
-    """
+    __slots__ = __match_args__ = ("name", "ok", "expected", "got")
 
-    def __init__(self, name: str, ok: bool, raw_expected: object, raw_got: object) -> None:
-        self.name, self.ok, self.raw_expected, self.raw_got = name, ok, raw_expected, raw_got
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.ok, self.raw_expected, self.raw_got) == (
-            other.name, other.ok, other.raw_expected, other.raw_got)
-
-    def __repr__(self) -> str:
-        return f"Check(name={self.name!r}, ok={self.ok!r})"
-
-    @cached_property
-    def expected(self) -> str:
-        return _fmt(self.raw_expected)
-
-    @cached_property
-    def got(self) -> str:
-        return _fmt(self.raw_got)
+    def __init__(self, name: str, ok: bool, expected: str, got: str) -> None:
+        self._init(name=name, ok=ok, expected=expected, got=got)
 
 
 def _fmt(value) -> str:
@@ -193,10 +172,10 @@ def _identities(g: int):
         yield "bn:slope", slope_bound, spec.slope
         yield "bn:lambda", Fraction(g + 3), cls["lambda"]
         for i in range(1, ctx.h + 1):
-            ratio = spec.b[i - 1] / spec.b0
-            yield f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), ratio
+            # the ratio read from the class that divisor_class built, so a misread b_i shows
+            yield f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), cls[f"d{i}"] / cls["d0"]
             # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2
-            yield f"bn:ratio-bound-d{i}", True, ratio >= (2 if i == 1 else Fraction(4, 3))
+            yield f"bn:ratio-bound-d{i}", True, spec.b[i - 1] / spec.b0 >= (2 if i == 1 else Fraction(4, 3))
 
     def curve_tables():
         expected = _expected_curve_table(ctx)
@@ -315,7 +294,7 @@ def _identities(g: int):
 
 def run_genus(g: int) -> list[Check]:
     """Every per-genus identity as a `Check`, in order, row families expanded; g >= 3."""
-    return [Check(name, expected == got, expected, got) for item in _identities(g)
+    return [Check(name, expected == got, _fmt(expected), _fmt(got)) for item in _identities(g)
             for name, expected, got in (item.triples() if isinstance(item, _Row) else (item,))]
 
 

@@ -284,6 +284,7 @@ _DIVISOR_FILE_FAULTS = {
     "unknown-key": '{"name":"x","genus":10,"a":"7","b0":"1","bs":["2","2","2","2","2"]}',
     "zero-b": '{"name": "z", "genus": 10, "a": "7", "b0": "1", "b": ["0", "1", "1", "1", "1"]}',
     "negative-b": '{"name": "n", "genus": 10, "a": "7", "b0": "1", "b": ["1", "1", "-1", "1", "1"]}',
+    "array": "[1, 2]",
 }
 
 # the decode faults name the divisor file instead of printing a bare json or
@@ -294,6 +295,7 @@ _DIVISOR_FILE_PREFIXES = {
     "not-utf8": "error: cannot read divisor file: ",
     "zero-b": "error: all boundary coefficients b_i must be positive\n",
     "negative-b": "error: all boundary coefficients b_i must be positive\n",
+    "array": "error: divisor file must hold a JSON object\n",
 }
 
 

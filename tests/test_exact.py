@@ -34,6 +34,13 @@ def test_rational_rejects_non_fractions(bad):
         rational(bad)
 
 
+def test_rational_zero_denominator_message_drops_whitespace():
+    # the same message as parse_class gives for a zero denominator in a term
+    with pytest.raises(ValueError) as raised:
+        rational(" 1 / 0 ")
+    assert str(raised.value) == "zero denominator: '1/0'"
+
+
 @pytest.mark.parametrize("bad", [0.5, True, False])
 def test_rational_rejects_floats(bad):
     # a bool is an int, but reading True as 1 would let a flag pass for a coefficient

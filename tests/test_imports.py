@@ -6,6 +6,8 @@ short CLI command's time, so the value classes are written out by hand.
 The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
+It also keeps one kind of value: every class outside errors.py derives from
+picard._Value, and none computes a field lazily through cached_property.
 """
 
 import ast
@@ -82,3 +84,21 @@ def test_no_module_reads_a_private_testcurves_name():
     reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "testcurves.py"
              if (names := _private_names_read(path, "testcurves"))}
     assert reads == {}
+
+
+def test_every_class_is_a_value_or_an_error():
+    # (file, class) -> the names of its bases, for every class statement outside errors.py
+    bases = {(path.name, node.name): {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.ClassDef)}
+    values = {"_Value"}  # grown to every class that derives from it, directly or not
+    while grown := {name for (_, name), names in bases.items() if names & values} - values:
+        values |= grown
+    assert [key for key, names in bases.items() if key != ("picard.py", "_Value") and not names & values] == []
+
+
+def test_no_module_uses_cached_property():
+    uses = [path.name for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+    assert uses == []

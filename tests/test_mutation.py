@@ -175,6 +175,17 @@ def test_perturbed_bn_coefficient_is_caught(g, i, monkeypatch):
     assert _failures(g), f"no check caught the perturbed b_{i} at genus {g}"
 
 
+def test_shifted_divisor_class_index_is_caught(monkeypatch):
+    # divisor_class reading b_{i-1} for d_i (b_h for d1), as spec.b[i - 2] would; the spec stays true
+    original = catalog.divisor_class
+
+    def shifted(spec):
+        return original(_perturbed(spec, b=spec.b[-1:] + spec.b[:-1]))
+
+    monkeypatch.setattr(catalog, "divisor_class", shifted)
+    assert "bn:ratio-d1" in {c.name for c in _failures(9)}
+
+
 def test_ratio_bound_d1_guards_c1(monkeypatch):
     # c_1 = -3 + (3/2)*b_1/b0 needs b_1/b0 >= 2; 3/2 clears the 4/3 bound of i >= 2
     original = catalog.bn_class

@@ -320,6 +320,8 @@ def test_parse_drops_cancelled_labels():
 @pytest.mark.parametrize("text,error,message", [
     ("1/0*lambda", ValueError, "zero denominator: '1/0'"),
     ("d1 + 3 / 0*d0", ValueError, "zero denominator: '3/0'"),
+    # the message drops any whitespace, as rational's does
+    ("1\t/0*lambda", ValueError, "zero denominator: '1/0'"),
     ("lambda + d9", UnknownLabelError,
      "label 'd9' is not in the side-M basis at genus 5 (basis: lambda, d0, d1, d2)"),
     # the message names the token as written, not its ASCII form

@@ -67,7 +67,7 @@ def _dense_rows(ctx):
             want = 2 - 2 * i if i == j else 0
             for kind in "FG":
                 got = testcurves.intersect(curves[f"{kind}{i}"], x)
-                yield verify.Check(f"compat:{kind}{i}:d{j}", want == got, want, got)
+                yield verify.Check(f"compat:{kind}{i}:d{j}", want == got, verify._fmt(want), verify._fmt(got))
 
 
 def _assert_rows_match_dense(g):
