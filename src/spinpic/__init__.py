@@ -1,7 +1,8 @@
 """spinpic: exact-rational divisor-class calculus on the moduli spaces of
 curves and even spin curves.
 
-All arithmetic is exact; the scalar everywhere is fractions.Fraction.
+All arithmetic is exact: scalars are fractions.Fraction, and a class holds
+integer numerators over one common denominator.
 The package computes the transfer maps of the spin covering, pairs test
 pencils with divisor classes, re-derives the theta-null class from pencil
 relations, and emits per-genus Kodaira-type certificates.

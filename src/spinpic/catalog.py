@@ -24,7 +24,8 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, _Value, rational, require_classification_genus
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _trusted, _Value, rational,
+                     require_classification_genus)
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -131,11 +132,11 @@ def divisor_class(spec: DivisorSpec) -> DivisorClass:
             f"divisor at genus {spec.ctx.g} has no boundary coefficients b_i; only its slope "
             f"a/b0 = {spec.slope} is known"
         )
-    coeff = {"lambda": spec.a, "d0": -spec.b0}
-    for i in range(1, spec.ctx.h + 1):
-        coeff[f"d{i}"] = -spec.b[i - 1]
-    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_d
-    return _trusted(spec.ctx, M_SIDE, coeff)
+    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_d;
+    # the signs go on their integer numerators, so no Fraction is negated
+    b = {f"d{i}": v for i, v in enumerate(spec.b, 1)}
+    num, den = _integer_form({"lambda": spec.a, "d0": spec.b0, **b})
+    return _trusted(spec.ctx, M_SIDE, {l: n if l == "lambda" else -n for l, n in num.items()}, den)
 
 
 def _spec_value(key: str, value) -> Fraction:
@@ -208,22 +209,19 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 
 # --- canonical and theta-null classes ---------------------------------------
 
-# The four closed forms below hold nonzero Fractions under basis labels by
-# construction, so they skip the constructor's validation (picard._trusted);
-# tests/test_catalog.py checks each against the validating constructor.
-
-# shared by every class below instead of one equal Fraction per basis label
-_MINUS_TWO = Fraction(-2)
-_MINUS_HALF = Fraction(-1, 2)
+# The four closed forms below hold nonzero integer numerators under basis
+# labels over a denominator prime to them by construction, so they skip the
+# constructor's validation (picard._trusted); tests/test_catalog.py checks
+# each against the validating constructor.
 
 
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the curve side: 13*lambda - 2*d0 - 3*d1 - 2*(d2 + ...)."""
     require_classification_genus(ctx)
-    coeff = {"lambda": Fraction(13), "d0": _MINUS_TWO, "d1": Fraction(-3)}
+    num = {"lambda": 13, "d0": -2, "d1": -3}
     for i in range(2, ctx.h + 1):
-        coeff[f"d{i}"] = _MINUS_TWO
-    return _trusted(ctx, M_SIDE, coeff)
+        num[f"d{i}"] = -2
+    return _trusted(ctx, M_SIDE, num, 1)
 
 
 def canonical_s(ctx: GenusCtx) -> DivisorClass:
@@ -233,26 +231,19 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     check compares the two routes.
     """
     require_classification_genus(ctx)
-    coeff = {
-        "lambda": Fraction(13),
-        "a0": _MINUS_TWO,
-        "b0s": Fraction(-3),
-        "a1": Fraction(-3),
-        "b1": Fraction(-3),
-    }
+    num = {"lambda": 13, "a0": -2, "b0s": -3, "a1": -3, "b1": -3}
     for i in range(2, ctx.h + 1):
-        coeff[f"a{i}"] = _MINUS_TWO
-        coeff[f"b{i}"] = _MINUS_TWO
-    return _trusted(ctx, S_SIDE, coeff)
+        num[f"a{i}"] = num[f"b{i}"] = -2
+    return _trusted(ctx, S_SIDE, num, 1)
 
 
 def thetanull_class(ctx: GenusCtx) -> DivisorClass:
-    """Class of the theta-null divisor: 1/4*lambda - 1/16*a0 - 1/2*sum(bi)."""
+    """Class of the theta-null divisor: 1/4*lambda - 1/16*a0 - 1/2*sum(bi), over the denominator 16."""
     require_classification_genus(ctx)
-    coeff = {"lambda": Fraction(1, 4), "a0": Fraction(-1, 16)}
+    num = {"lambda": 4, "a0": -1}
     for i in range(1, ctx.h + 1):
-        coeff[f"b{i}"] = _MINUS_HALF
-    return _trusted(ctx, S_SIDE, coeff)
+        num[f"b{i}"] = -8
+    return _trusted(ctx, S_SIDE, num, 16)
 
 
 def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
@@ -263,10 +254,10 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
     require_classification_genus(ctx)
     g = ctx.g
     scale = 2 ** (g - 3)
-    coeff = {"lambda": Fraction(scale * (2**g + 1)), "d0": Fraction(-scale * 2 ** (g - 3))}
+    num = {"lambda": scale * (2**g + 1), "d0": -scale * 2 ** (g - 3)}
     for i in range(1, ctx.h + 1):
-        coeff[f"d{i}"] = Fraction(-scale * (2 ** (g - i) - 1) * (2**i - 1))
-    return _trusted(ctx, M_SIDE, coeff)
+        num[f"d{i}"] = -scale * (2 ** (g - i) - 1) * (2**i - 1)
+    return _trusted(ctx, M_SIDE, num, 1)
 
 
 def bn_class(ctx: GenusCtx) -> tuple[DivisorClass, DivisorSpec]:

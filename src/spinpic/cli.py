@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, _ratio, labels_for, parse_class, render_class
 
-# The largest genus any subcommand accepts; verify takes about 0.3 s for genus
+# The largest genus any subcommand accepts; verify takes about 0.25 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
 MAX_GENUS = 1000
 
@@ -71,8 +71,8 @@ def _print_certificate(cert: kodaira.KodairaCertificate) -> None:
         if dec.conditional:
             print("  remainders: CONDITIONAL (no boundary coefficients supplied)")
         else:
-            print(f"  remainders c  = ({', '.join(map(str, dec.c))})")
-            print(f"  remainders c' = ({', '.join(map(str, dec.c_prime))})")
+            print(f"  remainders c  = ({', '.join(_ratio(n, dec.den) for n in dec.c_num)})")
+            print(f"  remainders c' = ({', '.join(_ratio(n, dec.den) for n in dec.c_prime_num)})")
     print(f"  flags: {', '.join(cert.flags) if cert.flags else '(none)'}")
     for note in cert.annotations:
         print(f"  note: {note}")
@@ -96,7 +96,7 @@ def _cmd_pair(args) -> int:
         table = {}
         for name, c in curves.items():
             row = table[name] = dict(zero[c.side])
-            row.update((label, str(v)) for label, v in c.coeff.items())
+            row.update((label, _ratio(n, c.den)) for label, n in c.num.items())
         print(verify.report_json(table))
         return 0
     if args.curve is None or args.classexpr is None:

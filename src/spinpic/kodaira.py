@@ -9,7 +9,7 @@ The engine certifies one of three verdicts with exact rational evidence:
   auxiliary divisor is completely known, non-negative boundary remainders.
 
 The three sign rules live in `judge` alone, and the choice of evidence in
-MAX_RK_GENUS alone. `classify` gathers that evidence and ends in `certify`;
+`_rk_is_evidence` alone. `classify` gathers that evidence and ends in `certify`;
 `verify` runs `certify` on the evidence it has already computed.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
@@ -20,10 +20,11 @@ on the certificate as a named hypothesis, not silently assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import _ONE, _ZERO, M_SIDE, S_SIDE, GenusCtx, _trusted, _Value, lincomb
+from .picard import M_SIDE, S_SIDE, GenusCtx, _integer_form, _ratio, _trusted, _Value, lincomb, rational
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -40,6 +41,11 @@ MAX_TABULATED_GENUS = 22
 MAX_RK_GENUS = 7
 
 
+def _rk_is_evidence(g: int) -> bool:
+    """Whether genus g's evidence is R . K rather than the decomposition: the one comparison with MAX_RK_GENUS."""
+    return g <= MAX_RK_GENUS
+
+
 def nu_value(spec: catalog.DivisorSpec) -> Fraction:
     """The lambda surplus of the canonical class over the fixed combination.
 
@@ -53,26 +59,41 @@ def nu_value(spec: catalog.DivisorSpec) -> Fraction:
 class Decomposition(_Value):
     """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainders.
 
-    c and c_prime hold the ai / bi remainder coefficients; they are None
-    when the divisor spec carries no boundary coefficients, in which case
-    their non-negativity is conditional rather than checked.
+    c and c_prime are the ai / bi remainder coefficients, read as Fraction
+    tuples and stored as integer numerators c_num and c_prime_num over one
+    positive denominator den; they are None when the divisor spec carries
+    no boundary coefficients, in which case their non-negativity is
+    conditional rather than checked.
     """
 
-    __slots__ = __match_args__ = ("d_spec", "nu", "c", "c_prime")
+    __slots__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
+    __match_args__ = ("d_spec", "nu", "c", "c_prime")
 
     def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, c: tuple[Fraction, ...] | None,
                  c_prime: tuple[Fraction, ...] | None) -> None:
-        self._init(d_spec=d_spec, nu=nu, c=c, c_prime=c_prime)
+        parts = [None if p is None else tuple(map(rational, p)) for p in (c, c_prime)]
+        den = lcm(*(v.denominator for p in parts if p for v in p))
+        c_num, c_prime_num = (None if p is None else tuple(v.numerator * (den // v.denominator) for v in p)
+                              for p in parts)
+        self._init(d_spec=d_spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
+
+    @property
+    def c(self) -> tuple[Fraction, ...] | None:
+        return None if self.c_num is None else tuple(Fraction(n, self.den) for n in self.c_num)
+
+    @property
+    def c_prime(self) -> tuple[Fraction, ...] | None:
+        return None if self.c_prime_num is None else tuple(Fraction(n, self.den) for n in self.c_prime_num)
 
     @property
     def conditional(self) -> bool:
-        return self.c is None
+        return self.c_num is None
 
     def remainders_nonnegative(self) -> bool:
         if self.conditional:
             raise VerificationFailureError("remainders are conditional; no sign information")
-        # a Fraction's denominator is positive, so its numerator carries its sign
-        return all(v.numerator >= 0 for v in self.c) and all(v.numerator >= 0 for v in self.c_prime)
+        # den is positive, so a numerator carries its remainder's sign
+        return all(n >= 0 for n in self.c_num) and all(n >= 0 for n in self.c_prime_num)
 
 
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
@@ -91,22 +112,25 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         d = catalog.divisor_class(spec)
     else:
         # a, b0 > 0 is validated, and every basis holds lambda and d0
-        d = _trusted(ctx, M_SIDE, {"lambda": spec.a, "d0": -spec.b0})
+        d = _trusted(ctx, M_SIDE, *_integer_form({"lambda": spec.a, "d0": -spec.b0}))
     remainder = lincomb(
         [1, -nu, -8, -Fraction(3, 2) / spec.b0],
-        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": _ONE}),
+        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": 1}, 1),
          catalog.thetanull_class(ctx), transfer.pullback(d)],
     )
     # every label read below is in the basis, so __getitem__'s label check is skipped
-    rest = remainder.coeff
+    rest = remainder.num
     for label in ("lambda", "a0", "b0s"):
         if label in rest:
-            raise VerificationFailureError(f"nonzero {label} remainder {rest[label]}")
+            raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
     if not spec.complete:
         return Decomposition(spec, nu, None, None)
-    c = tuple(rest.get(f"a{i}", _ZERO) for i in range(1, ctx.h + 1))
-    c_prime = tuple(rest.get(f"b{i}", _ZERO) for i in range(1, ctx.h + 1))
-    return Decomposition(spec, nu, c, c_prime)
+    dec = object.__new__(Decomposition)
+    # the remainder's own numerators over its denominator, so no Fraction is built per label
+    dec._init(d_spec=spec, nu=nu, den=remainder.den,
+              c_num=tuple([rest.get(f"a{i}", 0) for i in range(1, ctx.h + 1)]),
+              c_prime_num=tuple([rest.get(f"b{i}", 0) for i in range(1, ctx.h + 1)]))
+    return dec
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
@@ -138,8 +162,8 @@ def certificate_json(cert: KodairaCertificate) -> dict:
         "verdict": cert.verdict,
         "nu": None if dec is None else str(dec.nu),
         "rk": None if cert.rk is None else str(cert.rk),
-        "c": None if dec is None or dec.conditional else [str(v) for v in dec.c],
-        "c_prime": None if dec is None or dec.conditional else [str(v) for v in dec.c_prime],
+        "c": None if dec is None or dec.conditional else [_ratio(n, dec.den) for n in dec.c_num],
+        "c_prime": None if dec is None or dec.conditional else [_ratio(n, dec.den) for n in dec.c_prime_num],
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }
@@ -154,11 +178,11 @@ _RATIONALITY_NOTES = {
 def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
     """The verdict that the evidence certifies, by the three sign rules.
 
-    rk (the pairing R . K) is read up to MAX_RK_GENUS, dec after it. Evidence
+    rk (the pairing R . K) is read where _rk_is_evidence(g), dec elsewhere. Evidence
     that is missing or certifies nothing raises VerificationFailureError.
     """
     g = ctx.g
-    if g <= MAX_RK_GENUS:
+    if _rk_is_evidence(g):
         if rk is None:
             raise VerificationFailureError(f"no R . K evidence at genus {g}")
         if rk >= 0:
@@ -180,7 +204,7 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
     # a user divisor steeper than the slope bound is rejected at every genus,
     # also where the verdict does not use it
     spec = catalog.choose_d(ctx, user_d)
-    if ctx.g <= MAX_RK_GENUS:
+    if _rk_is_evidence(ctx.g):
         return certify(ctx, uniruled_certificate(ctx), None)
     return certify(ctx, None, decompose_canonical(ctx, spec))
 
@@ -188,7 +212,7 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
 def certify(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> KodairaCertificate:
     """Pure: keep only the evidence the genus uses, `judge` it, add flags, notes and citations; D is dec.d_spec."""
     g = ctx.g
-    rk, dec = (rk, None) if g <= MAX_RK_GENUS else (None, dec)
+    rk, dec = (rk, None) if _rk_is_evidence(g) else (None, dec)
     verdict = judge(ctx, rk, dec)
 
     flags: list[str] = []

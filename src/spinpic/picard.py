@@ -5,18 +5,21 @@ Two bases exist for each genus g >= 2, with h = floor(g/2):
 * curve side ("M"): lambda, d0, d1, ..., dh
 * spin side  ("S"): lambda, a0, b0s, a1, b1, ..., ah, bh
 
-A class is a sparse coefficient vector over its basis: only the nonzero
-exact-rational coefficients are stored. A test curve is a class too, read
-as its vector of intersection numbers against the same basis. The
-spin-side label for the second genus-0 boundary class is spelled ``b0s``
-in every text format so that it can never be confused with the divisor
-slope coefficient b_0 used elsewhere.
+A class is a sparse coefficient vector over its basis: one positive
+common denominator den and the nonzero integer numerators num, with
+gcd(den, *num) = 1, so that the arithmetic sums integers and builds no
+Fraction per label. coeff is the read-only view label -> reduced Fraction,
+built on demand. A test curve is a class too, read as its vector of
+intersection numbers against the same basis. The spin-side label for the
+second genus-0 boundary class is spelled ``b0s`` in every text format so
+that it can never be confused with the divisor slope coefficient b_0 used
+elsewhere.
 
-Every scalar is a standard library Fraction, which already keeps the
-canonical form (reduced, positive denominator, zero stored as 0/1), and
-no floating point appears anywhere, in memory or in output. External
-output prints a rational as str(q): "p/q", or just "p" when the
-denominator is 1. rational() is the strict parser that reads it back.
+Scalars are standard library Fractions, and no floating point appears
+anywhere, in memory or in output. External output prints a rational as
+"p/q" in lowest terms, or just "p" when the denominator is 1, as str() of
+a Fraction does; _ratio writes it from a numerator and a denominator, and
+rational() is the strict parser that reads it back.
 
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
@@ -31,7 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -157,30 +160,50 @@ def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownL
                              f"(basis: {', '.join(_basis(ctx.g, side))})")
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d >= 1, without building the Fraction: the one p/q writer of the package."""
+    k = gcd(n, d)
+    return str(n // k) if k == d else f"{n // k}/{d // k}"
+
+
+def _integer_form(coeff: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
+    """(num, den) of nonzero reduced Fractions: den is the lcm of their denominators, so gcd(den, *num) = 1."""
+    den = lcm(*(v.denominator for v in coeff.values()))
+    return {label: v.numerator * (den // v.denominator) for label, v in coeff.items()}, den
 
 
 class DivisorClass(_Value):
     """A formal divisor class: exact coefficients over a fixed basis.
 
-    Instances are immutable and store only their nonzero coefficients, in
-    a read-only mapping; zeros given at construction are dropped and labels
-    outside the basis of the genus context are rejected. Indexing with a
-    basis label that is not stored gives 0.
+    Instances are immutable and store one positive common denominator den
+    and a read-only mapping num of the nonzero integer numerators, with
+    gcd(den, *num) = 1, so equal classes store equal integers. coeff is
+    the read-only view label -> reduced Fraction, built on each read; no
+    engine path reads it. The constructor drops zeros and rejects labels
+    outside the basis of the genus context. Indexing with a basis label
+    that is not stored gives 0.
     """
 
     __match_args__ = ("ctx", "side", "coeff")
 
     def __init__(self, ctx: GenusCtx, side: str, coeff: Mapping[str, Fraction] = MappingProxyType({})) -> None:
-        self._init(ctx=ctx, side=side, coeff=coeff)
+        self._init(ctx=ctx, side=side, num=coeff)  # __post_init__ turns the given coefficients into num and den
         self.__post_init__()
 
     def __post_init__(self) -> None:
         basis = _basis(self.ctx.g, self.side)
-        if not self.coeff.keys() <= basis.keys():
-            raise _unknown_labels(self.coeff.keys() - basis.keys(), self.ctx, self.side)
-        values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.coeff.items())
-        object.__setattr__(self, "coeff", MappingProxyType({l: v for l, v in values if v}))
+        if not self.num.keys() <= basis.keys():
+            raise _unknown_labels(self.num.keys() - basis.keys(), self.ctx, self.side)
+        values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.num.items())
+        num, den = _integer_form({l: v for l, v in values if v})
+        vars(self).update(num=MappingProxyType(num), den=den)
+
+    @property
+    def coeff(self) -> Mapping[str, Fraction]:
+        return MappingProxyType({label: Fraction(n, self.den) for label, n in self.num.items()})
 
     def __reduce__(self):  # the read-only coeff mapping does not pickle; a plain dict does
         return DivisorClass, (self.ctx, self.side, dict(self.coeff))
@@ -188,13 +211,13 @@ class DivisorClass(_Value):
     def __getitem__(self, label: str) -> Fraction:
         if label not in _basis(self.ctx.g, self.side):
             raise _unknown_labels((label,), self.ctx, self.side)
-        return self.coeff.get(label, _ZERO)
+        return Fraction(self.num[label], self.den) if label in self.num else _ZERO
 
     def labels(self) -> tuple[str, ...]:
         return labels_for(self.ctx, self.side)
 
     def is_zero(self) -> bool:
-        return not self.coeff
+        return not self.num
 
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -209,7 +232,8 @@ class DivisorClass(_Value):
     def __eq__(self, other):  # genera by g, as in _require_compatible; this also leaves classes unhashable
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.ctx.g == other.ctx.g and self.side == other.side and self.coeff == other.coeff
+        return (self.ctx.g == other.ctx.g and self.side == other.side and self.den == other.den
+                and self.num == other.num)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return lincomb((1, 1), (self, other))
@@ -237,55 +261,53 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
     if label not in _basis(ctx.g, side):
         raise _unknown_labels((label,), ctx, side)
-    return _trusted(ctx, side, {label: _ONE})
+    return _trusted(ctx, side, {label: 1}, 1)
 
 
 def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
     """Exact linear combination sum(scalars[k] * classes[k]), over nonzeros only.
 
-    `+`, `-` and scalar multiples call it too. Each term goes through
+    `+`, `-` and scalar multiples call it too. Each class is one group of
     _sum_terms, the integer kernel that the parser and the transfer maps
     share.
     """
     if not classes or len(scalars) != len(classes):
         raise MixedBasisError("lincomb needs equally long, nonempty scalar and class lists")
     first = classes[0]
-    scaled = []
+    groups = []
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
         q = rational(s)
-        scaled.append((q.numerator, q.denominator, cls))
-    return _sum_terms(first.ctx, first.side, (
-        (label, sn * v.numerator, sd * v.denominator)
-        for sn, sd, cls in scaled
-        for label, v in cls.coeff.items()
-    ))
+        groups.append((q.numerator, q.denominator * cls.den, cls.num.items()))
+    return _sum_terms(first.ctx, first.side, groups)
 
 
-def _sum_terms(ctx: GenusCtx, side: str, terms: Iterable[tuple[str, int, int]]) -> DivisorClass:
-    """The class summing (label, numerator, denominator) terms; the labels must be in the basis.
+def _sum_terms(ctx: GenusCtx, side: str,
+               groups: Iterable[tuple[int, int, Iterable[tuple[str, int]]]]) -> DivisorClass:
+    """The class sum over groups (n, d, pairs) of n/d times sum(m * label) over pairs (label, m).
 
-    The one arithmetic kernel for classes. Each label's terms are summed as
-    an integer numerator over that label's own common denominator, and each
-    nonzero sum becomes one reduced Fraction at the end.
+    The one arithmetic kernel for classes; the labels must be in the basis.
+    It takes one lcm of the group denominators, sums integer numerators over
+    it, and divides out their one common gcd, so no Fraction is built.
     """
-    acc: dict[str, tuple[int, int]] = {}
-    for label, n, d in terms:
-        if label in acc:
-            an, ad = acc[label]
-            if ad != d:
-                m = lcm(ad, d)
-                an, n, d = an * (m // ad), n * (m // d), m
-            n += an
-        acc[label] = (n, d)
-    # Fraction(n) skips the gcd that Fraction(n, 1) would take
-    return _trusted(ctx, side, {
-        l: Fraction(n) if d == 1 else Fraction(n, d) for l, (n, d) in acc.items() if n
-    })
+    groups = list(groups)
+    den = lcm(*(d for _, d, _ in groups))
+    acc: dict[str, int] = {}
+    for n, d, pairs in groups:
+        if n:
+            k = n * (den // d)
+            for label, m in pairs:
+                acc[label] = acc.get(label, 0) + k * m
+    num = {label: m for label, m in acc.items() if m}
+    k = gcd(den, *num.values())
+    if k != 1:
+        den //= k
+        num = {label: m // k for label, m in num.items()}
+    return _trusted(ctx, side, num, den)
 
 
-def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorClass:
-    """A class from coefficients already known to be nonzero reduced Fractions under basis labels.
+def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> DivisorClass:
+    """A class from nonzero integer numerators under basis labels over den >= 1, with gcd(den, *num) = 1.
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
@@ -294,7 +316,7 @@ def _trusted(ctx: GenusCtx, side: str, coeff: dict[str, Fraction]) -> DivisorCla
     solve_thetanull, and decompose_canonical's lambda and slope-only D.
     """
     cls = object.__new__(DivisorClass)
-    vars(cls).update(ctx=ctx, side=side, coeff=MappingProxyType(coeff))
+    vars(cls).update(ctx=ctx, side=side, num=MappingProxyType(num), den=den)
     return cls
 
 
@@ -336,8 +358,8 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     return _sum_terms(ctx, side, _parse_terms(s, text, ctx, side))
 
 
-def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[str, int, int]]:
-    """Each term of the stripped expression s as (label, numerator, denominator)."""
+def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[int, int, tuple[tuple[str, int]]]]:
+    """Each term of the stripped expression s as a _sum_terms group (numerator, denominator, ((label, 1),))."""
     basis = _basis(ctx.g, side)
     # s is stripped, so whitespace after a term is always followed by a sign
     pos = 0
@@ -356,7 +378,7 @@ def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[
         if label not in basis:
             raise _unknown_labels((m.group("label"),), ctx, side)  # the token as written, λ or δ included
         n, d = _ints(m["p"] or "1", m["q"])
-        yield label, sign * n, d
+        yield sign * n, d, ((label, 1),)
         pos = m.end()
 
 
@@ -367,14 +389,12 @@ def render_class(x: DivisorClass) -> str:
     the input grammar and parse_class(render_class(x)) == x.
     """
     terms = []
-    coeff = x.coeff
+    num, den = x.num, x.den
     for label in _basis(x.ctx.g, x.side):
-        v = coeff.get(label)
-        if v is None:
-            continue
-        n, d = v.numerator, v.denominator
-        mag = abs(n)
-        terms.append((n < 0, f"{mag}/{d}*{label}" if d != 1 else f"{mag}*{label}" if mag != 1 else label))
+        n = num.get(label)
+        if n is not None:
+            mag = _ratio(abs(n), den)
+            terms.append((n < 0, label if mag == "1" else f"{mag}*{label}"))
     return _join_signed(terms)
 
 

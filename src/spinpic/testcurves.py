@@ -24,16 +24,17 @@ from fractions import Fraction
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import _ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _trusted, require_classification_genus
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _trusted,
+                     require_classification_genus)
 
 
 def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
 
-    The only pairing in the package; verify's compat rows call it too.
-    Labels the class does not store contribute 0 and are skipped, and the
-    sum starts from its first term, so a pairing of disjoint supports builds
-    no Fraction at all.
+    The only pairing in the package; verify's compat rows call it too. The
+    numerators are summed as integers over the labels both store, and a
+    nonzero sum becomes one Fraction over the product of the denominators,
+    so a pairing that sums to 0 builds no Fraction at all.
     """
     if curve.side != x.side:
         raise SideMismatchError(
@@ -41,13 +42,9 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
         )
     if curve.ctx.g != x.ctx.g:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
-    xc = x.coeff
-    total = None
-    for label, v in curve.coeff.items():
-        if label in xc:
-            term = v * xc[label]
-            total = term if total is None else total + term
-    return _ZERO if total is None else total
+    xn = x.num
+    total = sum([n * xn[label] for label, n in curve.num.items() if label in xn])
+    return Fraction(total, curve.den * x.den) if total else _ZERO
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
@@ -56,32 +53,29 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     R's entries are B's at each label's image (transfer._m_image) times the
     covering degrees of transfer.pushforward_degree at call time, and the
     dict is fresh, so a caller may rebind or delete its entries. Every entry
-    is a nonzero Fraction under a basis label by construction, so the curves
+    is a nonzero integer under a basis label by construction, so the curves
     skip the constructor's validation (picard._trusted), as catalog's closed
     forms do; tests/test_catalog.py checks each against the validating constructor.
     """
     require_classification_genus(ctx)
     g = ctx.g
-    b = {"lambda": Fraction(g + 1), "d0": Fraction(6 * g + 18)}
+    b = {"lambda": g + 1, "d0": 6 * g + 18}
     lift = ((s, b[transfer._m_image(s)] * transfer.pushforward_degree(ctx, s))
             for s in ("lambda", "a0", "b0s"))
     curves = {
-        "B": _trusted(ctx, M_SIDE, b),
+        "B": _trusted(ctx, M_SIDE, b, 1),
         # a degree of 0 leaves no entry, as the constructor would drop it
-        "R": _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}),
-        "F0": _trusted(ctx, S_SIDE, {"lambda": Fraction(1), "a0": Fraction(12), "b1": Fraction(-1)}),
-        "G0": _trusted(ctx, S_SIDE, {
-            "lambda": Fraction(3), "a0": Fraction(12), "b0s": Fraction(12), "a1": Fraction(-3),
-        }),
-        "H0": _trusted(ctx, S_SIDE, {"b0s": Fraction(1 - g), "a1": Fraction(1)}),
+        "R": _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}, 1),
+        "F0": _trusted(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}, 1),
+        "G0": _trusted(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}, 1),
+        "H0": _trusted(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}, 1),
         # 2 - 2i vanishes at i = 1, so F1 and G1 store nothing
-        "F1": _trusted(ctx, S_SIDE, {}),
-        "G1": _trusted(ctx, S_SIDE, {}),
+        "F1": _trusted(ctx, S_SIDE, {}, 1),
+        "G1": _trusted(ctx, S_SIDE, {}, 1),
     }
     for i in range(2, ctx.h + 1):
-        v = Fraction(2 - 2 * i)
-        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {f"a{i}": v})
-        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {f"b{i}": v})
+        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {f"a{i}": 2 - 2 * i}, 1)
+        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {f"b{i}": 2 - 2 * i}, 1)
     return curves
 
 
@@ -105,7 +99,7 @@ def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction
         c = curves[name]
         rows.append([c["lambda"], -c["a0"], -c["b0s"]])
         # every spin-side label that starts with b, but b0s, is one of b1..bh
-        rhs.append(Fraction(1, 2) * sum(v for l, v in c.coeff.items() if l[0] == "b" and l != "b0s"))
+        rhs.append(Fraction(sum(n for l, n in c.num.items() if l[0] == "b" and l != "b0s"), 2 * c.den))
     return rows, rhs
 
 
@@ -147,4 +141,4 @@ def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
     # zero solutions are dropped, as the constructor drops them
     coeff = {label: v for label, v in (("lambda", lam), ("a0", -a0), ("b0s", -b0)) if v}
     coeff |= dict.fromkeys((f"b{i}" for i in range(1, ctx.h + 1)), Fraction(-1, 2))
-    return _trusted(ctx, S_SIDE, coeff)
+    return _trusted(ctx, S_SIDE, *_integer_form(coeff))

@@ -14,8 +14,6 @@ degree_identities ties it to the component degrees.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SideMismatchError
 from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _basis, _sum_terms, _trusted, _unknown_labels
 
@@ -62,30 +60,28 @@ def pullback(x: DivisorClass) -> DivisorClass:
     """Pullback to the spin side, one nonzero coefficient at a time."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
-    out: dict[str, Fraction] = {}
-    for label, v in x.coeff.items():
+    out: dict[str, int] = {}
+    for label, n in x.num.items():
         if label == "lambda":
-            out["lambda"] = v
+            out["lambda"] = n
         elif label == "d0":
-            out["a0"], out["b0s"] = v, 2 * v
+            out["a0"], out["b0s"] = n, 2 * n
         else:
-            out[f"a{label[1:]}"] = out[f"b{label[1:]}"] = v
-    # images of basis labels are basis labels, and v and 2*v are nonzero reduced Fractions
-    return _trusted(x.ctx, S_SIDE, out)
+            out[f"a{label[1:]}"] = out[f"b{label[1:]}"] = n
+    # images of basis labels are basis labels, and every numerator of x is kept, so gcd(den, *out) = 1
+    return _trusted(x.ctx, S_SIDE, out, x.den)
 
 
 def pushforward(x: DivisorClass) -> DivisorClass:
-    """Pushforward to the curve side, summed in integers per curve-side label.
+    """Pushforward to the curve side, one _sum_terms group of integers over x.den.
 
     a0 and b0s both land on d0, where their terms may cancel.
     """
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    return _sum_terms(ctx, M_SIDE, (
-        (_m_image(label), pushforward_degree(ctx, label) * v.numerator, v.denominator)
-        for label, v in x.coeff.items()
-    ))
+    pairs = ((_m_image(label), pushforward_degree(ctx, label) * n) for label, n in x.num.items())
+    return _sum_terms(ctx, M_SIDE, ((1, x.den, pairs),))
 
 
 def degree_identities(ctx: GenusCtx) -> list[tuple[str, int, int]]:

@@ -219,7 +219,7 @@ def _identities(g: int):
         # index: label -> every j whose pi*d_j stores it
         index = {}
         for j in range(ctx.h + 1):
-            for label in up[f"d{j}"].coeff:
+            for label in up[f"d{j}"].num:
                 index.setdefault(label, []).append(j)
         for i in range(1, ctx.h + 1):
             got = {}
@@ -228,7 +228,7 @@ def _identities(g: int):
                 # pi*d0 always, so a curve of the wrong side or genus raises before the row yields;
                 # every column that stores none of the curve's labels pairs to 0
                 got[kind, 0] = testcurves.intersect(curve, up["d0"])
-                for label in curve.coeff:
+                for label in curve.num:
                     for j in index.get(label, ()):
                         got[kind, j] = testcurves.intersect(curve, up[f"d{j}"])
             yield _Row(i, ctx.h, got)
@@ -253,6 +253,7 @@ def _identities(g: int):
         if g >= 9:
             yield "kodaira:nu-positive", True, nu > 0
         dec = kodaira.decompose_canonical(ctx, spec)
+        c, c_prime = dec.c, dec.c_prime  # each read builds its Fraction tuple
         if spec.complete:
             scale = Fraction(3, 2) / spec.b0
             assembled = lincomb([dec.nu, 8, scale, 1], [
@@ -260,8 +261,8 @@ def _identities(g: int):
                 theta,
                 transfer.pullback(catalog.divisor_class(spec)),
                 DivisorClass(ctx, S_SIDE, {
-                    **{f"a{i}": dec.c[i - 1] for i in range(1, ctx.h + 1)},
-                    **{f"b{i}": dec.c_prime[i - 1] for i in range(1, ctx.h + 1)},
+                    **{f"a{i}": c[i - 1] for i in range(1, ctx.h + 1)},
+                    **{f"b{i}": c_prime[i - 1] for i in range(1, ctx.h + 1)},
                 }),
             ])
             yield "kodaira:decomposition-identity", canonical_s, assembled
@@ -277,7 +278,7 @@ def _identities(g: int):
         yield "kodaira:flags", [flag for flag, on in flags if on], cert["flags"]
         yield "kodaira:rk", str(rk) if g <= 7 else None, cert["rk"]
         # remainders only where D is complete, one per i = 1..h
-        for name, key, values in (("c", "c", dec.c), ("c-prime", "c_prime", dec.c_prime)):
+        for name, key, values in (("c", "c", c), ("c-prime", "c_prime", c_prime)):
             want = [str(values[i]) for i in range(ctx.h)] if g >= 8 and composite else None
             yield f"kodaira:{name}", want, cert[key]
 

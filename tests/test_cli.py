@@ -284,6 +284,9 @@ _DIVISOR_FILE_FAULTS = {
     "unknown-key": '{"name":"x","genus":10,"a":"7","b0":"1","bs":["2","2","2","2","2"]}',
     "zero-b": '{"name": "z", "genus": 10, "a": "7", "b0": "1", "b": ["0", "1", "1", "1", "1"]}',
     "negative-b": '{"name": "n", "genus": 10, "a": "7", "b0": "1", "b": ["1", "1", "-1", "1", "1"]}',
+    # read as a > 0 or b0 > 0 allowed, a = 0 certifies GENERAL_TYPE and b0 = 0 divides by zero
+    "zero-a": '{"name": "z", "genus": 10, "a": "0", "b0": "1"}',
+    "zero-b0": '{"name": "z", "genus": 10, "a": "7", "b0": "0/5"}',
     "array": "[1, 2]",
 }
 
@@ -295,6 +298,8 @@ _DIVISOR_FILE_PREFIXES = {
     "not-utf8": "error: cannot read divisor file: ",
     "zero-b": "error: all boundary coefficients b_i must be positive\n",
     "negative-b": "error: all boundary coefficients b_i must be positive\n",
+    "zero-a": "error: divisor needs a > 0 and b0 > 0, got a=0, b0=1\n",
+    "zero-b0": "error: divisor needs a > 0 and b0 > 0, got a=7, b0=0\n",
     "array": "error: divisor file must hold a JSON object\n",
 }
 

@@ -6,6 +6,7 @@ short CLI command's time, so the value classes are written out by hand.
 The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
+Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
 """
@@ -67,6 +68,21 @@ def _call_sites(path: Path, name: str) -> list[str]:
 def test_only_picard_unknown_labels_builds_an_unknown_label_error():
     sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py")) for where in _call_sites(path, "UnknownLabelError")]
     assert sites == [("picard.py", "_unknown_labels")]
+
+
+def test_only_rk_is_evidence_compares_with_max_rk_genus():
+    sites = []
+
+    def visit(node, where):
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        if any(getattr(n, "id", getattr(n, "attr", None)) == "MAX_RK_GENUS" for n in operands):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.name)
+    assert sites == ["_rk_is_evidence"]
 
 
 def _private_names_read(path: Path, module: str) -> list[str]:

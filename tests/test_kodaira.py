@@ -28,7 +28,7 @@ from spinpic.kodaira import (
     nu_value,
     uniruled_certificate,
 )
-from spinpic import picard
+from spinpic import kodaira, picard, verify
 from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, basis_class, lincomb
 from spinpic.transfer import pullback
 
@@ -245,6 +245,15 @@ def test_certify_names_the_missing_evidence(g, missing):
         with pytest.raises(VerificationFailureError, match=f"^{missing}$"):
             certify(ctx, rk, dec)
         assert _judge_failure(ctx, rk, dec) == missing
+
+
+def test_verify_sees_an_off_by_one_evidence_predicate(monkeypatch):
+    assert [g for g in range(3, 12) if kodaira._rk_is_evidence(g)] == list(range(3, MAX_RK_GENUS + 1))
+    # `g < MAX_RK_GENUS` in the one comparison: certify then judges genus 7 by its
+    # decomposition, whose nu is negative, and verify's kodaira section must fail
+    monkeypatch.setattr(kodaira, "_rk_is_evidence", lambda g: g < MAX_RK_GENUS)
+    failed = {c.name for c in verify.run_genus(MAX_RK_GENUS) if not c.ok}
+    assert failed and {name.partition(":")[0] for name in failed} == {"kodaira"}
 
 
 # At g = 12 the slope bound is 295/42. With b0 = 1, c_1 = -3 + (3/2)*b_1 and

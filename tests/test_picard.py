@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinpic.catalog import canonical_m, canonical_s, choose_d, divisor_class, m1_theta_class, thetanull_class
 from spinpic.errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
 from spinpic.picard import (
     DivisorClass,
     GenusCtx,
     M_SIDE,
     S_SIDE,
+    _ratio,
     basis_class,
     labels_for,
     lincomb,
@@ -18,6 +20,8 @@ from spinpic.picard import (
     render_class,
     zero_class,
 )
+from spinpic.testcurves import curve_map, solve_thetanull
+from spinpic.transfer import pullback, pushforward
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 
@@ -173,9 +177,48 @@ def _oracle(ctx, side, scalars, classes):
 
 
 def _assert_stored_canonically(cls):
+    """One positive int den and nonzero int numerators under basis labels, read-only, with gcd(den, *num) = 1."""
+    assert type(cls.den) is int and cls.den >= 1
+    assert all(type(n) is int and n != 0 for n in cls.num.values())
+    assert gcd(cls.den, *cls.num.values()) == 1
+    assert set(cls.num) <= set(labels_for(cls.ctx, cls.side))
+    with pytest.raises(TypeError):
+        cls.num["lambda"] = 1
+    # the Fraction view holds the same values, each reduced
+    assert dict(cls.coeff) == {label: Fraction(n, cls.den) for label, n in cls.num.items()}
     for v in cls.coeff.values():
         assert type(v) is Fraction
         assert v != 0 and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_every_builder_stores_canonically(g):
+    ctx = GenusCtx(g)
+    built = [canonical_m(ctx), canonical_s(ctx), thetanull_class(ctx), m1_theta_class(ctx), solve_thetanull(ctx),
+             zero_class(ctx, M_SIDE), basis_class(ctx, S_SIDE, "b0s"), *curve_map(ctx).values()]
+    if (spec := choose_d(ctx)).complete:  # the genus's own D is a class where g+1 is composite
+        built.append(divisor_class(spec))
+    built += [pullback(x) for x in built if x.side == M_SIDE] + [pushforward(x) for x in built if x.side == S_SIDE]
+    for cls in built:
+        _assert_stored_canonically(cls)
+
+
+@given(classes())
+def test_transfer_maps_store_canonically(x):
+    _assert_stored_canonically(x)
+    _assert_stored_canonically(pullback(x) if x.side == M_SIDE else pushforward(x))
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_writes_what_str_of_a_fraction_writes(n, d):
+    assert _ratio(n, d) == str(Fraction(n, d))
+
+
+def test_equal_values_give_equal_classes():
+    for side, label in ((M_SIDE, "d0"), (S_SIDE, "a0")):
+        ctx = GenusCtx(5)
+        x, y = DivisorClass(ctx, side, {label: "2/4"}), DivisorClass(ctx, side, {label: Fraction(1, 2)})
+        assert x == y and (x.den, dict(x.num)) == (y.den, dict(y.num)) == (2, {label: 1})
 
 
 @given(_sparse_terms())

@@ -19,7 +19,9 @@ builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
 comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also on a
-second run of a genus. The kodaira section
+second run of a genus. A certificate builds no Fraction per basis label:
+from one genus to a higher one, its count grows only by the b_i of a
+Brill-Noether D, one per i, and not at all where D has no b_i. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which alone calls
 judge, and never calls classify.
@@ -299,6 +301,21 @@ def test_parser_builds_one_fraction_per_label(monkeypatch):
     cls, built = _fraction_constructions(monkeypatch, lambda: parse_class(text, ctx, M_SIDE))
     assert len(cls.coeff) == len(labels)
     assert built <= len(labels)  # three per term before the integer kernel
+
+
+def _certificate_fractions(monkeypatch, g):
+    ctx = GenusCtx(g)
+    return _fraction_constructions(monkeypatch, lambda: kodaira.certificate_json(kodaira.classify(ctx)))[1]
+
+
+def test_certificates_build_no_fraction_per_label(monkeypatch):
+    # g+1 composite: D is Brill-Noether, and its own b_i (catalog._own_d) are the only Fractions per i
+    assert all(isinstance(catalog.choose_d(GenusCtx(g)).provenance, catalog.BrillNoether) for g in (101, 401))
+    at_101, at_401 = (_certificate_fractions(monkeypatch, g) for g in (101, 401))
+    assert at_401 - at_101 <= GenusCtx(401).h - GenusCtx(101).h
+    # g+1 prime: D is Gieseker-Petri with no b_i, so nothing grows with h
+    assert all(not catalog.choose_d(GenusCtx(g)).complete for g in (100, 400))
+    assert _certificate_fractions(monkeypatch, 400) <= _certificate_fractions(monkeypatch, 100)
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
