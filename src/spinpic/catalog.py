@@ -24,7 +24,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _trusted, _Value, rational,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _trusted, _Value, rational,
                      require_classification_genus)
 
 
@@ -42,9 +42,9 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _bn_boundary(g: int, h: int) -> tuple[Fraction, ...]:
-    """(b_1, ..., b_h) of the normalized Brill-Noether divisor: b_i = i(g-i)."""
-    return tuple(Fraction(i * (g - i)) for i in range(1, h + 1))
+def _bn_boundary(g: int, h: int) -> tuple[int, ...]:
+    """(b_1, ..., b_h) of the normalized Brill-Noether divisor: b_i = i(g-i), as ints."""
+    return tuple([i * (g - i) for i in range(1, h + 1)])
 
 
 # --- divisor specifications -------------------------------------------------
@@ -81,11 +81,14 @@ Provenance = Union[BrillNoether, K3, GiesekerPetri, UserSupplied]
 class DivisorSpec(_Value):
     """An effective divisor a*lambda - b0*d0 - sum b_i*di on the curve side.
 
-    b holds (b_1, ..., b_h) when all boundary coefficients are known;
-    specs with b = None carry only the slope data (a, b0) and mark every
-    computation that would need the b_i as conditional. A spec whose
-    provenance is not UserSupplied must equal its genus's own D, the one
-    choose_d(ctx) builds; any other divisor is UserSupplied(name).
+    b holds (b_1, ..., b_h) when all boundary coefficients are known, as
+    exact rationals: the constructor stores Fractions, and the own D that
+    choose_d builds stores ints, which compare and hash equal to the
+    Fractions of the same values. Specs with b = None carry only the slope
+    data (a, b0) and mark every computation that would need the b_i as
+    conditional. A spec whose provenance is not UserSupplied must equal its
+    genus's own D, the one choose_d(ctx) builds; any other divisor is
+    UserSupplied(name).
     """
 
     __match_args__ = ("ctx", "provenance", "a", "b0", "b")
@@ -132,10 +135,10 @@ def divisor_class(spec: DivisorSpec) -> DivisorClass:
             f"divisor at genus {spec.ctx.g} has no boundary coefficients b_i; only its slope "
             f"a/b0 = {spec.slope} is known"
         )
-    # a spec's a, b0 and b_i are positive Fractions, checked by DivisorSpec or built by _own_d;
+    # a spec's a, b0 and b_i are positive rationals, checked by DivisorSpec or built by _own_d;
     # the signs go on their integer numerators, so no Fraction is negated
-    b = {f"d{i}": v for i, v in enumerate(spec.b, 1)}
-    num, den = _integer_form({"lambda": spec.a, "d0": spec.b0, **b})
+    d = _labels(spec.ctx.g).d
+    num, den = _integer_form({"lambda": spec.a, "d0": spec.b0, **dict(zip(d[1:], spec.b))})
     return _trusted(spec.ctx, M_SIDE, {l: n if l == "lambda" else -n for l, n in num.items()}, den)
 
 
@@ -218,9 +221,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the curve side: 13*lambda - 2*d0 - 3*d1 - 2*(d2 + ...)."""
     require_classification_genus(ctx)
-    num = {"lambda": 13, "d0": -2, "d1": -3}
-    for i in range(2, ctx.h + 1):
-        num[f"d{i}"] = -2
+    d = _labels(ctx.g).d
+    num = {"lambda": 13, d[0]: -2, d[1]: -3}
+    num.update(dict.fromkeys(d[2:], -2))
     return _trusted(ctx, M_SIDE, num, 1)
 
 
@@ -231,18 +234,19 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     check compares the two routes.
     """
     require_classification_genus(ctx)
-    num = {"lambda": 13, "a0": -2, "b0s": -3, "a1": -3, "b1": -3}
+    table = _labels(ctx.g)
+    num = {"lambda": 13, table.a[0]: -2, table.b[0]: -3, table.a[1]: -3, table.b[1]: -3}
     for i in range(2, ctx.h + 1):
-        num[f"a{i}"] = num[f"b{i}"] = -2
+        num[table.a[i]] = num[table.b[i]] = -2
     return _trusted(ctx, S_SIDE, num, 1)
 
 
 def thetanull_class(ctx: GenusCtx) -> DivisorClass:
     """Class of the theta-null divisor: 1/4*lambda - 1/16*a0 - 1/2*sum(bi), over the denominator 16."""
     require_classification_genus(ctx)
-    num = {"lambda": 4, "a0": -1}
-    for i in range(1, ctx.h + 1):
-        num[f"b{i}"] = -8
+    table = _labels(ctx.g)
+    num = {"lambda": 4, table.a[0]: -1}
+    num.update(dict.fromkeys(table.b[1:], -8))
     return _trusted(ctx, S_SIDE, num, 16)
 
 
@@ -254,9 +258,10 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
     require_classification_genus(ctx)
     g = ctx.g
     scale = 2 ** (g - 3)
-    num = {"lambda": scale * (2**g + 1), "d0": -scale * 2 ** (g - 3)}
+    d = _labels(g).d
+    num = {"lambda": scale * (2**g + 1), d[0]: -scale * 2 ** (g - 3)}
     for i in range(1, ctx.h + 1):
-        num[f"d{i}"] = -scale * (2 ** (g - i) - 1) * (2**i - 1)
+        num[d[i]] = -scale * (2 ** (g - i) - 1) * (2**i - 1)
     return _trusted(ctx, M_SIDE, num, 1)
 
 

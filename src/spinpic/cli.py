@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, _ratio, labels_for, parse_class, render_class
+from .picard import (M_SIDE, S_SIDE, GenusCtx, _join_signed, _labels, _ratio, _ratios, labels_for, parse_class,
+                     render_class)
 
 # The largest genus any subcommand accepts; verify takes about 0.25 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
@@ -71,8 +72,8 @@ def _print_certificate(cert: kodaira.KodairaCertificate) -> None:
         if dec.conditional:
             print("  remainders: CONDITIONAL (no boundary coefficients supplied)")
         else:
-            print(f"  remainders c  = ({', '.join(_ratio(n, dec.den) for n in dec.c_num)})")
-            print(f"  remainders c' = ({', '.join(_ratio(n, dec.den) for n in dec.c_prime_num)})")
+            print(f"  remainders c  = ({', '.join(_ratios(dec.c_num, dec.den))})")
+            print(f"  remainders c' = ({', '.join(_ratios(dec.c_prime_num, dec.den))})")
     print(f"  flags: {', '.join(cert.flags) if cert.flags else '(none)'}")
     for note in cert.annotations:
         print(f"  note: {note}")
@@ -143,9 +144,10 @@ def _cmd_counts(args) -> int:
     print(f"  odd component degree  {transfer.odd_component_degree(g)}")
     print(f"  deg(A0/d0) = {degree(ctx, 'a0')}")
     print(f"  deg(B0/d0) = {degree(ctx, 'b0s')}")
+    table = _labels(g)
     for i in range(1, ctx.h + 1):
-        print(f"  deg(A{i}/d{i}) = {degree(ctx, f'a{i}')}")
-        print(f"  deg(B{i}/d{i}) = {degree(ctx, f'b{i}')}")
+        print(f"  deg(A{i}/d{i}) = {degree(ctx, table.a[i])}")
+        print(f"  deg(B{i}/d{i}) = {degree(ctx, table.b[i])}")
     identities = transfer.degree_identities(ctx)
     for name, lhs, rhs in identities:
         print(f"  identity {name}: {lhs} == {rhs}  {'ok' if lhs == rhs else 'FAIL'}")

@@ -24,7 +24,7 @@ from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _integer_form, _ratio, _trusted, _Value, lincomb, rational
+from .picard import M_SIDE, S_SIDE, GenusCtx, _integer_form, _labels, _ratios, _trusted, _Value, lincomb, rational
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -125,11 +125,12 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
             raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
     if not spec.complete:
         return Decomposition(spec, nu, None, None)
+    table = _labels(ctx.g)
     dec = object.__new__(Decomposition)
     # the remainder's own numerators over its denominator, so no Fraction is built per label
     dec._init(d_spec=spec, nu=nu, den=remainder.den,
-              c_num=tuple([rest.get(f"a{i}", 0) for i in range(1, ctx.h + 1)]),
-              c_prime_num=tuple([rest.get(f"b{i}", 0) for i in range(1, ctx.h + 1)]))
+              c_num=tuple([rest.get(label, 0) for label in table.a[1:]]),
+              c_prime_num=tuple([rest.get(label, 0) for label in table.b[1:]]))
     return dec
 
 
@@ -162,8 +163,8 @@ def certificate_json(cert: KodairaCertificate) -> dict:
         "verdict": cert.verdict,
         "nu": None if dec is None else str(dec.nu),
         "rk": None if cert.rk is None else str(cert.rk),
-        "c": None if dec is None or dec.conditional else [_ratio(n, dec.den) for n in dec.c_num],
-        "c_prime": None if dec is None or dec.conditional else [_ratio(n, dec.den) for n in dec.c_prime_num],
+        "c": None if dec is None or dec.conditional else _ratios(dec.c_num, dec.den),
+        "c_prime": None if dec is None or dec.conditional else _ratios(dec.c_prime_num, dec.den),
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }

@@ -15,11 +15,19 @@ second genus-0 boundary class is spelled ``b0s`` in every text format so
 that it can never be confused with the divisor slope coefficient b_0 used
 elsewhere.
 
+_labels(g) is the one table that spells the indexed labels of genus g:
+d[i], a[i] and b[i] for i = 0..h (b[0] is "b0s") and each label's index
+i. It is cached by the int genus, both bases are derived from it, and the
+engine modules take their label strings and indices from it, so a label is
+one string per genus and no code parses an index out of a label. verify
+spells its labels itself, as an independent check of the table.
+
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
 "p/q" in lowest terms, or just "p" when the denominator is 1, as str() of
-a Fraction does; _ratio writes it from a numerator and a denominator, and
-rational() is the strict parser that reads it back.
+a Fraction does; _ratio writes it from a numerator and a denominator,
+_ratios writes a list of them over one denominator, and rational() is the
+strict parser that reads it back.
 
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
@@ -128,20 +136,47 @@ def require_classification_genus(ctx: GenusCtx) -> None:
         raise ValueError(f"this operation needs genus >= 3, got {ctx.g}")
 
 
+class _Labels(_Value):
+    """The boundary labels of one genus: d[i], a[i] and b[i] for i = 0..h, with b[0] = "b0s", and index[label] = i."""
+
+    __slots__ = __match_args__ = ("d", "a", "b", "index")
+
+    def __init__(self, d: tuple[str, ...], a: tuple[str, ...], b: tuple[str, ...], index: Mapping[str, int]) -> None:
+        self._init(d=d, a=a, b=b, index=index)
+
+
+@lru_cache(maxsize=8)
+def _labels(g: int) -> _Labels:
+    """The label table of genus g: the only code that spells an indexed label.
+
+    Each label is one string object per genus, so its hash is computed
+    once however many classes store it. Keyed and sized like _basis, which
+    is derived from it.
+    """
+    h = GenusCtx(g).h
+    d = tuple([f"d{i}" for i in range(h + 1)])
+    a = tuple([f"a{i}" for i in range(h + 1)])
+    b = ("b0s", *[f"b{i}" for i in range(1, h + 1)])
+    index = dict(zip(d, range(h + 1)))
+    index.update(zip(a, range(h + 1)))
+    index.update(zip(b, range(h + 1)))
+    return _Labels(d, a, b, MappingProxyType(index))
+
+
 @lru_cache(maxsize=8)
 def _basis(g: int, side: str) -> Mapping[str, None]:
-    """Read-only, ordered label set of the side basis at genus g.
+    """Read-only, ordered label set of the side basis at genus g, spelled by _labels.
 
     Cached, so a label check costs one lookup. It is keyed by the int genus,
     so a lookup never compares GenusCtx objects. The cache is small because
     a sweep visits each genus once, and a basis near g = 700 holds about a
     thousand labels.
     """
-    h = GenusCtx(g).h
+    table = _labels(g)
     if side == M_SIDE:
-        labels = ["lambda", *(f"d{i}" for i in range(h + 1))]
+        labels = ["lambda", *table.d]
     elif side == S_SIDE:
-        labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab")]
+        labels = ["lambda", *(label for pair in zip(table.a, table.b) for label in pair)]
     else:
         raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
     return MappingProxyType(dict.fromkeys(labels))
@@ -167,6 +202,11 @@ def _ratio(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d >= 1, without building the Fraction: the one p/q writer of the package."""
     k = gcd(n, d)
     return str(n // k) if k == d else f"{n // k}/{d // k}"
+
+
+def _ratios(nums: Iterable[int], den: int) -> list[str]:
+    """The list [_ratio(n, den) for n in nums]: the writer of a certificate's remainders c and c'."""
+    return [_ratio(n, den) for n in nums]
 
 
 def _integer_form(coeff: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
@@ -277,8 +317,11 @@ def lincomb(scalars: Sequence, classes: Sequence[DivisorClass]) -> DivisorClass:
     groups = []
     for s, cls in zip(scalars, classes):
         first._require_compatible(cls)
-        q = rational(s)
-        groups.append((q.numerator, q.denominator * cls.den, cls.num.items()))
+        if type(s) is int:  # a bool is not an int here, so rational() rejects it
+            groups.append((s, cls.den, cls.num.items()))
+        else:
+            q = rational(s)
+            groups.append((q.numerator, q.denominator * cls.den, cls.num.items()))
     return _sum_terms(first.ctx, first.side, groups)
 
 

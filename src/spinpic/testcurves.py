@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _trusted,
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _trusted,
                      require_classification_genus)
 
 
@@ -59,8 +59,9 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """
     require_classification_genus(ctx)
     g = ctx.g
+    table = _labels(g)
     b = {"lambda": g + 1, "d0": 6 * g + 18}
-    lift = ((s, b[transfer._m_image(s)] * transfer.pushforward_degree(ctx, s))
+    lift = ((s, b[transfer._m_image(table, s)] * transfer.pushforward_degree(ctx, s))
             for s in ("lambda", "a0", "b0s"))
     curves = {
         "B": _trusted(ctx, M_SIDE, b, 1),
@@ -74,8 +75,8 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
         "G1": _trusted(ctx, S_SIDE, {}, 1),
     }
     for i in range(2, ctx.h + 1):
-        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {f"a{i}": 2 - 2 * i}, 1)
-        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {f"b{i}": 2 - 2 * i}, 1)
+        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {table.a[i]: 2 - 2 * i}, 1)
+        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {table.b[i]: 2 - 2 * i}, 1)
     return curves
 
 
@@ -93,13 +94,13 @@ def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction
     entries, so any corruption of those entries surfaces here.
     """
     curves = curve_map(ctx)
+    b = _labels(ctx.g).b[1:]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for name in ("F0", "G0", "H0"):
         c = curves[name]
         rows.append([c["lambda"], -c["a0"], -c["b0s"]])
-        # every spin-side label that starts with b, but b0s, is one of b1..bh
-        rhs.append(Fraction(sum(n for l, n in c.num.items() if l[0] == "b" and l != "b0s"), 2 * c.den))
+        rhs.append(Fraction(sum(c.num.get(label, 0) for label in b), 2 * c.den))
     return rows, rhs
 
 
@@ -140,5 +141,5 @@ def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
     lam, a0, b0 = _solve3(rows, rhs)
     # zero solutions are dropped, as the constructor drops them
     coeff = {label: v for label, v in (("lambda", lam), ("a0", -a0), ("b0s", -b0)) if v}
-    coeff |= dict.fromkeys((f"b{i}" for i in range(1, ctx.h + 1)), Fraction(-1, 2))
+    coeff |= dict.fromkeys(_labels(ctx.g).b[1:], Fraction(-1, 2))
     return _trusted(ctx, S_SIDE, *_integer_form(coeff))

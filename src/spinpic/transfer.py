@@ -15,7 +15,7 @@ degree_identities ties it to the component degrees.
 from __future__ import annotations
 
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _basis, _sum_terms, _trusted, _unknown_labels
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _Labels, _labels, _sum_terms, _trusted, _unknown_labels
 
 
 def total_degree(g: int) -> int:
@@ -39,27 +39,31 @@ def pushforward_degree(ctx: GenusCtx, label: str) -> int:
         return total_degree(g - 1)
     if label == "b0s":
         return even_component_degree(g - 1)
-    # checked only here, so that R's three labels above build no genus basis
-    if label not in _basis(g, S_SIDE):
-        raise _unknown_labels((label,), ctx, S_SIDE)
-    i = int(label[1:])
-    if label[0] == "a":
+    # the index and the family from the label table, which R's three labels above do not need
+    table = _labels(g)
+    i = table.index.get(label)
+    if i is not None and label == table.a[i]:
         return even_component_degree(i) * even_component_degree(g - i)
-    return odd_component_degree(i) * odd_component_degree(g - i)
+    if i is not None and label == table.b[i]:
+        return odd_component_degree(i) * odd_component_degree(g - i)
+    raise _unknown_labels((label,), ctx, S_SIDE)
 
 
-def _m_image(label: str) -> str:
+def _m_image(table: _Labels, label: str) -> str:
+    """The curve-side label under a spin-side basis label: lambda, or d[i] under a[i] and b[i]."""
     if label == "lambda":
-        return "lambda"
-    if label in ("a0", "b0s"):
+        return label
+    if label in ("a0", "b0s"):  # answered first, as in pushforward_degree, so R's lift reads no index
         return "d0"
-    return f"d{label[1:]}"
+    return table.d[table.index[label]]
 
 
 def pullback(x: DivisorClass) -> DivisorClass:
     """Pullback to the spin side, one nonzero coefficient at a time."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
+    table = _labels(x.ctx.g)
+    a, b, index = table.a, table.b, table.index
     out: dict[str, int] = {}
     for label, n in x.num.items():
         if label == "lambda":
@@ -67,7 +71,8 @@ def pullback(x: DivisorClass) -> DivisorClass:
         elif label == "d0":
             out["a0"], out["b0s"] = n, 2 * n
         else:
-            out[f"a{label[1:]}"] = out[f"b{label[1:]}"] = n
+            i = index[label]
+            out[a[i]] = out[b[i]] = n
     # images of basis labels are basis labels, and every numerator of x is kept, so gcd(den, *out) = 1
     return _trusted(x.ctx, S_SIDE, out, x.den)
 
@@ -80,7 +85,8 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    pairs = ((_m_image(label), pushforward_degree(ctx, label) * n) for label, n in x.num.items())
+    table = _labels(ctx.g)
+    pairs = ((_m_image(table, label), pushforward_degree(ctx, label) * n) for label, n in x.num.items())
     return _sum_terms(ctx, M_SIDE, ((1, x.den, pairs),))
 
 
@@ -95,7 +101,8 @@ def degree_identities(ctx: GenusCtx) -> list[tuple[str, int, int]]:
         ("even+odd=total", n_even + odd_component_degree(ctx.g), total_degree(ctx.g)),
         ("a0+2*b0=even", pushforward_degree(ctx, "a0") + 2 * pushforward_degree(ctx, "b0s"), n_even),
     ]
+    table = _labels(ctx.g)
     for i in range(1, ctx.h + 1):
-        lhs = pushforward_degree(ctx, f"a{i}") + pushforward_degree(ctx, f"b{i}")
+        lhs = pushforward_degree(ctx, table.a[i]) + pushforward_degree(ctx, table.b[i])
         out.append((f"a{i}+b{i}=even", lhs, n_even))
     return out

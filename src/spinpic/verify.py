@@ -30,6 +30,7 @@ from .picard import (
     S_SIDE,
     DivisorClass,
     GenusCtx,
+    _sum_terms,
     _Value,
     basis_class,
     labels_for,
@@ -81,9 +82,11 @@ class _Row(_Value):
 
 
 def _fuzz_class(ctx: GenusCtx, side: str, salt: int) -> DivisorClass:
+    """A seeded class with a random n/d (|n| <= 60, 1 <= d <= 16) at each basis label, summed as parse_class sums."""
     rng = random.Random(ctx.g * 7919 + salt)
-    coeff = {label: Fraction(rng.randint(-60, 60), rng.randint(1, 16)) for label in labels_for(ctx, side)}
-    return DivisorClass(ctx, side, coeff)
+    # n is drawn before d at each label; the draw order fixes the class, which the golden hashes pin
+    return _sum_terms(ctx, side, [(rng.randint(-60, 60), rng.randint(1, 16), ((label, 1),))
+                                  for label in labels_for(ctx, side)])
 
 
 def _expected_curve_table(ctx: GenusCtx) -> dict[str, tuple[str, dict[str, int]]]:

@@ -6,7 +6,9 @@ short CLI command's time, so the value classes are written out by hand.
 The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
-Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS.
+Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
+and only picard's label table spells an indexed label, besides verify's
+own independent spellings, which do not read the table.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
 """
@@ -83,6 +85,22 @@ def test_only_rk_is_evidence_compares_with_max_rk_genus():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.name)
     assert sites == ["_rk_is_evidence"]
+
+
+def _bare_label_fstrings(path: Path) -> int:
+    """How many f-strings in the module are exactly a label letter d, a or b and one expression, as f"d{i}"."""
+    return sum(1 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.JoinedStr) and len(node.values) == 2
+               and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("d", "a", "b")
+               and isinstance(node.values[1], ast.FormattedValue))
+
+
+def test_only_picard_and_verify_spell_a_label():
+    # picard._labels spells the engine's labels; verify spells its own, to check them.
+    # A longer f-string that names labels, such as f"a{i}+b{i}=even", is a check name, not a label.
+    sites = {path.name: n for path in sorted(PACKAGE.glob("*.py")) if (n := _bare_label_fstrings(path))}
+    assert sites.keys() == {"picard.py", "verify.py"}, sites
+    assert "_labels" not in _private_names_read(PACKAGE / "verify.py", "picard")
 
 
 def _private_names_read(path: Path, module: str) -> list[str]:

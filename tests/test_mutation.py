@@ -4,7 +4,8 @@ The constant families the engine rests on are the pushforward
 multiplicities, the even, odd and total degrees of the covering, the
 stored curve intersection numbers, the theta-null coefficients, the
 canonical classes on both sides, the closed form of the
-vanishing-theta-null class, the coefficients of each genus's divisor D
+vanishing-theta-null class, the label table that spells the indexed
+basis labels, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
 decomposition, and each field of the certificate that `kodaira.certify`
@@ -17,11 +18,13 @@ the ones that validation reads, so that only `verify` can catch them.
 """
 
 import copy
+import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from spinpic import catalog, kodaira, testcurves, transfer, verify
+from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
 
 
@@ -46,6 +49,33 @@ def test_perturbed_component_degree_is_caught(g, name, monkeypatch):
     original = getattr(transfer, name)
     monkeypatch.setattr(transfer, name, lambda genus: original(genus) + 1)
     assert _failures(g), f"no check caught the perturbed {name} at genus {g}"
+
+
+@pytest.mark.parametrize("family,i,j", [("a", 2, 3), ("b", 0, 1), ("d", 1, 2)])
+def test_misspelt_label_table_is_caught(family, i, j, monkeypatch):
+    # two labels of one family trade places in the table, and the index follows them,
+    # so every engine module reads one consistent but wrong spelling
+    original = picard._labels
+
+    def misspelt(g):
+        table = original(g)
+        spelled = {f: list(getattr(table, f)) for f in "dab"}
+        spelled[family][i], spelled[family][j] = spelled[family][j], spelled[family][i]
+        d, a, b = (tuple(spelled[f]) for f in "dab")
+        index = {label: k for labels in (d, a, b) for k, label in enumerate(labels)}
+        return picard._Labels(d, a, b, MappingProxyType(index))
+
+    bound = [m for m in list(sys.modules.values())
+             if m.__name__.startswith("spinpic") and vars(m).get("_labels") is original]
+    assert picard in bound and transfer in bound
+    picard._basis.cache_clear()  # the bases are derived from the table, and cached
+    try:
+        for module in bound:
+            monkeypatch.setattr(module, "_labels", misspelt)
+        assert _failures(6), f"no check caught {family}[{i}] and {family}[{j}] trading spellings"
+    finally:
+        monkeypatch.undo()
+        picard._basis.cache_clear()
 
 
 _CTX5 = GenusCtx(5)

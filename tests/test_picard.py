@@ -12,6 +12,7 @@ from spinpic.picard import (
     GenusCtx,
     M_SIDE,
     S_SIDE,
+    _labels,
     _ratio,
     basis_class,
     labels_for,
@@ -57,6 +58,22 @@ def test_basis_sizes(g):
 def test_basis_labels_in_order(g, m, s):
     assert labels_for(GenusCtx(g), M_SIDE) == m
     assert labels_for(GenusCtx(g), S_SIDE) == s
+
+
+@pytest.mark.parametrize("g", range(2, 61))
+def test_label_table_spells_each_label_once_and_the_bases_follow_it(g):
+    ctx, table = GenusCtx(g), _labels(g)
+    h = ctx.h
+    assert table.d == tuple(f"d{i}" for i in range(h + 1))
+    assert table.a == tuple(f"a{i}" for i in range(h + 1))
+    assert table.b == ("b0s", *(f"b{i}" for i in range(1, h + 1)))
+    assert dict(table.index) == {label: i for i in range(h + 1) for label in (table.d[i], table.a[i], table.b[i])}
+    with pytest.raises(TypeError):
+        table.index["d0"] = 1
+    # the bases keep their order, and store the table's own strings
+    assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1)))
+    assert labels_for(ctx, S_SIDE) == ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
+    assert all(x is y for x, y in zip(labels_for(ctx, M_SIDE)[1:], table.d))
 
 
 def test_slot_set_is_frozen():
@@ -122,6 +139,16 @@ def test_lincomb_mixed_basis():
     with pytest.raises(TypeError) as raised:
         a + 1
     assert str(raised.value) == "expected a DivisorClass, got int"
+
+
+def test_lincomb_rejects_a_bool_scalar():
+    # an int scalar skips rational(), but a bool must not be read as 0 or 1
+    x = basis_class(GenusCtx(5), M_SIDE, "d0")
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="cannot build an exact rational from bool"):
+            lincomb([bad], [x])
+        with pytest.raises(TypeError, match="cannot build an exact rational from bool"):
+            x.scaled(bad)
 
 
 @given(classes(), rationals, rationals)

@@ -309,13 +309,20 @@ def _certificate_fractions(monkeypatch, g):
 
 
 def test_certificates_build_no_fraction_per_label(monkeypatch):
-    # g+1 composite: D is Brill-Noether, and its own b_i (catalog._own_d) are the only Fractions per i
+    # g+1 composite: D is Brill-Noether, and its own b_i (catalog._own_d) are ints, so nothing grows with h
     assert all(isinstance(catalog.choose_d(GenusCtx(g)).provenance, catalog.BrillNoether) for g in (101, 401))
-    at_101, at_401 = (_certificate_fractions(monkeypatch, g) for g in (101, 401))
-    assert at_401 - at_101 <= GenusCtx(401).h - GenusCtx(101).h
+    assert _certificate_fractions(monkeypatch, 401) <= _certificate_fractions(monkeypatch, 101)
     # g+1 prime: D is Gieseker-Petri with no b_i, so nothing grows with h
     assert all(not catalog.choose_d(GenusCtx(g)).complete for g in (100, 400))
     assert _certificate_fractions(monkeypatch, 400) <= _certificate_fractions(monkeypatch, 100)
+
+
+@pytest.mark.parametrize("g", (5, 9, 12, 300))
+def test_a_certificate_spells_its_labels_once(g):
+    # every site on the certificate path reads the one cached label table of its genus
+    picard._labels.cache_clear()
+    kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
+    assert picard._labels.cache_info().misses == 1
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
