@@ -18,8 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import (M_SIDE, S_SIDE, GenusCtx, _join_signed, _labels, _ratio, _ratios, labels_for, parse_class,
-                     render_class)
+from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, _labels, _ratio, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts; verify takes about 0.25 s for genus
 # 1000 alone. A larger genus is refused before any work is done.
@@ -72,8 +71,9 @@ def _print_certificate(cert: kodaira.KodairaCertificate) -> None:
         if dec.conditional:
             print("  remainders: CONDITIONAL (no boundary coefficients supplied)")
         else:
-            print(f"  remainders c  = ({', '.join(_ratios(dec.c_num, dec.den))})")
-            print(f"  remainders c' = ({', '.join(_ratios(dec.c_prime_num, dec.den))})")
+            doc = kodaira.certificate_json(cert)
+            print(f"  remainders c  = ({', '.join(doc['c'])})")
+            print(f"  remainders c' = ({', '.join(doc['c_prime'])})")
     print(f"  flags: {', '.join(cert.flags) if cert.flags else '(none)'}")
     for note in cert.annotations:
         print(f"  note: {note}")

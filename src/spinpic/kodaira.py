@@ -12,6 +12,10 @@ The three sign rules live in `judge` alone, and the choice of evidence in
 `_rk_is_evidence` alone. `classify` gathers that evidence and ends in `certify`;
 `verify` runs `certify` on the evidence it has already computed.
 
+A `Decomposition` keeps the remainder class that `decompose_canonical`
+computes; c and c_prime are read off it, and `certificate_json` is the one
+writer of their "p/q" lists, which the text certificate prints too.
+
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
 on the certificate as a named hypothesis, not silently assumed.
@@ -20,11 +24,10 @@ on the certificate as a named hypothesis, not silently assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _integer_form, _labels, _ratios, _trusted, _Value, lincomb, rational
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _ratio, _trusted, _Value, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -57,43 +60,41 @@ def nu_value(spec: catalog.DivisorSpec) -> Fraction:
 
 
 class Decomposition(_Value):
-    """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainders.
+    """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainder.
 
-    c and c_prime are the ai / bi remainder coefficients, read as Fraction
-    tuples and stored as integer numerators c_num and c_prime_num over one
-    positive denominator den; they are None when the divisor spec carries
-    no boundary coefficients, in which case their non-negativity is
-    conditional rather than checked.
+    remainder is the spin-side class of the ai / bi remainders, None when
+    the divisor spec carries no boundary coefficients, in which case their
+    non-negativity is conditional rather than checked. c and c_prime read
+    its ai and bi coefficients, i = 1..h, as Fraction tuples.
     """
 
-    __slots__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
-    __match_args__ = ("d_spec", "nu", "c", "c_prime")
+    __slots__ = __match_args__ = ("d_spec", "nu", "remainder")
 
-    def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, c: tuple[Fraction, ...] | None,
-                 c_prime: tuple[Fraction, ...] | None) -> None:
-        parts = [None if p is None else tuple(map(rational, p)) for p in (c, c_prime)]
-        den = lcm(*(v.denominator for p in parts if p for v in p))
-        c_num, c_prime_num = (None if p is None else tuple(v.numerator * (den // v.denominator) for v in p)
-                              for p in parts)
-        self._init(d_spec=d_spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
+    def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, remainder: DivisorClass | None) -> None:
+        self._init(d_spec=d_spec, nu=nu, remainder=remainder)
+
+    def _numerators(self, family: str) -> list[int]:
+        """The remainder's numerators at the labels family[1..h] of its own genus: "a" for c, "b" for c'."""
+        num = self.remainder.num
+        return [num.get(label, 0) for label in getattr(_labels(self.remainder.ctx.g), family)[1:]]
 
     @property
     def c(self) -> tuple[Fraction, ...] | None:
-        return None if self.c_num is None else tuple(Fraction(n, self.den) for n in self.c_num)
+        return None if self.conditional else tuple([Fraction(n, self.remainder.den) for n in self._numerators("a")])
 
     @property
     def c_prime(self) -> tuple[Fraction, ...] | None:
-        return None if self.c_prime_num is None else tuple(Fraction(n, self.den) for n in self.c_prime_num)
+        return None if self.conditional else tuple([Fraction(n, self.remainder.den) for n in self._numerators("b")])
 
     @property
     def conditional(self) -> bool:
-        return self.c_num is None
+        return self.remainder is None
 
     def remainders_nonnegative(self) -> bool:
         if self.conditional:
             raise VerificationFailureError("remainders are conditional; no sign information")
-        # den is positive, so a numerator carries its remainder's sign
-        return all(n >= 0 for n in self.c_num) and all(n >= 0 for n in self.c_prime_num)
+        # den is positive, so a numerator carries its sign; decompose_canonical leaves only c_i and c'_i stored
+        return min(self.remainder.num.values(), default=0) >= 0
 
 
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
@@ -118,20 +119,10 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": 1}, 1),
          catalog.thetanull_class(ctx), transfer.pullback(d)],
     )
-    # every label read below is in the basis, so __getitem__'s label check is skipped
-    rest = remainder.num
     for label in ("lambda", "a0", "b0s"):
-        if label in rest:
+        if label in remainder.num:
             raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
-    if not spec.complete:
-        return Decomposition(spec, nu, None, None)
-    table = _labels(ctx.g)
-    dec = object.__new__(Decomposition)
-    # the remainder's own numerators over its denominator, so no Fraction is built per label
-    dec._init(d_spec=spec, nu=nu, den=remainder.den,
-              c_num=tuple([rest.get(label, 0) for label in table.a[1:]]),
-              c_prime_num=tuple([rest.get(label, 0) for label in table.b[1:]]))
-    return dec
+    return Decomposition(spec, nu, remainder if spec.complete else None)
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
@@ -158,13 +149,18 @@ class KodairaCertificate(_Value):
 def certificate_json(cert: KodairaCertificate) -> dict:
     """The certificate in its external JSON shape; every rational is "p/q"."""
     dec = cert.decomposition
+    rest = None if dec is None else dec.remainder
+
+    def remainders(family: str) -> list[str] | None:  # the one writer of c and c'
+        return None if rest is None else [_ratio(n, rest.den) for n in dec._numerators(family)]
+
     return {
         "genus": cert.ctx.g,
         "verdict": cert.verdict,
         "nu": None if dec is None else str(dec.nu),
         "rk": None if cert.rk is None else str(cert.rk),
-        "c": None if dec is None or dec.conditional else _ratios(dec.c_num, dec.den),
-        "c_prime": None if dec is None or dec.conditional else _ratios(dec.c_prime_num, dec.den),
+        "c": remainders("a"),
+        "c_prime": remainders("b"),
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }

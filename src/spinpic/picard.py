@@ -16,18 +16,18 @@ that it can never be confused with the divisor slope coefficient b_0 used
 elsewhere.
 
 _labels(g) is the one table that spells the indexed labels of genus g:
-d[i], a[i] and b[i] for i = 0..h (b[0] is "b0s") and each label's index
-i. It is cached by the int genus, both bases are derived from it, and the
-engine modules take their label strings and indices from it, so a label is
-one string per genus and no code parses an index out of a label. verify
-spells its labels itself, as an independent check of the table.
+d[i], a[i] and b[i] for i = 0..h (b[0] is "b0s"), and the two ordered
+bases m and s as read-only maps label -> i (lambda -> None). It is cached
+by the int genus, _basis only picks one of its bases, and the engine
+modules take their label strings and indices from it, so a label is one
+string per genus and no code parses an index out of a label. verify spells
+its labels itself, as an independent check of the table.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
 "p/q" in lowest terms, or just "p" when the denominator is 1, as str() of
-a Fraction does; _ratio writes it from a numerator and a denominator,
-_ratios writes a list of them over one denominator, and rational() is the
-strict parser that reads it back.
+a Fraction does; _ratio writes it from a numerator and a denominator, and
+rational() is the strict parser that reads it back.
 
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
@@ -137,12 +137,22 @@ def require_classification_genus(ctx: GenusCtx) -> None:
 
 
 class _Labels(_Value):
-    """The boundary labels of one genus: d[i], a[i] and b[i] for i = 0..h, with b[0] = "b0s", and index[label] = i."""
+    """The boundary labels of one genus: d[i], a[i] and b[i] for i = 0..h, with b[0] = "b0s".
 
-    __slots__ = __match_args__ = ("d", "a", "b", "index")
+    m and s are the ordered bases of sides M and S, built from those three
+    as read-only maps label -> i, with lambda -> None.
+    """
 
-    def __init__(self, d: tuple[str, ...], a: tuple[str, ...], b: tuple[str, ...], index: Mapping[str, int]) -> None:
-        self._init(d=d, a=a, b=b, index=index)
+    __slots__ = ("d", "a", "b", "m", "s")
+    __match_args__ = ("d", "a", "b")
+
+    def __init__(self, d: tuple[str, ...], a: tuple[str, ...], b: tuple[str, ...]) -> None:
+        m = {"lambda": None}
+        m.update(zip(d, range(len(d))))
+        s = {"lambda": None}
+        for i, x, y in zip(range(len(a)), a, b):
+            s[x] = s[y] = i
+        self._init(d=d, a=a, b=b, m=MappingProxyType(m), s=MappingProxyType(s))
 
 
 @lru_cache(maxsize=8)
@@ -150,36 +160,23 @@ def _labels(g: int) -> _Labels:
     """The label table of genus g: the only code that spells an indexed label.
 
     Each label is one string object per genus, so its hash is computed
-    once however many classes store it. Keyed and sized like _basis, which
-    is derived from it.
-    """
-    h = GenusCtx(g).h
-    d = tuple([f"d{i}" for i in range(h + 1)])
-    a = tuple([f"a{i}" for i in range(h + 1)])
-    b = ("b0s", *[f"b{i}" for i in range(1, h + 1)])
-    index = dict(zip(d, range(h + 1)))
-    index.update(zip(a, range(h + 1)))
-    index.update(zip(b, range(h + 1)))
-    return _Labels(d, a, b, MappingProxyType(index))
-
-
-@lru_cache(maxsize=8)
-def _basis(g: int, side: str) -> Mapping[str, None]:
-    """Read-only, ordered label set of the side basis at genus g, spelled by _labels.
-
-    Cached, so a label check costs one lookup. It is keyed by the int genus,
-    so a lookup never compares GenusCtx objects. The cache is small because
-    a sweep visits each genus once, and a basis near g = 700 holds about a
+    once however many classes store it. The cache is keyed by the int
+    genus, so a lookup never compares GenusCtx objects, and small, since a
+    sweep visits each genus once and a table near g = 700 holds about a
     thousand labels.
     """
-    table = _labels(g)
+    h = GenusCtx(g).h
+    return _Labels(tuple([f"d{i}" for i in range(h + 1)]), tuple([f"a{i}" for i in range(h + 1)]),
+                   ("b0s", *[f"b{i}" for i in range(1, h + 1)]))
+
+
+def _basis(g: int, side: str) -> Mapping[str, int | None]:
+    """Read-only, ordered label set of the side basis at genus g: one of the two maps of _labels(g)."""
     if side == M_SIDE:
-        labels = ["lambda", *table.d]
-    elif side == S_SIDE:
-        labels = ["lambda", *(label for pair in zip(table.a, table.b) for label in pair)]
-    else:
-        raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
-    return MappingProxyType(dict.fromkeys(labels))
+        return _labels(g).m
+    if side == S_SIDE:
+        return _labels(g).s
+    raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
 
 
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
@@ -202,11 +199,6 @@ def _ratio(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d >= 1, without building the Fraction: the one p/q writer of the package."""
     k = gcd(n, d)
     return str(n // k) if k == d else f"{n // k}/{d // k}"
-
-
-def _ratios(nums: Iterable[int], den: int) -> list[str]:
-    """The list [_ratio(n, den) for n in nums]: the writer of a certificate's remainders c and c'."""
-    return [_ratio(n, den) for n in nums]
 
 
 def _integer_form(coeff: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:

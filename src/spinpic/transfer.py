@@ -41,12 +41,12 @@ def pushforward_degree(ctx: GenusCtx, label: str) -> int:
         return even_component_degree(g - 1)
     # the index and the family from the label table, which R's three labels above do not need
     table = _labels(g)
-    i = table.index.get(label)
-    if i is not None and label == table.a[i]:
+    i = table.s.get(label)
+    if i is None:
+        raise _unknown_labels((label,), ctx, S_SIDE)
+    if label == table.a[i]:
         return even_component_degree(i) * even_component_degree(g - i)
-    if i is not None and label == table.b[i]:
-        return odd_component_degree(i) * odd_component_degree(g - i)
-    raise _unknown_labels((label,), ctx, S_SIDE)
+    return odd_component_degree(i) * odd_component_degree(g - i)
 
 
 def _m_image(table: _Labels, label: str) -> str:
@@ -55,7 +55,7 @@ def _m_image(table: _Labels, label: str) -> str:
         return label
     if label in ("a0", "b0s"):  # answered first, as in pushforward_degree, so R's lift reads no index
         return "d0"
-    return table.d[table.index[label]]
+    return table.d[table.s[label]]
 
 
 def pullback(x: DivisorClass) -> DivisorClass:
@@ -63,7 +63,7 @@ def pullback(x: DivisorClass) -> DivisorClass:
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
     table = _labels(x.ctx.g)
-    a, b, index = table.a, table.b, table.index
+    a, b, index = table.a, table.b, table.m
     out: dict[str, int] = {}
     for label, n in x.num.items():
         if label == "lambda":

@@ -2,13 +2,15 @@
 
 Each genus streams (name, expected, got) triples of raw values, one section
 after another; a section that raises ends in a failed `<section>:exception`
-after what it already yielded. compat's Theta(h^2) block, F_i and G_i for
-i >= 1 against every pi*d_j, streams as one sparse row family (`_Row`) per
-i; a row pairs each curve through `testcurves.intersect`, like every other
-pairing here, with pi*d0 and with each pi*d_j that stores one of the
-curve's labels. `build_report` counts the stream and renders only
-failures, of a row only where its sides may differ; `run_genus` lists
-every identity as a `Check` with both sides already rendered.
+after what it already yielded, and a crash in the setup that the sections
+share ends the genus in one failed `setup:exception`. compat's Theta(h^2)
+block, F_i and G_i for i >= 1 against every pi*d_j, streams as one sparse
+row family (`_Row`) per i; a row pairs each curve through
+`testcurves.intersect`, like every other pairing here, with pi*d0 and with
+each pi*d_j that stores one of the curve's labels. `build_report` counts
+the stream and renders only failures, of a row only where its sides may
+differ; `run_genus` lists every identity as a `Check` with both sides
+already rendered.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -127,18 +129,22 @@ def _expected_slope(g: int) -> tuple[bool, Fraction]:
 def _identities(g: int):
     """Yield (name, expected, got) for every per-genus identity, or a `_Row` of them, in order; g >= 3."""
     ctx = GenusCtx(g)
-    n_even = transfer.even_component_degree(g)
-    curves = testcurves.curve_map(ctx)
-    # Built once and shared by the sections; each is still looked up on its
-    # module at call time, so a patched builder is the one that runs.
-    basis = {label: basis_class(ctx, M_SIDE, label) for label in labels_for(ctx, M_SIDE)}
-    up = {label: transfer.pullback(x) for label, x in basis.items()}
-    n_id = {label: n_even * x for label, x in basis.items()}
-    canonical_m = catalog.canonical_m(ctx)
-    canonical_s = catalog.canonical_s(ctx)
-    theta = catalog.thetanull_class(ctx)
-    m1 = catalog.m1_theta_class(ctx)
-    composite, slope_bound = _expected_slope(g)
+    try:
+        n_even = transfer.even_component_degree(g)
+        curves = testcurves.curve_map(ctx)
+        # Built once and shared by the sections; each is still looked up on its
+        # module at call time, so a patched builder is the one that runs.
+        basis = {label: basis_class(ctx, M_SIDE, label) for label in labels_for(ctx, M_SIDE)}
+        up = {label: transfer.pullback(x) for label, x in basis.items()}
+        n_id = {label: n_even * x for label, x in basis.items()}
+        canonical_m = catalog.canonical_m(ctx)
+        canonical_s = catalog.canonical_s(ctx)
+        theta = catalog.thetanull_class(ctx)
+        m1 = catalog.m1_theta_class(ctx)
+        composite, slope_bound = _expected_slope(g)
+    except Exception as exc:  # no section can run without the shared setup, so the genus ends here
+        yield _crashed("setup", exc)
+        return
 
     def counts():
         for name, lhs, rhs in transfer.degree_identities(ctx):
@@ -293,7 +299,12 @@ def _identities(g: int):
         try:
             yield from identities()
         except Exception as exc:  # a crashed identity is a failed identity
-            yield f"{section}:exception", "no exception", f"{type(exc).__name__}: {exc}"
+            yield _crashed(section, exc)
+
+
+def _crashed(section: str, exc: Exception) -> tuple[str, str, str]:
+    """The failed identity `<section>:exception` that stands for what the section did not yield."""
+    return f"{section}:exception", "no exception", f"{type(exc).__name__}: {exc}"
 
 
 def run_genus(g: int) -> list[Check]:

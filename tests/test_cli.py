@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import catalog, cli, errors, kodaira, testcurves, verify
+from spinpic import catalog, cli, errors, kodaira, testcurves, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx
 
 
@@ -175,6 +175,21 @@ def test_classify_divisor_file(capsys, tmp_path):
     assert "CONDITIONAL" not in out
 
 
+@pytest.mark.parametrize("as_json", ([], ["--json"]))
+def test_classify_divisor_file_with_fractional_remainders(as_json, capsys, tmp_path):
+    # the text lines and the JSON lists both come from certificate_json
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"name": "t", "genus": 9, "a": "12", "b0": "5/3", "b": ["7/2", "9/2", "16/3", "6"]}))
+    code, out, _ = run(capsys, "classify", "-g", "9", "--divisor-file", str(path), *as_json)
+    assert code == 0
+    c, c_prime = ["3/20", "41/20", "14/5", "17/5"], ["83/20", "121/20", "34/5", "37/5"]
+    if as_json:
+        doc = json.loads(out)
+        assert (doc["c"], doc["c_prime"]) == (c, c_prime)
+    else:
+        assert "\n  remainders c  = (3/20, 41/20, 14/5, 17/5)\n  remainders c' = (83/20, 121/20, 34/5, 37/5)\n" in out
+
+
 def test_classify_divisor_file_slope_violation(capsys, tmp_path):
     path = tmp_path / "divisor.json"
     path.write_text(json.dumps({"name": "steep", "genus": 10, "a": "8", "b0": "1"}))
@@ -228,6 +243,21 @@ def test_verify_failure_lines_exit_one(capsys, monkeypatch):
         "  FAIL pairing:G2*theta at genus 5: expected 1, got 3/2\n"
         "  FAIL compat:G2:d2 at genus 5: expected -2, got -3\n"
         "verify 5..5: FAIL (82 checks, 3 failures)\n"
+    ), "")
+
+
+def test_verify_setup_failure_exits_one(capsys, monkeypatch):
+    # every section shares the pullbacks of the basis classes, so a crash there ends each genus in one check
+    def crashing(x):
+        raise RuntimeError("no pullback")
+
+    monkeypatch.setattr(transfer, "pullback", crashing)
+    assert run(capsys, "verify", "--from", "5", "--to", "6") == (1, (
+        "genus 5: 1 checks  FAIL(1)\n"
+        "genus 6: 1 checks  FAIL(1)\n"
+        "  FAIL setup:exception at genus 5: expected no exception, got RuntimeError: no pullback\n"
+        "  FAIL setup:exception at genus 6: expected no exception, got RuntimeError: no pullback\n"
+        "verify 5..6: FAIL (2 checks, 2 failures)\n"
     ), "")
 
 

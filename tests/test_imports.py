@@ -6,6 +6,8 @@ short CLI command's time, so the value classes are written out by hand.
 The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
+Only picard._trusted and catalog._own_d build a value by object.__new__,
+past its constructor, so no third unvalidated construction path appears.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 and only picard's label table spells an indexed label, besides verify's
 own independent spellings, which do not read the table.
@@ -54,11 +56,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def _call_sites(path: Path, name: str) -> list[str]:
-    """The innermost enclosing function of each call to `name` or `x.name` in the module ('' at module level)."""
+    """The innermost enclosing function of each call to `name` or `x.name` in the module ('' at module level).
+
+    A dotted name, such as `object.__new__`, matches only a call spelled so.
+    """
     found = []
 
     def visit(node, where):
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None),
+                                                   ast.unparse(node.func)):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
@@ -70,6 +76,14 @@ def _call_sites(path: Path, name: str) -> list[str]:
 def test_only_picard_unknown_labels_builds_an_unknown_label_error():
     sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py")) for where in _call_sites(path, "UnknownLabelError")]
     assert sites == [("picard.py", "_unknown_labels")]
+
+
+def test_only_trusted_and_own_d_call_object_new():
+    # object.__new__ skips a value's constructor and its validation: picard._trusted builds the
+    # kernel's classes so and catalog._own_d the genus's own divisor spec, and no third path may
+    sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+             for where in _call_sites(path, "object.__new__")]
+    assert sites == [("catalog.py", "_own_d"), ("picard.py", "_trusted")]
 
 
 def test_only_rk_is_evidence_compares_with_max_rk_genus():

@@ -134,19 +134,18 @@ def test_classify_verdicts():
 @pytest.mark.parametrize("g", (9, 12, 300))
 def test_classify_builds_no_class_through_the_validating_constructor(g, monkeypatch):
     # every class of a certificate comes from a closed form or a checked spec,
-    # so none is re-validated and no genus basis is built (g = 12 has a slope-only D)
+    # so none is re-validated and no basis is looked up (g = 12 has a slope-only D)
     ctx = GenusCtx(g)
-    picard._basis.cache_clear()
-    original, validated = DivisorClass.__post_init__, []
+    original, validated, basis = DivisorClass.__post_init__, [], picard._basis
 
     def counting(self):
         validated.append(self.side)
         original(self)
 
     monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+    monkeypatch.setattr(picard, "_basis", lambda g, side: validated.append(("basis", side)) or basis(g, side))
     assert classify(ctx).verdict == GENERAL_TYPE
     assert validated == []
-    assert picard._basis.cache_info().misses == 0
 
 
 def test_classify_flags():
@@ -209,14 +208,17 @@ def test_judge_on_hand_built_evidence():
     assert dec10.conditional and judge(ctx10, None, dec10) == GENERAL_TYPE
     assert _judge_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
     ctx8, dec8 = _evidence(8)
-    assert _judge_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.c, dec8.c_prime)) == (
+    assert _judge_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.remainder)) == (
         "nu = -1/5 is negative at genus 8"
     )
     ctx9, dec9 = _evidence(9)
-    assert _judge_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.c, dec9.c_prime)) == (
+    assert _judge_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.remainder)) == (
         "nu = 0 is not positive at genus 9"
     )
-    negative_c1 = Decomposition(dec9.d_spec, dec9.nu, (Fraction(-1),) + dec9.c[1:], dec9.c_prime)
+    # c_1 moved to -1 by subtracting c_1 + 1 times the a1 basis class
+    shifted = dec9.remainder - (dec9.c[0] + 1) * basis_class(ctx9, S_SIDE, "a1")
+    negative_c1 = Decomposition(dec9.d_spec, dec9.nu, shifted)
+    assert negative_c1.c == (Fraction(-1),) + dec9.c[1:] and negative_c1.c_prime == dec9.c_prime
     assert _judge_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
 
 

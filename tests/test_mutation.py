@@ -12,15 +12,16 @@ decomposition, and each field of the certificate that `kodaira.certify`
 makes of that evidence. Each case perturbs exactly one entry, written as
 `original(ctx) + basis_class(ctx, side, label)` so that an entry stored
 as zero is perturbed like any other, and asserts that the per-genus suite
-reports a failure. Divisor specs and decompositions are perturbed on a
-copy, past their own validation, and the coefficient sources of D are
-the ones that validation reads, so that only `verify` can catch them.
+reports a failure. Divisor specs are perturbed on a copy, past their own
+validation, and the coefficient sources of D are the ones that validation
+reads, so that only `verify` can catch them. A decomposition's c_i or
+c'_i is perturbed as its remainder class plus a basis class, and a
+certificate's c or c' list on the document that `certificate_json` writes.
 """
 
 import copy
 import sys
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 
@@ -53,29 +54,23 @@ def test_perturbed_component_degree_is_caught(g, name, monkeypatch):
 
 @pytest.mark.parametrize("family,i,j", [("a", 2, 3), ("b", 0, 1), ("d", 1, 2)])
 def test_misspelt_label_table_is_caught(family, i, j, monkeypatch):
-    # two labels of one family trade places in the table, and the index follows them,
-    # so every engine module reads one consistent but wrong spelling
+    # two labels of one family trade places in the table, and the bases built
+    # from it follow them, so every engine module reads one consistent but
+    # wrong spelling
     original = picard._labels
 
     def misspelt(g):
         table = original(g)
         spelled = {f: list(getattr(table, f)) for f in "dab"}
         spelled[family][i], spelled[family][j] = spelled[family][j], spelled[family][i]
-        d, a, b = (tuple(spelled[f]) for f in "dab")
-        index = {label: k for labels in (d, a, b) for k, label in enumerate(labels)}
-        return picard._Labels(d, a, b, MappingProxyType(index))
+        return picard._Labels(*(tuple(spelled[f]) for f in "dab"))
 
     bound = [m for m in list(sys.modules.values())
              if m.__name__.startswith("spinpic") and vars(m).get("_labels") is original]
     assert picard in bound and transfer in bound
-    picard._basis.cache_clear()  # the bases are derived from the table, and cached
-    try:
-        for module in bound:
-            monkeypatch.setattr(module, "_labels", misspelt)
-        assert _failures(6), f"no check caught {family}[{i}] and {family}[{j}] trading spellings"
-    finally:
-        monkeypatch.undo()
-        picard._basis.cache_clear()
+    for module in bound:
+        monkeypatch.setattr(module, "_labels", misspelt)
+    assert _failures(6), f"no check caught {family}[{i}] and {family}[{j}] trading spellings"
 
 
 _CTX5 = GenusCtx(5)
@@ -244,11 +239,10 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
     def bumped(ctx, spec):
         dec = original(ctx, spec)
         if field == "nu":
-            return kodaira.Decomposition(dec.d_spec, dec.nu + 1, dec.c, dec.c_prime)
-        values = list(getattr(dec, field))
-        values[i - 1] += 1
-        fields = {"d_spec": dec.d_spec, "nu": dec.nu, "c": dec.c, "c_prime": dec.c_prime, field: tuple(values)}
-        return kodaira.Decomposition(**fields)
+            return kodaira.Decomposition(dec.d_spec, dec.nu + 1, dec.remainder)
+        # c_i sits at a_i and c'_i at b_i of the remainder class
+        label = f"{'a' if field == 'c' else 'b'}{i}"
+        return kodaira.Decomposition(dec.d_spec, dec.nu, dec.remainder + basis_class(ctx, S_SIDE, label))
 
     monkeypatch.setattr(kodaira, "decompose_canonical", bumped)
     # a bumped decomposition that crashed verify would be caught only as kodaira:exception
@@ -264,48 +258,46 @@ def _add_flag(flag):
     return lambda cert: _perturbed(cert, flags=cert.flags + (flag,))
 
 
-def _trailing_zero(field):
-    def appended(cert):
-        dec = cert.decomposition
-        fields = {"d_spec": dec.d_spec, "nu": dec.nu, "c": dec.c, "c_prime": dec.c_prime}
-        fields[field] += (Fraction(0),)
-        return _perturbed(cert, decomposition=kodaira.Decomposition(**fields))
-
-    return appended
+def _trailing_zero(key):
+    # c and c' are written by certificate_json alone, so the extra entry goes on its list
+    return lambda doc: {**doc, key: doc[key] + ["0"]}
 
 
-# (genus, change to certify's result, the check that must catch it); each
-# flag is dropped and added at the edge of the genera that carry it
+# (genus, the function whose result changes, the change, the check that must
+# catch it); each flag is dropped and added at the edge of the genera that carry it
 _CERTIFICATE_CASES = {
-    "drop FORMAL_BASIS": (4, _drop_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
-    "add FORMAL_BASIS": (5, _add_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
-    "drop CONDITIONAL": (10, _drop_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
-    "add CONDITIONAL": (9, _add_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
-    "drop EXTRAPOLATED": (23, _drop_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
-    "add EXTRAPOLATED": (22, _add_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
-    "UNIRULED to KAPPA_NONNEGATIVE": (7, lambda cert: _perturbed(cert, verdict=kodaira.KAPPA_NONNEGATIVE),
+    "drop FORMAL_BASIS": (4, "certify", _drop_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
+    "add FORMAL_BASIS": (5, "certify", _add_flag(kodaira.FLAG_FORMAL_BASIS), "kodaira:flags"),
+    "drop CONDITIONAL": (10, "certify", _drop_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
+    "add CONDITIONAL": (9, "certify", _add_flag(kodaira.FLAG_CONDITIONAL), "kodaira:flags"),
+    "drop EXTRAPOLATED": (23, "certify", _drop_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
+    "add EXTRAPOLATED": (22, "certify", _add_flag(kodaira.FLAG_EXTRAPOLATED), "kodaira:flags"),
+    "UNIRULED to KAPPA_NONNEGATIVE": (7, "certify", lambda cert: _perturbed(cert, verdict=kodaira.KAPPA_NONNEGATIVE),
                                       "kodaira:verdict"),
-    "KAPPA_NONNEGATIVE to GENERAL_TYPE": (8, lambda cert: _perturbed(cert, verdict=kodaira.GENERAL_TYPE),
+    "KAPPA_NONNEGATIVE to GENERAL_TYPE": (8, "certify", lambda cert: _perturbed(cert, verdict=kodaira.GENERAL_TYPE),
                                           "kodaira:verdict"),
-    "GENERAL_TYPE to UNIRULED": (9, lambda cert: _perturbed(cert, verdict=kodaira.UNIRULED), "kodaira:verdict"),
-    "clear rk": (7, lambda cert: _perturbed(cert, rk=None), "kodaira:rk"),
-    "set rk": (8, lambda cert: _perturbed(cert, rk=Fraction(-1)), "kodaira:rk"),
-    "trailing c": (9, _trailing_zero("c"), "kodaira:c"),
-    "trailing c_prime": (9, _trailing_zero("c_prime"), "kodaira:c-prime"),
+    "GENERAL_TYPE to UNIRULED": (9, "certify", lambda cert: _perturbed(cert, verdict=kodaira.UNIRULED),
+                                 "kodaira:verdict"),
+    "clear rk": (7, "certify", lambda cert: _perturbed(cert, rk=None), "kodaira:rk"),
+    "set rk": (8, "certify", lambda cert: _perturbed(cert, rk=Fraction(-1)), "kodaira:rk"),
+    "trailing c": (9, "certificate_json", _trailing_zero("c"), "kodaira:c"),
+    "trailing c_prime": (9, "certificate_json", _trailing_zero("c_prime"), "kodaira:c-prime"),
 }
 
 
-@pytest.mark.parametrize("g,change,check", _CERTIFICATE_CASES.values(), ids=_CERTIFICATE_CASES)
-def test_perturbed_certificate_is_caught(g, change, check, monkeypatch):
-    original, changed = kodaira.certify, []
+@pytest.mark.parametrize("g,target,change,check", _CERTIFICATE_CASES.values(), ids=_CERTIFICATE_CASES)
+def test_perturbed_certificate_is_caught(g, target, change, check, monkeypatch):
+    original, changed = getattr(kodaira, target), []
+    # a certificate is compared by its JSON document, which is what verify reads
+    as_json = kodaira.certificate_json if target == "certify" else (lambda doc: doc)
 
-    def perturbed(ctx, rk, dec):
-        cert = original(ctx, rk, dec)
-        out = change(cert)
-        changed.append(kodaira.certificate_json(out) != kodaira.certificate_json(cert))
+    def perturbed(*args):
+        before = original(*args)
+        out = change(before)
+        changed.append(as_json(out) != as_json(before))
         return out
 
-    monkeypatch.setattr(kodaira, "certify", perturbed)
+    monkeypatch.setattr(kodaira, target, perturbed)
     failed = {c.name for c in _failures(g)}
     assert changed == [True], "the perturbation left the certificate as it was"
     # a perturbed certificate that crashed verify would be caught only as kodaira:exception

@@ -12,6 +12,7 @@ from spinpic.picard import (
     GenusCtx,
     M_SIDE,
     S_SIDE,
+    _basis,
     _labels,
     _ratio,
     basis_class,
@@ -67,13 +68,17 @@ def test_label_table_spells_each_label_once_and_the_bases_follow_it(g):
     assert table.d == tuple(f"d{i}" for i in range(h + 1))
     assert table.a == tuple(f"a{i}" for i in range(h + 1))
     assert table.b == ("b0s", *(f"b{i}" for i in range(1, h + 1)))
-    assert dict(table.index) == {label: i for i in range(h + 1) for label in (table.d[i], table.a[i], table.b[i])}
-    with pytest.raises(TypeError):
-        table.index["d0"] = 1
+    # each basis maps its labels to their index i, lambda to None, and is read-only
+    assert dict(table.m) == {"lambda": None, **{table.d[i]: i for i in range(h + 1)}}
+    assert dict(table.s) == {"lambda": None, **{label: i for i in range(h + 1) for label in (table.a[i], table.b[i])}}
+    for basis, label in ((table.m, "d0"), (table.s, "a0")):
+        with pytest.raises(TypeError):
+            basis[label] = 1
     # the bases keep their order, and store the table's own strings
     assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1)))
     assert labels_for(ctx, S_SIDE) == ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
     assert all(x is y for x, y in zip(labels_for(ctx, M_SIDE)[1:], table.d))
+    assert _basis(g, M_SIDE) is table.m and _basis(g, S_SIDE) is table.s
 
 
 def test_slot_set_is_frozen():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinpic import picard
+from spinpic import picard, transfer
 from spinpic.errors import SideMismatchError, UnknownLabelError
 from spinpic.picard import (
     DivisorClass,
@@ -247,12 +247,15 @@ def test_pushforward_degree_rejects_a_label_outside_the_basis(label):
     )
 
 
-def test_the_covering_curve_builds_no_genus_basis():
+def test_the_covering_curve_builds_no_genus_basis(monkeypatch):
     # R's entries need the degrees of lambda, a0 and b0s only, which are
-    # answered before the basis check, so R.K certificates build no basis
-    picard._basis.cache_clear()
+    # answered before transfer reads the label table, so R.K certificates
+    # look up no basis
+    reads, labels, basis = [], picard._labels, picard._basis
+    monkeypatch.setattr(transfer, "_labels", lambda g: reads.append(("table", g)) or labels(g))
+    monkeypatch.setattr(picard, "_basis", lambda g, side: reads.append(("basis", g, side)) or basis(g, side))
     for g in range(3, MAX_RK_GENUS + 1):
         ctx = GenusCtx(g)
         assert curve_map(ctx)["R"].coeff.keys() == {"lambda", "a0", "b0s"}
         assert classify(ctx).rk < 0
-    assert picard._basis.cache_info().misses == 0
+    assert reads == []

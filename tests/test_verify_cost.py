@@ -326,8 +326,8 @@ def test_a_certificate_spells_its_labels_once(g):
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
-    # warm: an earlier run_genus(g) filled the basis cache
-    picard._basis.cache_clear()
+    # warm: an earlier run_genus(g) filled the label-table cache, which holds the bases
+    picard._labels.cache_clear()
     if warm:
         verify.run_genus(g)
     original, calls = GenusCtx.__eq__, []

@@ -6,7 +6,8 @@ corrupted test curve F_i/G_i (a label added, dropped or changed) or a
 corrupted pullback column pi*d_j (a stray label, a changed coefficient,
 an emptied column) must give the same report as pairing every (i, j) with
 `testcurves.intersect`, in stream order, with the identities of every other
-section taken from `run_genus`.
+section taken from `run_genus`. A crash in the setup that every section
+shares ends the genus in one failed check.
 """
 
 import re
@@ -206,3 +207,17 @@ def test_a_foreign_column_ends_compat_before_the_first_row(monkeypatch):
         {"check-name": "compat:exception", "genus": g, "expected": "no exception", "got": crash}
     ]
     assert report["payload"]["total-checks"] == len(checks)
+
+
+def test_a_crash_in_the_shared_setup_ends_the_genus_in_one_failed_check(monkeypatch):
+    # the sections share the pullbacks of the basis classes, so none of them can run without them
+    def crashing(x):
+        raise RuntimeError("no pullback")
+
+    monkeypatch.setattr(transfer, "pullback", crashing)
+    crash = "RuntimeError: no pullback"
+    assert verify.run_genus(5) == [verify.Check("setup:exception", False, "no exception", crash)]
+    report = verify.build_report(5, 5)
+    assert report["failures"] == [{"check-name": "setup:exception", "genus": 5, "expected": "no exception",
+                                   "got": crash}]
+    assert report["payload"] == {"genera": [{"genus": 5, "checks": 1, "failed": 1}], "total-checks": 1}
