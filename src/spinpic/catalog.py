@@ -6,7 +6,8 @@ divisor class on the spin side, its pushforward (the vanishing-theta-null
 locus on the curve side), and the Brill-Noether divisor for composite g+1.
 _rule alone writes the auxiliary effective divisor D that the classification
 uses (its provenance, a and b0), and choose_d(ctx) builds the genus's own D;
-the slope of that D is the genus's slope bound. A named provenance
+the slope of that D is the genus's slope bound. A DivisorSpec holds D as one
+curve-side class, and divisor_class returns that class. A named provenance
 (BrillNoether, K3, GiesekerPetri) is accepted only for that D; any other
 divisor is UserSupplied(name).
 """
@@ -24,7 +25,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _trusted, _Value, rational,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted, _Value, rational,
                      require_classification_genus)
 
 
@@ -40,11 +41,6 @@ def _smallest_prime_factor(n: int) -> int:
             return p
         p += 1
     return n
-
-
-def _bn_boundary(g: int, h: int) -> tuple[int, ...]:
-    """(b_1, ..., b_h) of the normalized Brill-Noether divisor: b_i = i(g-i), as ints."""
-    return tuple([i * (g - i) for i in range(1, h + 1)])
 
 
 # --- divisor specifications -------------------------------------------------
@@ -79,13 +75,13 @@ Provenance = Union[BrillNoether, K3, GiesekerPetri, UserSupplied]
 
 
 class DivisorSpec(_Value):
-    """An effective divisor a*lambda - b0*d0 - sum b_i*di on the curve side.
+    """An effective divisor D = a*lambda - b0*d0 - sum b_i*di on the curve side, held as its class.
 
-    b holds (b_1, ..., b_h) when all boundary coefficients are known, as
-    exact rationals: the constructor stores Fractions, and the own D that
-    choose_d builds stores ints, which compare and hash equal to the
-    Fractions of the same values. Specs with b = None carry only the slope
-    data (a, b0) and mark every computation that would need the b_i as
+    divisor is D's DivisorClass, and a, b0, b, slope and complete are
+    Fractions read off it. b holds (b_1, ..., b_h) when all boundary
+    coefficients are known; each is positive, so the class stores every di.
+    Specs with b = None store only lambda and d0, carry only the slope data
+    (a, b0) and mark every computation that would need the b_i as
     conditional. A spec whose provenance is not UserSupplied must equal its
     genus's own D, the one choose_d(ctx) builds; any other divisor is
     UserSupplied(name).
@@ -95,30 +91,44 @@ class DivisorSpec(_Value):
 
     def __init__(self, ctx: GenusCtx, provenance: Provenance, a: Fraction, b0: Fraction,
                  b: tuple[Fraction, ...] | None = None) -> None:
-        self._init(ctx=ctx, provenance=provenance, a=a, b0=b0, b=b)
-        self.__post_init__()
+        self._init(ctx=ctx, provenance=provenance)
+        self.__post_init__(a, b0, b)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.divisor.num["lambda"], self.divisor.den)
+
+    @property
+    def b0(self) -> Fraction:
+        return Fraction(-self.divisor.num["d0"], self.divisor.den)
+
+    @property
+    def b(self) -> tuple[Fraction, ...] | None:
+        num, den = self.divisor.num, self.divisor.den
+        return tuple([Fraction(-num[label], den) for label in _labels(self.ctx.g).d[1:]]) if self.complete else None
 
     @property
     def complete(self) -> bool:
-        return self.b is not None
+        return len(self.divisor.num) > 2  # lambda and d0, and every di once the b_i are known
 
     @property
     def slope(self) -> Fraction:
-        return self.a / self.b0
+        return Fraction(self.divisor.num["lambda"], -self.divisor.num["d0"])
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b0", rational(self.b0))
-        if self.b is not None:
-            object.__setattr__(self, "b", tuple(rational(v) for v in self.b))
+    def __post_init__(self, a: Fraction, b0: Fraction, b: tuple[Fraction, ...] | None) -> None:
+        """Check a, b0 and b as given, store D's class, and check a named provenance against the own D."""
+        a, b0 = rational(a), rational(b0)
         g, h = self.ctx.g, self.ctx.h
-        if self.a <= 0 or self.b0 <= 0:
-            raise DivisorSpecError(f"divisor needs a > 0 and b0 > 0, got a={self.a}, b0={self.b0}")
-        if self.b is not None:
-            if len(self.b) != h:
-                raise DivisorSpecError(f"expected {h} boundary coefficients at genus {g}, got {len(self.b)}")
-            if any(v <= 0 for v in self.b):
+        if a <= 0 or b0 <= 0:
+            raise DivisorSpecError(f"divisor needs a > 0 and b0 > 0, got a={a}, b0={b0}")
+        if b is not None:
+            b = tuple([rational(v) for v in b])
+            if len(b) != h:
+                raise DivisorSpecError(f"expected {h} boundary coefficients at genus {g}, got {len(b)}")
+            if any(v <= 0 for v in b):
                 raise DivisorSpecError("all boundary coefficients b_i must be positive")
+        coeff = {"lambda": a, **{label: -v for label, v in zip(_labels(g).d, (b0, *(b or ())))}}
+        self._init(divisor=DivisorClass(self.ctx, M_SIDE, coeff))
         if not isinstance(self.provenance, UserSupplied) and self != (own := _own_d(self.ctx)):
             # the provenance may be any object, so the message names only own's
             raise DivisorSpecError(
@@ -129,17 +139,13 @@ class DivisorSpec(_Value):
 
 
 def divisor_class(spec: DivisorSpec) -> DivisorClass:
-    """The curve-side class of a complete divisor spec."""
+    """The curve-side class of a complete divisor spec: the one it holds."""
     if not spec.complete:
         raise DivisorSpecError(
             f"divisor at genus {spec.ctx.g} has no boundary coefficients b_i; only its slope "
             f"a/b0 = {spec.slope} is known"
         )
-    # a spec's a, b0 and b_i are positive rationals, checked by DivisorSpec or built by _own_d;
-    # the signs go on their integer numerators, so no Fraction is negated
-    d = _labels(spec.ctx.g).d
-    num, den = _integer_form({"lambda": spec.a, "d0": spec.b0, **dict(zip(d[1:], spec.b))})
-    return _trusted(spec.ctx, M_SIDE, {l: n if l == "lambda" else -n for l, n in num.items()}, den)
+    return spec.divisor
 
 
 def _spec_value(key: str, value) -> Fraction:
@@ -294,9 +300,11 @@ def _rule(g: int) -> tuple[Provenance, Fraction, Fraction]:
 def _own_d(ctx: GenusCtx) -> DivisorSpec:
     """Genus ctx.g's own D, unvalidated: DivisorSpec validates a named provenance by comparing with it."""
     provenance, a, b0 = _rule(ctx.g)
-    b = _bn_boundary(ctx.g, ctx.h) if isinstance(provenance, BrillNoether) else None
+    terms = [(a.numerator, a.denominator, (("lambda", 1),)), (-b0.numerator, b0.denominator, (("d0", 1),))]
+    if isinstance(provenance, BrillNoether):  # the normalized divisor's b_i = i(g-i), as one integer group
+        terms.append((-1, 1, [(label, i * (ctx.g - i)) for i, label in enumerate(_labels(ctx.g).d[1:], 1)]))
     spec = object.__new__(DivisorSpec)
-    vars(spec).update(ctx=ctx, provenance=provenance, a=a, b0=b0, b=b)
+    spec._init(ctx=ctx, provenance=provenance, divisor=_sum_terms(ctx, M_SIDE, terms))
     return spec
 
 

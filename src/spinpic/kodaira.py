@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _ratio, _trusted, _Value, lincomb
+from .picard import S_SIDE, DivisorClass, GenusCtx, _labels, _ratio, _trusted, _Value, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -100,24 +100,18 @@ class Decomposition(_Value):
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
     """Decompose the spin-side canonical class against 8*theta + scaled D.
 
-    The remainder canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D)
-    is obtained by exact subtraction, and its lambda, a0 and b0s slots must
-    vanish whatever the divisor. A spec without boundary coefficients
-    stands for D = a*lambda - b0*d0 here, and its remainders stay
-    conditional.
+    The remainder canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D),
+    D the class that spec holds, is obtained by exact subtraction, and its
+    lambda, a0 and b0s slots must vanish whatever the divisor. Without b_i,
+    D = a*lambda - b0*d0 and the remainders stay conditional.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
     nu = nu_value(spec)
-    if spec.complete:
-        d = catalog.divisor_class(spec)
-    else:
-        # a, b0 > 0 is validated, and every basis holds lambda and d0
-        d = _trusted(ctx, M_SIDE, *_integer_form({"lambda": spec.a, "d0": -spec.b0}))
     remainder = lincomb(
         [1, -nu, -8, -Fraction(3, 2) / spec.b0],
         [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": 1}, 1),
-         catalog.thetanull_class(ctx), transfer.pullback(d)],
+         catalog.thetanull_class(ctx), transfer.pullback(spec.divisor)],
     )
     for label in ("lambda", "a0", "b0s"):
         if label in remainder.num:

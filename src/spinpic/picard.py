@@ -201,12 +201,6 @@ def _ratio(n: int, d: int) -> str:
     return str(n // k) if k == d else f"{n // k}/{d // k}"
 
 
-def _integer_form(coeff: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
-    """(num, den) of nonzero reduced Fractions: den is the lcm of their denominators, so gcd(den, *num) = 1."""
-    den = lcm(*(v.denominator for v in coeff.values()))
-    return {label: v.numerator * (den // v.denominator) for label, v in coeff.items()}, den
-
-
 class DivisorClass(_Value):
     """A formal divisor class: exact coefficients over a fixed basis.
 
@@ -229,8 +223,10 @@ class DivisorClass(_Value):
         basis = _basis(self.ctx.g, self.side)
         if not self.num.keys() <= basis.keys():
             raise _unknown_labels(self.num.keys() - basis.keys(), self.ctx, self.side)
-        values = ((l, v if type(v) is Fraction else rational(v)) for l, v in self.num.items())
-        num, den = _integer_form({l: v for l, v in values if v})
+        values = [(l, v if type(v) is Fraction else rational(v)) for l, v in self.num.items()]
+        # the lcm of reduced denominators makes gcd(den, *num) = 1
+        den = lcm(*(v.denominator for _, v in values if v))
+        num = {l: v.numerator * (den // v.denominator) for l, v in values if v}
         vars(self).update(num=MappingProxyType(num), den=den)
 
     @property
@@ -346,9 +342,9 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
-    here: the kernel's outputs (lincomb, parse_class, pushforward), basis_class,
-    pullback, catalog's closed forms and divisor_class, the test curves,
-    solve_thetanull, and decompose_canonical's lambda and slope-only D.
+    here: the kernel's outputs (lincomb, parse_class, pushforward, each
+    divisor spec's D, solve_thetanull), basis_class, pullback, catalog's
+    closed forms, the test curves, and decompose_canonical's lambda.
     """
     cls = object.__new__(DivisorClass)
     vars(cls).update(ctx=ctx, side=side, num=MappingProxyType(num), den=den)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _integer_form, _labels, _trusted,
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -131,15 +131,15 @@ def _solve3(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
 def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
     """Re-derive the theta-null class from the pencil relations.
 
-    Solves the system of thetanull_system exactly and assembles the class
-    with the boundary coefficients entered negatively; the ai coefficients
-    vanish and are not stored. The result is not compared with the closed
-    form here: verify's solve:thetanull check and the CLI's MATCH/MISMATCH
-    line do that.
+    Solves the system of thetanull_system exactly and sums the class by the
+    kernel of parse_class, with the boundary coefficients entered
+    negatively; the ai coefficients vanish, and no zero is stored. The
+    result is not compared with the closed form here: verify's
+    solve:thetanull check and the CLI's MATCH/MISMATCH line do that.
     """
     rows, rhs = thetanull_system(ctx)
     lam, a0, b0 = _solve3(rows, rhs)
-    # zero solutions are dropped, as the constructor drops them
-    coeff = {label: v for label, v in (("lambda", lam), ("a0", -a0), ("b0s", -b0)) if v}
-    coeff |= dict.fromkeys(_labels(ctx.g).b[1:], Fraction(-1, 2))
-    return _trusted(ctx, S_SIDE, *_integer_form(coeff))
+    terms = [(sign * v.numerator, v.denominator, ((label, 1),))
+             for sign, v, label in ((1, lam, "lambda"), (-1, a0, "a0"), (-1, b0, "b0s"))]
+    terms.append((-1, 2, [(label, 1) for label in _labels(ctx.g).b[1:]]))
+    return _sum_terms(ctx, S_SIDE, terms)

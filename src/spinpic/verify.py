@@ -180,11 +180,12 @@ def _identities(g: int):
         yield "bn:rho", -1, catalog.rho(g, prov.r, prov.d)
         yield "bn:slope", slope_bound, spec.slope
         yield "bn:lambda", Fraction(g + 3), cls["lambda"]
+        b, b0 = spec.b, spec.b0  # each read builds its Fractions from the spec's class
         for i in range(1, ctx.h + 1):
-            # the ratio read from the class that divisor_class built, so a misread b_i shows
+            # the ratio read from the class that bn_class returns, so a misread b_i shows
             yield f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), cls[f"d{i}"] / cls["d0"]
             # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2
-            yield f"bn:ratio-bound-d{i}", True, spec.b[i - 1] / spec.b0 >= (2 if i == 1 else Fraction(4, 3))
+            yield f"bn:ratio-bound-d{i}", True, b[i - 1] / b0 >= (2 if i == 1 else Fraction(4, 3))
 
     def curve_tables():
         expected = _expected_curve_table(ctx)

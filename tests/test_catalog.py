@@ -4,6 +4,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpic import catalog, kodaira, transfer
 from spinpic.catalog import (
@@ -263,21 +265,21 @@ def test_choose_d_checks_a_user_spec_without_building_d(monkeypatch):
     ctx = GenusCtx(300)  # g+1 = 7*43: D is Brill-Noether, with h = 150 coefficients b_i
     user = DivisorSpec(ctx, UserSupplied("flat"), a=Fraction(6), b0=Fraction(1))
     original, built = DivisorSpec.__post_init__, []
-    original_boundary, boundaries = catalog._bn_boundary, []
+    original_own, owns = catalog._own_d, []
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self.provenance)
-        original(self)
+        original(self, *args)
 
-    def counting_boundary(g, h):
-        boundaries.append(g)
-        return original_boundary(g, h)
+    def counting_own(c):
+        owns.append(c.g)
+        return original_own(c)
 
     monkeypatch.setattr(DivisorSpec, "__post_init__", counting)
-    monkeypatch.setattr(catalog, "_bn_boundary", counting_boundary)
+    monkeypatch.setattr(catalog, "_own_d", counting_own)
     assert choose_d(ctx, user) is user
-    assert built == [] and boundaries == []
-    assert choose_d(ctx).complete and boundaries == [300]  # the counter sees a D being built
+    assert built == [] and owns == []
+    assert choose_d(ctx).complete and owns == [300]  # the counter sees a D being built
 
 
 @pytest.mark.parametrize("g", range(3, 61))
@@ -285,6 +287,35 @@ def test_choose_d_passes_the_validating_constructor(g):
     # K3, Gieseker-Petri and Brill-Noether defaults skip validation that they would pass
     d = choose_d(GenusCtx(g))
     assert DivisorSpec(d.ctx, d.provenance, d.a, d.b0, d.b) == d
+
+
+_POSITIVE = st.fractions(min_value=0, max_denominator=30).filter(lambda q: q > 0)
+
+
+@st.composite
+def _user_specs(draw):
+    """(ctx, a, b0, b) for a user spec at g in 3..60, with b None for a slope-only spec."""
+    ctx = GenusCtx(draw(st.integers(3, 60)))
+    b = draw(st.none() | st.lists(_POSITIVE, min_size=ctx.h, max_size=ctx.h).map(tuple))
+    return ctx, draw(_POSITIVE), draw(_POSITIVE), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_user_specs())
+def test_divisor_spec_reads_back_its_values(drawn):
+    # a spec holds only D's class, so every value it gives back is read off that class
+    ctx, a, b0, b = drawn
+    spec = DivisorSpec(ctx, UserSupplied("drawn"), a, b0, b)
+    assert (spec.a, spec.b0, spec.b, spec.slope, spec.complete) == (a, b0, b, a / b0, b is not None)
+    assert all(type(v) is Fraction for v in (spec.a, spec.b0, *(spec.b or ())))
+    if b is None:
+        with pytest.raises(DivisorSpecError):
+            divisor_class(spec)
+    else:
+        want = {"lambda": a, "d0": -b0, **{f"d{i}": -v for i, v in enumerate(b, 1)}}
+        assert divisor_class(spec) == DivisorClass(ctx, M_SIDE, want)
+    for same in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert same == spec and hash(same) == hash(spec) and same.divisor == spec.divisor
 
 
 def test_divisor_spec_validation():

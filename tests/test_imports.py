@@ -7,7 +7,9 @@ The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
 Only picard._trusted and catalog._own_d build a value by object.__new__,
-past its constructor, so no third unvalidated construction path appears.
+past its constructor, so no third unvalidated construction path appears,
+and only picard._Value._init sets a field by object.__setattr__, so no
+constructor rewrites a field after setting it.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 and only picard's label table spells an indexed label, besides verify's
 own independent spellings, which do not read the table.
@@ -84,6 +86,13 @@ def test_only_trusted_and_own_d_call_object_new():
     sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
              for where in _call_sites(path, "object.__new__")]
     assert sites == [("catalog.py", "_own_d"), ("picard.py", "_trusted")]
+
+
+def test_only_value_init_calls_object_setattr():
+    # _Value refuses assignment, so object.__setattr__ is the way past it; fields are set once, by _init
+    sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+             for where in _call_sites(path, "object.__setattr__")]
+    assert sites == [("picard.py", "_init")]
 
 
 def test_only_rk_is_evidence_compares_with_max_rk_genus():

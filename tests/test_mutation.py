@@ -12,10 +12,12 @@ decomposition, and each field of the certificate that `kodaira.certify`
 makes of that evidence. Each case perturbs exactly one entry, written as
 `original(ctx) + basis_class(ctx, side, label)` so that an entry stored
 as zero is perturbed like any other, and asserts that the per-genus suite
-reports a failure. Divisor specs are perturbed on a copy, past their own
-validation, and the coefficient sources of D are the ones that validation
-reads, so that only `verify` can catch them. A decomposition's c_i or
-c'_i is perturbed as its remainder class plus a basis class, and a
+reports a failure of a named identity: a `<section>:exception` check stands
+for a crash, and a mutant caught only by a crash does not count as caught.
+Divisor specs are perturbed on a copy that holds a perturbed class, past
+their own validation, and the coefficient sources of D are the ones that
+validation reads, so that only `verify` can catch them. A decomposition's
+c_i or c'_i is perturbed as its remainder class plus a basis class, and a
 certificate's c or c' list on the document that `certificate_json` writes.
 """
 
@@ -26,11 +28,12 @@ from fractions import Fraction
 import pytest
 
 from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
-from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
+from spinpic.picard import DivisorClass, GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
 
 
 def _failures(g):
-    return [c for c in verify.run_genus(g) if not c.ok]
+    """The failed checks of genus g that name an identity, leaving out `<section>:exception`."""
+    return [c for c in verify.run_genus(g) if not c.ok and not c.name.endswith(":exception")]
 
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(6), S_SIDE))
@@ -118,10 +121,15 @@ def test_perturbed_named_class_coefficient_is_caught(attr, side, g, label, monke
     assert _failures(g), f"no check caught the perturbed {attr} coefficient at {label}, genus {g}"
 
 
-def _perturbed(spec, **fields):
-    out = copy.copy(spec)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+def _perturbed(value, **fields):
+    """A copy of value with fields replaced; a divisor spec's a, b0 or b go into the class it holds."""
+    out = copy.copy(value)
+    if isinstance(value, catalog.DivisorSpec):
+        a, b0, b = (fields.get(name, getattr(value, name)) for name in ("a", "b0", "b"))
+        coeff = {"lambda": a, "d0": -b0, **{f"d{i}": -v for i, v in enumerate(b or (), 1)}}
+        fields = {"divisor": DivisorClass(value.ctx, M_SIDE, coeff)}
+    for name, v in fields.items():
+        object.__setattr__(out, name, v)
     return out
 
 
@@ -245,9 +253,7 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
         return kodaira.Decomposition(dec.d_spec, dec.nu, dec.remainder + basis_class(ctx, S_SIDE, label))
 
     monkeypatch.setattr(kodaira, "decompose_canonical", bumped)
-    # a bumped decomposition that crashed verify would be caught only as kodaira:exception
-    caught = [c.name for c in _failures(g) if not c.name.endswith(":exception")]
-    assert caught, f"no check caught +1 on {field} (i = {i}) at genus {g}"
+    assert _failures(g), f"no check caught +1 on {field} (i = {i}) at genus {g}"
 
 
 def _drop_flag(flag):
@@ -298,10 +304,10 @@ def test_perturbed_certificate_is_caught(g, target, change, check, monkeypatch):
         return out
 
     monkeypatch.setattr(kodaira, target, perturbed)
-    failed = {c.name for c in _failures(g)}
+    failed = {c.name for c in verify.run_genus(g) if not c.ok}
     assert changed == [True], "the perturbation left the certificate as it was"
-    # a perturbed certificate that crashed verify would be caught only as kodaira:exception
-    assert check in failed and "kodaira:exception" not in failed, failed
+    # a perturbed certificate must leave verify running: no section may crash on it
+    assert check in failed and not any(name.endswith(":exception") for name in failed), failed
 
 
 def test_unperturbed_suite_is_clean():

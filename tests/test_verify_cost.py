@@ -14,14 +14,15 @@ did, counts as many checks in the report as `run_genus` lists, and keeps
 the identities a crashed section yielded before it raised. A patched
 component degree reaches R, also after an unpatched run of the same
 genus, and leaves no stale R behind once the patch is undone. A
-certificate builds the class of its auxiliary divisor once. A genus
+certificate builds the class of its auxiliary divisor once, when it builds
+the divisor, and pulls back that same class. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
 comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also on a
 second run of a genus. A certificate builds no Fraction per basis label:
-from one genus to a higher one, its count grows only by the b_i of a
-Brill-Noether D, one per i, and not at all where D has no b_i. The kodaira section
+from one genus to a higher one, its count does not grow, with or without
+the b_i of a Brill-Noether D. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which alone calls
 judge, and never calls classify.
@@ -237,10 +238,15 @@ def test_patched_component_degree_leaves_no_stale_curve_table(monkeypatch):
 
 @pytest.mark.parametrize("g", (9, 14))
 def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
-    # composite g+1: choose_d takes the Brill-Noether spec without its class
-    calls = _counting(monkeypatch, catalog, "divisor_class")
-    assert kodaira.classify(GenusCtx(g)).verdict == kodaira.GENERAL_TYPE
-    assert calls == ["decompose_canonical"]
+    # composite g+1: _own_d sums the Brill-Noether D's class once, and the
+    # decomposition pulls back that very class, converting it no further
+    sums = _counting(monkeypatch, catalog, "_sum_terms")
+    original, pulled = transfer.pullback, []
+    monkeypatch.setattr(transfer, "pullback", lambda x: pulled.append(x) or original(x))
+    cert = kodaira.classify(GenusCtx(g))
+    assert cert.verdict == kodaira.GENERAL_TYPE and cert.decomposition.d_spec.complete
+    assert sums == ["_own_d"]
+    assert len(pulled) == 1 and pulled[0] is cert.decomposition.d_spec.divisor
 
 
 _NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_class")
@@ -309,7 +315,7 @@ def _certificate_fractions(monkeypatch, g):
 
 
 def test_certificates_build_no_fraction_per_label(monkeypatch):
-    # g+1 composite: D is Brill-Noether, and its own b_i (catalog._own_d) are ints, so nothing grows with h
+    # g+1 composite: D is Brill-Noether, and catalog._own_d sums its class in integers, so nothing grows with h
     assert all(isinstance(catalog.choose_d(GenusCtx(g)).provenance, catalog.BrillNoether) for g in (101, 401))
     assert _certificate_fractions(monkeypatch, 401) <= _certificate_fractions(monkeypatch, 101)
     # g+1 prime: D is Gieseker-Petri with no b_i, so nothing grows with h
