@@ -31,7 +31,6 @@ from .kodaira import (
     UNIRULED,
     classify,
     decompose_canonical,
-    nu_value,
     uniruled_certificate,
 )
 from .picard import (
@@ -79,7 +78,6 @@ __all__ = [
     "intersect",
     "lincomb",
     "m1_theta_class",
-    "nu_value",
     "parse_class",
     "pullback",
     "pushforward",

@@ -20,8 +20,8 @@ from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
 from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, _labels, _ratio, labels_for, parse_class, render_class
 
-# The largest genus any subcommand accepts; verify takes about 0.25 s for genus
-# 1000 alone. A larger genus is refused before any work is done.
+# The largest genus any subcommand accepts (README gives the cost near it).
+# A larger genus is refused before any work is done.
 MAX_GENUS = 1000
 
 # Each builder looks its function up on catalog at call time, so that a

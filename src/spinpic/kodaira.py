@@ -8,9 +8,9 @@ The engine certifies one of three verdicts with exact rational evidence:
 * GENERAL_TYPE (g >= 9): the decomposition has nu > 0 and, when the
   auxiliary divisor is completely known, non-negative boundary remainders.
 
-The three sign rules live in `judge` alone, and the choice of evidence in
-`_rk_is_evidence` alone. `classify` gathers that evidence and ends in `certify`;
-`verify` runs `certify` on the evidence it has already computed.
+The choice of evidence lives in `_rk_is_evidence` alone, and the three sign
+rules in `certify` alone. `classify` gathers that evidence and ends in
+`certify`; `verify` runs `certify` on the evidence it has already computed.
 
 A `Decomposition` keeps the remainder class that `decompose_canonical`
 computes; c and c_prime are read off it, and `certificate_json` is the one
@@ -49,19 +49,10 @@ def _rk_is_evidence(g: int) -> bool:
     return g <= MAX_RK_GENUS
 
 
-def nu_value(spec: catalog.DivisorSpec) -> Fraction:
-    """The lambda surplus of the canonical class over the fixed combination.
-
-    Balancing the lambda slot of the decomposition gives
-    13 = nu + 2 + 3a/(2*b0), so nu = 11 - 3a/(2*b0); it depends only on
-    the slope of the divisor.
-    """
-    return 11 - Fraction(3, 2) * spec.slope
-
-
 class Decomposition(_Value):
     """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainder.
 
+    nu is what the lambda slot leaves of canonical - 8*theta - (3/(2*b0))*pullback(D).
     remainder is the spin-side class of the ai / bi remainders, None when
     the divisor spec carries no boundary coefficients, in which case their
     non-negativity is conditional rather than checked. c and c_prime read
@@ -100,20 +91,20 @@ class Decomposition(_Value):
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
     """Decompose the spin-side canonical class against 8*theta + scaled D.
 
-    The remainder canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D),
-    D the class that spec holds, is obtained by exact subtraction, and its
-    lambda, a0 and b0s slots must vanish whatever the divisor. Without b_i,
-    D = a*lambda - b0*d0 and the remainders stay conditional.
+    D is the class that spec holds. The remainder
+    canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) is obtained by
+    exact subtraction with nu read off the lambda slots, so it stores no
+    lambda, and its a0 and b0s slots must vanish whatever the divisor.
+    Without b_i, D = a*lambda - b0*d0 and the remainders stay conditional.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
-    nu = nu_value(spec)
-    remainder = lincomb(
-        [1, -nu, -8, -Fraction(3, 2) / spec.b0],
-        [catalog.canonical_s(ctx), _trusted(ctx, S_SIDE, {"lambda": 1}, 1),
-         catalog.thetanull_class(ctx), transfer.pullback(spec.divisor)],
-    )
-    for label in ("lambda", "a0", "b0s"):
+    scale = Fraction(3, 2) / spec.b0
+    k, theta, d = catalog.canonical_s(ctx), catalog.thetanull_class(ctx), transfer.pullback(spec.divisor)
+    nu = (Fraction(k.num.get("lambda", 0), k.den) - 8 * Fraction(theta.num.get("lambda", 0), theta.den)
+          - scale * Fraction(d.num.get("lambda", 0), d.den))
+    remainder = lincomb([1, -nu, -8, -scale], [k, _trusted(ctx, S_SIDE, {"lambda": 1}, 1), theta, d])
+    for label in ("a0", "b0s"):
         if label in remainder.num:
             raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
     return Decomposition(spec, nu, remainder if spec.complete else None)
@@ -134,10 +125,6 @@ class KodairaCertificate(_Value):
                  flags: tuple[str, ...], annotations: tuple[str, ...], citations: tuple[str, ...]) -> None:
         self._init(ctx=ctx, verdict=verdict, rk=rk, decomposition=decomposition, flags=flags,
                    annotations=annotations, citations=citations)
-
-    @property
-    def nu(self) -> Fraction | None:
-        return None if self.decomposition is None else self.decomposition.nu
 
 
 def certificate_json(cert: KodairaCertificate) -> dict:
@@ -166,30 +153,6 @@ _RATIONALITY_NOTES = {
 }
 
 
-def judge(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> str:
-    """The verdict that the evidence certifies, by the three sign rules.
-
-    rk (the pairing R . K) is read where _rk_is_evidence(g), dec elsewhere. Evidence
-    that is missing or certifies nothing raises VerificationFailureError.
-    """
-    g = ctx.g
-    if _rk_is_evidence(g):
-        if rk is None:
-            raise VerificationFailureError(f"no R . K evidence at genus {g}")
-        if rk >= 0:
-            raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
-        return UNIRULED
-    if dec is None:
-        raise VerificationFailureError(f"no decomposition of the canonical class at genus {g}")
-    if dec.nu < 0 or (dec.nu == 0 and g > 8):
-        raise VerificationFailureError(
-            f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"
-        )
-    if not dec.conditional and not dec.remainders_nonnegative():
-        raise VerificationFailureError(f"negative boundary remainder at genus {g}")
-    return KAPPA_NONNEGATIVE if g == 8 else GENERAL_TYPE
-
-
 def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> KodairaCertificate:
     """Classify one genus: gather only the evidence its genus uses, then `certify` it."""
     # a user divisor steeper than the slope bound is rejected at every genus,
@@ -201,10 +164,30 @@ def classify(ctx: GenusCtx, user_d: catalog.DivisorSpec | None = None) -> Kodair
 
 
 def certify(ctx: GenusCtx, rk: Fraction | None, dec: Decomposition | None) -> KodairaCertificate:
-    """Pure: keep only the evidence the genus uses, `judge` it, add flags, notes and citations; D is dec.d_spec."""
+    """Pure: keep only the evidence the genus uses, certify it by its sign rules, add flags, notes and citations.
+
+    rk (the pairing R . K) is that evidence where _rk_is_evidence(g), dec (whose d_spec is D) elsewhere.
+    Evidence that is missing or certifies nothing raises VerificationFailureError.
+    """
     g = ctx.g
-    rk, dec = (rk, None) if _rk_is_evidence(g) else (None, dec)
-    verdict = judge(ctx, rk, dec)
+    if _rk_is_evidence(g):
+        dec = None
+        if rk is None:
+            raise VerificationFailureError(f"no R . K evidence at genus {g}")
+        if rk >= 0:
+            raise VerificationFailureError(f"R . K = {rk} is not negative at genus {g}")
+        verdict = UNIRULED
+    else:
+        rk = None
+        if dec is None:
+            raise VerificationFailureError(f"no decomposition of the canonical class at genus {g}")
+        if dec.nu < 0 or (dec.nu == 0 and g > 8):
+            raise VerificationFailureError(
+                f"nu = {dec.nu} is {'negative' if g == 8 else 'not positive'} at genus {g}"
+            )
+        if not dec.conditional and not dec.remainders_nonnegative():
+            raise VerificationFailureError(f"negative boundary remainder at genus {g}")
+        verdict = KAPPA_NONNEGATIVE if g == 8 else GENERAL_TYPE
 
     flags: list[str] = []
     annotations: list[str] = []

@@ -256,13 +256,12 @@ def _identities(g: int):
         rk = kodaira.uniruled_certificate(ctx)
         yield "kodaira:rk-sign", g <= 7, rk < 0
         spec = catalog.choose_d(ctx)
-        nu = kodaira.nu_value(spec)
-        yield "kodaira:nu-from-slope", 11 - Fraction(3, 2) * slope_bound, nu
-        if g == 8:
-            yield "kodaira:nu-zero", Fraction(0), nu
-        if g >= 9:
-            yield "kodaira:nu-positive", True, nu > 0
         dec = kodaira.decompose_canonical(ctx, spec)
+        yield "kodaira:nu-from-slope", 11 - Fraction(3, 2) * slope_bound, dec.nu
+        if g == 8:
+            yield "kodaira:nu-zero", Fraction(0), dec.nu
+        if g >= 9:
+            yield "kodaira:nu-positive", True, dec.nu > 0
         c, c_prime = dec.c, dec.c_prime  # each read builds its Fraction tuple
         if spec.complete:
             scale = Fraction(3, 2) / spec.b0

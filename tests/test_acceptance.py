@@ -50,12 +50,13 @@ def test_criterion_2_pushforward_identity():
 
 def test_criterion_3_nu_table():
     with criterion(3, "nu table"):
-        assert kodaira.nu_value(catalog.choose_d(GenusCtx(8))) == 0
+        nu = {g: kodaira.decompose_canonical(GenusCtx(g), catalog.choose_d(GenusCtx(g))).nu for g in range(8, 23)}
+        assert nu[8] == 0
         for g in range(9, 23):
-            assert kodaira.nu_value(catalog.choose_d(GenusCtx(g))) > 0
-        assert kodaira.nu_value(catalog.choose_d(GenusCtx(9))) == Fraction(1, 5)
-        assert kodaira.nu_value(catalog.choose_d(GenusCtx(10))) == Fraction(1, 2)
-        assert kodaira.nu_value(catalog.choose_d(GenusCtx(11))) == Fraction(1, 2)
+            assert nu[g] > 0
+        assert nu[9] == Fraction(1, 5)
+        assert nu[10] == Fraction(1, 2)
+        assert nu[11] == Fraction(1, 2)
 
 
 def _rk_oracle(g: int) -> int:

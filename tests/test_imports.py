@@ -11,7 +11,9 @@ past its constructor, so no third unvalidated construction path appears,
 and only picard._Value._init sets a field by object.__setattr__, so no
 constructor rewrites a field after setting it.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
-and only picard's label table spells an indexed label, besides verify's
+kodaira raises VerificationFailureError only where it certifies evidence or
+checks a decomposition, so the sign rules keep one home in certify, and
+only picard's label table spells an indexed label, besides verify's
 own independent spellings, which do not read the table.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
@@ -108,6 +110,22 @@ def test_only_rk_is_evidence_compares_with_max_rk_genus():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.name)
     assert sites == ["_rk_is_evidence"]
+
+
+def test_kodaira_raises_verification_failures_only_where_it_certifies():
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "id", getattr(raised, "attr", None)) == "VerificationFailureError":
+                sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    path = PACKAGE / "kodaira.py"
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    assert sorted(set(sites)) == ["certify", "decompose_canonical", "remainders_nonnegative"]
 
 
 def _bare_label_fstrings(path: Path) -> int:

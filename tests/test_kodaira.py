@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpic.catalog import (
     DivisorSpec,
@@ -24,20 +26,63 @@ from spinpic.kodaira import (
     certify,
     classify,
     decompose_canonical,
-    judge,
-    nu_value,
     uniruled_certificate,
 )
-from spinpic import kodaira, picard, verify
+from spinpic import catalog, kodaira, picard, verify
 from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, basis_class, lincomb
 from spinpic.transfer import pullback
 
 
+def _nu(g):
+    ctx = GenusCtx(g)
+    return decompose_canonical(ctx, choose_d(ctx)).nu
+
+
 def test_nu_values():
-    assert nu_value(choose_d(GenusCtx(8))) == 0
-    assert nu_value(choose_d(GenusCtx(9))) == Fraction(1, 5)
-    assert nu_value(choose_d(GenusCtx(10))) == Fraction(1, 2)
-    assert nu_value(choose_d(GenusCtx(11))) == Fraction(1, 2)
+    assert _nu(8) == 0
+    assert _nu(9) == Fraction(1, 5)
+    assert _nu(10) == Fraction(1, 2)
+    assert _nu(11) == Fraction(1, 2)
+
+
+def test_nu_is_what_the_lambda_slot_leaves(monkeypatch):
+    # one more lambda in the canonical class moves nu by one and leaves no lambda
+    # remainder, so nu follows the classes rather than a closed form of its own
+    ctx, original = GenusCtx(9), catalog.canonical_s
+    monkeypatch.setattr(catalog, "canonical_s", lambda c: original(c) + basis_class(c, S_SIDE, "lambda"))
+    dec = decompose_canonical(ctx, choose_d(ctx))
+    assert dec.nu == Fraction(1, 5) + 1 == Fraction(6, 5)
+    assert "lambda" not in dec.remainder.num
+
+
+_POSITIVE = st.fractions(min_value=0, max_denominator=30).filter(lambda q: q > 0)
+
+
+@st.composite
+def _user_specs(draw):
+    """A complete or slope-only user spec at g in 3..60 with positive rational a, b0 and b_i."""
+    ctx = GenusCtx(draw(st.integers(3, 60)))
+    b = draw(st.none() | st.lists(_POSITIVE, min_size=ctx.h, max_size=ctx.h).map(tuple))
+    return DivisorSpec(ctx, UserSupplied("drawn"), draw(_POSITIVE), draw(_POSITIVE), b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_user_specs())
+def test_decomposition_of_a_user_divisor(spec):
+    ctx = spec.ctx
+    dec = decompose_canonical(ctx, spec)
+    # the closed form that balancing the lambda slot gives, 13 = nu + 2 + 3a/(2*b0)
+    assert dec.nu == 11 - Fraction(3, 2) * spec.a / spec.b0
+    if not spec.complete:
+        assert dec.conditional
+        return
+    indexed = {f"{family}{i}" for family in "ab" for i in range(1, ctx.h + 1)}
+    assert set(dec.remainder.num) <= indexed
+    assembled = lincomb(
+        [dec.nu, 8, Fraction(3, 2) / spec.b0, 1],
+        [basis_class(ctx, S_SIDE, "lambda"), thetanull_class(ctx), pullback(divisor_class(spec)), dec.remainder],
+    )
+    assert assembled == canonical_s(ctx)
 
 
 def test_decompose_genus9():
@@ -124,11 +169,11 @@ def test_classify_verdicts():
         assert cert.rk < 0
     cert8 = classify(GenusCtx(8))
     assert cert8.verdict == KAPPA_NONNEGATIVE
-    assert cert8.nu == 0
+    assert cert8.decomposition.nu == 0
     for g in range(9, 23):
         cert = classify(GenusCtx(g))
         assert cert.verdict == GENERAL_TYPE
-        assert cert.nu > 0
+        assert cert.decomposition.nu > 0
 
 
 @pytest.mark.parametrize("g", (9, 12, 300))
@@ -197,29 +242,29 @@ def _evidence(g):
     return ctx, decompose_canonical(ctx, choose_d(ctx))
 
 
-def _judge_failure(ctx, rk, dec):
+def _certify_failure(ctx, rk, dec):
     with pytest.raises(VerificationFailureError) as info:
-        judge(ctx, rk, dec)
+        certify(ctx, rk, dec)
     return str(info.value)
 
 
 def test_judge_on_hand_built_evidence():
     ctx10, dec10 = _evidence(10)
-    assert dec10.conditional and judge(ctx10, None, dec10) == GENERAL_TYPE
-    assert _judge_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
+    assert dec10.conditional and certify(ctx10, None, dec10).verdict == GENERAL_TYPE
+    assert _certify_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
     ctx8, dec8 = _evidence(8)
-    assert _judge_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.remainder)) == (
+    assert _certify_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.remainder)) == (
         "nu = -1/5 is negative at genus 8"
     )
     ctx9, dec9 = _evidence(9)
-    assert _judge_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.remainder)) == (
+    assert _certify_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.remainder)) == (
         "nu = 0 is not positive at genus 9"
     )
     # c_1 moved to -1 by subtracting c_1 + 1 times the a1 basis class
     shifted = dec9.remainder - (dec9.c[0] + 1) * basis_class(ctx9, S_SIDE, "a1")
     negative_c1 = Decomposition(dec9.d_spec, dec9.nu, shifted)
     assert negative_c1.c == (Fraction(-1),) + dec9.c[1:] and negative_c1.c_prime == dec9.c_prime
-    assert _judge_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
+    assert _certify_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
 
 
 @pytest.mark.parametrize("g", (3, 7, 8, 9, 10, 23))
@@ -244,9 +289,7 @@ def test_certify_names_the_missing_evidence(g, missing):
     # the evidence of the other genus range does not stand in for the missing one
     other = (None, decompose_canonical(ctx, choose_d(ctx))) if g <= MAX_RK_GENUS else (Fraction(-1), None)
     for rk, dec in ((None, None), other):
-        with pytest.raises(VerificationFailureError, match=f"^{missing}$"):
-            certify(ctx, rk, dec)
-        assert _judge_failure(ctx, rk, dec) == missing
+        assert _certify_failure(ctx, rk, dec) == missing
 
 
 def test_verify_sees_an_off_by_one_evidence_predicate(monkeypatch):

@@ -24,8 +24,8 @@ second run of a genus. A certificate builds no Fraction per basis label:
 from one genus to a higher one, its count does not grow, with or without
 the b_i of a Brill-Noether D. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
-decomposes K once each, hands them to one certify call, which alone calls
-judge, and never calls classify.
+decomposes K once each, hands them to one certify call, which applies the
+sign rules, and never calls classify.
 """
 
 import re
@@ -104,7 +104,8 @@ def _record(name, g, expected, got):
 # Rendered by the eager renderer, which formatted every value as its check
 # was recorded; the report, which renders only failures, must reproduce them
 # byte for byte. The patched
-# degree must reach R (curves:table:R, lift).
+# degree must reach R (curves:table:R, lift). nu is read off the lambda slots
+# of the classes, so a lambda added to theta or K fails kodaira:nu-from-slope.
 _MUTATIONS = [
     (transfer, "pushforward_degree", _bump_lambda_degree, 6, [
         _record("projection:lambda", 6, "2080*lambda", "2081*lambda"),
@@ -136,14 +137,14 @@ _MUTATIONS = [
         _record("pairing:G0*theta", 6, "0", "3"),
         _record("solve:thetanull", 6, "5/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3",
                 "1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3"),
-        _record("kodaira:exception", 6, "no exception",
-                "VerificationFailureError: nonzero lambda remainder -8"),
+        _record("kodaira:nu-from-slope", 6, "-3/4", "-35/4"),
     ]),
     (catalog, "canonical_s", _bump_canonical_s, 5, [
         _record("canonical:splitting", 5, "b0s", "1000000*lambda + b0s"),
         _record("kodaira:rk-sign", 5, "true", "false"),
+        _record("kodaira:nu-from-slope", 5, "-1", "999999"),
         _record("kodaira:exception", 5, "no exception",
-                "VerificationFailureError: nonzero lambda remainder 1000000"),
+                "VerificationFailureError: R . K = 3167997024 is not negative at genus 5"),
     ]),
 ]
 
@@ -364,7 +365,6 @@ def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypat
 def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
     classify = _counting(monkeypatch, kodaira, "classify")
     certify = _counting(monkeypatch, kodaira, "certify")
-    judge = _counting(monkeypatch, kodaira, "judge")
     evidence = {name: _counting(monkeypatch, module, name) for module, name in (
         (catalog, "choose_d"),
         (kodaira, "decompose_canonical"),
@@ -372,5 +372,5 @@ def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
     )}
     assert all(c.ok for c in verify.run_genus(g))
     assert classify == []
-    assert certify == ["classification"] and judge == ["certify"]
+    assert certify == ["classification"]
     assert {name: len(calls) for name, calls in evidence.items()} == dict.fromkeys(evidence, 1)
