@@ -50,7 +50,7 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """The standard test curves at genus ctx.g, by name, built on every call.
 
-    R's entries are B's at each label's image (transfer._m_image) times the
+    R's entries are B's at each label's image (d0 under a0 and b0s) times the
     covering degrees of transfer.pushforward_degree at call time, and the
     dict is fresh, so a caller may rebind or delete its entries. Every entry
     is a nonzero integer under a basis label by construction, so the curves
@@ -61,8 +61,8 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     g = ctx.g
     table = _labels(g)
     b = {"lambda": g + 1, "d0": 6 * g + 18}
-    lift = ((s, b[transfer._m_image(table, s)] * transfer.pushforward_degree(ctx, s))
-            for s in ("lambda", "a0", "b0s"))
+    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s))
+            for s, m in (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0")))
     curves = {
         "B": _trusted(ctx, M_SIDE, b, 1),
         # a degree of 0 leaves no entry, as the constructor would drop it

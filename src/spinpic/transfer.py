@@ -8,14 +8,24 @@ multiplies each spin-side basis class by the covering degree of the
 boundary stratum it sits on, a product of theta-characteristic counts by
 Cornalba's description of the spin boundary: A_i and B_i (i >= 1) carry
 even or odd ones on both components, A_0 any and B_0 even ones on the
-genus-(g-1) normalization. pushforward_degree is that one table, and
-degree_identities ties it to the component degrees.
+genus-(g-1) normalization. _degrees(g), cached by the int genus, is that
+one table, and degree_identities ties it to the component degrees.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _Labels, _labels, _sum_terms, _trusted, _unknown_labels
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted, _unknown_labels, _Value
+
+
+def _even(n: int) -> int:
+    return (1 << (n - 1)) * ((1 << n) + 1)  # 2^(n-1)(2^n+1); a shift is cheaper than a power of 2 at large n
+
+
+def _odd(n: int) -> int:
+    return (1 << (n - 1)) * ((1 << n) - 1)  # 2^(n-1)(2^n-1)
 
 
 def total_degree(g: int) -> int:
@@ -23,39 +33,42 @@ def total_degree(g: int) -> int:
 
 
 def even_component_degree(g: int) -> int:
-    return 2 ** (g - 1) * (2**g + 1)
+    return _even(g)
 
 
 def odd_component_degree(g: int) -> int:
-    return 2 ** (g - 1) * (2**g - 1)
+    return _odd(g)
+
+
+class _Degrees(_Value):
+    """The stratum degrees of one genus by index: lam for lambda, a[i] and b[i] for i = 0..h (see _degrees)."""
+
+    __slots__ = __match_args__ = ("lam", "a", "b")
+
+    def __init__(self, lam: int, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        self._init(lam=lam, a=a, b=b)
+
+
+@lru_cache(maxsize=8)
+def _degrees(g: int) -> _Degrees:
+    """The degree table of genus g: lam = E(g); a[0] = 4^(g-1), a[i] = E(i)E(g-i); b[0] = E(g-1), b[i] = O(i)O(g-i).
+
+    E and O are _even and _odd, not the public degrees, so a patch of those never stays in the cache.
+    """
+    ks = range(1, g // 2 + 1)
+    return _Degrees(_even(g), (4 ** (g - 1), *[_even(k) * _even(g - k) for k in ks]),
+                    (_even(g - 1), *[_odd(k) * _odd(g - k) for k in ks]))
 
 
 def pushforward_degree(ctx: GenusCtx, label: str) -> int:
-    """Covering degree multiplying the image of one spin-side basis class."""
-    g = ctx.g
-    if label == "lambda":
-        return even_component_degree(g)
-    if label == "a0":
-        return total_degree(g - 1)
-    if label == "b0s":
-        return even_component_degree(g - 1)
-    # the index and the family from the label table, which R's three labels above do not need
-    table = _labels(g)
-    i = table.s.get(label)
-    if i is None:
+    """Covering degree multiplying the image of one spin-side basis class, read off _degrees."""
+    deg = _degrees(ctx.g)
+    if label in ("lambda", "a0", "b0s"):  # R's labels, answered without the label table
+        return deg.lam if label == "lambda" else deg.a[0] if label == "a0" else deg.b[0]
+    table = _labels(ctx.g)
+    if (i := table.s.get(label)) is None:
         raise _unknown_labels((label,), ctx, S_SIDE)
-    if label == table.a[i]:
-        return even_component_degree(i) * even_component_degree(g - i)
-    return odd_component_degree(i) * odd_component_degree(g - i)
-
-
-def _m_image(table: _Labels, label: str) -> str:
-    """The curve-side label under a spin-side basis label: lambda, or d[i] under a[i] and b[i]."""
-    if label == "lambda":
-        return label
-    if label in ("a0", "b0s"):  # answered first, as in pushforward_degree, so R's lift reads no index
-        return "d0"
-    return table.d[table.s[label]]
+    return (deg.a if label == table.a[i] else deg.b)[i]
 
 
 def pullback(x: DivisorClass) -> DivisorClass:
@@ -85,8 +98,11 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    table = _labels(ctx.g)
-    pairs = ((_m_image(table, label), pushforward_degree(ctx, label) * n) for label, n in x.num.items())
+    table, deg = _labels(ctx.g), _degrees(ctx.g)
+    s, d, a = table.s, table.d, table.a
+    # i is read first: lambda keeps its label, a[i] and b[i] land on d[i]
+    pairs = [(label, deg.lam * n) if (i := s[label]) is None else (d[i], (deg.a if label == a[i] else deg.b)[i] * n)
+             for label, n in x.num.items()]
     return _sum_terms(ctx, M_SIDE, ((1, x.den, pairs),))
 
 

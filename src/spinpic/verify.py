@@ -155,10 +155,11 @@ def _identities(g: int):
             yield f"projection:{label}", n_id[label], transfer.pushforward(x)
         x = _fuzz_class(ctx, M_SIDE, salt=1)
         yield "projection:fuzz", n_even * x, transfer.pushforward(transfer.pullback(x))
-        # second route: compose the pullback columns with the pushforward
-        # columns by lincomb, not the maps in turn
+        # second route: compose the pullback columns (integer numerators over each column's
+        # own denominator) with the pushforward columns by lincomb, not the maps in turn
         push = {s: transfer.pushforward(basis_class(ctx, S_SIDE, s)) for s in labels_for(ctx, S_SIDE)}
-        prod = {m: lincomb(list(col.coeff.values()), [push[s] for s in col.coeff]) for m, col in up.items()}
+        prod = {m: lincomb([n if col.den == 1 else Fraction(n, col.den) for n in col.num.values()],
+                           [push[s] for s in col.num]) for m, col in up.items()}
         yield "projection:matrix-product", True, prod == n_id
 
     def named_classes():
@@ -200,10 +201,10 @@ def _identities(g: int):
 
     def pairings():
         for name in ("F0", "G0", "H0"):
-            yield f"pairing:{name}*theta", Fraction(0), testcurves.intersect(curves[name], theta)
+            yield f"pairing:{name}*theta", 0, testcurves.intersect(curves[name], theta)
         for i in range(1, ctx.h + 1):
-            yield f"pairing:F{i}*theta", Fraction(0), testcurves.intersect(curves[f"F{i}"], theta)
-            yield f"pairing:G{i}*theta", Fraction(i - 1), testcurves.intersect(curves[f"G{i}"], theta)
+            yield f"pairing:F{i}*theta", 0, testcurves.intersect(curves[f"F{i}"], theta)
+            yield f"pairing:G{i}*theta", i - 1, testcurves.intersect(curves[f"G{i}"], theta)
 
     def lift():
         b, r = curves["B"], curves["R"]
@@ -250,7 +251,7 @@ def _identities(g: int):
         solved = testcurves.solve_thetanull(ctx)
         yield "solve:thetanull", theta, solved
         for name in ("F0", "G0", "H0"):
-            yield f"solve:residual:{name}", Fraction(0), testcurves.intersect(curves[name], solved)
+            yield f"solve:residual:{name}", 0, testcurves.intersect(curves[name], solved)
 
     def classification():
         rk = kodaira.uniruled_certificate(ctx)

@@ -153,12 +153,14 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
         assert failures(6) == []
 
         with monkeypatch.context() as m:
-            orig_degree = transfer.pushforward_degree
-            m.setattr(
-                transfer,
-                "pushforward_degree",
-                lambda ctx, lab: orig_degree(ctx, lab) + (1 if lab == "a0" else 0),
-            )
+            orig_degrees = transfer._degrees
+
+            def bump_a0(g):
+                # a0's degree in the one table that pushforward, R and the counts read
+                table = orig_degrees(g)
+                return transfer._Degrees(table.lam, (table.a[0] + 1, *table.a[1:]), table.b)
+
+            m.setattr(transfer, "_degrees", bump_a0)
             assert failures(6)
 
         with monkeypatch.context() as m:

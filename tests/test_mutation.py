@@ -1,10 +1,11 @@
 """Single +1 perturbations of any constant must flip at least one verify check.
 
 The constant families the engine rests on are the pushforward
-multiplicities, the even, odd and total degrees of the covering, the
-stored curve intersection numbers, the theta-null coefficients, the
-canonical classes on both sides, the closed form of the
-vanishing-theta-null class, the label table that spells the indexed
+multiplicities (the entries of the one degree table, `transfer._degrees`,
+that pushforward, R and the counts read), the even, odd and total
+degrees of the covering, the stored curve intersection numbers, the
+theta-null coefficients, the canonical classes on both sides, the closed
+form of the vanishing-theta-null class, the label table that spells the indexed
 basis labels, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
@@ -38,12 +39,19 @@ def _failures(g):
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(6), S_SIDE))
 def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
-    original = transfer.pushforward_degree
+    ctx, original = GenusCtx(6), transfer._degrees
+    # the label's entry in the table: lam, or a[i] or b[i], with a0 and b0s at i = 0
+    field, i = ("lam", None) if label == "lambda" else (label[0], 0 if label in ("a0", "b0s") else int(label[1:]))
 
-    def bumped(ctx, lab):
-        return original(ctx, lab) + (1 if lab == label else 0)
+    def bumped(g):
+        fields = dict(zip(("lam", "a", "b"), original(g)._values()))
+        value = fields[field]
+        fields[field] = value + 1 if i is None else tuple(d + (k == i) for k, d in enumerate(value))
+        return transfer._Degrees(**fields)
 
-    monkeypatch.setattr(transfer, "pushforward_degree", bumped)
+    want = transfer.pushforward_degree(ctx, label) + 1
+    monkeypatch.setattr(transfer, "_degrees", bumped)
+    assert transfer.pushforward_degree(ctx, label) == want
     assert _failures(6), f"no check caught the perturbed multiplicity at {label}"
 
 

@@ -217,9 +217,13 @@ def test_curve_map_returns_a_fresh_table():
 
 def test_zero_covering_degree_leaves_no_entry_in_r(monkeypatch):
     ctx = GenusCtx(6)
-    original = transfer.pushforward_degree
-    monkeypatch.setattr(transfer, "pushforward_degree",
-                        lambda c, label: 0 if label == "b0s" else original(c, label))
+    original = transfer._degrees
+
+    def zero_b0s(g):  # b0s's entry of the degree table, which R reads through pushforward_degree
+        table = original(g)
+        return transfer._Degrees(table.lam, table.a, (0, *table.b[1:]))
+
+    monkeypatch.setattr(transfer, "_degrees", zero_b0s)
     r = curve_map(ctx)["R"]
     assert "b0s" not in r.coeff
     assert r == DivisorClass(ctx, S_SIDE, {"lambda": 14560, "a0": 55296, "b0s": 0})

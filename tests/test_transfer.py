@@ -145,7 +145,7 @@ def _arf_counts(top):
     return even, odd
 
 
-_E, _O = _arf_counts(60)
+_E, _O = _arf_counts(200)
 
 
 @pytest.mark.parametrize("g", range(2, 61))
@@ -157,6 +157,44 @@ def test_stratum_degrees_match_the_arf_recursion(g):
         want[f"a{i}"] = _E[i] * _E[g - i]
         want[f"b{i}"] = _O[i] * _O[g - i]
     assert {label: pushforward_degree(ctx, label) for label in labels_for(ctx, S_SIDE)} == want
+
+
+def test_degree_table_matches_the_arf_recursion():
+    # the one table that pushforward reads, entry by entry and then label by label
+    for g in range(2, 201):
+        ctx, table = GenusCtx(g), transfer._degrees(g)
+        assert table.lam == _E[g]
+        assert table.a == (_E[g - 1] + _O[g - 1], *[_E[i] * _E[g - i] for i in range(1, ctx.h + 1)])
+        assert table.b == (_E[g - 1], *[_O[i] * _O[g - i] for i in range(1, ctx.h + 1)])
+        want = {"lambda": _E[g], "a0": _E[g - 1] + _O[g - 1], "b0s": _E[g - 1]}
+        for i in range(1, ctx.h + 1):
+            want[f"a{i}"] = _E[i] * _E[g - i]
+            want[f"b{i}"] = _O[i] * _O[g - i]
+        assert {label: pushforward_degree(ctx, label) for label in labels_for(ctx, S_SIDE)} == want
+        # and each basis class is pushed forward by its own entry
+        for label, degree in want.items():
+            image = "d0" if label in ("a0", "b0s") else "lambda" if label == "lambda" else f"d{label[1:]}"
+            assert dict(pushforward(basis_class(ctx, S_SIDE, label)).num) == {image: degree}
+
+
+def test_degree_table_cannot_be_mutated():
+    table = transfer._degrees(9)
+    for name in ("lam", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, getattr(table, name))
+    for entries in (table.a, table.b):
+        assert type(entries) is tuple
+        with pytest.raises(TypeError):
+            entries[0] = 0
+    assert transfer._degrees(9) is table and table.lam == _E[9]
+
+
+def test_degree_table_cache_is_bounded_like_the_label_table():
+    assert transfer._degrees.cache_info().maxsize == picard._labels.cache_info().maxsize == 8
+    transfer._degrees.cache_clear()
+    for g in range(3, 40):
+        transfer._degrees(g)
+    assert transfer._degrees.cache_info().currsize == 8
 
 
 # --- the transfer maps against per-label Fraction oracles ---------------------
