@@ -4,8 +4,9 @@ curves and even spin curves.
 All arithmetic is exact: scalars are fractions.Fraction, and a class holds
 integer numerators over one common denominator.
 The package computes the transfer maps of the spin covering, pairs test
-pencils with divisor classes, re-derives the theta-null class from pencil
-relations, and emits per-genus Kodaira-type certificates.
+pencils with divisor classes, re-derives the theta-null class from the
+vanishing-theta-null class and the pencils, and emits per-genus
+Kodaira-type certificates.
 """
 
 from .catalog import (

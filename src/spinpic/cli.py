@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _join_signed, _labels, _ratio, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _labels, _ratio, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts (README gives the cost near it).
 # A larger genus is refused before any work is done.
@@ -118,14 +118,10 @@ def _cmd_pair(args) -> int:
 
 def _cmd_solve_thetanull(args) -> int:
     ctx = GenusCtx(args.genus)
-    rows, rhs = testcurves.thetanull_system(ctx)
-    unknowns = ("Lbar", "A0bar", "B0bar")
-    print(f"genus {ctx.g}: pencil relations in ({', '.join(unknowns)})")
-    for name, row, r in zip(("F0", "G0", "H0"), rows, rhs):
-        print(f"  {name}: {_join_signed((c < 0, f'{abs(c)}*{u}') for c, u in zip(row, unknowns))} = {r}")
-    solved = testcurves.solve_thetanull(ctx)
-    lam, a0, b0 = (solved["lambda"], -solved["a0"], -solved["b0s"])
-    print(f"solution: Lbar = {lam}, A0bar = {a0}, B0bar = {b0}")
+    steps: list[str] = []
+    solved = testcurves.solve_thetanull(ctx, steps.append)
+    print(f"genus {ctx.g}: theta-null from pi_*theta = m1 and the test pencils, one coefficient per relation")
+    print("\n".join(steps))
     closed = catalog.thetanull_class(ctx)
     print(f"solved class: {render_class(solved)}")
     print(f"closed form:  {render_class(closed)}")

@@ -10,7 +10,7 @@ class InputError(SpinPicError, ValueError):
 
 
 class SingularMatrixError(SpinPicError):
-    """The pencil relations of the theta-null re-derivation are dependent."""
+    """The 2x2 step of the theta-null chain, the d0 row with G0.theta = 0 in (a0, b0s), has determinant 0."""
 
 
 class MixedBasisError(InputError):

@@ -425,13 +425,9 @@ def render_class(x: DivisorClass) -> str:
         n = num.get(label)
         if n is not None:
             mag = _ratio(abs(n), den)
-            terms.append((n < 0, label if mag == "1" else f"{mag}*{label}"))
-    return _join_signed(terms)
-
-
-def _join_signed(terms: Iterable[tuple[bool, str]]) -> str:
-    """The signed sum "-t1 + t2 - t3" of (negative, term) pairs in order, or "0" when there are none."""
-    text = " ".join([f"- {term}" if negative else f"+ {term}" for negative, term in terms])
+            term = label if mag == "1" else f"{mag}*{label}"
+            terms.append(f"- {term}" if n < 0 else f"+ {term}")
+    text = " ".join(terms)
     if not text:
         return "0"
     # the first term keeps a minus sign without the space, and drops a plus

@@ -13,18 +13,24 @@ at genus g is:
     Fi,Gi spin side    one-entry curves with value 2-2i at ai / bi
 
 Fi and Gi are exposed for 1 <= i <= h only; at i = 1 both vectors vanish
-(2-2i = 0), which is why the solve below needs the three pencils F0, G0,
-H0 rather than more of the same.
+(2-2i = 0). solve_thetanull derives theta-null as the paper does, from the
+rows of pi_*theta = m1 (Teixidor's class over the covering degrees) and the
+pencils, which meet theta in 0: the lambda row gives lambda; H0 gives
+a1 = (g-1)*b0s; the d0 row and G0 give a0 and b0s by one 2x2 step; F0 gives
+b1; for i >= 2, Fi gives ai = 0 (2-2i != 0) and then the di row gives bi.
+The d1 row and Gi.theta = i-1 are left over, and verify's theta:pushforward
+and pairing:Gi*theta checks hold them.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd
+from typing import Callable, Iterator
 
-from . import transfer
+from . import catalog, transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted,
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _ratio, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -80,66 +86,61 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     return curves
 
 
-def thetanull_system(ctx: GenusCtx) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The 3x3 linear system in (lambda-bar, a0-bar, b0s-bar).
+def _quotient(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator, as (n, d) in ints; d = 0 raises as Fraction would."""
+    if not d:
+        raise ZeroDivisionError(f"{n}/0")
+    k = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // k, d // k
 
-    Each pencil P among F0, G0, H0 annihilates the theta-null class. With
-    the ai coefficients known to vanish and the bi coefficients known to
-    equal 1/2, and with the expansion carrying minus signs on every
-    boundary term, the relation P . theta = 0 reads
 
-        P.lambda * L - P.a0 * A - P.b0s * B = 1/2 * sum_i P.bi
+def _steps(ctx: GenusCtx, curves: dict[str, DivisorClass], m1: DivisorClass) -> Iterator[tuple[str, str, int, int]]:
+    """Yield (relation, label, n, d) per coefficient n/d of theta-null, in lowest terms, in the chain's order.
 
-    in the unknowns (L, A, B). Rows are built from the stored curve
-    entries, so any corruption of those entries surfaces here.
+    A pencil relation is homogeneous, so only the pencil's numerators are
+    read. The chain works in ints, one gcd per coefficient, and its 2x2 step
+    raises SingularMatrixError on a zero determinant.
     """
-    curves = curve_map(ctx)
-    b = _labels(ctx.g).b[1:]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for name in ("F0", "G0", "H0"):
-        c = curves[name]
-        rows.append([c["lambda"], -c["a0"], -c["b0s"]])
-        rhs.append(Fraction(sum(c.num.get(label, 0) for label in b), 2 * c.den))
-    return rows, rhs
-
-
-def _det3(m) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _solve3(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the 3x3 system rows . x = rhs exactly.
-
-    Each equation is scaled to integers by the lcm of its denominators, and
-    Cramer's rule runs in exact ints, so each unknown becomes one Fraction.
-    Raises SingularMatrixError when the determinant is 0.
-    """
-    scaled = []
-    for eq in (row + [r] for row, r in zip(rows, rhs)):
-        scale = math.lcm(*(v.denominator for v in eq))
-        scaled.append([v.numerator * (scale // v.denominator) for v in eq])
-    # det(A) = det(A^T), so Cramer's rule replaces a row of the transpose, not a column of A
-    cols = list(zip(*scaled))
-    det = _det3(cols[:3])
+    table, row, den, degree = _labels(ctx.g), m1.num, m1.den, transfer.pushforward_degree
+    f0, g0, h0 = (curves[name].num for name in ("F0", "G0", "H0"))
+    a, b, d = table.a, table.b, table.d
+    a1, b1 = a[1], b[1]
+    # the lambda row reads degree(lambda)*lambda = m1 at lambda, so lambda = ln/ld
+    ln, ld = _quotient(row.get("lambda", 0), den * degree(ctx, "lambda"))
+    # H0.theta = 0 gives a1 = (rn/rd)*b0s. With it, den times the d0 row and
+    # rd*ld times G0.theta = 0 read u*a0 + v*b0s = s and p*a0 + q*b0s = t in ints
+    rn, rd = -h0.get("b0s", 0), h0.get(a1, 0)
+    u, v, s = den * degree(ctx, "a0"), den * degree(ctx, "b0s"), row.get(d[0], 0)
+    p, q = g0.get("a0", 0) * rd * ld, (g0.get("b0s", 0) * rd + g0.get(a1, 0) * rn) * ld
+    t = -g0.get("lambda", 0) * ln * rd
+    det = u * q - v * p
     if det == 0:
-        raise SingularMatrixError("the pencil relations are dependent (determinant 0)")
-    return [Fraction(_det3(cols[:k] + cols[3:] + cols[k + 1:3]), det) for k in range(3)]
+        raise SingularMatrixError("the d0 row and G0.theta = 0 are dependent in (a0, b0s) (determinant 0)")
+    a0, b0s = s * q - v * t, u * t - p * s  # over det
+    yield "pi_*theta = m1 at lambda", "lambda", ln, ld
+    yield ("pi_*theta = m1 at d0, G0.theta = 0", "a0", *_quotient(a0, det))
+    yield ("pi_*theta = m1 at d0, G0.theta = 0", "b0s", *_quotient(b0s, det))
+    yield ("H0.theta = 0", a1, *_quotient(rn * b0s, rd * det))
+    # F0.theta = 0 gives b1 = -(F0 at lambda * lambda + F0 at a0 * a0) / F0 at b1
+    yield ("F0.theta = 0", b1,
+           *_quotient(f0.get("lambda", 0) * ln * det + f0.get("a0", 0) * a0 * ld, -f0.get(b1, 0) * ld * det))
+    for i in range(2, ctx.h + 1):
+        # Fi stores (2-2i)*ai alone, so Fi.theta = 0 gives ai = 0; with it, the di row reads degree(bi)*bi = m1 at di
+        name = f"F{i}"
+        yield (f"{name}.theta = 0", a[i], *_quotient(0, curves[name].num.get(a[i], 0)))
+        yield (f"pi_*theta = m1 at {d[i]}", b[i], *_quotient(row.get(d[i], 0), den * degree(ctx, b[i])))
 
 
-def solve_thetanull(ctx: GenusCtx) -> DivisorClass:
-    """Re-derive the theta-null class from the pencil relations.
+def solve_thetanull(ctx: GenusCtx, show: Callable[[str], object] | None = None) -> DivisorClass:
+    """Re-derive the theta-null class from the test curves and m1 by the chain of _steps, summed by _sum_terms.
 
-    Solves the system of thetanull_system exactly and sums the class by the
-    kernel of parse_class, with the boundary coefficients entered
-    negatively; the ai coefficients vanish, and no zero is stored. The
-    result is not compared with the closed form here: verify's
-    solve:thetanull check and the CLI's MATCH/MISMATCH line do that.
+    show, if given, takes one line per step, as `spinpic solve-thetanull`
+    prints it. No zero is stored. The result is not compared with the closed
+    form here: verify's solve:thetanull check and the CLI's MATCH/MISMATCH
+    line do that.
     """
-    rows, rhs = thetanull_system(ctx)
-    lam, a0, b0 = _solve3(rows, rhs)
-    terms = [(sign * v.numerator, v.denominator, ((label, 1),))
-             for sign, v, label in ((1, lam, "lambda"), (-1, a0, "a0"), (-1, b0, "b0s"))]
-    terms.append((-1, 2, [(label, 1) for label in _labels(ctx.g).b[1:]]))
-    return _sum_terms(ctx, S_SIDE, terms)
+    steps = list(_steps(ctx, curve_map(ctx), catalog.m1_theta_class(ctx)))
+    if show is not None:
+        for relation, label, n, d in steps:
+            show(f"  {relation}: {label} = {_ratio(n, d)}")
+    return _sum_terms(ctx, S_SIDE, [(n, d, ((label, 1),)) for _, label, n, d in steps])

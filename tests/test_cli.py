@@ -125,8 +125,17 @@ def test_counts(capsys):
 def test_solve_thetanull_match(capsys):
     code, out, _ = run(capsys, "solve-thetanull", "-g", "5")
     assert code == 0
-    assert "MATCH" in out and "MISMATCH" not in out
-    assert "Lbar = 1/4, A0bar = 1/16, B0bar = 0" in out
+    assert out.splitlines()[1:8] == [
+        "  pi_*theta = m1 at lambda: lambda = 1/4",
+        "  pi_*theta = m1 at d0, G0.theta = 0: a0 = -1/16",
+        "  pi_*theta = m1 at d0, G0.theta = 0: b0s = 0",
+        "  H0.theta = 0: a1 = 0",
+        "  F0.theta = 0: b1 = -1/2",
+        "  F2.theta = 0: a2 = 0",
+        "  pi_*theta = m1 at d2: b2 = -1/2",
+    ]
+    assert out.endswith("solved class: 1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2\n"
+                        "closed form:  1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2\nMATCH\n")
 
 
 def test_solve_thetanull_mismatch_exits_one(capsys, monkeypatch):

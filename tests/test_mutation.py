@@ -129,6 +129,16 @@ def test_perturbed_named_class_coefficient_is_caught(attr, side, g, label, monke
     assert _failures(g), f"no check caught the perturbed {attr} coefficient at {label}, genus {g}"
 
 
+@pytest.mark.parametrize("g,label", [(g, label) for g in (6, 9) for label in labels_for(GenusCtx(g), M_SIDE)])
+def test_perturbed_m1_coefficient_fails_the_pushforward_and_the_solve(g, label, monkeypatch):
+    # the theta-null chain reads every row of pi_*theta = m1 but d1, which it leaves over
+    original = catalog.m1_theta_class
+    monkeypatch.setattr(catalog, "m1_theta_class", lambda ctx: original(ctx) + basis_class(ctx, M_SIDE, label))
+    failed = {c.name for c in _failures(g)}
+    assert "theta:pushforward" in failed
+    assert ("solve:thetanull" in failed) == (label != "d1")
+
+
 def _perturbed(value, **fields):
     """A copy of value with fields replaced; a divisor spec's a, b0 or b go into the class it holds."""
     out = copy.copy(value)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpic import cli, testcurves, transfer, verify
-from spinpic.catalog import canonical_s, thetanull_class
+from spinpic.catalog import canonical_s, m1_theta_class, thetanull_class
 from spinpic.errors import GenusMismatchError, SideMismatchError
 from spinpic.picard import (
     DivisorClass,
@@ -19,9 +19,8 @@ from spinpic.testcurves import (
     curve_map,
     intersect,
     solve_thetanull,
-    thetanull_system,
 )
-from spinpic.transfer import even_component_degree, pullback
+from spinpic.transfer import even_component_degree, pullback, pushforward
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 
@@ -118,17 +117,20 @@ def test_pullback_compatibility(g):
     assert intersect(curves["H0"], d0_up) == 2 - 2 * g
 
 
-def test_thetanull_system_genus5():
-    rows, rhs = thetanull_system(GenusCtx(5))
-    assert rows == [
-        [Fraction(1), Fraction(-12), Fraction(0)],
-        [Fraction(3), Fraction(-12), Fraction(-12)],
-        [Fraction(0), Fraction(0), Fraction(4)],
+def test_thetanull_chain_genus5():
+    ctx = GenusCtx(5)
+    assert list(testcurves._steps(ctx, curve_map(ctx), m1_theta_class(ctx))) == [
+        ("pi_*theta = m1 at lambda", "lambda", 1, 4),
+        ("pi_*theta = m1 at d0, G0.theta = 0", "a0", -1, 16),
+        ("pi_*theta = m1 at d0, G0.theta = 0", "b0s", 0, 1),
+        ("H0.theta = 0", "a1", 0, 1),
+        ("F0.theta = 0", "b1", -1, 2),
+        ("F2.theta = 0", "a2", 0, 1),
+        ("pi_*theta = m1 at d2", "b2", -1, 2),
     ]
-    assert rhs == [Fraction(-1, 2), Fraction(0), Fraction(0)]
 
 
-@pytest.mark.parametrize("g", range(3, 26))
+@pytest.mark.parametrize("g", [*range(3, 301), 1000])
 def test_solve_thetanull_matches_closed_form(g):
     ctx = GenusCtx(g)
     solved = solve_thetanull(ctx)
@@ -136,6 +138,10 @@ def test_solve_thetanull_matches_closed_form(g):
     assert solved["lambda"] == Fraction(1, 4)
     assert solved["a0"] == Fraction(-1, 16)
     assert solved["b0s"] == 0
+    # the two equations the chain leaves over: the d1 row of pi_*theta = m1, and Gi.theta = i-1
+    assert pushforward(solved)["d1"] == m1_theta_class(ctx)["d1"]
+    curves = curve_map(ctx)
+    assert [intersect(curves[f"G{i}"], solved) for i in range(2, ctx.h + 1)] == list(range(1, ctx.h))
 
 
 def test_solve_residuals_vanish():
@@ -148,13 +154,14 @@ def test_solve_residuals_vanish():
 
 @pytest.fixture
 def dependent_pencils(monkeypatch):
-    """curve_map with H0's b0s entry dropped, so the H0 relation reads 0 = 0."""
+    """curve_map with G0's a0 entry dropped. At genus 5, H0 makes a1 = 4*b0s, which cancels
+    G0's b0s entry, so G0.theta = 0 meets neither a0 nor b0s and the 2x2 step is singular."""
     original = testcurves.curve_map
 
     def patched(ctx):
         curves = original(ctx)
-        h0 = curves["H0"]
-        curves["H0"] = DivisorClass(ctx, S_SIDE, {l: v for l, v in h0.coeff.items() if l != "b0s"})
+        g0 = curves["G0"]
+        curves["G0"] = DivisorClass(ctx, S_SIDE, {l: v for l, v in g0.coeff.items() if l != "a0"})
         return curves
 
     monkeypatch.setattr(testcurves, "curve_map", patched)

@@ -111,7 +111,8 @@ def _record(name, g, expected, got):
 # Rendered by the eager renderer, which formatted every value as its check
 # was recorded; the report, which renders only failures, must reproduce them
 # byte for byte. The patched degree
-# table must reach pushforward and R (curves:table:R, lift). nu is read off the lambda slots
+# table must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
+# which reads lambda's degree off that table (solve:thetanull). nu is read off the lambda slots
 # of the classes, so a lambda added to theta or K fails kodaira:nu-from-slope.
 _MUTATIONS = [
     (transfer, "_degrees", _bump_lambda_degree, 6, [
@@ -125,6 +126,8 @@ _MUTATIONS = [
                 "{a0=55296, b0s=28512, lambda=14567, side=S}"),
         _record("lift:lambda", 6, "14560", "14567"),
         _record("lift:fuzz", 6, "1294800", "2589657/2"),
+        _record("solve:thetanull", 6, "1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3",
+                "520/2081*lambda - 6371/101969*a0 - 4/101969*b0s - 20/101969*a1 - 50972/101969*b1 - 1/2*b2 - 1/2*b3"),
     ]),
     (testcurves, "curve_map", _bump_h0, 6, [
         _record("curves:table:H0", 6, "{a1=1, b0s=-5, side=S}", "{a1=2, b0s=-5, side=S}"),
@@ -219,7 +222,7 @@ def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
     callers = _counting(monkeypatch, testcurves, "curve_map")
     verify.run_genus(9)
     # every use goes through the module attribute, so patches reach it
-    assert set(callers) == {"_identities", "thetanull_system", "uniruled_certificate"}
+    assert set(callers) == {"_identities", "solve_thetanull", "uniruled_certificate"}
 
 
 def _bump_even_degree(original):
@@ -291,11 +294,12 @@ _NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_cl
 def test_named_classes_are_built_once_per_genus(monkeypatch):
     callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
     verify.run_genus(40)
-    # kodaira builds its own copies; verify's sections share one each
+    # kodaira builds its own copies, and solve_thetanull its own m1; verify's sections share one each
     from_identities = {name: calls.count("_identities") for name, calls in callers.items()}
     assert from_identities == dict.fromkeys(_NAMED_BUILDERS, 1)
     callers_seen = {caller for calls in callers.values() for caller in calls}
-    assert callers_seen <= {"_identities", "decompose_canonical", "uniruled_certificate"}
+    assert callers_seen <= {"_identities", "decompose_canonical", "uniruled_certificate", "solve_thetanull"}
+    assert callers["m1_theta_class"].count("solve_thetanull") == 1
 
 
 def test_each_basis_class_is_pulled_back_once(monkeypatch):
