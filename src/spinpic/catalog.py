@@ -25,7 +25,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted, _Value, rational,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _Value, rational,
                      require_classification_genus)
 
 
@@ -104,8 +104,10 @@ class DivisorSpec(_Value):
 
     @property
     def b(self) -> tuple[Fraction, ...] | None:
-        num, den = self.divisor.num, self.divisor.den
-        return tuple([Fraction(-num[label], den) for label in _labels(self.ctx.g).d[1:]]) if self.complete else None
+        if not self.complete:
+            return None
+        num, den, ctx = self.divisor.num, self.divisor.den, self.ctx
+        return tuple([Fraction(-num[label], den) for label in _spelled(ctx.g).d[1:ctx.h + 1]])
 
     @property
     def complete(self) -> bool:
@@ -127,7 +129,8 @@ class DivisorSpec(_Value):
                 raise DivisorSpecError(f"expected {h} boundary coefficients at genus {g}, got {len(b)}")
             if any(v <= 0 for v in b):
                 raise DivisorSpecError("all boundary coefficients b_i must be positive")
-        coeff = {"lambda": a, **{label: -v for label, v in zip(_labels(g).d, (b0, *(b or ())))}}
+        # zip stops at the h+1 or 1 values given, so it reads no label past dh
+        coeff = {"lambda": a, **{label: -v for label, v in zip(_spelled(g).d, (b0, *(b or ())))}}
         self._init(divisor=DivisorClass(self.ctx, M_SIDE, coeff))
         if not isinstance(self.provenance, UserSupplied) and self != (own := _own_d(self.ctx)):
             # the provenance may be any object, so the message names only own's
@@ -227,9 +230,9 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the curve side: 13*lambda - 2*d0 - 3*d1 - 2*(d2 + ...)."""
     require_classification_genus(ctx)
-    d = _labels(ctx.g).d
+    d = _spelled(ctx.g).d
     num = {"lambda": 13, d[0]: -2, d[1]: -3}
-    num.update(dict.fromkeys(d[2:], -2))
+    num.update(dict.fromkeys(d[2:ctx.h + 1], -2))
     return _trusted(ctx, M_SIDE, num, 1)
 
 
@@ -240,7 +243,7 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     check compares the two routes.
     """
     require_classification_genus(ctx)
-    table = _labels(ctx.g)
+    table = _spelled(ctx.g)
     num = {"lambda": 13, table.a[0]: -2, table.b[0]: -3, table.a[1]: -3, table.b[1]: -3}
     for i in range(2, ctx.h + 1):
         num[table.a[i]] = num[table.b[i]] = -2
@@ -250,9 +253,9 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
 def thetanull_class(ctx: GenusCtx) -> DivisorClass:
     """Class of the theta-null divisor: 1/4*lambda - 1/16*a0 - 1/2*sum(bi), over the denominator 16."""
     require_classification_genus(ctx)
-    table = _labels(ctx.g)
+    table = _spelled(ctx.g)
     num = {"lambda": 4, table.a[0]: -1}
-    num.update(dict.fromkeys(table.b[1:], -8))
+    num.update(dict.fromkeys(table.b[1:ctx.h + 1], -8))
     return _trusted(ctx, S_SIDE, num, 16)
 
 
@@ -263,11 +266,11 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
     """
     require_classification_genus(ctx)
     g = ctx.g
-    scale = 2 ** (g - 3)
-    d = _labels(g).d
-    num = {"lambda": scale * (2**g + 1), d[0]: -scale * 2 ** (g - 3)}
+    scale = 1 << (g - 3)  # shifts, as transfer._even: cheaper than powers of 2 at large g
+    d = _spelled(g).d
+    num = {"lambda": scale * ((1 << g) + 1), d[0]: -scale * scale}
     for i in range(1, ctx.h + 1):
-        num[d[i]] = -scale * (2 ** (g - i) - 1) * (2**i - 1)
+        num[d[i]] = -scale * ((1 << (g - i)) - 1) * ((1 << i) - 1)
     return _trusted(ctx, M_SIDE, num, 1)
 
 
@@ -302,7 +305,7 @@ def _own_d(ctx: GenusCtx) -> DivisorSpec:
     provenance, a, b0 = _rule(ctx.g)
     terms = [(a.numerator, a.denominator, (("lambda", 1),)), (-b0.numerator, b0.denominator, (("d0", 1),))]
     if isinstance(provenance, BrillNoether):  # the normalized divisor's b_i = i(g-i), as one integer group
-        terms.append((-1, 1, [(label, i * (ctx.g - i)) for i, label in enumerate(_labels(ctx.g).d[1:], 1)]))
+        terms.append((-1, 1, [(label, i * (ctx.g - i)) for i, label in enumerate(_spelled(ctx.g).d[1:ctx.h + 1], 1)]))
     spec = object.__new__(DivisorSpec)
     spec._init(ctx=ctx, provenance=provenance, divisor=_sum_terms(ctx, M_SIDE, terms))
     return spec

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _labels, _ratio, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _ratio, _spelled, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts (README gives the cost near it).
 # A larger genus is refused before any work is done.
@@ -140,7 +140,7 @@ def _cmd_counts(args) -> int:
     print(f"  odd component degree  {transfer.odd_component_degree(g)}")
     print(f"  deg(A0/d0) = {degree(ctx, 'a0')}")
     print(f"  deg(B0/d0) = {degree(ctx, 'b0s')}")
-    table = _labels(g)
+    table = _spelled(g)
     for i in range(1, ctx.h + 1):
         print(f"  deg(A{i}/d{i}) = {degree(ctx, table.a[i])}")
         print(f"  deg(B{i}/d{i}) = {degree(ctx, table.b[i])}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _labels, _ratio, _trusted, _Value, lincomb
+from .picard import S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _trusted, _Value, lincomb
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -66,8 +66,8 @@ class Decomposition(_Value):
 
     def _numerators(self, family: str) -> list[int]:
         """The remainder's numerators at the labels family[1..h] of its own genus: "a" for c, "b" for c'."""
-        num = self.remainder.num
-        return [num.get(label, 0) for label in getattr(_labels(self.remainder.ctx.g), family)[1:]]
+        num, ctx = self.remainder.num, self.remainder.ctx
+        return [num.get(label, 0) for label in getattr(_spelled(ctx.g), family)[1:ctx.h + 1]]
 
     @property
     def c(self) -> tuple[Fraction, ...] | None:

@@ -15,13 +15,15 @@ second genus-0 boundary class is spelled ``b0s`` in every text format so
 that it can never be confused with the divisor slope coefficient b_0 used
 elsewhere.
 
-_labels(g) is the one table that spells the indexed labels of genus g:
-d[i], a[i] and b[i] for i = 0..h (b[0] is "b0s"), and the two ordered
-bases m and s as read-only maps label -> i (lambda -> None). It is cached
-by the int genus, _basis only picks one of its bases, and the engine
-modules take their label strings and indices from it, so a label is one
-string per genus and no code parses an index out of a label. verify spells
-its labels itself, as an independent check of the table.
+The indexed labels d[i], a[i] and b[i] (b[0] is "b0s") do not depend on the
+genus, so _spell writes each once per process into sequences that only
+grow: the maps _M (lambda, d0, d1, ...) and _S (lambda, a0, b0s, a1, b1, ...)
+of each side's labels, in basis order, to their index i (lambda -> 0), and
+the lists d, a and b of _LABELS by index. Genus g's basis is the first h+2
+labels of _M or 2h+3 of _S: those of index i <= h. The engine modules read
+labels and indices only through _spelled and _basis, which spell up to h
+first, and no code parses an index out of a label. verify spells its labels
+itself, as an independent check of the sequences.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
@@ -41,9 +43,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
-from types import MappingProxyType
+from threading import Lock
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
@@ -136,52 +139,68 @@ def require_classification_genus(ctx: GenusCtx) -> None:
         raise ValueError(f"this operation needs genus >= 3, got {ctx.g}")
 
 
-class _Labels(_Value):
-    """The boundary labels of one genus: d[i], a[i] and b[i] for i = 0..h, with b[0] = "b0s".
+# The label sequences (see the module docstring), which only _spell writes; m and s are read-only views of _M and _S.
+_M: dict[str, int] = {"lambda": 0}
+_S: dict[str, int] = {"lambda": 0}
+_LABELS = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(_M), s=MappingProxyType(_S))
+_SPELLING = Lock()  # reading a length and then appending is not atomic across threads
 
-    m and s are the ordered bases of sides M and S, built from those three
-    as read-only maps label -> i, with lambda -> None.
+
+def _spell(h: int) -> None:
+    """Grow the label sequences through index h: the only code that spells an indexed label.
+
+    Each label is one string object per process, so its hash is computed
+    once however many classes and genera store it. _spelled and _basis
+    skip the call, and the lock, while h < len(_LABELS.d): d[i] is appended
+    last, so every label and index of i is in place once d has i + 1 entries.
     """
-
-    __slots__ = ("d", "a", "b", "m", "s")
-    __match_args__ = ("d", "a", "b")
-
-    def __init__(self, d: tuple[str, ...], a: tuple[str, ...], b: tuple[str, ...]) -> None:
-        m = {"lambda": None}
-        m.update(zip(d, range(len(d))))
-        s = {"lambda": None}
-        for i, x, y in zip(range(len(a)), a, b):
-            s[x] = s[y] = i
-        self._init(d=d, a=a, b=b, m=MappingProxyType(m), s=MappingProxyType(s))
+    with _SPELLING:
+        d, a, b = _LABELS.d, _LABELS.a, _LABELS.b
+        for i in range(len(d), h + 1):
+            x, y, z = f"d{i}", f"a{i}", f"b{i}" if i else "b0s"
+            _M[x] = _S[y] = _S[z] = i
+            a.append(y)
+            b.append(z)
+            d.append(x)
 
 
-@lru_cache(maxsize=8)
-def _labels(g: int) -> _Labels:
-    """The label table of genus g: the only code that spells an indexed label.
-
-    Each label is one string object per genus, so its hash is computed
-    once however many classes store it. The cache is keyed by the int
-    genus, so a lookup never compares GenusCtx objects, and small, since a
-    sweep visits each genus once and a table near g = 700 holds about a
-    thousand labels.
-    """
-    h = GenusCtx(g).h
-    return _Labels(tuple([f"d{i}" for i in range(h + 1)]), tuple([f"a{i}" for i in range(h + 1)]),
-                   ("b0s", *[f"b{i}" for i in range(1, h + 1)]))
+def _spelled(g: int) -> SimpleNamespace:
+    """_LABELS, spelled through h = g // 2 or beyond: read its lists and maps at the indices i <= h only."""
+    if g // 2 >= len(_LABELS.d):
+        _spell(g // 2)
+    return _LABELS
 
 
-def _basis(g: int, side: str) -> Mapping[str, int | None]:
-    """Read-only, ordered label set of the side basis at genus g: one of the two maps of _labels(g)."""
+def _basis(g: int, side: str) -> Mapping[str, int]:
+    """The side's read-only ordered map label -> index, spelled through h = g // 2: genus g's basis is its i <= h."""
     if side == M_SIDE:
-        return _labels(g).m
-    if side == S_SIDE:
-        return _labels(g).s
-    raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
+        basis = _LABELS.m
+    elif side == S_SIDE:
+        basis = _LABELS.s
+    else:
+        raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
+    if g // 2 >= len(_LABELS.d):  # as in _spelled, without its call on every lookup
+        _spell(g // 2)
+    return basis
+
+
+def _ordered(g: int, side: str) -> Iterator[str]:
+    """The basis labels at genus g in order: the first h+2 of side M's sequence, or the first 2h+3 of side S's."""
+    basis = _basis(g, side)
+    return islice(basis, (g // 2 + 1) * (1 if side == M_SIDE else 2) + 1)
 
 
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
     """The basis labels in order: lambda, d0, ..., dh on side M; lambda, a0, b0s, a1, b1, ..., ah, bh on side S."""
-    return tuple(_basis(ctx.g, side))
+    return tuple(_ordered(ctx.g, side))
+
+
+def _index(label: str, ctx: GenusCtx, side: str) -> int:
+    """The label's index in the side basis at ctx.g, or _unknown_labels raised: the basis holds the i <= h."""
+    h = ctx.h
+    if (i := _basis(ctx.g, side).get(label, h + 1)) > h:  # h + 1 stands for no index
+        raise _unknown_labels((label,), ctx, side)
+    return i
 
 
 def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownLabelError:
@@ -189,7 +208,7 @@ def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownL
     labels = sorted(labels)
     what = f"label {labels[0]!r} is" if len(labels) == 1 else f"labels {labels} are"
     return UnknownLabelError(f"{what} not in the side-{side} basis at genus {ctx.g} "
-                             f"(basis: {', '.join(_basis(ctx.g, side))})")
+                             f"(basis: {', '.join(_ordered(ctx.g, side))})")
 
 
 _ZERO = Fraction(0)
@@ -220,9 +239,9 @@ class DivisorClass(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        basis = _basis(self.ctx.g, self.side)
-        if not self.num.keys() <= basis.keys():
-            raise _unknown_labels(self.num.keys() - basis.keys(), self.ctx, self.side)
+        basis, h = _basis(self.ctx.g, self.side), self.ctx.h
+        if unknown := [label for label in self.num if basis.get(label, h + 1) > h]:  # as in _index
+            raise _unknown_labels(unknown, self.ctx, self.side)
         values = [(l, v if type(v) is Fraction else rational(v)) for l, v in self.num.items()]
         # the lcm of reduced denominators makes gcd(den, *num) = 1
         den = lcm(*(v.denominator for _, v in values if v))
@@ -237,8 +256,7 @@ class DivisorClass(_Value):
         return DivisorClass, (self.ctx, self.side, dict(self.coeff))
 
     def __getitem__(self, label: str) -> Fraction:
-        if label not in _basis(self.ctx.g, self.side):
-            raise _unknown_labels((label,), self.ctx, self.side)
+        _index(label, self.ctx, self.side)
         return Fraction(self.num[label], self.den) if label in self.num else _ZERO
 
     def labels(self) -> tuple[str, ...]:
@@ -287,8 +305,7 @@ def zero_class(ctx: GenusCtx, side: str) -> DivisorClass:
 
 
 def basis_class(ctx: GenusCtx, side: str, label: str) -> DivisorClass:
-    if label not in _basis(ctx.g, side):
-        raise _unknown_labels((label,), ctx, side)
+    _index(label, ctx, side)
     return _trusted(ctx, side, {label: 1}, 1)
 
 
@@ -391,7 +408,7 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
 
 def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[int, int, tuple[tuple[str, int]]]]:
     """Each term of the stripped expression s as a _sum_terms group (numerator, denominator, ((label, 1),))."""
-    basis = _basis(ctx.g, side)
+    basis, h = _basis(ctx.g, side), ctx.h
     # s is stripped, so whitespace after a term is always followed by a sign
     pos = 0
     while pos < len(s):
@@ -406,7 +423,7 @@ def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[
         if m is None:
             raise ClassSyntaxError(f"expected a term at position {pos} in {text!r}")
         label = _canonical_label(m.group("label"))
-        if label not in basis:
+        if basis.get(label, h + 1) > h:  # as in _index
             raise _unknown_labels((m.group("label"),), ctx, side)  # the token as written, λ or δ included
         n, d = _ints(m["p"] or "1", m["q"])
         yield sign * n, d, ((label, 1),)
@@ -421,7 +438,7 @@ def render_class(x: DivisorClass) -> str:
     """
     terms = []
     num, den = x.num, x.den
-    for label in _basis(x.ctx.g, x.side):
+    for label in _ordered(x.ctx.g, x.side):
         n = num.get(label)
         if n is not None:
             mag = _ratio(abs(n), den)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from . import catalog, transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _ratio, _sum_terms, _trusted,
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -65,7 +65,7 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """
     require_classification_genus(ctx)
     g = ctx.g
-    table = _labels(g)
+    table = _spelled(g)
     b = {"lambda": g + 1, "d0": 6 * g + 18}
     lift = ((s, b[m] * transfer.pushforward_degree(ctx, s))
             for s, m in (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0")))
@@ -101,7 +101,7 @@ def _steps(ctx: GenusCtx, curves: dict[str, DivisorClass], m1: DivisorClass) -> 
     read. The chain works in ints, one gcd per coefficient, and its 2x2 step
     raises SingularMatrixError on a zero determinant.
     """
-    table, row, den, degree = _labels(ctx.g), m1.num, m1.den, transfer.pushforward_degree
+    table, row, den, degree = _spelled(ctx.g), m1.num, m1.den, transfer.pushforward_degree
     f0, g0, h0 = (curves[name].num for name in ("F0", "G0", "H0"))
     a, b, d = table.a, table.b, table.d
     a1, b1 = a[1], b[1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _labels, _sum_terms, _trusted, _unknown_labels, _Value
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _unknown_labels, _Value
 
 
 def _even(n: int) -> int:
@@ -53,7 +53,10 @@ class _Degrees(_Value):
 def _degrees(g: int) -> _Degrees:
     """The degree table of genus g: lam = E(g); a[0] = 4^(g-1), a[i] = E(i)E(g-i); b[0] = E(g-1), b[i] = O(i)O(g-i).
 
-    E and O are _even and _odd, not the public degrees, so a patch of those never stays in the cache.
+    Unlike the labels, the degrees depend on g, so each genus has its own
+    table; the cache is small, since a sweep visits each genus once. E and
+    O are _even and _odd, not the public degrees, so a patch of those never
+    stays in the cache.
     """
     ks = range(1, g // 2 + 1)
     return _Degrees(_even(g), (4 ** (g - 1), *[_even(k) * _even(g - k) for k in ks]),
@@ -63,10 +66,10 @@ def _degrees(g: int) -> _Degrees:
 def pushforward_degree(ctx: GenusCtx, label: str) -> int:
     """Covering degree multiplying the image of one spin-side basis class, read off _degrees."""
     deg = _degrees(ctx.g)
-    if label in ("lambda", "a0", "b0s"):  # R's labels, answered without the label table
+    if label in ("lambda", "a0", "b0s"):  # R's labels, answered without the label sequences
         return deg.lam if label == "lambda" else deg.a[0] if label == "a0" else deg.b[0]
-    table = _labels(ctx.g)
-    if (i := table.s.get(label)) is None:
+    table, h = _spelled(ctx.g), ctx.h
+    if (i := table.s.get(label, h + 1)) > h:  # as in picard._index, without its two calls per label
         raise _unknown_labels((label,), ctx, S_SIDE)
     return (deg.a if label == table.a[i] else deg.b)[i]
 
@@ -75,7 +78,7 @@ def pullback(x: DivisorClass) -> DivisorClass:
     """Pullback to the spin side, one nonzero coefficient at a time."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
-    table = _labels(x.ctx.g)
+    table = _spelled(x.ctx.g)
     a, b, index = table.a, table.b, table.m
     out: dict[str, int] = {}
     for label, n in x.num.items():
@@ -98,11 +101,11 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    table, deg = _labels(ctx.g), _degrees(ctx.g)
+    table, deg = _spelled(ctx.g), _degrees(ctx.g)
     s, d, a = table.s, table.d, table.a
-    # i is read first: lambda keeps its label, a[i] and b[i] land on d[i]
-    pairs = [(label, deg.lam * n) if (i := s[label]) is None else (d[i], (deg.a if label == a[i] else deg.b)[i] * n)
-             for label, n in x.num.items()]
+    # lambda keeps its label; i is read first, and a[i] and b[i] land on d[i]
+    pairs = [(label, deg.lam * n) if label == "lambda"
+             else (d[(i := s[label])], (deg.a if label == a[i] else deg.b)[i] * n) for label, n in x.num.items()]
     return _sum_terms(ctx, M_SIDE, ((1, x.den, pairs),))
 
 
@@ -117,7 +120,7 @@ def degree_identities(ctx: GenusCtx) -> list[tuple[str, int, int]]:
         ("even+odd=total", n_even + odd_component_degree(ctx.g), total_degree(ctx.g)),
         ("a0+2*b0=even", pushforward_degree(ctx, "a0") + 2 * pushforward_degree(ctx, "b0s"), n_even),
     ]
-    table = _labels(ctx.g)
+    table = _spelled(ctx.g)
     for i in range(1, ctx.h + 1):
         lhs = pushforward_degree(ctx, table.a[i]) + pushforward_degree(ctx, table.b[i])
         out.append((f"a{i}+b{i}=even", lhs, n_even))

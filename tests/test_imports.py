@@ -13,8 +13,9 @@ constructor rewrites a field after setting it.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 kodaira raises VerificationFailureError only where it certifies evidence or
 checks a decomposition, so the sign rules keep one home in certify, and
-only picard's label table spells an indexed label, besides verify's
-own independent spellings, which do not read the table.
+only picard._spell spells an indexed label, besides verify's own
+independent spellings, and no other module reads the label sequences
+except through picard's accessors, which verify does not call.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
 """
@@ -26,6 +27,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from spinpic import picard
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinpic"
 SLOW_TO_IMPORT = {"dataclasses", "inspect"}
@@ -128,20 +131,42 @@ def test_kodaira_raises_verification_failures_only_where_it_certifies():
     assert sorted(set(sites)) == ["certify", "decompose_canonical", "remainders_nonnegative"]
 
 
-def _bare_label_fstrings(path: Path) -> int:
-    """How many f-strings in the module are exactly a label letter d, a or b and one expression, as f"d{i}"."""
-    return sum(1 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(node, ast.JoinedStr) and len(node.values) == 2
-               and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("d", "a", "b")
-               and isinstance(node.values[1], ast.FormattedValue))
+def _label_fstring_sites(path: Path) -> list[str]:
+    """The innermost enclosing function of each f-string that is exactly a label letter d, a or b and one expression.
+
+    f"d{i}" is one; a longer f-string that names labels, such as
+    f"a{i}+b{i}=even", is a check name, not a label.
+    """
+    found = []
+
+    def visit(node, where):
+        if (isinstance(node, ast.JoinedStr) and len(node.values) == 2
+                and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("d", "a", "b")
+                and isinstance(node.values[1], ast.FormattedValue)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+# picard's raw label sequences and their writer, which no other module reads: the accessors _spelled and _basis
+# spell up to the genus first, so a module that read the raw sequences could find its genus's labels missing
+_RAW_LABELS = {"_LABELS", "_M", "_S", "_spell"}
 
 
 def test_only_picard_and_verify_spell_a_label():
-    # picard._labels spells the engine's labels; verify spells its own, to check them.
-    # A longer f-string that names labels, such as f"a{i}+b{i}=even", is a check name, not a label.
-    sites = {path.name: n for path in sorted(PACKAGE.glob("*.py")) if (n := _bare_label_fstrings(path))}
+    # picard._spell spells each of the engine's labels once per process, and
+    # verify spells its own, to check them, without reading picard's
+    sites = {path.name: where for path in sorted(PACKAGE.glob("*.py")) if (where := _label_fstring_sites(path))}
     assert sites.keys() == {"picard.py", "verify.py"}, sites
-    assert "_labels" not in _private_names_read(PACKAGE / "verify.py", "picard")
+    assert sites["picard.py"] == ["_spell"] * 3, sites
+    assert _RAW_LABELS <= vars(picard).keys()
+    reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "picard.py"
+             if (names := _RAW_LABELS & set(_private_names_read(path, "picard")))}
+    assert reads == {}
+    assert {"_spelled", "_basis"}.isdisjoint(_private_names_read(PACKAGE / "verify.py", "picard"))
 
 
 def _private_names_read(path: Path, module: str) -> list[str]:

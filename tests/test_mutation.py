@@ -5,8 +5,8 @@ multiplicities (the entries of the one degree table, `transfer._degrees`,
 that pushforward, R and the counts read), the even, odd and total
 degrees of the covering, the stored curve intersection numbers, the
 theta-null coefficients, the canonical classes on both sides, the closed
-form of the vanishing-theta-null class, the label table that spells the indexed
-basis labels, the coefficients of each genus's divisor D
+form of the vanishing-theta-null class, the label sequences that spell the
+indexed basis labels, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
 decomposition, and each field of the certificate that `kodaira.certify`
@@ -23,7 +23,6 @@ certificate's c or c' list on the document that `certificate_json` writes.
 """
 
 import copy
-import sys
 from fractions import Fraction
 
 import pytest
@@ -65,22 +64,17 @@ def test_perturbed_component_degree_is_caught(g, name, monkeypatch):
 
 @pytest.mark.parametrize("family,i,j", [("a", 2, 3), ("b", 0, 1), ("d", 1, 2)])
 def test_misspelt_label_table_is_caught(family, i, j, monkeypatch):
-    # two labels of one family trade places in the table, and the bases built
-    # from it follow them, so every engine module reads one consistent but
-    # wrong spelling
-    original = picard._labels
-
-    def misspelt(g):
-        table = original(g)
-        spelled = {f: list(getattr(table, f)) for f in "dab"}
-        spelled[family][i], spelled[family][j] = spelled[family][j], spelled[family][i]
-        return picard._Labels(*(tuple(spelled[f]) for f in "dab"))
-
-    bound = [m for m in list(sys.modules.values())
-             if m.__name__.startswith("spinpic") and vars(m).get("_labels") is original]
-    assert picard in bound and transfer in bound
-    for module in bound:
-        monkeypatch.setattr(module, "_labels", misspelt)
+    # two labels of one family trade places in the process-wide sequences, in
+    # the family's list by index and in its side's map label -> index, so
+    # every engine module reads one consistent but wrong spelling
+    labels = picard._spelled(6)  # through h = 3 at least, so nothing is spelled while the lists are patched
+    spelled = list(getattr(labels, family))
+    x, y = spelled[i], spelled[j]
+    spelled[i], spelled[j] = y, x
+    monkeypatch.setattr(labels, family, spelled)
+    index = picard._M if family == "d" else picard._S
+    monkeypatch.setitem(index, x, j)
+    monkeypatch.setitem(index, y, i)
     assert _failures(6), f"no check caught {family}[{i}] and {family}[{j}] trading spellings"
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,8 +17,9 @@ from spinpic.picard import (
     M_SIDE,
     S_SIDE,
     _basis,
-    _labels,
     _ratio,
+    _spelled,
+    _trusted,
     basis_class,
     labels_for,
     lincomb,
@@ -23,7 +28,7 @@ from spinpic.picard import (
     zero_class,
 )
 from spinpic.testcurves import curve_map, solve_thetanull
-from spinpic.transfer import pullback, pushforward
+from spinpic.transfer import pullback, pushforward, pushforward_degree
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 
@@ -63,22 +68,129 @@ def test_basis_labels_in_order(g, m, s):
 
 @pytest.mark.parametrize("g", range(2, 61))
 def test_label_table_spells_each_label_once_and_the_bases_follow_it(g):
-    ctx, table = GenusCtx(g), _labels(g)
+    # the label sequences serve every genus: genus g reads their first h+1 labels of each family
+    ctx, table = GenusCtx(g), _spelled(g)
     h = ctx.h
-    assert table.d == tuple(f"d{i}" for i in range(h + 1))
-    assert table.a == tuple(f"a{i}" for i in range(h + 1))
-    assert table.b == ("b0s", *(f"b{i}" for i in range(1, h + 1)))
-    # each basis maps its labels to their index i, lambda to None, and is read-only
-    assert dict(table.m) == {"lambda": None, **{table.d[i]: i for i in range(h + 1)}}
-    assert dict(table.s) == {"lambda": None, **{label: i for i in range(h + 1) for label in (table.a[i], table.b[i])}}
-    for basis, label in ((table.m, "d0"), (table.s, "a0")):
+    assert table.d[:h + 1] == [f"d{i}" for i in range(h + 1)]
+    assert table.a[:h + 1] == [f"a{i}" for i in range(h + 1)]
+    assert table.b[:h + 1] == ["b0s", *(f"b{i}" for i in range(1, h + 1))]
+    # each side's map sends a label to its index i, lambda to 0, and is read-only; genus g's basis is its i <= h
+    m, s = _basis(g, M_SIDE), _basis(g, S_SIDE)
+    assert {label: i for label, i in m.items() if i <= h} == {"lambda": 0, **{table.d[i]: i for i in range(h + 1)}}
+    assert {label: i for label, i in s.items() if i <= h} == {
+        "lambda": 0, **{label: i for i in range(h + 1) for label in (table.a[i], table.b[i])}}
+    for basis, label in ((m, "d0"), (s, "a0")):
         with pytest.raises(TypeError):
             basis[label] = 1
-    # the bases keep their order, and store the table's own strings
-    assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1)))
+    # the bases are prefixes of the maps in order, and store the sequences' own strings
+    assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1))) == tuple(m)[:h + 2]
     assert labels_for(ctx, S_SIDE) == ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
+    assert labels_for(ctx, S_SIDE) == tuple(s)[:2 * h + 3]
     assert all(x is y for x, y in zip(labels_for(ctx, M_SIDE)[1:], table.d))
-    assert _basis(g, M_SIDE) is table.m and _basis(g, S_SIDE) is table.s
+    # a second read spells nothing anew
+    assert _spelled(g) is table and _basis(g, M_SIDE) is m and _basis(g, S_SIDE) is s
+
+
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter with this checkout's spinpic first on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+# Each public way to test a label against a basis, as (name, code) at genus ctx, side and label; the __getitem__
+# case indexes a class that the kernel's constructor built, which tests no label itself.
+_ENTRY_POINTS = {
+    "basis_class": "basis_class(ctx, side, label)",
+    "parse_class": "parse_class(label, ctx, side)",
+    "DivisorClass": "DivisorClass(ctx, side, {label: 1})",
+    "__getitem__": "_trusted(ctx, side, {}, 1)[label]",
+    "pushforward_degree": "pushforward_degree(ctx, label)",
+}
+
+
+def _call(entry, ctx, side, label):
+    return eval(_ENTRY_POINTS[entry], {**globals(), "ctx": ctx, "side": side, "label": label})
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_first_call_in_a_fresh_process_spells_its_genus(entry):
+    # nothing is spelled before the first call, which must spell through h itself: at g = 2, through d1 and b1
+    side, label = (S_SIDE, "b1") if entry == "pushforward_degree" else (M_SIDE, "d1")
+    probe = f"""
+from spinpic import picard
+from spinpic.picard import GenusCtx, DivisorClass, _trusted, basis_class, parse_class
+from spinpic.transfer import pushforward_degree
+assert picard._LABELS.d == []
+ctx, side, label = GenusCtx(2), {side!r}, {label!r}
+print(repr({_ENTRY_POINTS[entry]}))
+print(len(picard._LABELS.d))
+"""
+    # this process may have spelled past h already, and its own call gives the answer
+    assert _fresh(probe) == f"{_call(entry, GenusCtx(2), side, label)!r}\n2\n"  # d0 and d1, none past index h
+
+
+def _own_basis(g, side):
+    """Genus g's side basis, spelled here, apart from picard."""
+    h = g // 2
+    if side == M_SIDE:
+        return ("lambda", *(f"d{i}" for i in range(h + 1)))
+    return ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
+
+
+@pytest.mark.parametrize("label", ["d5", "a5", "b5"])
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_labels_spelled_for_a_higher_genus_stay_outside_a_lower_genus_basis(entry, label):
+    canonical_s(GenusCtx(1000))
+    ctx = GenusCtx(9)  # h = 4
+    side = S_SIDE if entry == "pushforward_degree" or label != "d5" else M_SIDE
+    with pytest.raises(UnknownLabelError) as raised:
+        _call(entry, ctx, side, label)
+    assert str(raised.value) == (
+        f"label {label!r} is not in the side-{side} basis at genus 9 (basis: {', '.join(_own_basis(9, side))})"
+    )
+
+
+@pytest.mark.parametrize("genera", [range(2, 61), range(60, 1, -1)], ids=["ascending", "descending"])
+def test_the_bases_do_not_depend_on_the_order_genera_are_visited_in(genera):
+    probe = f"""
+from spinpic.picard import GenusCtx, labels_for
+bases = {{g: (labels_for(GenusCtx(g), "M"), labels_for(GenusCtx(g), "S")) for g in {genera!r}}}
+print(sorted(bases.items()))
+"""
+    want = [(g, (_own_basis(g, M_SIDE), _own_basis(g, S_SIDE))) for g in range(2, 61)]
+    assert _fresh(probe) == f"{want}\n"
+
+
+def test_threads_that_spell_at_once_leave_each_label_once_in_order():
+    # eight threads, more than the cores CI gives, spell genus 1000 from nothing at once in a fresh process,
+    # switching as often as the interpreter allows; a lost or doubled append would shift every later index
+    probe = """
+import sys, threading
+from spinpic import picard
+from spinpic.picard import GenusCtx, labels_for
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+
+
+def spell():
+    start.wait()
+    labels_for(GenusCtx(1000), "S")
+
+
+threads = [threading.Thread(target=spell) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(picard._LABELS.d, picard._LABELS.a, picard._LABELS.b, list(picard._M.items()), list(picard._S.items()))
+"""
+    d, a, b = ([f"{k}{i}" for i in range(501)] for k in "dab")
+    b[0] = "b0s"
+    m = [("lambda", 0), *((x, i) for i, x in enumerate(d))]
+    s = [("lambda", 0), *((x, i) for i, pair in enumerate(zip(a, b)) for x in pair)]
+    assert _fresh(probe) == f"{d} {a} {b} {m} {s}\n"
 
 
 def test_slot_set_is_frozen():

@@ -189,8 +189,9 @@ def test_degree_table_cannot_be_mutated():
     assert transfer._degrees(9) is table and table.lam == _E[9]
 
 
-def test_degree_table_cache_is_bounded_like_the_label_table():
-    assert transfer._degrees.cache_info().maxsize == picard._labels.cache_info().maxsize == 8
+def test_degree_table_cache_is_bounded():
+    # unlike the labels, the degrees depend on the genus, so each genus has a table; a sweep visits each genus once
+    assert transfer._degrees.cache_info().maxsize == 8
     transfer._degrees.cache_clear()
     for g in range(3, 40):
         transfer._degrees(g)
@@ -287,10 +288,10 @@ def test_pushforward_degree_rejects_a_label_outside_the_basis(label):
 
 def test_the_covering_curve_builds_no_genus_basis(monkeypatch):
     # R's entries need the degrees of lambda, a0 and b0s only, which are
-    # answered before transfer reads the label table, so R.K certificates
-    # look up no basis
-    reads, labels, basis = [], picard._labels, picard._basis
-    monkeypatch.setattr(transfer, "_labels", lambda g: reads.append(("table", g)) or labels(g))
+    # answered before transfer reads the label sequences, so R.K
+    # certificates look up no basis and no label list
+    reads, spelled, basis = [], picard._spelled, picard._basis
+    monkeypatch.setattr(transfer, "_spelled", lambda g: reads.append(("labels", g)) or spelled(g))
     monkeypatch.setattr(picard, "_basis", lambda g, side: reads.append(("basis", g, side)) or basis(g, side))
     for g in range(3, MAX_RK_GENUS + 1):
         ctx = GenusCtx(g)

@@ -35,6 +35,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -364,16 +365,24 @@ def test_certificates_build_no_fraction_per_label(monkeypatch):
 
 
 @pytest.mark.parametrize("g", (5, 9, 12, 300))
-def test_a_certificate_spells_its_labels_once(g):
-    # every site on the certificate path reads the one cached label table of its genus
-    picard._labels.cache_clear()
-    kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
-    assert picard._labels.cache_info().misses == 1
+def test_a_certificate_spells_its_labels_once(g, monkeypatch):
+    # from empty label sequences, the first certificate of a genus spells
+    # through its h in one step, and a second one, at an h already spelled,
+    # spells no label
+    m, s = {"lambda": 0}, {"lambda": 0}
+    labels = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(m), s=MappingProxyType(s))
+    for name, value in (("_LABELS", labels), ("_M", m), ("_S", s)):
+        monkeypatch.setattr(picard, name, value)
+    calls, spell = [], picard._spell
+    monkeypatch.setattr(picard, "_spell", lambda h: calls.append(h) or spell(h))
+    for _ in range(2):
+        kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
+    assert calls == [g // 2] and len(labels.d) == g // 2 + 1
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
-    # warm: an earlier run_genus(g) filled the label-table cache, which holds the bases
-    picard._labels.cache_clear()
+    # warm: an earlier run_genus(g) filled the degree-table cache of its genus;
+    # the label sequences, which hold the bases, persist either way
     if warm:
         verify.run_genus(g)
     original, calls = GenusCtx.__eq__, []
