@@ -169,9 +169,14 @@ def _cmd_verify(args) -> int:
     return 0 if report["status"] == "OK" else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every run."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """build_parser's parser and each subcommand's parser by name, the choices its add_subparsers fills."""
     parser = argparse.ArgumentParser(
         prog="spinpic",
         description="Exact-rational divisor-class calculus on the moduli spaces of "
@@ -220,17 +225,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="print the machine-readable report")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extra = parser.parse_known_args(argv)
+        if argv and argv[0] in commands:
+            # the top-level parser would scan argv whole, only to hand argv[1:] to this parser
+            args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args, extra = parser.parse_known_args(argv)
         # argparse takes a class expression with a leading '-', such as
-        # -1/2*lambda, for an unknown option; pair takes it back as CLASSEXPR.
-        if args.command == "pair" and len(extra) == 1 and args.curve is not None and args.classexpr is None:
-            args.classexpr, extra = extra[0], []
+        # -1/2*lambda, for an unknown option, and leaves it over also after
+        # "--"; pair takes it back as CLASSEXPR.
+        if args.command == "pair" and args.curve is not None and args.classexpr is None and (
+                len(extra) == 1 or len(extra) == 2 and extra[0] == "--"):
+            args.classexpr, extra = extra[-1], []
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:

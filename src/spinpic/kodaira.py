@@ -13,7 +13,8 @@ rules in `certify` alone. `classify` gathers that evidence and ends in
 `certify`; `verify` runs `certify` on the evidence it has already computed.
 
 A `Decomposition` keeps the remainder class that `decompose_canonical`
-computes; c and c_prime are read off it, and `certificate_json` is the one
+sums in integers by one _sum_terms call, nu being its one Fraction; c and
+c_prime are read off the remainder, and `certificate_json` is the one
 writer of their "p/q" lists, which the text certificate prints too.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
@@ -24,10 +25,11 @@ on the certificate as a named hypothesis, not silently assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _trusted, _Value, lincomb
+from .picard import S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _sum_terms, _Value
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -92,22 +94,25 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     """Decompose the spin-side canonical class against 8*theta + scaled D.
 
     D is the class that spec holds. The remainder
-    canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) is obtained by
-    exact subtraction with nu read off the lambda slots, so it stores no
-    lambda, and its a0 and b0s slots must vanish whatever the divisor.
+    canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) is one
+    _sum_terms call over integer groups, with nu read off the lambda slots
+    as one integer combination, so it stores no lambda, and its a0 and b0s
+    slots must vanish whatever the divisor. nu is the one Fraction built.
     Without b_i, D = a*lambda - b0*d0 and the remainders stay conditional.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
-    scale = Fraction(3, 2) / spec.b0
     k, theta, d = catalog.canonical_s(ctx), catalog.thetanull_class(ctx), transfer.pullback(spec.divisor)
-    nu = (Fraction(k.num.get("lambda", 0), k.den) - 8 * Fraction(theta.num.get("lambda", 0), theta.den)
-          - scale * Fraction(d.num.get("lambda", 0), d.den))
-    remainder = lincomb([1, -nu, -8, -scale], [k, _trusted(ctx, S_SIDE, {"lambda": 1}, 1), theta, d])
+    # pullback keeps D's den, and b0*den = -D.num["d0"], so (3/(2*b0))*pullback(D) is 3*d.num over 2*b0*den
+    groups = [(1, k.den, k.num), (-8, theta.den, theta.num), (-3, -2 * spec.divisor.num["d0"], d.num)]
+    den = lcm(*(q for _, q, _ in groups))
+    nu = sum([n * (den // q) * num.get("lambda", 0) for n, q, num in groups])  # over den
+    terms = [(n, q, num.items()) for n, q, num in groups]
+    remainder = _sum_terms(ctx, S_SIDE, [*terms, (-nu, den, (("lambda", 1),))])
     for label in ("a0", "b0s"):
         if label in remainder.num:
             raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
-    return Decomposition(spec, nu, remainder if spec.complete else None)
+    return Decomposition(spec, Fraction(nu, den), remainder if spec.complete else None)
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:

@@ -335,11 +335,13 @@ def _sum_terms(ctx: GenusCtx, side: str,
     """The class sum over groups (n, d, pairs) of n/d times sum(m * label) over pairs (label, m).
 
     The one arithmetic kernel for classes; the labels must be in the basis.
-    It takes one lcm of the group denominators, sums integer numerators over
-    it, and divides out their one common gcd, so no Fraction is built.
+    It takes one lcm of the group denominators (a single group's own
+    denominator), sums integer numerators over it, and divides out their
+    one common gcd, so no Fraction is built. Over den = 1 the result is
+    already in lowest terms, so that gcd pass is skipped.
     """
     groups = list(groups)
-    den = lcm(*(d for _, d, _ in groups))
+    den = groups[0][1] if len(groups) == 1 else lcm(*(d for _, d, _ in groups))
     acc: dict[str, int] = {}
     for n, d, pairs in groups:
         if n:
@@ -347,8 +349,7 @@ def _sum_terms(ctx: GenusCtx, side: str,
             for label, m in pairs:
                 acc[label] = acc.get(label, 0) + k * m
     num = {label: m for label, m in acc.items() if m}
-    k = gcd(den, *num.values())
-    if k != 1:
+    if den != 1 and (k := gcd(den, *num.values())) != 1:
         den //= k
         num = {label: m // k for label, m in num.items()}
     return _trusted(ctx, side, num, den)
@@ -360,11 +361,13 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
     here: the kernel's outputs (lincomb, parse_class, pushforward, each
-    divisor spec's D, solve_thetanull), basis_class, pullback, catalog's
-    closed forms, the test curves, and decompose_canonical's lambda.
+    divisor spec's D, solve_thetanull, decompose_canonical's remainder),
+    basis_class, pullback, catalog's closed forms and the test curves. The
+    fields go straight into the instance dict, with no keyword dict built.
     """
     cls = object.__new__(DivisorClass)
-    vars(cls).update(ctx=ctx, side=side, num=MappingProxyType(num), den=den)
+    fields = cls.__dict__
+    fields["ctx"], fields["side"], fields["num"], fields["den"] = ctx, side, MappingProxyType(num), den
     return cls
 
 

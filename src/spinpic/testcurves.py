@@ -40,7 +40,8 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     The only pairing in the package; verify's compat rows call it too. The
     numerators are summed as integers over the labels both store, and a
     nonzero sum becomes one Fraction over the product of the denominators,
-    so a pairing that sums to 0 builds no Fraction at all.
+    so a pairing that sums to 0 builds no Fraction at all, and one over
+    denominators 1 builds it from the int alone.
     """
     if curve.side != x.side:
         raise SideMismatchError(
@@ -50,7 +51,9 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
     xn = x.num
     total = sum([n * xn[label] for label, n in curve.num.items() if label in xn])
-    return Fraction(total, curve.den * x.den) if total else _ZERO
+    if not total:
+        return _ZERO
+    return Fraction(total) if curve.den == x.den == 1 else Fraction(total, curve.den * x.den)
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:

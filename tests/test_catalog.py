@@ -122,19 +122,19 @@ def test_closed_forms_pass_the_validating_constructor(g):
 
 
 def _decomposition_inputs(monkeypatch, ctx, spec):
-    """The D that decompose_canonical pulls back for spec, and its lambda class."""
-    lincomb, pullback, seen = kodaira.lincomb, transfer.pullback, []
+    """The D that decompose_canonical pulls back for spec, and the class of the pairs that its nu group scales."""
+    sum_terms, pullback, seen = kodaira._sum_terms, transfer.pullback, []
 
-    def recording_lincomb(scalars, classes):
-        seen.append(classes[1])  # the class that -nu scales
-        return lincomb(scalars, classes)
+    def recording_sum_terms(ctx, side, groups):
+        seen.append(sum_terms(ctx, side, [(1, 1, groups[-1][2])]))  # the last group is -nu times these pairs
+        return sum_terms(ctx, side, groups)
 
     def recording_pullback(x):
         seen.append(x)
         return pullback(x)
 
     with monkeypatch.context() as m:
-        m.setattr(kodaira, "lincomb", recording_lincomb)
+        m.setattr(kodaira, "_sum_terms", recording_sum_terms)
         m.setattr(transfer, "pullback", recording_pullback)
         kodaira.decompose_canonical(ctx, spec)
     return seen

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -364,10 +365,59 @@ def test_unicode_label_with_leading_zero_exits_two(capsys):
 
 
 def test_pair_expression_with_leading_minus(capsys):
-    assert run(capsys, "pair", "R", "-1/2*lambda", "-g", "5") == (0, "-1584\n", "")
+    # before -g, after it, and after "--" (where every later token is positional) on either side of CURVE
+    for argv in (("R", "-1/2*lambda", "-g", "5"), ("R", "-g", "5", "-1/2*lambda"),
+                 ("R", "-g", "5", "--", "-1/2*lambda"), ("-g", "5", "R", "--", "-1/2*lambda")):
+        assert run(capsys, "pair", *argv) == (0, "-1584\n", ""), argv
     code, _, err = run(capsys, "pair", "R", "lambda", "-x", "-g", "5")
     assert code == 2
     assert "unrecognized arguments: -x" in err
+    code, _, err = run(capsys, "pair", "R", "-g", "5", "--", "-1/2*lambda", "-x")
+    assert code == 2
+    assert "unrecognized arguments: -- -1/2*lambda -x" in err
+
+
+_PARSE_CASES = [
+    (),
+    ("-h",),
+    ("nosuch", "-g", "5"),
+    ("--genus", "5", "classify"),
+    ("classify", "-h"),
+    ("classify", "--genus=9"),
+    ("classify", "-g9", "--json"),
+    ("classify", "-g", "9", "--div", "FILE"),
+    ("classify", "-g", "9", "--nosuch"),
+    ("counts", "-g", "5", "extra"),
+    ("pair", "R", "-1/2*lambda", "-g", "5"),
+    ("pair", "R", "-g", "5", "--", "-1/2*lambda"),
+    ("pair", "R", "-g", "5", "--"),
+    ("pair", "R", "lambda", "-x", "-g", "5"),
+    ("class", "nosuch", "-g", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES)
+def test_one_parse_matches_the_top_level_parser(capsys, monkeypatch, tmp_path, argv):
+    # with no subcommand parsers to pick from, run parses every argv with the top-level parser
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"name": "file", "genus": 9, "a": "12", "b0": "5/3"}))
+    argv = [str(path) if token == "FILE" else token for token in argv]
+    once = run(capsys, *argv)
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    assert run(capsys, *argv) == once
+
+
+def test_a_known_command_is_parsed_once(capsys, monkeypatch):
+    parse, calls = argparse.ArgumentParser.parse_known_args, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, "pair", "R", "-g", "5", "--", "-1/2*lambda") == (0, "-1584\n", "")
+    assert calls == ["spinpic pair"]
 
 
 def test_classify_range_json_lines(capsys):

@@ -59,9 +59,9 @@ _POSITIVE = st.fractions(min_value=0, max_denominator=30).filter(lambda q: q > 0
 
 
 @st.composite
-def _user_specs(draw):
-    """A complete or slope-only user spec at g in 3..60 with positive rational a, b0 and b_i."""
-    ctx = GenusCtx(draw(st.integers(3, 60)))
+def _user_specs(draw, min_genus=3):
+    """A complete or slope-only user spec at g in min_genus..60 with positive rational a, b0 and b_i."""
+    ctx = GenusCtx(draw(st.integers(min_genus, 60)))
     b = draw(st.none() | st.lists(_POSITIVE, min_size=ctx.h, max_size=ctx.h).map(tuple))
     return DivisorSpec(ctx, UserSupplied("drawn"), draw(_POSITIVE), draw(_POSITIVE), b)
 
@@ -83,6 +83,32 @@ def test_decomposition_of_a_user_divisor(spec):
         [basis_class(ctx, S_SIDE, "lambda"), thetanull_class(ctx), pullback(divisor_class(spec)), dec.remainder],
     )
     assert assembled == canonical_s(ctx)
+
+
+def _assert_matches_the_fraction_route(spec):
+    """nu and the remainder (kept also where D is slope-only) as Fraction scalars and lincomb give them."""
+    ctx, kept = spec.ctx, []
+    original = kodaira._sum_terms
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kodaira, "_sum_terms", lambda *args: kept.append(original(*args)) or kept[-1])
+        dec = decompose_canonical(ctx, spec)
+    k, theta, d = canonical_s(ctx), thetanull_class(ctx), pullback(spec.divisor)
+    scale = Fraction(3, 2) / spec.b0
+    nu = k["lambda"] - 8 * theta["lambda"] - scale * d["lambda"]
+    assert type(dec.nu) is Fraction and dec.nu == nu
+    assert kept == [lincomb([1, -nu, -8, -scale], [k, basis_class(ctx, S_SIDE, "lambda"), theta, d])]
+    assert dec.remainder is (kept[0] if spec.complete else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_user_specs(min_genus=8))
+def test_integer_decomposition_of_a_user_divisor_matches_the_fraction_route(spec):
+    _assert_matches_the_fraction_route(spec)
+
+
+def test_integer_decomposition_of_each_own_divisor_matches_the_fraction_route():
+    for g in range(8, 301):
+        _assert_matches_the_fraction_route(choose_d(GenusCtx(g)))
 
 
 def test_decompose_genus9():

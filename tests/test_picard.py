@@ -292,18 +292,28 @@ _unrelated = st.builds(
 
 @st.composite
 def _sparse_terms(draw):
-    """(ctx, side, scalars, classes): a few sparse classes with mixed scalar kinds."""
+    """(ctx, side, scalars, classes): a few sparse classes with mixed scalar kinds.
+
+    Half the draws hold one class, which _sum_terms takes as a single group
+    unless its negated copy joins it. Half use integer scalars on integer
+    classes, which sum over den 1, often with numerators that share a factor.
+    """
     ctx = GenusCtx(draw(st.integers(3, 40)))
     side = draw(st.sampled_from([M_SIDE, S_SIDE]))
     labels = labels_for(ctx, side)
-    scalar = st.one_of(
-        st.integers(-20, 20),
-        st.integers(-3, 3).map(lambda k: 2**ctx.g + k),
-        st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
-        _unrelated,
-    )
+    if draw(st.booleans()):
+        scalar, value = st.integers(-20, 20), st.integers(-30, 30)
+    else:
+        scalar = st.one_of(
+            st.integers(-20, 20),
+            st.integers(-3, 3).map(lambda k: 2**ctx.g + k),
+            st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(1, 99)),
+            _unrelated,
+        )
+        value = _unrelated
     pairs = draw(st.lists(
-        st.tuples(scalar, st.dictionaries(st.sampled_from(labels), _unrelated)), min_size=1, max_size=5
+        st.tuples(scalar, st.dictionaries(st.sampled_from(labels), value)),
+        min_size=1, max_size=draw(st.sampled_from((1, 5))),
     ))
     # negated copies of some terms, so that labels (or everything) cancel to zero
     undo = draw(st.lists(st.sampled_from(range(len(pairs))), unique=True))
