@@ -239,10 +239,11 @@ def run(argv: list[str] | None = None) -> int:
             args, extra = parser.parse_known_args(argv)
         # argparse takes a class expression with a leading '-', such as
         # -1/2*lambda, for an unknown option, and leaves it over also after
-        # "--"; pair takes it back as CLASSEXPR.
+        # "--"; pair takes it back as CLASSEXPR. A "--" with nothing after
+        # it leaves CLASSEXPR missing, as _cmd_pair reports.
         if args.command == "pair" and args.curve is not None and args.classexpr is None and (
                 len(extra) == 1 or len(extra) == 2 and extra[0] == "--"):
-            args.classexpr, extra = extra[-1], []
+            args.classexpr, extra = None if extra == ["--"] else extra[-1], []
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:

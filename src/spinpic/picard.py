@@ -337,8 +337,10 @@ def _sum_terms(ctx: GenusCtx, side: str,
     The one arithmetic kernel for classes; the labels must be in the basis.
     It takes one lcm of the group denominators (a single group's own
     denominator), sums integer numerators over it, and divides out their
-    one common gcd, so no Fraction is built. Over den = 1 the result is
-    already in lowest terms, so that gcd pass is skipped.
+    one common gcd, so no Fraction is built. The gcd is taken over the sums
+    as they stand, since a zero does not change it, and one pass then drops
+    the zeros and divides. Over den = 1 the result is already in lowest
+    terms, so the gcd is skipped.
     """
     groups = list(groups)
     den = groups[0][1] if len(groups) == 1 else lcm(*(d for _, d, _ in groups))
@@ -348,11 +350,9 @@ def _sum_terms(ctx: GenusCtx, side: str,
             k = n * (den // d)
             for label, m in pairs:
                 acc[label] = acc.get(label, 0) + k * m
-    num = {label: m for label, m in acc.items() if m}
-    if den != 1 and (k := gcd(den, *num.values())) != 1:
-        den //= k
-        num = {label: m // k for label, m in num.items()}
-    return _trusted(ctx, side, num, den)
+    if den != 1 and (k := gcd(den, *acc.values())) != 1:
+        return _trusted(ctx, side, {label: m // k for label, m in acc.items() if m}, den // k)
+    return _trusted(ctx, side, {label: m for label, m in acc.items() if m}, den)
 
 
 def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> DivisorClass:

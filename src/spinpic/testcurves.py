@@ -49,8 +49,10 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
         )
     if curve.ctx.g != x.ctx.g:
         raise GenusMismatchError(f"curve is at genus {curve.ctx.g}, class at genus {x.ctx.g}")
-    xn = x.num
-    total = sum([n * xn[label] for label, n in curve.num.items() if label in xn])
+    xn, total = x.num, 0
+    for label, n in curve.num.items():  # a curve stores a few entries, too few to pay for a comprehension
+        if label in xn:
+            total += n * xn[label]
     if not total:
         return _ZERO
     return Fraction(total) if curve.den == x.den == 1 else Fraction(total, curve.den * x.den)

@@ -8,9 +8,10 @@ block, F_i and G_i for i >= 1 against every pi*d_j, streams as one sparse
 row family (`_Row`) per i; a row pairs each curve through
 `testcurves.intersect`, like every other pairing here, with pi*d0 and with
 each pi*d_j that stores one of the curve's labels. `build_report` counts
-the stream and renders only failures, of a row only where its sides may
-differ; `run_genus` lists every identity as a `Check` with both sides
-already rendered.
+the stream and renders only failures: a passing identity costs it one
+comparison, and a row yields it only the entries whose sides differ, so a
+passing row formats no check name. `run_genus` lists every identity as a
+`Check`, each row over every j, with both sides already rendered.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -76,11 +77,13 @@ class _Row(_Value):
         return 2 * (self.h + 1)
 
     def triples(self, dense: bool = True):
-        """(name, expected, got) in stream order, for every j or only where the sides may differ."""
+        """(name, expected, got) in stream order, for every j or only where the sides differ."""
         for j in range(self.h + 1) if dense else sorted({j for _, j in self.got} | {self.i}):
             want = 2 - 2 * self.i if j == self.i else 0
             for kind in "FG":
-                yield f"compat:{kind}{self.i}:d{j}", want, self.got.get((kind, j), 0)
+                got = self.got.get((kind, j), 0)
+                if dense or want != got:
+                    yield f"compat:{kind}{self.i}:d{j}", want, got
 
 
 def _fuzz_class(ctx: GenusCtx, side: str, salt: int) -> DivisorClass:
@@ -181,22 +184,29 @@ def _identities(g: int):
         yield "bn:rho", -1, catalog.rho(g, prov.r, prov.d)
         yield "bn:slope", slope_bound, spec.slope
         yield "bn:lambda", Fraction(g + 3), cls["lambda"]
-        b, b0 = spec.b, spec.b0  # each read builds its Fractions from the spec's class
+        # a ratio of two entries of one class is that of their integer numerators
+        num, s = cls.num, spec.divisor.num
+        n0, s0 = num.get("d0", 0), s["d0"]
         for i in range(1, ctx.h + 1):
+            label = f"d{i}"
             # the ratio read from the class that bn_class returns, so a misread b_i shows
-            yield f"bn:ratio-d{i}", Fraction(6 * i * (g - i), g + 1), cls[f"d{i}"] / cls["d0"]
-            # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2
-            yield f"bn:ratio-bound-d{i}", True, b[i - 1] / b0 >= (2 if i == 1 else Fraction(4, 3))
+            yield f"bn:ratio-{label}", Fraction(6 * i * (g - i), g + 1), Fraction(num.get(label, 0), n0)
+            # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2: b_i/b0 >= p/q on the
+            # spec's own class, whose numerators s_i = -b_i*den, read as q*s_i <= p*s0 since s0 < 0
+            p, q = (2, 1) if i == 1 else (4, 3)
+            yield f"bn:ratio-bound-{label}", True, q * s[label] <= p * s0
 
     def curve_tables():
         expected = _expected_curve_table(ctx)
         yield "curves:names", sorted(expected), sorted(curves)
         for name, (side, numbers) in expected.items():
             got = curves.get(name)
+            # an int and the Fraction of its value compare and render alike, so a
+            # curve over den 1 is compared through its integer numerators
             yield (
                 f"curves:table:{name}",
-                {"side": side, **{k: Fraction(v) for k, v in numbers.items() if v != 0}},
-                {"side": got.side, **got.coeff} if got is not None else "missing",
+                {"side": side, **{k: v for k, v in numbers.items() if v != 0}},
+                "missing" if got is None else {"side": got.side, **(got.num if got.den == 1 else got.coeff)},
             )
 
     def pairings():
@@ -322,14 +332,19 @@ def build_report(start: int, end: int) -> dict:
     failures = []
     total = 0
     for g in range(start, end + 1):
-        count = failed = 0
+        count = 0
+        failed = []
         for item in _identities(g):
-            count += len(item) if (row := isinstance(item, _Row)) else 1
-            for name, expected, got in item.triples(dense=False) if row else (item,):
-                if expected != got:
-                    failed += 1
-                    failures.append({"check-name": name, "genus": g, "expected": _fmt(expected), "got": _fmt(got)})
-        genera.append({"genus": g, "checks": count, "failed": failed})
+            if item.__class__ is _Row:
+                count += len(item)
+                failed += item.triples(dense=False)
+            else:
+                count += 1
+                if item[1] != item[2]:
+                    failed.append(item)
+        failures += [{"check-name": name, "genus": g, "expected": _fmt(expected), "got": _fmt(got)}
+                     for name, expected, got in failed]
+        genera.append({"genus": g, "checks": count, "failed": len(failed)})
         total += count
     return {
         "command": "verify",

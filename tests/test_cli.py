@@ -123,6 +123,20 @@ def test_counts(capsys):
     assert "FAIL" not in out
 
 
+def test_counts_exits_one_on_a_wrong_stratum_degree(capsys, monkeypatch):
+    # deg(B2/d2) off by one breaks a2+b2=even alone; exit 1 is the failed-identity code
+    original = transfer._degrees
+
+    def bumped(g):
+        table = original(g)
+        return transfer._Degrees(table.lam, table.a, (*table.b[:2], table.b[2] + 1, *table.b[3:]))
+
+    monkeypatch.setattr(transfer, "_degrees", bumped)
+    code, out, err = run(capsys, "counts", "-g", "6")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == ["  identity a2+b2=even: 2081 == 2080  FAIL"]
+
+
 def test_solve_thetanull_match(capsys):
     code, out, _ = run(capsys, "solve-thetanull", "-g", "5")
     assert code == 0
@@ -377,6 +391,11 @@ def test_pair_expression_with_leading_minus(capsys):
     assert "unrecognized arguments: -- -1/2*lambda -x" in err
 
 
+def test_pair_with_nothing_after_the_separator_names_the_missing_expression(capsys):
+    for argv in (("R", "-g", "5", "--"), ("-g", "5", "R", "--")):
+        assert run(capsys, "pair", *argv) == (2, "", "error: pair needs CURVE and CLASSEXPR (or --dump)\n"), argv
+
+
 _PARSE_CASES = [
     (),
     ("-h",),
@@ -427,6 +446,19 @@ def test_classify_range_json_lines(capsys):
         json.dumps(kodaira.certificate_json(kodaira.classify(GenusCtx(g))), sort_keys=True)
         for g in range(7, 11)
     ]
+
+
+def test_classify_range_of_one_genus(capsys):
+    code, out, err = run(capsys, "classify", "--from", "9", "--to", "9", "--json")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [json.dumps(kodaira.certificate_json(kodaira.classify(GenusCtx(9))), sort_keys=True)]
+
+
+@pytest.mark.parametrize("argv", (["-h"], ["classify", "-h"]))
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: spinpic")
 
 
 @pytest.mark.parametrize("argv", [

@@ -321,6 +321,41 @@ def _sparse_terms(draw):
     return ctx, side, [s for s, _ in pairs], [DivisorClass(ctx, side, c) for _, c in pairs]
 
 
+@st.composite
+def _cancelling_terms(draw):
+    """(ctx, side, scalars, classes): two classes over one den whose sum cancels some labels to 0.
+
+    The labels left over sum to numerators that share a factor k > 1 with
+    den, so _sum_terms takes its gcd with the zeros still in its sums and
+    must both drop them and divide.
+    """
+    ctx = GenusCtx(draw(st.integers(3, 40)))
+    side = draw(st.sampled_from([M_SIDE, S_SIDE]))
+    labels = draw(st.lists(st.sampled_from(labels_for(ctx, side)), min_size=2, unique=True))
+    k = draw(st.sampled_from([2, 3, 4, 6]))
+    den = k * draw(st.integers(1, 5))
+    cut = draw(st.integers(1, len(labels) - 1))
+    x, y = {}, {}
+    for label in labels[:cut]:  # a numerator prime to den keeps each class over den
+        n = draw(st.integers(-30, 30).filter(lambda n: gcd(n, den) == 1))
+        x[label], y[label] = Fraction(n, den), Fraction(-n, den)
+    for label in labels[cut:]:
+        a, m = draw(st.integers(-30, 30)), draw(st.integers(-5, 5).filter(bool))
+        x[label], y[label] = Fraction(a, den), Fraction(k * m - a, den)
+    scalar = draw(st.integers(-3, 3).filter(bool))
+    return ctx, side, [scalar, scalar], [DivisorClass(ctx, side, x), DivisorClass(ctx, side, y)]
+
+
+@given(_cancelling_terms())
+def test_a_sum_that_cancels_labels_drops_them_and_divides_out_the_common_factor(terms):
+    ctx, side, scalars, classes = terms
+    assert [c.den for c in classes] == [classes[0].den] * 2
+    got = lincomb(scalars, classes)
+    _assert_stored_canonically(got)
+    assert dict(got.coeff) == _oracle(ctx, side, scalars, classes)
+    assert got.den < classes[0].den and set(got.num) < set(classes[0].num) | set(classes[1].num)
+
+
 def _oracle(ctx, side, scalars, classes):
     """Per-label sum of Fraction products, with no picard operator involved."""
     sums = {

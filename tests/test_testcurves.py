@@ -186,16 +186,24 @@ def test_r_pairs_canonical_negative_then_positive():
 
 
 @st.composite
-def sparse_classes(draw, genus, side):
+def sparse_classes(draw, genus, side, den=None):
+    """A class on a few labels with any rational values, or, given den, with values n/den on the first three."""
     ctx = GenusCtx(genus)
-    labels = draw(st.lists(st.sampled_from(labels_for(ctx, side)), unique=True))
-    return DivisorClass(ctx, side, {label: draw(rationals) for label in labels})
+    pool = labels_for(ctx, side) if den is None else labels_for(ctx, side)[:3]
+    labels = draw(st.lists(st.sampled_from(pool), unique=True))
+    values = rationals if den is None else st.integers(-50, 50).filter(bool).map(lambda n: Fraction(n, den))
+    return DivisorClass(ctx, side, {label: draw(values) for label in labels})
 
 
-@given(st.integers(3, 14), st.sampled_from([M_SIDE, S_SIDE]), st.data())
-def test_intersect_matches_full_basis_sum(g, side, data):
-    curve = data.draw(sparse_classes(g, side))
-    x = data.draw(sparse_classes(g, side))
+# a shared small denominator, so that curve and class often store the same den,
+# which intersect multiplies in (or, at den 1, skips), and share a label
+_SHARED_DEN = st.none() | st.sampled_from([1, 2, 3, 4, 6])
+
+
+@given(st.integers(3, 14), st.sampled_from([M_SIDE, S_SIDE]), _SHARED_DEN, st.data())
+def test_intersect_matches_full_basis_sum(g, side, den, data):
+    curve = data.draw(sparse_classes(g, side, den))
+    x = data.draw(sparse_classes(g, side, den))
     got = intersect(curve, x)
     assert type(got) is Fraction
     assert got == sum(curve[l] * x[l] for l in labels_for(GenusCtx(g), side))

@@ -25,7 +25,9 @@ not per term. Classes and curves are checked for a common genus by
 comparing ctx.g, so no check costs a GenusCtx.__eq__ call, also on a
 second run of a genus. A certificate builds no Fraction per basis label:
 from one genus to a higher one, its count does not grow, with or without
-the b_i of a Brill-Noether D. The kodaira section
+the b_i of a Brill-Noether D. A passing report gets no identity from a
+compat row, the curve tables build no Fraction, and the Brill-Noether
+ratios build two per i. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which applies the
 sign rules, and never calls classify.
@@ -317,13 +319,24 @@ def test_each_basis_class_is_pulled_back_once(monkeypatch):
     assert [pulled[label] for label in labels_for(ctx, M_SIDE)] == [1] * (ctx.h + 2)
 
 
-def _fraction_constructions(monkeypatch, fn):
-    """fn() and the number of Fractions it builds, also those that arithmetic builds directly."""
+def _fraction_constructions(monkeypatch, fn, within=None):
+    """fn() and the number of Fractions it builds, also those that arithmetic builds directly.
+
+    With within, a function name, only those built while a function of that
+    name runs count.
+    """
     built = []
     new = Fraction.__new__
 
+    def record(cls):
+        frame = sys._getframe(2)
+        while within is not None and frame is not None and frame.f_code.co_name != within:
+            frame = frame.f_back
+        if frame is not None:
+            built.append(cls)
+
     def counting_new(cls, *args, **kwargs):
-        built.append(cls)
+        record(cls)
         return new(cls, *args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -332,12 +345,48 @@ def _fraction_constructions(monkeypatch, fn):
             coprime = vars(Fraction)["_from_coprime_ints"].__func__
 
             def counting_coprime(cls, n, d):
-                built.append(cls)
+                record(cls)
                 return coprime(cls, n, d)
 
             m.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
         result = fn()
     return result, len(built)
+
+
+def _section_fractions(monkeypatch, g, section):
+    # each verify section is a function of _identities named after it
+    report, built = _fraction_constructions(monkeypatch, lambda: verify.build_report(g, g), within=section)
+    assert report["status"] == "OK"
+    return built
+
+
+def test_curve_tables_and_ratios_build_few_fractions(monkeypatch):
+    # the curve tables compare as integers, so a table over den 1 builds none
+    assert [_section_fractions(monkeypatch, g, "curve_tables") for g in (40, 80)] == [0, 0]
+    # g + 1 = 41 is prime, so genus 40 runs no Brill-Noether check; at genus 80
+    # bn:ratio-d{i} builds its expected ratio and the class's, one Fraction from
+    # two numerators, and bn:ratio-bound-d{i} none: two per i, and five for bn_class,
+    # bn:slope and bn:lambda
+    at_40, at_80 = (_section_fractions(monkeypatch, g, "brill_noether") for g in (40, 80))
+    assert at_40 == 0 and at_80 <= 2 * GenusCtx(80).h + 5
+    # between two genera that both run it, the section grows by two per i
+    at_39, at_79 = (_section_fractions(monkeypatch, g, "brill_noether") for g in (39, 79))
+    assert at_79 - at_39 <= 2 * (GenusCtx(79).h - GenusCtx(39).h)
+
+
+def test_a_passing_report_gets_no_triple_from_a_row(monkeypatch):
+    # a passing row yields nothing, so it formats no check name
+    original, asked, got = verify._Row.triples, [], []
+
+    def counting(self, dense=True):
+        asked.append(dense)
+        for triple in original(self, dense):
+            got.append(triple)
+            yield triple
+
+    monkeypatch.setattr(verify._Row, "triples", counting)
+    assert verify.build_report(40, 40)["status"] == "OK"
+    assert asked == [False] * GenusCtx(40).h and got == []
 
 
 def test_parser_builds_one_fraction_per_label(monkeypatch):
