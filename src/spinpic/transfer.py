@@ -1,23 +1,22 @@
 """Transfer maps of the finite covering from even spin curves to curves.
 
 The forgetful covering of degree 2^(2g) splits into an even component of
-relative degree 2^(g-1)(2^g+1) and an odd one of degree 2^(g-1)(2^g-1);
-everything here lives on the even component. Pullback splits boundary
-classes (d0 -> a0 + 2*b0s, di -> ai + bi) and fixes lambda; pushforward
-multiplies each spin-side basis class by the covering degree of the
-boundary stratum it sits on, a product of theta-characteristic counts by
-Cornalba's description of the spin boundary: A_i and B_i (i >= 1) carry
-even or odd ones on both components, A_0 any and B_0 even ones on the
-genus-(g-1) normalization. _degrees(g), cached by the int genus, is that
-one table, and degree_identities ties it to the component degrees.
+relative degree E(g) = 2^(g-1)(2^g+1) and an odd one of degree
+O(g) = 2^(g-1)(2^g-1); everything here lives on the even component.
+Pullback splits boundary classes (d0 -> a0 + 2*b0s, di -> ai + bi) and
+fixes lambda; pushforward multiplies each spin-side basis class by the
+covering degree of the boundary stratum it sits on, a product of
+theta-characteristic counts by Cornalba's description of the spin boundary:
+A_i and B_i (i >= 1) carry even or odd ones on both components, A_0 any and
+B_0 even ones on the genus-(g-1) normalization. _degree writes each of
+these degrees once, in shifts and sums, and every reader computes it where
+it reads it; degree_identities ties the degrees to the component degrees.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _unknown_labels, _Value
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _unknown_labels
 
 
 def _even(n: int) -> int:
@@ -40,38 +39,34 @@ def odd_component_degree(g: int) -> int:
     return _odd(g)
 
 
-class _Degrees(_Value):
-    """The stratum degrees of one genus by index: lam for lambda, a[i] and b[i] for i = 0..h (see _degrees)."""
+def _degree(g: int, kind: str, i: int) -> int:
+    """The covering degree of lambda (kind "lambda", i = 0) or of the stratum A_i or B_i (kind "a" or "b") at genus g.
 
-    __slots__ = __match_args__ = ("lam", "a", "b")
-
-    def __init__(self, lam: int, a: tuple[int, ...], b: tuple[int, ...]) -> None:
-        self._init(lam=lam, a=a, b=b)
-
-
-@lru_cache(maxsize=8)
-def _degrees(g: int) -> _Degrees:
-    """The degree table of genus g: lam = E(g); a[0] = 4^(g-1), a[i] = E(i)E(g-i); b[0] = E(g-1), b[i] = O(i)O(g-i).
-
-    Unlike the labels, the degrees depend on g, so each genus has its own
-    table; the cache is small, since a sweep visits each genus once. E and
-    O are _even and _odd, not the public degrees, so a patch of those never
-    stays in the cache.
+    lambda: E(g); A_0: 2^(2g-2), as A_0 carries any characteristic on the
+    genus-(g-1) normalization; B_0: E(g-1). For i >= 1, A_i = E(i)E(g-i)
+    and B_i = O(i)O(g-i), which expand to 2^(g-2)(2^g + 1 +- (2^i + 2^(g-i))):
+    only the term 2^i + 2^(g-i) depends on i, and it cancels in A_i + B_i.
+    E is _even, not the public component degree, so degree_identities
+    checks these degrees against formulas written apart from them.
     """
-    ks = range(1, g // 2 + 1)
-    return _Degrees(_even(g), (4 ** (g - 1), *[_even(k) * _even(g - k) for k in ks]),
-                    (_even(g - 1), *[_odd(k) * _odd(g - k) for k in ks]))
+    if i:
+        mixed = (1 << i) + (1 << (g - i))
+        return ((1 << g) + 1 + (mixed if kind == "a" else -mixed)) << (g - 2)
+    return _even(g) if kind == "lambda" else 1 << (2 * g - 2) if kind == "a" else _even(g - 1)
+
+
+# (kind, i) of R's labels, which pushforward_degree answers before it reads the label sequences
+_R_KEYS = {"lambda": ("lambda", 0), "a0": ("a", 0), "b0s": ("b", 0)}
 
 
 def pushforward_degree(ctx: GenusCtx, label: str) -> int:
-    """Covering degree multiplying the image of one spin-side basis class, read off _degrees."""
-    deg = _degrees(ctx.g)
-    if label in ("lambda", "a0", "b0s"):  # R's labels, answered without the label sequences
-        return deg.lam if label == "lambda" else deg.a[0] if label == "a0" else deg.b[0]
-    table, h = _spelled(ctx.g), ctx.h
-    if (i := table.s.get(label, h + 1)) > h:  # as in picard._index, without its two calls per label
-        raise _unknown_labels((label,), ctx, S_SIDE)
-    return (deg.a if label == table.a[i] else deg.b)[i]
+    """Covering degree multiplying the image of one spin-side basis class: _degree at the label's kind and index."""
+    if (key := _R_KEYS.get(label)) is None:
+        table, h = _spelled(ctx.g), ctx.h
+        if (i := table.s.get(label, h + 1)) > h:  # as in picard._index, without its two calls per label
+            raise _unknown_labels((label,), ctx, S_SIDE)
+        key = ("a" if label == table.a[i] else "b", i)
+    return _degree(ctx.g, *key)
 
 
 def pullback(x: DivisorClass) -> DivisorClass:
@@ -101,11 +96,11 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    table, deg = _spelled(ctx.g), _degrees(ctx.g)
+    g, table = ctx.g, _spelled(ctx.g)
     s, d, a = table.s, table.d, table.a
     # lambda keeps its label; i is read first, and a[i] and b[i] land on d[i]
-    pairs = [(label, deg.lam * n) if label == "lambda"
-             else (d[(i := s[label])], (deg.a if label == a[i] else deg.b)[i] * n) for label, n in x.num.items()]
+    pairs = [(label, _degree(g, "lambda", 0) * n) if label == "lambda"
+             else (d[(i := s[label])], _degree(g, "a" if label == a[i] else "b", i) * n) for label, n in x.num.items()]
     return _sum_terms(ctx, M_SIDE, ((1, x.den, pairs),))
 
 
@@ -113,15 +108,13 @@ def degree_identities(ctx: GenusCtx) -> list[tuple[str, int, int]]:
     """The identities (name, lhs, rhs) tying the stratum degrees to the component degrees.
 
     They are this package's first defense against transcription errors in
-    the multiplicity table.
+    the stratum degrees, which they read off _degree by index.
     """
-    n_even = even_component_degree(ctx.g)
+    g, n_even = ctx.g, even_component_degree(ctx.g)
     out = [
-        ("even+odd=total", n_even + odd_component_degree(ctx.g), total_degree(ctx.g)),
-        ("a0+2*b0=even", pushforward_degree(ctx, "a0") + 2 * pushforward_degree(ctx, "b0s"), n_even),
+        ("even+odd=total", n_even + odd_component_degree(g), total_degree(g)),
+        ("a0+2*b0=even", _degree(g, "a", 0) + 2 * _degree(g, "b", 0), n_even),
     ]
-    table = _spelled(ctx.g)
     for i in range(1, ctx.h + 1):
-        lhs = pushforward_degree(ctx, table.a[i]) + pushforward_degree(ctx, table.b[i])
-        out.append((f"a{i}+b{i}=even", lhs, n_even))
+        out.append((f"a{i}+b{i}=even", _degree(g, "a", i) + _degree(g, "b", i), n_even))
     return out

@@ -153,14 +153,13 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
         assert failures(6) == []
 
         with monkeypatch.context() as m:
-            orig_degrees = transfer._degrees
+            orig_degree = transfer._degree
 
-            def bump_a0(g):
-                # a0's degree in the one table that pushforward, R and the counts read
-                table = orig_degrees(g)
-                return transfer._Degrees(table.lam, (table.a[0] + 1, *table.a[1:]), table.b)
+            def bump_a0(g, kind, i):
+                # a0's degree in the one formula that pushforward, R and the counts read
+                return orig_degree(g, kind, i) + ((kind, i) == ("a", 0))
 
-            m.setattr(transfer, "_degrees", bump_a0)
+            m.setattr(transfer, "_degree", bump_a0)
             assert failures(6)
 
         with monkeypatch.context() as m:

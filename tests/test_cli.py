@@ -125,13 +125,12 @@ def test_counts(capsys):
 
 def test_counts_exits_one_on_a_wrong_stratum_degree(capsys, monkeypatch):
     # deg(B2/d2) off by one breaks a2+b2=even alone; exit 1 is the failed-identity code
-    original = transfer._degrees
+    original = transfer._degree
 
-    def bumped(g):
-        table = original(g)
-        return transfer._Degrees(table.lam, table.a, (*table.b[:2], table.b[2] + 1, *table.b[3:]))
+    def bumped(g, kind, i):
+        return original(g, kind, i) + ((kind, i) == ("b", 2))
 
-    monkeypatch.setattr(transfer, "_degrees", bumped)
+    monkeypatch.setattr(transfer, "_degree", bumped)
     code, out, err = run(capsys, "counts", "-g", "6")
     assert (code, err) == (1, "")
     assert [line for line in out.splitlines() if "FAIL" in line] == ["  identity a2+b2=even: 2081 == 2080  FAIL"]

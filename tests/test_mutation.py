@@ -1,8 +1,8 @@
 """Single +1 perturbations of any constant must flip at least one verify check.
 
 The constant families the engine rests on are the pushforward
-multiplicities (the entries of the one degree table, `transfer._degrees`,
-that pushforward, R and the counts read), the even, odd and total
+multiplicities (`transfer._degree`, the one formula per stratum that
+pushforward, R and the counts read), the even, odd and total
 degrees of the covering, the stored curve intersection numbers, the
 theta-null coefficients, the canonical classes on both sides, the closed
 form of the vanishing-theta-null class, the label sequences that spell the
@@ -15,6 +15,8 @@ makes of that evidence. Each case perturbs exactly one entry, written as
 as zero is perturbed like any other, and asserts that the per-genus suite
 reports a failure of a named identity: a `<section>:exception` check stands
 for a crash, and a mutant caught only by a crash does not count as caught.
+One paired perturbation, A_i + 1 with B_i - 1, keeps every sum identity of
+the degrees, and must be caught all the same.
 Divisor specs are perturbed on a copy that holds a perturbed class, past
 their own validation, and the coefficient sources of D are the ones that
 validation reads, so that only `verify` can catch them. A decomposition's
@@ -38,20 +40,35 @@ def _failures(g):
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(6), S_SIDE))
 def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
-    ctx, original = GenusCtx(6), transfer._degrees
-    # the label's entry in the table: lam, or a[i] or b[i], with a0 and b0s at i = 0
-    field, i = ("lam", None) if label == "lambda" else (label[0], 0 if label in ("a0", "b0s") else int(label[1:]))
+    ctx, original = GenusCtx(6), transfer._degree
+    # the label's kind and index: lambda, or a or b at i, with a0 and b0s at i = 0
+    key = ("lambda", 0) if label == "lambda" else (label[0], 0 if label in ("a0", "b0s") else int(label[1:]))
 
-    def bumped(g):
-        fields = dict(zip(("lam", "a", "b"), original(g)._values()))
-        value = fields[field]
-        fields[field] = value + 1 if i is None else tuple(d + (k == i) for k, d in enumerate(value))
-        return transfer._Degrees(**fields)
+    def bumped(g, kind, i):
+        return original(g, kind, i) + ((kind, i) == key)
 
     want = transfer.pushforward_degree(ctx, label) + 1
-    monkeypatch.setattr(transfer, "_degrees", bumped)
+    monkeypatch.setattr(transfer, "_degree", bumped)
     assert transfer.pushforward_degree(ctx, label) == want
     assert _failures(6), f"no check caught the perturbed multiplicity at {label}"
+
+
+@pytest.mark.parametrize("i", (1, 2, 3))
+def test_opposite_perturbations_of_a_i_and_b_i_are_caught(i, monkeypatch):
+    # A_i + 1 and B_i - 1 keep A_i + B_i, where the i-dependent term
+    # 2^i + 2^(g-i) cancels, so every counts identity and every projection
+    # check holds; theta-null's pushforward still sees the moved degrees
+    ctx, original = GenusCtx(6), transfer._degree
+
+    def bumped(g, kind, k):  # lambda's index is 0, so only A_i and B_i move
+        return original(g, kind, k) + (k == i) * (1 if kind == "a" else -1)
+
+    monkeypatch.setattr(transfer, "_degree", bumped)
+    assert transfer.pushforward_degree(ctx, f"a{i}") == original(6, "a", i) + 1
+    assert all(lhs == rhs for _, lhs, rhs in transfer.degree_identities(ctx))
+    failed = {c.name for c in _failures(6)}
+    assert not {name for name in failed if name.startswith("projection:")}
+    assert "theta:pushforward" in failed
 
 
 @pytest.mark.parametrize("name", ("even_component_degree", "odd_component_degree", "total_degree"))

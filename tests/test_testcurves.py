@@ -232,13 +232,12 @@ def test_curve_map_returns_a_fresh_table():
 
 def test_zero_covering_degree_leaves_no_entry_in_r(monkeypatch):
     ctx = GenusCtx(6)
-    original = transfer._degrees
+    original = transfer._degree
 
-    def zero_b0s(g):  # b0s's entry of the degree table, which R reads through pushforward_degree
-        table = original(g)
-        return transfer._Degrees(table.lam, table.a, (0, *table.b[1:]))
+    def zero_b0s(g, kind, i):  # b0s's degree, which R reads through pushforward_degree
+        return 0 if (kind, i) == ("b", 0) else original(g, kind, i)
 
-    monkeypatch.setattr(transfer, "_degrees", zero_b0s)
+    monkeypatch.setattr(transfer, "_degree", zero_b0s)
     r = curve_map(ctx)["R"]
     assert "b0s" not in r.coeff
     assert r == DivisorClass(ctx, S_SIDE, {"lambda": 14560, "a0": 55296, "b0s": 0})

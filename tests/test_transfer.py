@@ -145,7 +145,7 @@ def _arf_counts(top):
     return even, odd
 
 
-_E, _O = _arf_counts(200)
+_E, _O = _arf_counts(1000)
 
 
 @pytest.mark.parametrize("g", range(2, 61))
@@ -160,42 +160,22 @@ def test_stratum_degrees_match_the_arf_recursion(g):
 
 
 def test_degree_table_matches_the_arf_recursion():
-    # the one table that pushforward reads, entry by entry and then label by label
-    for g in range(2, 201):
-        ctx, table = GenusCtx(g), transfer._degrees(g)
-        assert table.lam == _E[g]
-        assert table.a == (_E[g - 1] + _O[g - 1], *[_E[i] * _E[g - i] for i in range(1, ctx.h + 1)])
-        assert table.b == (_E[g - 1], *[_O[i] * _O[g - i] for i in range(1, ctx.h + 1)])
+    # the one formula that pushforward reads, degree by degree against the
+    # recursion's products, and then label by label
+    formula = transfer._degree
+    for g in (*range(2, 301), 1000):
+        ctx = GenusCtx(g)
         want = {"lambda": _E[g], "a0": _E[g - 1] + _O[g - 1], "b0s": _E[g - 1]}
+        got = {"lambda": formula(g, "lambda", 0), "a0": formula(g, "a", 0), "b0s": formula(g, "b", 0)}
         for i in range(1, ctx.h + 1):
-            want[f"a{i}"] = _E[i] * _E[g - i]
-            want[f"b{i}"] = _O[i] * _O[g - i]
+            want[f"a{i}"], want[f"b{i}"] = _E[i] * _E[g - i], _O[i] * _O[g - i]
+            got[f"a{i}"], got[f"b{i}"] = formula(g, "a", i), formula(g, "b", i)
+        assert got == want
         assert {label: pushforward_degree(ctx, label) for label in labels_for(ctx, S_SIDE)} == want
-        # and each basis class is pushed forward by its own entry
+        # and each basis class is pushed forward by its own degree
         for label, degree in want.items():
             image = "d0" if label in ("a0", "b0s") else "lambda" if label == "lambda" else f"d{label[1:]}"
             assert dict(pushforward(basis_class(ctx, S_SIDE, label)).num) == {image: degree}
-
-
-def test_degree_table_cannot_be_mutated():
-    table = transfer._degrees(9)
-    for name in ("lam", "a", "b"):
-        with pytest.raises(AttributeError):
-            setattr(table, name, getattr(table, name))
-    for entries in (table.a, table.b):
-        assert type(entries) is tuple
-        with pytest.raises(TypeError):
-            entries[0] = 0
-    assert transfer._degrees(9) is table and table.lam == _E[9]
-
-
-def test_degree_table_cache_is_bounded():
-    # unlike the labels, the degrees depend on the genus, so each genus has a table; a sweep visits each genus once
-    assert transfer._degrees.cache_info().maxsize == 8
-    transfer._degrees.cache_clear()
-    for g in range(3, 40):
-        transfer._degrees(g)
-    assert transfer._degrees.cache_info().currsize == 8
 
 
 # --- the transfer maps against per-label Fraction oracles ---------------------

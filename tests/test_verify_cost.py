@@ -12,11 +12,10 @@ through `testcurves.curve_map`, which builds the table on every call. A
 failing genus renders its failure records exactly as the eager renderer
 did, counts as many checks in the report as `run_genus` lists, and keeps
 the identities a crashed section yielded before it raised. A patched
-degree table (`transfer._degrees`) reaches R, also after an unpatched run
-of the same genus, and undoing the patch leaves no stale R behind. A
-report builds the degree table of its genus once, and `pushforward` calls
-no component degree; a component degree patched while the table of its
-genus is cold leaves no stale table behind once the patch is undone. A
+covering degree (`transfer._degree`) reaches R, also after an unpatched
+run of the same genus, and undoing the patch leaves no stale R behind.
+`pushforward` calls no component degree, and a patched component degree
+leaves nothing stale behind once the patch is undone. A
 certificate builds the class of its auxiliary divisor once, when it builds
 the divisor, and pulls back that same class. A genus
 builds each named class and each basis-class pullback once and shares it
@@ -100,11 +99,7 @@ def _bump_canonical_s(original):
 
 
 def _bump_lambda_degree(original):
-    def bumped(g):
-        table = original(g)
-        return transfer._Degrees(table.lam + 1, table.a, table.b)
-
-    return bumped
+    return lambda g, kind, i: original(g, kind, i) + (kind == "lambda")
 
 
 def _record(name, g, expected, got):
@@ -113,12 +108,12 @@ def _record(name, g, expected, got):
 
 # Rendered by the eager renderer, which formatted every value as its check
 # was recorded; the report, which renders only failures, must reproduce them
-# byte for byte. The patched degree
-# table must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
-# which reads lambda's degree off that table (solve:thetanull). nu is read off the lambda slots
+# byte for byte. The patched covering
+# degree must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
+# which reads lambda's degree through pushforward_degree (solve:thetanull). nu is read off the lambda slots
 # of the classes, so a lambda added to theta or K fails kodaira:nu-from-slope.
 _MUTATIONS = [
-    (transfer, "_degrees", _bump_lambda_degree, 6, [
+    (transfer, "_degree", _bump_lambda_degree, 6, [
         _record("projection:lambda", 6, "2080*lambda", "2081*lambda"),
         _record("projection:fuzz", 6, "7150*lambda - 17680*d0 - 95680*d1 - 5616*d2 + 2340*d3",
                 "114455/16*lambda - 17680*d0 - 95680*d1 - 5616*d2 + 2340*d3"),
@@ -233,10 +228,10 @@ def _bump_even_degree(original):
 
 
 def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
-    # R's lambda entry reads the degree table through pushforward_degree
+    # R's lambda entry reads its covering degree through pushforward_degree
     assert all(c.ok for c in verify.run_genus(6))  # an unpatched run of the same genus first
     with monkeypatch.context() as m:
-        m.setattr(transfer, "_degrees", _bump_lambda_degree(transfer._degrees))
+        m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
         failed = {c.name for c in verify.run_genus(6) if not c.ok}
     # verify's private curve table holds R's lambda entry at the true degree
     assert "curves:table:R" in failed
@@ -244,21 +239,19 @@ def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
 
 def test_undoing_a_degree_table_patch_leaves_no_stale_curve_table(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(transfer, "_degrees", _bump_lambda_degree(transfer._degrees))
+        m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
         assert not all(c.ok for c in verify.run_genus(6))
     assert [c.name for c in verify.run_genus(6) if not c.ok] == []
     assert testcurves.curve_map(GenusCtx(6))["R"]["lambda"] == 14560
 
 
-def test_a_report_builds_the_degree_table_of_its_genus_once(monkeypatch):
+def test_pushforward_calls_no_component_degree(monkeypatch):
     callers = {name: _counting(monkeypatch, transfer, name)
                for name in ("even_component_degree", "odd_component_degree", "total_degree")}
     pushed = _counting(monkeypatch, transfer, "pushforward")
-    transfer._degrees.cache_clear()
     assert verify.build_report(30, 30)["status"] == "OK"
-    assert transfer._degrees.cache_info().misses == 1
-    # pushforward reads every degree off the table, so only the code that
-    # checks the table against the component degrees calls them
+    # pushforward reads every degree off transfer._degree, so only the code
+    # that checks the degrees against the component degrees calls them
     assert len(pushed) > 2 * GenusCtx(30).h + 3  # at least one per spin basis class
     assert {name: set(calls) for name, calls in callers.items()} == {
         "even_component_degree": {"_identities", "degree_identities"},
@@ -268,13 +261,11 @@ def test_a_report_builds_the_degree_table_of_its_genus_once(monkeypatch):
 
 
 def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkeypatch):
-    # the table is built from transfer's private E and O, so a patch of the
-    # public degree that is live while the table is built does not stay in it
-    transfer._degrees.cache_clear()
+    # the covering degrees are computed from transfer's private E, so a patch
+    # of the public degree reaches only the identities that check them
     with monkeypatch.context() as m:
         m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
         assert not all(c.ok for c in verify.run_genus(7))
-    assert transfer._degrees.cache_info().currsize == 1
     assert [c.name for c in verify.run_genus(7) if not c.ok] == []
 
 
