@@ -116,9 +116,8 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
-    """Pairing of the covering curve R with the canonical class; negative iff g <= 7."""
-    r = testcurves.curve_map(ctx)["R"]
-    return testcurves.intersect(r, catalog.canonical_s(ctx))
+    """Pairing of the covering curve R with the canonical class, as a Fraction; negative iff g <= 7."""
+    return Fraction(testcurves.intersect(testcurves.covering_curve(ctx), catalog.canonical_s(ctx)))
 
 
 class KodairaCertificate(_Value):

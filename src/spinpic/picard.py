@@ -37,6 +37,8 @@ input and βi maps to b0s for i = 0):
     class  := "0" | term (("+" | "-") term)*
     term   := [rational "*"] label
     rational := integer ["/" positive-integer]
+
+parse_class reads each signed term with one regex match, left to right.
 """
 
 from __future__ import annotations
@@ -373,8 +375,9 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
 
 # --- text format -----------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"(?:(?P<p>\d+)(?:\s*/\s*(?P<q>\d+))?\s*\*\s*)?"
+# one signed term: the sign is optional in the pattern and required, by _parse_terms, after position 0
+_SIGNED_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<p>\d+)(?:\s*/\s*(?P<q>\d+))?\s*\*\s*)?"
     r"(?P<label>λ|lambda|[dab]\d+s?|[δαβ]\d+)",
     re.ASCII,  # \d and \s match ASCII only; the λ/δ/α/β literals still match
 )
@@ -398,8 +401,9 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     """Parse a class expression against the basis of (ctx, side).
 
     Raises UnknownLabelError for labels outside the basis and
-    ClassSyntaxError for anything that does not match the grammar. The
-    terms are summed by the same integer kernel as lincomb.
+    ClassSyntaxError for anything that does not match the grammar, each at
+    the first term where it occurs. The terms are summed by the same integer
+    kernel as lincomb.
     """
     s = text.strip(_ASCII_WHITESPACE)
     if s == "0":
@@ -409,28 +413,30 @@ def parse_class(text: str, ctx: GenusCtx, side: str) -> DivisorClass:
     return _sum_terms(ctx, side, _parse_terms(s, text, ctx, side))
 
 
-def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> Iterator[tuple[int, int, tuple[tuple[str, int]]]]:
-    """Each term of the stripped expression s as a _sum_terms group (numerator, denominator, ((label, 1),))."""
+def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> list[tuple[int, int, tuple[tuple[str, int]]]]:
+    """Each term of the stripped expression s as a _sum_terms group (numerator, denominator, ((label, 1),)).
+
+    One match of _SIGNED_TERM_RE per term; the terms must follow each other
+    with no gap, each after the first with its sign, up to the end of s.
+    """
     basis, h = _basis(ctx.g, side), ctx.h
-    # s is stripped, so whitespace after a term is always followed by a sign
-    pos = 0
-    while pos < len(s):
-        sign = 1
-        m = _SIGN_RE.match(s, pos)
-        if m is not None:
-            sign = 1 if m.group(1) == "+" else -1
-            pos = m.end()
-        elif pos:
-            raise ClassSyntaxError(f"expected '+' or '-' before position {pos} in {text!r}")
-        m = _TERM_RE.match(s, pos)
-        if m is None:
-            raise ClassSyntaxError(f"expected a term at position {pos} in {text!r}")
-        label = _canonical_label(m.group("label"))
+    groups, pos = [], 0
+    for m in _SIGNED_TERM_RE.finditer(s):
+        sign, p, q, token = m.groups()
+        if m.start() != pos or (pos and not sign):
+            break
+        label = _canonical_label(token)
         if basis.get(label, h + 1) > h:  # as in _index
-            raise _unknown_labels((m.group("label"),), ctx, side)  # the token as written, λ or δ included
-        n, d = _ints(m["p"] or "1", m["q"])
-        yield sign * n, d, ((label, 1),)
+            raise _unknown_labels((token,), ctx, side)  # the token as written, λ or δ included
+        n, d = _ints(p or "1", q)
+        groups.append((-n if sign == "-" else n, d, ((label, 1),)))
         pos = m.end()
+    if pos < len(s):  # no signed term starts at pos, so the sign alone words the error
+        m = _SIGN_RE.match(s, pos)  # s is stripped, so whitespace after a term is always followed by a sign
+        if m is None and pos:
+            raise ClassSyntaxError(f"expected '+' or '-' before position {pos} in {text!r}")
+        raise ClassSyntaxError(f"expected a term at position {pos if m is None else m.end()} in {text!r}")
+    return groups
 
 
 def render_class(x: DivisorClass) -> str:

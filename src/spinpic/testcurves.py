@@ -34,14 +34,13 @@ from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratio, _spe
                      require_classification_genus)
 
 
-def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
+def intersect(curve: DivisorClass, x: DivisorClass) -> int | Fraction:
     """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
 
     The only pairing in the package; verify's compat rows call it too. The
-    numerators are summed as integers over the labels both store, and a
-    nonzero sum becomes one Fraction over the product of the denominators,
-    so a pairing that sums to 0 builds no Fraction at all, and one over
-    denominators 1 builds it from the int alone.
+    numerators are summed as integers over the labels both store. Over
+    denominators 1 the pairing is that int sum, and no Fraction is built;
+    otherwise it is one reduced Fraction over the product of the denominators.
     """
     if curve.side != x.side:
         raise SideMismatchError(
@@ -53,31 +52,41 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> Fraction:
     for label, n in curve.num.items():  # a curve stores a few entries, too few to pay for a comprehension
         if label in xn:
             total += n * xn[label]
-    if not total:
-        return _ZERO
-    return Fraction(total) if curve.den == x.den == 1 else Fraction(total, curve.den * x.den)
+    if curve.den == x.den == 1:
+        return total
+    return Fraction(total, curve.den * x.den) if total else _ZERO
+
+
+def _b_entries(g: int) -> dict[str, int]:
+    """B's entries at genus g, which curve_map stores as B and covering_curve lifts to R."""
+    return {"lambda": g + 1, "d0": 6 * g + 18}
+
+
+def covering_curve(ctx: GenusCtx) -> DivisorClass:
+    """curve_map's R alone: B's entries at each label's image (d0 under a0 and b0s) times its covering degree."""
+    require_classification_genus(ctx)
+    b = _b_entries(ctx.g)
+    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s))
+            for s, m in (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0")))
+    # the degrees are read at call time, and one of 0 leaves no entry, as the constructor would drop it
+    return _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}, 1)
 
 
 def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """The standard test curves at genus ctx.g, by name, built on every call.
 
-    R's entries are B's at each label's image (d0 under a0 and b0s) times the
-    covering degrees of transfer.pushforward_degree at call time, and the
-    dict is fresh, so a caller may rebind or delete its entries. Every entry
-    is a nonzero integer under a basis label by construction, so the curves
-    skip the constructor's validation (picard._trusted), as catalog's closed
-    forms do; tests/test_catalog.py checks each against the validating constructor.
+    R is covering_curve(ctx), looked up at call time, and the dict is fresh,
+    so a caller may rebind or delete its entries. Every entry is a nonzero
+    integer under a basis label by construction, so the curves skip the
+    constructor's validation (picard._trusted), as catalog's closed forms
+    do; tests/test_catalog.py checks each against the validating constructor.
     """
     require_classification_genus(ctx)
     g = ctx.g
     table = _spelled(g)
-    b = {"lambda": g + 1, "d0": 6 * g + 18}
-    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s))
-            for s, m in (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0")))
     curves = {
-        "B": _trusted(ctx, M_SIDE, b, 1),
-        # a degree of 0 leaves no entry, as the constructor would drop it
-        "R": _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}, 1),
+        "B": _trusted(ctx, M_SIDE, _b_entries(g), 1),
+        "R": covering_curve(ctx),
         "F0": _trusted(ctx, S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}, 1),
         "G0": _trusted(ctx, S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}, 1),
         "H0": _trusted(ctx, S_SIDE, {"b0s": 1 - g, "a1": 1}, 1),

@@ -17,7 +17,8 @@ The identities deliberately re-derive constants along independent routes
 forms, a private copy of the curve tables, a private slope table for each
 genus's divisor D) so that a single corrupted multiplicity, intersection
 number, or class coefficient flips at least one identity to FAIL. The
-kodaira section checks what `kodaira.certify` makes of its own evidence.
+kodaira section checks what `kodaira.certify` makes of its own evidence,
+writing the c and c' it expects from the remainder's integers by `_pq`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import catalog, kodaira, testcurves, transfer
 from .picard import (
@@ -63,6 +64,12 @@ def _fmt(value) -> str:
         items = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
         return "{" + items + "}"
     return str(value)
+
+
+def _pq(n: int, d: int) -> str:
+    """n/d for d >= 1 as "p/q" in lowest terms, or "p" over 1: verify's own writer, beside picard._ratio."""
+    k = gcd(n, d)
+    return f"{n // k}" if k == d else f"{n // k}/{d // k}"
 
 
 class _Row(_Value):
@@ -273,17 +280,14 @@ def _identities(g: int):
             yield "kodaira:nu-zero", Fraction(0), dec.nu
         if g >= 9:
             yield "kodaira:nu-positive", True, dec.nu > 0
-        c, c_prime = dec.c, dec.c_prime  # each read builds its Fraction tuple
+        rest = dec.remainder  # c at the a_i, c' at the b_i, and nothing else
         if spec.complete:
             scale = Fraction(3, 2) / spec.b0
             assembled = lincomb([dec.nu, 8, scale, 1], [
                 basis_class(ctx, S_SIDE, "lambda"),
                 theta,
                 transfer.pullback(catalog.divisor_class(spec)),
-                DivisorClass(ctx, S_SIDE, {
-                    **{f"a{i}": c[i - 1] for i in range(1, ctx.h + 1)},
-                    **{f"b{i}": c_prime[i - 1] for i in range(1, ctx.h + 1)},
-                }),
+                rest,
             ])
             yield "kodaira:decomposition-identity", canonical_s, assembled
             if g >= 8:
@@ -297,9 +301,10 @@ def _identities(g: int):
                  (kodaira.FLAG_EXTRAPOLATED, g > 22))
         yield "kodaira:flags", [flag for flag, on in flags if on], cert["flags"]
         yield "kodaira:rk", str(rk) if g <= 7 else None, cert["rk"]
-        # remainders only where D is complete, one per i = 1..h
-        for name, key, values in (("c", "c", c), ("c-prime", "c_prime", c_prime)):
-            want = [str(values[i]) for i in range(ctx.h)] if g >= 8 and composite else None
+        # remainders only where D is complete, one per i = 1..h, each written from rest's integers
+        for name, key, family in (("c", "c", "a"), ("c-prime", "c_prime", "b")):
+            want = [_pq(rest.num.get(f"{family}{i}", 0), rest.den) for i in range(1, ctx.h + 1)] \
+                if g >= 8 and composite else None
             yield f"kodaira:{name}", want, cert[key]
 
     for section, identities in (

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from spinpic.picard import (
     S_SIDE,
     _basis,
     _ratio,
+    _unknown_labels,
     _spelled,
     _trusted,
     basis_class,
@@ -566,3 +568,58 @@ def test_parse_error_messages(text, error, message):
     with pytest.raises(error) as info:
         parse_class(text, GenusCtx(5), M_SIDE)
     assert str(info.value) == message
+
+
+# --- parse_class against a stepwise two-regex oracle --------------------------
+
+_ORACLE_SIGN = re.compile(r"\s*([+-])\s*", re.ASCII)
+_ORACLE_TERM = re.compile(r"(?:(\d+)(?:\s*/\s*(\d+))?\s*\*\s*)?(λ|lambda|[dab]\d+s?|[δαβ]\d+)", re.ASCII)
+
+
+def _stepwise_parse(text, ctx, side):
+    """text's per-label Fraction sums, reading at each position an optional sign (required after 0), then a term."""
+    s = text.strip(" \t\n\r\f\v")
+    if s == "0":
+        return {}
+    if not s:
+        raise ClassSyntaxError("empty class expression")
+    basis, sums, pos = set(labels_for(ctx, side)), {}, 0
+    while pos < len(s):
+        sign, m = 1, _ORACLE_SIGN.match(s, pos)
+        if m is not None:
+            sign, pos = (1 if m[1] == "+" else -1), m.end()
+        elif pos:
+            raise ClassSyntaxError(f"expected '+' or '-' before position {pos} in {text!r}")
+        m = _ORACLE_TERM.match(s, pos)
+        if m is None:
+            raise ClassSyntaxError(f"expected a term at position {pos} in {text!r}")
+        p, q, token = m.groups()
+        head = {"δ": "d", "α": "a", "β": "b"}.get(token[0], token[0])
+        label = "lambda" if token in ("λ", "lambda") else "b0s" if token == "β0" else head + token[1:]
+        if label not in basis:
+            raise _unknown_labels((token,), ctx, side)
+        if q is not None and int(q) == 0:
+            raise ValueError(f"zero denominator: '{p}/{q}'")
+        sums[label] = sums.get(label, 0) + sign * Fraction(int(p or 1), int(q or 1))
+        pos = m.end()
+    return {label: v for label, v in sums.items() if v}
+
+
+_FRAGMENTS = st.sampled_from([
+    *"0123456789", "12", "/", "*", "+", "-", " ", "\t",
+    "d1", "a0", "b0s", "lambda", "λ", "δ1", "β0",
+    "x", "s", ".", "d9", "\u0663",  # junk: a stray letter, a decimal point, a label past h, an Arabic-Indic 3
+])
+
+
+@given(st.lists(_FRAGMENTS, max_size=12).map("".join), st.sampled_from([M_SIDE, S_SIDE]))
+def test_parse_class_matches_a_stepwise_two_regex_parse(text, side):
+    ctx = GenusCtx(5)
+    try:
+        want = _stepwise_parse(text, ctx, side)
+    except (ClassSyntaxError, UnknownLabelError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_class(text, ctx, side)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert dict(parse_class(text, ctx, side).coeff) == want

@@ -16,6 +16,7 @@ from spinpic.picard import (
     labels_for,
 )
 from spinpic.testcurves import (
+    covering_curve,
     curve_map,
     intersect,
     solve_thetanull,
@@ -205,7 +206,8 @@ def test_intersect_matches_full_basis_sum(g, side, den, data):
     curve = data.draw(sparse_classes(g, side, den))
     x = data.draw(sparse_classes(g, side, den))
     got = intersect(curve, x)
-    assert type(got) is Fraction
+    # an int exactly when both are over den 1, else a reduced Fraction
+    assert type(got) is (int if curve.den == x.den == 1 else Fraction)
     assert got == sum(curve[l] * x[l] for l in labels_for(GenusCtx(g), side))
 
 
@@ -228,6 +230,20 @@ def test_curve_map_returns_a_fresh_table():
     again = curve_map(ctx)
     assert again["H0"]["a1"] == 1
     assert "G2" in again
+
+
+@pytest.mark.parametrize("g", range(3, 61))
+def test_covering_curve_is_curve_maps_r(g):
+    ctx = GenusCtx(g)
+    assert covering_curve(ctx) == curve_map(ctx)["R"]
+
+
+def test_a_patched_covering_curve_fails_the_r_table_and_rk(monkeypatch):
+    # curve_map and kodaira's R . K both read R through the module attribute;
+    # -R pairs positively with K, which kodaira:rk-sign reads
+    monkeypatch.setattr(testcurves, "covering_curve", lambda ctx, original=testcurves.covering_curve: -original(ctx))
+    failed = {c.name for c in verify.run_genus(5) if not c.ok}
+    assert {"curves:table:R", "kodaira:rk-sign"} <= failed
 
 
 def test_zero_covering_degree_leaves_no_entry_in_r(monkeypatch):

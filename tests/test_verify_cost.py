@@ -220,7 +220,14 @@ def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
     callers = _counting(monkeypatch, testcurves, "curve_map")
     verify.run_genus(9)
     # every use goes through the module attribute, so patches reach it
-    assert set(callers) == {"_identities", "solve_thetanull", "uniruled_certificate"}
+    assert set(callers) == {"_identities", "solve_thetanull"}
+
+
+def test_r_alone_is_built_by_covering_curve(monkeypatch):
+    # kodaira's R . K pairs R alone, with no curve table built for it
+    callers = _counting(monkeypatch, testcurves, "covering_curve")
+    verify.run_genus(9)
+    assert set(callers) == {"curve_map", "uniruled_certificate"}
 
 
 def _bump_even_degree(original):
@@ -363,6 +370,18 @@ def test_curve_tables_and_ratios_build_few_fractions(monkeypatch):
     # between two genera that both run it, the section grows by two per i
     at_39, at_79 = (_section_fractions(monkeypatch, g, "brill_noether") for g in (39, 79))
     assert at_79 - at_39 <= 2 * (GenusCtx(79).h - GenusCtx(39).h)
+
+
+@pytest.mark.parametrize("section", ("classification", "pullback_compat", "lift"))
+def test_sections_build_as_many_fractions_at_any_genus(section, monkeypatch):
+    # intersect pairs classes over den 1 to ints, and the kodaira section writes c
+    # and c' from the remainder's integers, so none of these builds a Fraction per i
+    assert _section_fractions(monkeypatch, 79, section) == _section_fractions(monkeypatch, 39, section)
+
+
+def test_a_high_genus_report_builds_few_fractions(monkeypatch):
+    report, built = _fraction_constructions(monkeypatch, lambda: verify.build_report(79, 79))
+    assert report["status"] == "OK" and built <= 150
 
 
 def test_a_passing_report_gets_no_triple_from_a_row(monkeypatch):
