@@ -18,6 +18,9 @@ independent spellings, and no other module reads the label sequences
 except through picard's accessors, which verify does not call.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
+And it keeps one writer of indented JSON: no call passes an indent, to
+json.dumps, json.dump or anything else, and only verify's writer builds a
+json.JSONEncoder.
 """
 
 import ast
@@ -202,3 +205,15 @@ def test_no_module_uses_cached_property():
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
     assert uses == []
+
+
+def test_verify_report_json_is_the_one_indented_json_writer():
+    # json.dumps with an indent runs json's pure-Python encoder, and report_json writes the same bytes by
+    # the C one; no call passes an indent at all, so neither json.dumps(..., indent=2) nor a partial of it
+    # brings a second, slower path back
+    indented = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)]
+    assert indented == []
+    sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py")) for where in _call_sites(path, "JSONEncoder")]
+    assert sites == [("verify.py", ""), ("verify.py", "_flat")]
