@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -244,9 +245,8 @@ def canonical_s(ctx: GenusCtx) -> DivisorClass:
     """
     require_classification_genus(ctx)
     table = _spelled(ctx.g)
-    num = {"lambda": 13, table.a[0]: -2, table.b[0]: -3, table.a[1]: -3, table.b[1]: -3}
-    for i in range(2, ctx.h + 1):
-        num[table.a[i]] = num[table.b[i]] = -2
+    num = dict.fromkeys(islice(table.s, 2 * ctx.h + 3), -2)  # the basis in order, one C call; four labels then differ
+    num["lambda"], num[table.b[0]], num[table.a[1]], num[table.b[1]] = 13, -3, -3, -3
     return _trusted(ctx, S_SIDE, num, 1)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _ratio, _spelled, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _ratios, _spelled, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts (README gives the cost near it).
 # A larger genus is refused before any work is done.
@@ -97,7 +97,7 @@ def _cmd_pair(args) -> int:
         table = {}
         for name, c in curves.items():
             row = table[name] = dict(zero[c.side])
-            row.update((label, _ratio(n, c.den)) for label, n in c.num.items())
+            row.update(zip(c.num, _ratios(c.num.values(), c.den)))
         print(verify.report_json(table))
         return 0
     if args.curve is None or args.classexpr is None:

@@ -14,8 +14,8 @@ rules in `certify` alone. `classify` gathers that evidence and ends in
 
 A `Decomposition` keeps the remainder class that `decompose_canonical`
 sums in integers by one _sum_terms call, nu being its one Fraction; c and
-c_prime are read off the remainder, and `certificate_json` is the one
-writer of their "p/q" lists, which the text certificate prints too.
+c_prime are read off it, and `certificate_json` writes each of their "p/q"
+lists by one _ratios call, which the text certificate prints too.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -29,7 +29,7 @@ from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _sum_terms, _Value
+from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _Value
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -56,8 +56,8 @@ class Decomposition(_Value):
 
     nu is what the lambda slot leaves of canonical - 8*theta - (3/(2*b0))*pullback(D).
     remainder is the spin-side class of the ai / bi remainders, None when
-    the divisor spec carries no boundary coefficients, in which case their
-    non-negativity is conditional rather than checked. c and c_prime read
+    the divisor spec carries no boundary coefficients: their non-negativity
+    is then conditional, and no ai / bi slot is summed. c and c_prime read
     its ai and bi coefficients, i = 1..h, as Fraction tuples.
     """
 
@@ -98,7 +98,8 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     _sum_terms call over integer groups, with nu read off the lambda slots
     as one integer combination, so it stores no lambda, and its a0 and b0s
     slots must vanish whatever the divisor. nu is the one Fraction built.
-    Without b_i, D = a*lambda - b0*d0 and the remainders stay conditional.
+    Without b_i, D = a*lambda - b0*d0, the remainders stay conditional, and
+    the call sums only the lambda, a0 and b0s pairs: no ai / bi is summed.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
@@ -107,7 +108,8 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     groups = [(1, k.den, k.num), (-8, theta.den, theta.num), (-3, -2 * spec.divisor.num["d0"], d.num)]
     den = lcm(*(q for _, q, _ in groups))
     nu = sum([n * (den // q) * num.get("lambda", 0) for n, q, num in groups])  # over den
-    terms = [(n, q, num.items()) for n, q, num in groups]
+    terms = [(n, q, num.items() if spec.complete else [(l, num[l]) for l in ("lambda", "a0", "b0s") if l in num])
+             for n, q, num in groups]
     remainder = _sum_terms(ctx, S_SIDE, [*terms, (-nu, den, (("lambda", 1),))])
     for label in ("a0", "b0s"):
         if label in remainder.num:
@@ -137,7 +139,7 @@ def certificate_json(cert: KodairaCertificate) -> dict:
     rest = None if dec is None else dec.remainder
 
     def remainders(family: str) -> list[str] | None:  # the one writer of c and c'
-        return None if rest is None else [_ratio(n, rest.den) for n in dec._numerators(family)]
+        return None if rest is None else _ratios(dec._numerators(family), rest.den)
 
     return {
         "genus": cert.ctx.g,

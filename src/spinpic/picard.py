@@ -28,8 +28,8 @@ itself, as an independent check of the sequences.
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
 "p/q" in lowest terms, or just "p" when the denominator is 1, as str() of
-a Fraction does; _ratio writes it from a numerator and a denominator, and
-rational() is the strict parser that reads it back.
+a Fraction does; _ratios writes a list of them from numerators over one
+denominator, and rational() is the strict parser that reads one back.
 
 Text grammar (ASCII; the Unicode forms λ, δi, αi, βi are accepted on
 input and βi maps to b0s for i = 0):
@@ -216,10 +216,9 @@ def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownL
 _ZERO = Fraction(0)
 
 
-def _ratio(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d >= 1, without building the Fraction: the one p/q writer of the package."""
-    k = gcd(n, d)
-    return str(n // k) if k == d else f"{n // k}/{d // k}"
+def _ratios(ns: Iterable[int], d: int) -> list[str]:
+    """[str(Fraction(n, d)) for n in ns] for d >= 1, without building a Fraction: the one p/q writer of the package."""
+    return [str(n // k) if (k := gcd(n, d)) == d else f"{n // k}/{d // k}" for n in ns]
 
 
 class DivisorClass(_Value):
@@ -445,14 +444,13 @@ def render_class(x: DivisorClass) -> str:
     Unit coefficients render as the bare label, so the output stays inside
     the input grammar and parse_class(render_class(x)) == x.
     """
+    num = x.num
+    mags = dict(zip(num, _ratios(map(abs, num.values()), x.den)))
     terms = []
-    num, den = x.num, x.den
     for label in _ordered(x.ctx.g, x.side):
-        n = num.get(label)
-        if n is not None:
-            mag = _ratio(abs(n), den)
+        if (mag := mags.get(label)) is not None:
             term = label if mag == "1" else f"{mag}*{label}"
-            terms.append(f"- {term}" if n < 0 else f"+ {term}")
+            terms.append(f"- {term}" if num[label] < 0 else f"+ {term}")
     text = " ".join(terms)
     if not text:
         return "0"

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from . import catalog, transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratio, _spelled, _sum_terms, _trusted,
+from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -156,5 +156,5 @@ def solve_thetanull(ctx: GenusCtx, show: Callable[[str], object] | None = None) 
     steps = list(_steps(ctx, curve_map(ctx), catalog.m1_theta_class(ctx)))
     if show is not None:
         for relation, label, n, d in steps:
-            show(f"  {relation}: {label} = {_ratio(n, d)}")
+            show(f"  {relation}: {label} = {_ratios((n,), d)[0]}")
     return _sum_terms(ctx, S_SIDE, [(n, d, ((label, 1),)) for _, label, n, d in steps])

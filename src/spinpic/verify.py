@@ -68,7 +68,7 @@ def _fmt(value) -> str:
 
 
 def _pq(n: int, d: int) -> str:
-    """n/d for d >= 1 as "p/q" in lowest terms, or "p" over 1: verify's own writer, beside picard._ratio."""
+    """n/d for d >= 1 as "p/q" in lowest terms, or "p" over 1: verify's own writer, beside picard._ratios."""
     k = gcd(n, d)
     return f"{n // k}" if k == d else f"{n // k}/{d // k}"
 
@@ -361,7 +361,7 @@ def build_report(start: int, end: int) -> dict:
     }
 
 
-_scalar = json.JSONEncoder().encode  # a str key or a lone scalar
+_scalar = json.JSONEncoder().encode  # a str key, or a lone scalar that is not an exact int, a bool or None
 _SCALARS = frozenset({str, int, bool, type(None)})
 
 
@@ -379,6 +379,8 @@ def report_json(report) -> str:
 
 
 def _write(obj, depth: int) -> str:
+    if obj.__class__ is int or obj.__class__ is bool or obj is None:  # as the encoder spells them, with none built
+        return repr(obj) if obj.__class__ is int else "null" if obj is None else "true" if obj else "false"
     if not isinstance(obj, (dict, list, tuple)):
         return _scalar(obj)
     if not obj:

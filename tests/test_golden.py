@@ -30,8 +30,10 @@ report it names, each from an in-process `cli.run` with stdout redirected:
     hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 They reach past the golden genera: the classify ranges are the certificates
-far past the tabulated range, verify 3..200 the range where compat's row
-families carry most of the checks, and the genus-1000 commands the ceiling.
+far past the tabulated range, up to the ceiling (3..1000 holds every
+slope-only genus, g+1 prime, past the benchmark's 700), verify 3..200 the
+range where compat's row families carry most of the checks, and the
+genus-1000 commands the ceiling.
 """
 
 import hashlib

@@ -85,19 +85,33 @@ def test_decomposition_of_a_user_divisor(spec):
     assert assembled == canonical_s(ctx)
 
 
+_SLOPE_SLOTS = ("lambda", "a0", "b0s")
+
+
 def _assert_matches_the_fraction_route(spec):
-    """nu and the remainder (kept also where D is slope-only) as Fraction scalars and lincomb give them."""
-    ctx, kept = spec.ctx, []
+    """nu and the one kernel sum as Fraction scalars and lincomb give them.
+
+    A complete D's sum is the whole remainder, which the decomposition keeps.
+    A slope-only D keeps none, so the kernel gets only the lambda, a0 and b0s
+    pairs, and its sum is the Fraction route's class at those slots.
+    """
+    ctx, calls = spec.ctx, []
     original = kodaira._sum_terms
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(kodaira, "_sum_terms", lambda *args: kept.append(original(*args)) or kept[-1])
+        m.setattr(kodaira, "_sum_terms", lambda *args: calls.append((args[2], original(*args))) or calls[-1][1])
         dec = decompose_canonical(ctx, spec)
     k, theta, d = canonical_s(ctx), thetanull_class(ctx), pullback(spec.divisor)
     scale = Fraction(3, 2) / spec.b0
     nu = k["lambda"] - 8 * theta["lambda"] - scale * d["lambda"]
     assert type(dec.nu) is Fraction and dec.nu == nu
-    assert kept == [lincomb([1, -nu, -8, -scale], [k, basis_class(ctx, S_SIDE, "lambda"), theta, d])]
-    assert dec.remainder is (kept[0] if spec.complete else None)
+    whole = lincomb([1, -nu, -8, -scale], [k, basis_class(ctx, S_SIDE, "lambda"), theta, d])
+    [(groups, kept)] = calls
+    if spec.complete:
+        assert kept == whole and dec.remainder is kept
+    else:
+        assert {label for _, _, pairs in groups for label, _ in pairs} <= set(_SLOPE_SLOTS)
+        assert kept == DivisorClass(ctx, S_SIDE, {label: whole[label] for label in _SLOPE_SLOTS})
+        assert dec.remainder is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,6 +123,15 @@ def test_integer_decomposition_of_a_user_divisor_matches_the_fraction_route(spec
 def test_integer_decomposition_of_each_own_divisor_matches_the_fraction_route():
     for g in range(8, 301):
         _assert_matches_the_fraction_route(choose_d(GenusCtx(g)))
+
+
+@pytest.mark.parametrize("g", (9, 10))  # a complete Brill-Noether D and a slope-only K3 D
+@pytest.mark.parametrize("label", ("a0", "b0s"))
+def test_a_nonzero_a0_or_b0s_remainder_raises(g, label, monkeypatch):
+    ctx, original = GenusCtx(g), catalog.canonical_s
+    monkeypatch.setattr(catalog, "canonical_s", lambda c: original(c) + basis_class(c, S_SIDE, label))
+    with pytest.raises(VerificationFailureError, match=f"^nonzero {label} remainder 1$"):
+        decompose_canonical(ctx, choose_d(ctx))
 
 
 def test_decompose_genus9():

@@ -7,7 +7,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinpic.catalog import canonical_m, canonical_s, choose_d, divisor_class, m1_theta_class, thetanull_class
@@ -18,7 +18,7 @@ from spinpic.picard import (
     M_SIDE,
     S_SIDE,
     _basis,
-    _ratio,
+    _ratios,
     _unknown_labels,
     _spelled,
     _trusted,
@@ -400,9 +400,17 @@ def test_transfer_maps_store_canonically(x):
     _assert_stored_canonically(pullback(x) if x.side == M_SIDE else pushforward(x))
 
 
-@given(st.integers(), st.integers(min_value=1))
-def test_ratio_writes_what_str_of_a_fraction_writes(n, d):
-    assert _ratio(n, d) == str(Fraction(n, d))
+_WIDE = st.integers(-2**200, 2**200)  # multi-word ints, beside the small ones st.integers() favours
+
+
+@example([], 1)
+@example([], 12)
+@example([-4, 0, 4, 6, -7], 1)
+@example([3 << 100, -(9 << 150), 1], 6 << 90)
+@given(st.lists(st.integers() | _WIDE), st.just(1) | st.integers(min_value=1) | _WIDE.filter(lambda d: d > 0))
+def test_ratio_writes_what_str_of_a_fraction_writes(ns, d):
+    # one list over one denominator: empty, negative, zero, d = 1 and multi-word entries alike
+    assert _ratios(ns, d) == [str(Fraction(n, d)) for n in ns]
 
 
 def test_equal_values_give_equal_classes():

@@ -3,9 +3,10 @@
 It is the one writer of indented JSON: the `verify --json` report, the
 `classify -g N --json` certificate and the `pair --dump` table. It writes
 each container of scalars with one call of json's C encoder and joins the
-rest itself, so every layout rule that json's own indented encoder follows
-is compared here byte for byte: keys that need escaping, bools beside ints,
-empty containers at any depth, and flat containers beside mixed ones.
+rest itself, and spells a lone exact int, bool or None itself, so every
+layout rule that json's own indented encoder follows is compared here byte
+for byte: keys that need escaping, bools beside ints, empty containers at
+any depth, flat containers beside mixed ones, and lone scalars.
 """
 
 import json
@@ -47,6 +48,26 @@ def test_report_json_writes_the_bytes_of_json_dumps(value):
 @given(st.lists(_SCALARS, max_size=4), st.dictionaries(_TEXT, _JSON, max_size=4))
 def test_flat_and_mixed_containers_side_by_side(flat, mixed):
     _same_as_json([flat, mixed, {"flat": flat, "mixed": mixed}])
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except ValueError:  # an int past the interpreter's digit limit, where there is one
+        return ValueError
+
+
+def test_lone_scalars():
+    # exact ints, True, False and None are spelled without the encoder; an int
+    # subclass (which json writes by int.__repr__), a float and a str still go through it
+    for value in (0, -7, 10**80, True, False, None, _Int(5), 1.5, float("nan"), "x", 10**5000):
+        for doc in (value, {"k": value, "m": [value, [value]]}):
+            assert _written(verify.report_json, doc) == _written(lambda v: json.dumps(v, indent=2, sort_keys=True), doc)
 
 
 def test_a_failing_verify_report(monkeypatch):

@@ -26,7 +26,9 @@ second run of a genus. A certificate builds no Fraction per basis label:
 from one genus to a higher one, its count does not grow, with or without
 the b_i of a Brill-Noether D. A passing report gets no identity from a
 compat row, the curve tables build no Fraction, and the Brill-Noether
-ratios build two per i. The kodaira section
+ratios build two per i. A decomposition with a slope-only D hands the
+class kernel as many pairs at any genus, and a certificate writes each of
+its c and c' lists by one call of the p/q writer. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which applies the
 sign rules, and never calls classify.
@@ -421,6 +423,49 @@ def test_certificates_build_no_fraction_per_label(monkeypatch):
     # g+1 prime: D is Gieseker-Petri with no b_i, so nothing grows with h
     assert all(not catalog.choose_d(GenusCtx(g)).complete for g in (100, 400))
     assert _certificate_fractions(monkeypatch, 400) <= _certificate_fractions(monkeypatch, 100)
+
+
+def _kernel_pairs(monkeypatch, spec):
+    """The number of (label, m) pairs that each class-kernel call of decompose_canonical(spec) gets."""
+    original, counts = kodaira._sum_terms, []
+
+    def counting(ctx, side, groups):
+        groups = [(n, d, list(pairs)) for n, d, pairs in groups]
+        counts.append(sum(len(pairs) for _, _, pairs in groups))
+        return original(ctx, side, groups)
+
+    with monkeypatch.context() as m:
+        m.setattr(kodaira, "_sum_terms", counting)
+        kodaira.decompose_canonical(spec.ctx, spec)
+    return counts
+
+
+def _slope_only(g):
+    return catalog.DivisorSpec(GenusCtx(g), catalog.UserSupplied("slope only"), Fraction(1), Fraction(1))
+
+
+def test_a_slope_only_decomposition_sums_a_bounded_number_of_pairs(monkeypatch):
+    # a D without b_i keeps no remainder, so the one kernel call gets the lambda,
+    # a0 and b0s pairs of K, theta and pi*D and nu's lambda: as many at any h
+    own_700, own_12 = catalog.choose_d(GenusCtx(700)), catalog.choose_d(GenusCtx(12))
+    assert all(isinstance(s.provenance, catalog.GiesekerPetri) and not s.complete for s in (own_700, own_12))
+    at_700, at_300 = _kernel_pairs(monkeypatch, own_700), _kernel_pairs(monkeypatch, _slope_only(300))
+    assert at_700 == _kernel_pairs(monkeypatch, own_12) and at_700[0] <= 10
+    assert at_300 == _kernel_pairs(monkeypatch, _slope_only(20)) and at_300[0] <= 10
+    # a complete D's remainder is kept, so its call gets every pair of the three classes
+    assert _kernel_pairs(monkeypatch, catalog.choose_d(GenusCtx(300))) > [3 * GenusCtx(300).h]
+
+
+@pytest.mark.parametrize("g", (9, 401, 700))
+def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
+    cert = kodaira.classify(GenusCtx(g))
+    calls = _counting(monkeypatch, kodaira, "_ratios")
+    doc = kodaira.certificate_json(cert)
+    # c and c' of a complete D are one call of the p/q writer each, not one per entry; a slope-only D has neither
+    if cert.decomposition.d_spec.complete:
+        assert calls == ["remainders"] * 2 and len(doc["c"]) == len(doc["c_prime"]) == GenusCtx(g).h
+    else:
+        assert calls == [] and doc["c"] is doc["c_prime"] is None
 
 
 @pytest.mark.parametrize("g", (5, 9, 12, 300))
