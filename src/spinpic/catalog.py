@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -222,10 +222,40 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 
 # --- canonical and theta-null classes ---------------------------------------
 
-# The four closed forms below hold nonzero integer numerators under basis
-# labels over a denominator prime to them by construction, so they skip the
-# constructor's validation (picard._trusted); tests/test_catalog.py checks
-# each against the validating constructor.
+# K (spin side) and theta are constant in i past i = 1, so each is written
+# once as a slot form (den, lambda, a0, b0s, a1, b1, ai, bi): numerators over
+# den, the pair (ai, bi) standing for every 2 <= i <= h. canonical_s and
+# thetanull_class build from them, and kodaira.decompose_canonical reads
+# them. The four closed forms below hold nonzero integer numerators under
+# basis labels over a denominator prime to them by construction, so they
+# skip the constructor's validation (picard._trusted); tests/test_catalog.py
+# checks each against the validating constructor.
+_CANONICAL_S_FORM = (1, 13, -2, -3, -3, -3, -2, -2)
+_THETANULL_FORM = (16, 4, -1, 0, 0, -8, 0, -8)
+
+
+def _slot_class(ctx: GenusCtx, form: tuple[int, ...]) -> DivisorClass:
+    """The spin-side class of a slot form at ctx's genus, in basis order with zeros dropped.
+
+    One dict.fromkeys call writes the head's five labels and the run
+    i = 2..h, and the head's values then replace the run's.
+    """
+    den, lam, a0, b0s, a1, b1, ai, bi = form
+    table, h = _spelled(ctx.g), ctx.h
+    a, b = table.a, table.b
+    if ai and bi:  # lambda, a0, b0s, a1, b1, then a2, b2, ..., ah, bh
+        num = dict.fromkeys(islice(table.s, 2 * h + 3), ai)
+        if bi != ai:
+            num.update(zip(islice(b, 2, h + 1), repeat(bi)))
+    else:
+        num = dict.fromkeys(["lambda", "a0", "b0s", a[1], b[1], *(a[2:h + 1] if ai else b[2:h + 1] if bi else ())],
+                            ai or bi)
+    num["lambda"], num["a0"], num["b0s"], num[a[1]], num[b[1]] = head = lam, a0, b0s, a1, b1
+    if 0 in head:
+        for label, n in zip(("lambda", "a0", "b0s", a[1], b[1]), head):
+            if not n:
+                del num[label]
+    return _trusted(ctx, S_SIDE, num, den)
 
 
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
@@ -240,23 +270,17 @@ def canonical_m(ctx: GenusCtx) -> DivisorClass:
 def canonical_s(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the spin side: 13*lambda - 2*a0 - 3*b0s - 3*(a1+b1) - 2*sum(ai+bi).
 
-    It equals pullback(canonical_m) + b0s; verify's canonical:splitting
-    check compares the two routes.
+    It is built from _CANONICAL_S_FORM and equals pullback(canonical_m) + b0s;
+    verify's canonical:splitting check compares the two routes.
     """
     require_classification_genus(ctx)
-    table = _spelled(ctx.g)
-    num = dict.fromkeys(islice(table.s, 2 * ctx.h + 3), -2)  # the basis in order, one C call; four labels then differ
-    num["lambda"], num[table.b[0]], num[table.a[1]], num[table.b[1]] = 13, -3, -3, -3
-    return _trusted(ctx, S_SIDE, num, 1)
+    return _slot_class(ctx, _CANONICAL_S_FORM)
 
 
 def thetanull_class(ctx: GenusCtx) -> DivisorClass:
-    """Class of the theta-null divisor: 1/4*lambda - 1/16*a0 - 1/2*sum(bi), over the denominator 16."""
+    """Class of the theta-null divisor, built from _THETANULL_FORM: 1/4*lambda - 1/16*a0 - 1/2*sum(bi), over 16."""
     require_classification_genus(ctx)
-    table = _spelled(ctx.g)
-    num = {"lambda": 4, table.a[0]: -1}
-    num.update(dict.fromkeys(table.b[1:ctx.h + 1], -8))
-    return _trusted(ctx, S_SIDE, num, 16)
+    return _slot_class(ctx, _THETANULL_FORM)
 
 
 def m1_theta_class(ctx: GenusCtx) -> DivisorClass:

@@ -12,10 +12,11 @@ The choice of evidence lives in `_rk_is_evidence` alone, and the three sign
 rules in `certify` alone. `classify` gathers that evidence and ends in
 `certify`; `verify` runs `certify` on the evidence it has already computed.
 
-A `Decomposition` keeps the remainder class that `decompose_canonical`
-sums in integers by one _sum_terms call, nu being its one Fraction; c and
-c_prime are read off it, and `certificate_json` writes each of their "p/q"
-lists by one _ratios call, which the text certificate prints too.
+`decompose_canonical` computes each slot of the decomposition as an
+integer from the slot forms of K and theta, D's numerators and the pullback
+rule, and builds no class. A `Decomposition` keeps nu, its one Fraction,
+and c and c' as integers over one den; `certificate_json` writes each "p/q"
+list by one _ratios call, which the text certificate prints too.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -25,11 +26,12 @@ on the certificate as a named hypothesis, not silently assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain, islice
+from math import gcd, lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _Value
+from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _trusted, _Value
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -55,66 +57,84 @@ class Decomposition(_Value):
     """Canonical = nu*lambda + 8*theta + (3/(2*b0))*pullback(D) + remainder.
 
     nu is what the lambda slot leaves of canonical - 8*theta - (3/(2*b0))*pullback(D).
-    remainder is the spin-side class of the ai / bi remainders, None when
-    the divisor spec carries no boundary coefficients: their non-negativity
-    is then conditional, and no ai / bi slot is summed. c and c_prime read
-    its ai and bi coefficients, i = 1..h, as Fraction tuples.
+    The remainder's ai and bi coefficients, i = 1..h, are c_num and
+    c_prime_num over den, in lowest terms; all three are None when the
+    divisor spec carries no boundary coefficients, whose non-negativity is
+    then conditional. c and c_prime read them as Fraction tuples, and
+    remainder builds their class on each read.
     """
 
-    __slots__ = __match_args__ = ("d_spec", "nu", "remainder")
+    __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
 
-    def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, remainder: DivisorClass | None) -> None:
-        self._init(d_spec=d_spec, nu=nu, remainder=remainder)
-
-    def _numerators(self, family: str) -> list[int]:
-        """The remainder's numerators at the labels family[1..h] of its own genus: "a" for c, "b" for c'."""
-        num, ctx = self.remainder.num, self.remainder.ctx
-        return [num.get(label, 0) for label in getattr(_spelled(ctx.g), family)[1:ctx.h + 1]]
+    def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, den: int | None,
+                 c_num: tuple[int, ...] | None, c_prime_num: tuple[int, ...] | None) -> None:
+        self._init(d_spec=d_spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
 
     @property
     def c(self) -> tuple[Fraction, ...] | None:
-        return None if self.conditional else tuple([Fraction(n, self.remainder.den) for n in self._numerators("a")])
+        return None if self.conditional else tuple([Fraction(n, self.den) for n in self.c_num])
 
     @property
     def c_prime(self) -> tuple[Fraction, ...] | None:
-        return None if self.conditional else tuple([Fraction(n, self.remainder.den) for n in self._numerators("b")])
+        return None if self.conditional else tuple([Fraction(n, self.den) for n in self.c_prime_num])
 
     @property
     def conditional(self) -> bool:
-        return self.remainder is None
+        return self.c_num is None
+
+    @property
+    def remainder(self) -> DivisorClass | None:
+        """The spin-side class sum(c_i*ai + c'_i*bi), built on each read; None when conditional."""
+        if self.conditional:
+            return None
+        table, h = _spelled(self.d_spec.ctx.g), len(self.c_num)
+        pairs = zip(islice(table.s, 3, 2 * h + 3), chain.from_iterable(zip(self.c_num, self.c_prime_num)))
+        return _trusted(self.d_spec.ctx, S_SIDE, {label: n for label, n in pairs if n}, self.den)
 
     def remainders_nonnegative(self) -> bool:
         if self.conditional:
             raise VerificationFailureError("remainders are conditional; no sign information")
-        # den is positive, so a numerator carries its sign; decompose_canonical leaves only c_i and c'_i stored
-        return min(self.remainder.num.values(), default=0) >= 0
+        return min((*self.c_num, *self.c_prime_num), default=0) >= 0  # den > 0, so a numerator carries its sign
 
 
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
     """Decompose the spin-side canonical class against 8*theta + scaled D.
 
-    D is the class that spec holds. The remainder
+    D is the class that spec holds. Each slot of the remainder
     canonical_s - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) is one
-    _sum_terms call over integer groups, with nu read off the lambda slots
-    as one integer combination, so it stores no lambda, and its a0 and b0s
-    slots must vanish whatever the divisor. nu is the one Fraction built.
-    Without b_i, D = a*lambda - b0*d0, the remainders stay conditional, and
-    the call sums only the lambda, a0 and b0s pairs: no ai / bi is summed.
+    integer over one lcm denominator, from K's and theta's slot forms
+    (catalog), D's numerators and the pullback rule (transfer._PULLBACK):
+    no class is built. nu, the one Fraction, is read off the lambda slots,
+    and the a0 and b0s slots must vanish. Without b_i, D = a*lambda - b0*d0,
+    the remainders stay conditional and only these slots are read; with
+    them, each c_i and c'_i is an affine map of D's di numerator.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
-    k, theta, d = catalog.canonical_s(ctx), catalog.thetanull_class(ctx), transfer.pullback(spec.divisor)
-    # pullback keeps D's den, and b0*den = -D.num["d0"], so (3/(2*b0))*pullback(D) is 3*d.num over 2*b0*den
-    groups = [(1, k.den, k.num), (-8, theta.den, theta.num), (-3, -2 * spec.divisor.num["d0"], d.num)]
-    den = lcm(*(q for _, q, _ in groups))
-    nu = sum([n * (den // q) * num.get("lambda", 0) for n, q, num in groups])  # over den
-    terms = [(n, q, num.items() if spec.complete else [(l, num[l]) for l in ("lambda", "a0", "b0s") if l in num])
-             for n, q, num in groups]
-    remainder = _sum_terms(ctx, S_SIDE, [*terms, (-nu, den, (("lambda", 1),))])
-    for label in ("a0", "b0s"):
-        if label in remainder.num:
-            raise VerificationFailureError(f"nonzero {label} remainder {remainder[label]}")
-    return Decomposition(spec, Fraction(nu, den), remainder if spec.complete else None)
+    (k_den, *k), (t_den, *t) = catalog._CANONICAL_S_FORM, catalog._THETANULL_FORM
+    p_lam, p_a0, p_b0s, p_ai, p_bi = transfer._PULLBACK
+    num = spec.divisor.num
+    d_lam, d0 = num["lambda"], num["d0"]
+    den = lcm(k_den, t_den, -2 * d0)
+    # K - 8*theta over den at lambda, a0, b0s, a1, b1 and at ai, bi for i >= 2
+    lam, a0, b0s, a1, b1, ai, bi = [den // k_den * x - 8 * (den // t_den) * y for x, y in zip(k, t)]
+    # pullback keeps D's den, and b0*den = -d0, so (3/(2*b0))*pullback(D) is p times D's images over den
+    p = 3 * (den // (-2 * d0))
+    nu = Fraction(lam - p * p_lam * d_lam, den)
+    for label, n in (("a0", a0 - p * p_a0 * d0), ("b0s", b0s - p * p_b0s * d0)):
+        if n:
+            raise VerificationFailureError(f"nonzero {label} remainder {Fraction(n, den)}")
+    if not spec.complete:
+        return Decomposition(spec, nu, None, None, None)
+    # c_i and c'_i are affine maps of D's di numerator; i = 1 takes the (a1, b1) slots instead
+    d = list(map(num.__getitem__, islice(_spelled(ctx.g).d, 1, ctx.h + 1)))
+    pa, pb = p * p_ai, p * p_bi
+    c, c_prime = [ai - pa * n for n in d], [bi - pb * n for n in d]
+    c[0] += a1 - ai
+    c_prime[0] += b1 - bi
+    if (common := gcd(den, *c, *c_prime)) != 1:
+        den, c, c_prime = den // common, [n // common for n in c], [n // common for n in c_prime]
+    return Decomposition(spec, nu, den, tuple(c), tuple(c_prime))
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:
@@ -136,18 +156,18 @@ class KodairaCertificate(_Value):
 def certificate_json(cert: KodairaCertificate) -> dict:
     """The certificate in its external JSON shape; every rational is "p/q"."""
     dec = cert.decomposition
-    rest = None if dec is None else dec.remainder
+    c, c_prime = (None, None) if dec is None else (dec.c_num, dec.c_prime_num)
 
-    def remainders(family: str) -> list[str] | None:  # the one writer of c and c'
-        return None if rest is None else _ratios(dec._numerators(family), rest.den)
+    def remainders(num: tuple[int, ...] | None) -> list[str] | None:  # the one writer of c and c'
+        return None if num is None else _ratios(num, dec.den)
 
     return {
         "genus": cert.ctx.g,
         "verdict": cert.verdict,
         "nu": None if dec is None else str(dec.nu),
         "rk": None if cert.rk is None else str(cert.rk),
-        "c": remainders("a"),
-        "c_prime": remainders("b"),
+        "c": remainders(c),
+        "c_prime": remainders(c_prime),
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }

@@ -362,7 +362,7 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
     here: the kernel's outputs (lincomb, parse_class, pushforward, each
-    divisor spec's D, solve_thetanull, decompose_canonical's remainder),
+    divisor spec's D, solve_thetanull), a decomposition's remainder,
     basis_class, pullback, catalog's closed forms and the test curves. The
     fields go straight into the instance dict, with no keyword dict built.
     """

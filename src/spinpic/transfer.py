@@ -4,11 +4,13 @@ The forgetful covering of degree 2^(2g) splits into an even component of
 relative degree E(g) = 2^(g-1)(2^g+1) and an odd one of degree
 O(g) = 2^(g-1)(2^g-1); everything here lives on the even component.
 Pullback splits boundary classes (d0 -> a0 + 2*b0s, di -> ai + bi) and
-fixes lambda; pushforward multiplies each spin-side basis class by the
-covering degree of the boundary stratum it sits on, a product of
-theta-characteristic counts by Cornalba's description of the spin boundary:
-A_i and B_i (i >= 1) carry even or odd ones on both components, A_0 any and
-B_0 even ones on the genus-(g-1) normalization. _degree writes each of
+fixes lambda, a rule written once as _PULLBACK, which pullback applies
+label by label and kodaira's decomposition slot by slot. Pushforward
+multiplies each spin-side basis class by the covering degree of the
+boundary stratum it sits on, a product of theta-characteristic counts by
+Cornalba's description of the spin boundary: A_i and B_i (i >= 1) carry
+even or odd ones on both components, A_0 any and B_0 even ones on the
+genus-(g-1) normalization. _degree writes each of
 these degrees once, in shifts and sums, and every reader computes it where
 it reads it; degree_identities ties the degrees to the component degrees.
 """
@@ -69,22 +71,29 @@ def pushforward_degree(ctx: GenusCtx, label: str) -> int:
     return _degree(ctx.g, *key)
 
 
+# The pullback rule as multiplicities: lambda's on lambda; d0's on a0 and on
+# b0s; di's on ai and on bi, the same for every i >= 1.
+_PULLBACK = (1, 1, 2, 1, 1)
+
+
 def pullback(x: DivisorClass) -> DivisorClass:
-    """Pullback to the spin side, one nonzero coefficient at a time."""
+    """Pullback to the spin side, one nonzero coefficient at a time, by the rule _PULLBACK."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
     table = _spelled(x.ctx.g)
     a, b, index = table.a, table.b, table.m
+    lam, a0, b0s, ai, bi = _PULLBACK
     out: dict[str, int] = {}
     for label, n in x.num.items():
         if label == "lambda":
-            out["lambda"] = n
+            out["lambda"] = lam * n
         elif label == "d0":
-            out["a0"], out["b0s"] = n, 2 * n
+            out["a0"], out["b0s"] = a0 * n, b0s * n
         else:
             i = index[label]
-            out[a[i]] = out[b[i]] = n
-    # images of basis labels are basis labels, and every numerator of x is kept, so gcd(den, *out) = 1
+            out[a[i]], out[b[i]] = ai * n, bi * n
+    # images of basis labels are basis labels, and each numerator of x is kept once
+    # (on lambda, a0 or ai, of multiplicity 1), so gcd(den, *out) = 1
     return _trusted(x.ctx, S_SIDE, out, x.den)
 
 

@@ -18,7 +18,9 @@ forms, a private copy of the curve tables, a private slope table for each
 genus's divisor D) so that a single corrupted multiplicity, intersection
 number, or class coefficient flips at least one identity to FAIL. The
 kodaira section checks what `kodaira.certify` makes of its own evidence,
-writing the c and c' it expects from the remainder's integers by `_pq`.
+writing the c and c' it expects from the remainder's integers by `_pq`;
+its decomposition identity assembles the classes by `lincomb`, a route
+apart from the engine's, which reads K and theta slot by slot.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpic import catalog, kodaira, transfer
+from spinpic import catalog, kodaira
 from spinpic.catalog import (
     BrillNoether,
     DivisorSpec,
@@ -121,27 +121,20 @@ def test_closed_forms_pass_the_validating_constructor(g):
         _assert_validated_form(cls, ctx, side)
 
 
-def _decomposition_inputs(monkeypatch, ctx, spec):
-    """The D that decompose_canonical pulls back for spec, and the class of the pairs that its nu group scales."""
-    sum_terms, pullback, seen = kodaira._sum_terms, transfer.pullback, []
-
-    def recording_sum_terms(ctx, side, groups):
-        seen.append(sum_terms(ctx, side, [(1, 1, groups[-1][2])]))  # the last group is -nu times these pairs
-        return sum_terms(ctx, side, groups)
-
-    def recording_pullback(x):
-        seen.append(x)
-        return pullback(x)
-
-    with monkeypatch.context() as m:
-        m.setattr(kodaira, "_sum_terms", recording_sum_terms)
-        m.setattr(transfer, "pullback", recording_pullback)
-        kodaira.decompose_canonical(ctx, spec)
-    return seen
+@pytest.mark.parametrize("g", [*range(3, 61), 999, 1000])
+def test_slot_form_classes_are_valid_in_basis_order(g):
+    # canonical_s and thetanull_class write their slot forms in one pass each:
+    # every label once, in basis order, zeros dropped (theta stores no ai and no b0s)
+    ctx = GenusCtx(g)
+    k, theta = canonical_s(ctx), thetanull_class(ctx)
+    for cls in (k, theta):
+        _assert_validated_form(cls, ctx, S_SIDE)
+    assert list(k.num) == list(labels_for(ctx, S_SIDE)) and k.den == 1
+    assert list(theta.num) == ["lambda", "a0", *(f"b{i}" for i in range(1, ctx.h + 1))] and theta.den == 16
 
 
 @pytest.mark.parametrize("g", range(3, 61))
-def test_engine_builders_pass_the_validating_constructor(g, monkeypatch):
+def test_engine_builders_pass_the_validating_constructor(g):
     # these builders skip DivisorClass validation too, each on input it has already checked
     ctx = GenusCtx(g)
     for side in (M_SIDE, S_SIDE):
@@ -157,13 +150,16 @@ def test_engine_builders_pass_the_validating_constructor(g, monkeypatch):
         _assert_validated_form(cls, ctx, M_SIDE)
         want = {"lambda": spec.a, "d0": -spec.b0, **{f"d{i}": -v for i, v in enumerate(spec.b, 1)}}
         assert cls == DivisorClass(ctx, M_SIDE, want)
+        # the decomposition builds its remainder class only when it is read, from c and c'
+        dec = kodaira.decompose_canonical(ctx, spec)
+        _assert_validated_form(dec.remainder, ctx, S_SIDE)
+        labels = [f"{family}{i}" for i in range(1, ctx.h + 1) for family in "ab"]
+        values = [v for pair in zip(dec.c, dec.c_prime) for v in pair]
+        assert dec.remainder == DivisorClass(ctx, S_SIDE, dict(zip(labels, values)))
+        assert list(dec.remainder.num) == [label for label, v in zip(labels, values) if v]  # basis order
     _assert_validated_form(solve_thetanull(ctx), ctx, S_SIDE)
     slope_only = DivisorSpec(ctx, UserSupplied("slope-only"), a=Fraction(13, 2), b0=Fraction(1, 5))
-    d, lam = _decomposition_inputs(monkeypatch, ctx, slope_only)
-    _assert_validated_form(d, ctx, M_SIDE)
-    assert d == DivisorClass(ctx, M_SIDE, {"lambda": Fraction(13, 2), "d0": Fraction(-1, 5)})
-    _assert_validated_form(lam, ctx, S_SIDE)
-    assert lam == DivisorClass(ctx, S_SIDE, {"lambda": 1})
+    assert kodaira.decompose_canonical(ctx, slope_only).remainder is None
 
 
 def test_basis_class_rejects_an_unknown_label_as_the_constructor_does():

@@ -28,7 +28,7 @@ from spinpic.kodaira import (
     decompose_canonical,
     uniruled_certificate,
 )
-from spinpic import catalog, kodaira, picard, verify
+from spinpic import catalog, kodaira, picard, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, basis_class, lincomb
 from spinpic.transfer import pullback
 
@@ -45,11 +45,19 @@ def test_nu_values():
     assert _nu(11) == Fraction(1, 2)
 
 
+def _bumped_form(name, slot):
+    """A copy of catalog's slot form `name` with 1 added to the class it writes at `slot` (lambda, a0 or b0s)."""
+    form = list(getattr(catalog, name))
+    form[("lambda", "a0", "b0s").index(slot) + 1] += form[0]  # the numerators are over form[0]
+    return tuple(form)
+
+
 def test_nu_is_what_the_lambda_slot_leaves(monkeypatch):
-    # one more lambda in the canonical class moves nu by one and leaves no lambda
-    # remainder, so nu follows the classes rather than a closed form of its own
-    ctx, original = GenusCtx(9), catalog.canonical_s
-    monkeypatch.setattr(catalog, "canonical_s", lambda c: original(c) + basis_class(c, S_SIDE, "lambda"))
+    # one more lambda in K's slot form moves nu by exactly one and leaves no
+    # lambda remainder, so nu follows the form rather than a closed form of its own
+    ctx = GenusCtx(9)
+    monkeypatch.setattr(catalog, "_CANONICAL_S_FORM", _bumped_form("_CANONICAL_S_FORM", "lambda"))
+    assert canonical_s(ctx)["lambda"] == 14  # the built class reads the same form
     dec = decompose_canonical(ctx, choose_d(ctx))
     assert dec.nu == Fraction(1, 5) + 1 == Fraction(6, 5)
     assert "lambda" not in dec.remainder.num
@@ -85,33 +93,32 @@ def test_decomposition_of_a_user_divisor(spec):
     assert assembled == canonical_s(ctx)
 
 
-_SLOPE_SLOTS = ("lambda", "a0", "b0s")
-
-
 def _assert_matches_the_fraction_route(spec):
-    """nu and the one kernel sum as Fraction scalars and lincomb give them.
+    """nu, den and every c and c' numerator are what Fraction scalars and lincomb give.
 
-    A complete D's sum is the whole remainder, which the decomposition keeps.
-    A slope-only D keeps none, so the kernel gets only the lambda, a0 and b0s
-    pairs, and its sum is the Fraction route's class at those slots.
+    The Fraction route builds K, theta and pullback(D) in full and sums
+    K - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) by lincomb; its lambda,
+    a0 and b0s slots vanish. A complete D's decomposition holds that sum's
+    den and its numerators at a1, b1, ..., ah, bh, zeros included; a
+    slope-only D's holds none of them.
     """
-    ctx, calls = spec.ctx, []
-    original = kodaira._sum_terms
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(kodaira, "_sum_terms", lambda *args: calls.append((args[2], original(*args))) or calls[-1][1])
-        dec = decompose_canonical(ctx, spec)
+    ctx = spec.ctx
+    dec = decompose_canonical(ctx, spec)
     k, theta, d = canonical_s(ctx), thetanull_class(ctx), pullback(spec.divisor)
     scale = Fraction(3, 2) / spec.b0
     nu = k["lambda"] - 8 * theta["lambda"] - scale * d["lambda"]
     assert type(dec.nu) is Fraction and dec.nu == nu
     whole = lincomb([1, -nu, -8, -scale], [k, basis_class(ctx, S_SIDE, "lambda"), theta, d])
-    [(groups, kept)] = calls
+    assert not {"lambda", "a0", "b0s"} & set(whole.num)
     if spec.complete:
-        assert kept == whole and dec.remainder is kept
+        assert type(dec.den) is int and dec.den == whole.den
+        for field, family in (("c_num", "a"), ("c_prime_num", "b")):
+            want = tuple(whole.num.get(f"{family}{i}", 0) for i in range(1, ctx.h + 1))
+            got = getattr(dec, field)
+            assert type(got) is tuple and all(type(n) is int for n in got) and got == want
+        assert dec.remainder == whole
     else:
-        assert {label for _, _, pairs in groups for label, _ in pairs} <= set(_SLOPE_SLOTS)
-        assert kept == DivisorClass(ctx, S_SIDE, {label: whole[label] for label in _SLOPE_SLOTS})
-        assert dec.remainder is None
+        assert (dec.den, dec.c_num, dec.c_prime_num, dec.remainder) == (None, None, None, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,11 +132,29 @@ def test_integer_decomposition_of_each_own_divisor_matches_the_fraction_route():
         _assert_matches_the_fraction_route(choose_d(GenusCtx(g)))
 
 
+def test_the_decomposition_reads_the_pullback_rule_that_pullback_applies(monkeypatch):
+    # the rule is written once, in transfer: d0 on b0s with multiplicity 3 leaves
+    # -3 + (3/(2*b0))*3*b0 = 3/2 there, and di on ai with multiplicity 2 moves every
+    # c_i as it moves the Fraction route, which calls pullback
+    ctx = GenusCtx(9)
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_PULLBACK", (1, 1, 3, 1, 1))
+        with pytest.raises(VerificationFailureError, match="^nonzero b0s remainder 3/2$"):
+            decompose_canonical(ctx, choose_d(ctx))
+    before = decompose_canonical(ctx, choose_d(ctx))
+    monkeypatch.setattr(transfer, "_PULLBACK", (1, 1, 2, 2, 1))
+    _assert_matches_the_fraction_route(choose_d(ctx))
+    moved = decompose_canonical(ctx, choose_d(ctx))
+    assert moved.c != before.c and moved.c_prime == before.c_prime
+
+
 @pytest.mark.parametrize("g", (9, 10))  # a complete Brill-Noether D and a slope-only K3 D
 @pytest.mark.parametrize("label", ("a0", "b0s"))
 def test_a_nonzero_a0_or_b0s_remainder_raises(g, label, monkeypatch):
-    ctx, original = GenusCtx(g), catalog.canonical_s
-    monkeypatch.setattr(catalog, "canonical_s", lambda c: original(c) + basis_class(c, S_SIDE, label))
+    # K's slot form with one more a0 or b0s: the built class gains exactly that basis class
+    ctx, before = GenusCtx(g), canonical_s(GenusCtx(g))
+    monkeypatch.setattr(catalog, "_CANONICAL_S_FORM", _bumped_form("_CANONICAL_S_FORM", label))
+    assert canonical_s(ctx) == before + basis_class(ctx, S_SIDE, label)
     with pytest.raises(VerificationFailureError, match=f"^nonzero {label} remainder 1$"):
         decompose_canonical(ctx, choose_d(ctx))
 
@@ -304,17 +329,17 @@ def test_judge_on_hand_built_evidence():
     assert dec10.conditional and certify(ctx10, None, dec10).verdict == GENERAL_TYPE
     assert _certify_failure(GenusCtx(5), Fraction(0), None) == "R . K = 0 is not negative at genus 5"
     ctx8, dec8 = _evidence(8)
-    assert _certify_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), dec8.remainder)) == (
+    remainders8 = dec8.den, dec8.c_num, dec8.c_prime_num
+    assert _certify_failure(ctx8, None, Decomposition(dec8.d_spec, Fraction(-1, 5), *remainders8)) == (
         "nu = -1/5 is negative at genus 8"
     )
     ctx9, dec9 = _evidence(9)
-    assert _certify_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.remainder)) == (
-        "nu = 0 is not positive at genus 9"
-    )
-    # c_1 moved to -1 by subtracting c_1 + 1 times the a1 basis class
-    shifted = dec9.remainder - (dec9.c[0] + 1) * basis_class(ctx9, S_SIDE, "a1")
-    negative_c1 = Decomposition(dec9.d_spec, dec9.nu, shifted)
+    assert _certify_failure(ctx9, None, Decomposition(dec9.d_spec, Fraction(0), dec9.den, dec9.c_num,
+                                                      dec9.c_prime_num)) == "nu = 0 is not positive at genus 9"
+    # c_1 moved to -1: its numerator becomes -den, which keeps the remainders in lowest terms
+    negative_c1 = Decomposition(dec9.d_spec, dec9.nu, dec9.den, (-dec9.den,) + dec9.c_num[1:], dec9.c_prime_num)
     assert negative_c1.c == (Fraction(-1),) + dec9.c[1:] and negative_c1.c_prime == dec9.c_prime
+    assert negative_c1.remainder == dec9.remainder - (dec9.c[0] + 1) * basis_class(ctx9, S_SIDE, "a1")
     assert _certify_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
 
 

@@ -4,8 +4,11 @@ The constant families the engine rests on are the pushforward
 multiplicities (`transfer._degree`, the one formula per stratum that
 pushforward, R and the counts read), the even, odd and total
 degrees of the covering, the stored curve intersection numbers, the
-theta-null coefficients, the canonical classes on both sides, the closed
-form of the vanishing-theta-null class, the label sequences that spell the
+theta-null coefficients, the canonical classes on both sides, the slot
+forms that write K and theta (`catalog._CANONICAL_S_FORM` and
+`catalog._THETANULL_FORM`, which the built classes and the decomposition
+both read), the pullback rule (`transfer._PULLBACK`, which pullback and
+the decomposition both read), the closed form of the vanishing-theta-null class, the label sequences that spell the
 indexed basis labels, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
@@ -20,7 +23,7 @@ the degrees, and must be caught all the same.
 Divisor specs are perturbed on a copy that holds a perturbed class, past
 their own validation, and the coefficient sources of D are the ones that
 validation reads, so that only `verify` can catch them. A decomposition's
-c_i or c'_i is perturbed as its remainder class plus a basis class, and a
+c_i or c'_i is perturbed as its numerator plus its denominator, and a
 certificate's c or c' list on the document that `certificate_json` writes.
 """
 
@@ -123,6 +126,32 @@ def test_perturbed_thetanull_coefficient_is_caught(label, monkeypatch):
         catalog, "thetanull_class", lambda ctx: original(ctx) + basis_class(ctx, S_SIDE, label)
     )
     assert _failures(5), f"no check caught the perturbed theta coefficient at {label}"
+
+
+_SLOT_FORM_CASES = [
+    (name, g, k)
+    for name in ("_CANONICAL_S_FORM", "_THETANULL_FORM")
+    for g in (6, 12)  # h >= 2, so the forms' (ai, bi) run is stored
+    for k in range(8)
+]
+
+
+@pytest.mark.parametrize("name,g,k", _SLOT_FORM_CASES)
+def test_perturbed_slot_form_entry_is_caught(name, g, k, monkeypatch):
+    # entry k of (den, lambda, a0, b0s, a1, b1, ai, bi); the built class and the decomposition both read it
+    form = list(getattr(catalog, name))
+    form[k] += 1
+    monkeypatch.setattr(catalog, name, tuple(form))
+    assert _failures(g), f"no check caught +1 on entry {k} of {name} at genus {g}"
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_perturbed_pullback_rule_is_caught(k, monkeypatch):
+    # the multiplicity of lambda on lambda, of d0 on a0 and b0s, or of di on ai and bi
+    rule = list(transfer._PULLBACK)
+    rule[k] += 1
+    monkeypatch.setattr(transfer, "_PULLBACK", tuple(rule))
+    assert _failures(9), f"no check caught +1 on entry {k} of the pullback rule"
 
 
 _NAMED_CLASS_CASES = [
@@ -275,11 +304,14 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
 
     def bumped(ctx, spec):
         dec = original(ctx, spec)
+        fields = dict(zip(dec.__match_args__, dec._values()))
         if field == "nu":
-            return kodaira.Decomposition(dec.d_spec, dec.nu + 1, dec.remainder)
-        # c_i sits at a_i and c'_i at b_i of the remainder class
-        label = f"{'a' if field == 'c' else 'b'}{i}"
-        return kodaira.Decomposition(dec.d_spec, dec.nu, dec.remainder + basis_class(ctx, S_SIDE, label))
+            fields["nu"] += 1
+        else:  # c_i + 1 is its numerator plus den, which keeps the remainders in lowest terms
+            num = list(fields[f"{field}_num"])
+            num[i - 1] += dec.den
+            fields[f"{field}_num"] = tuple(num)
+        return kodaira.Decomposition(**fields)
 
     monkeypatch.setattr(kodaira, "decompose_canonical", bumped)
     assert _failures(g), f"no check caught +1 on {field} (i = {i}) at genus {g}"

@@ -17,7 +17,7 @@ import pytest
 
 from spinpic.catalog import BrillNoether, DivisorSpec, GiesekerPetri, K3, UserSupplied
 from spinpic.kodaira import Decomposition, KodairaCertificate
-from spinpic.picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx
+from spinpic.picard import M_SIDE, DivisorClass, GenusCtx
 from spinpic.verify import Check, _Row
 
 _SPEC_REPR = ("DivisorSpec(ctx=GenusCtx(g=12), provenance=UserSupplied(name='x'), "
@@ -46,10 +46,11 @@ _CASES = [
     (DivisorSpec, ("ctx", "provenance", "a", "b0", "b"), _spec,
      lambda: DivisorSpec(ctx=GenusCtx(12), provenance=UserSupplied("x"), a=Fraction(7), b0=Fraction(1), b=None),
      _spec(b0=2), _SPEC_REPR, True),
-    (Decomposition, ("d_spec", "nu", "remainder"), lambda: Decomposition(_spec(), Fraction(1, 2), None),
-     lambda: Decomposition(d_spec=_spec(), nu=Fraction(1, 2), remainder=None),
-     Decomposition(_spec(), Fraction(1, 2), DivisorClass(GenusCtx(12), S_SIDE, {"a1": 1, "b1": 1})),
-     f"Decomposition(d_spec={_SPEC_REPR}, nu=Fraction(1, 2), remainder=None)", True),
+    (Decomposition, ("d_spec", "nu", "den", "c_num", "c_prime_num"),
+     lambda: Decomposition(_spec(), Fraction(1, 2), None, None, None),
+     lambda: Decomposition(d_spec=_spec(), nu=Fraction(1, 2), den=None, c_num=None, c_prime_num=None),
+     Decomposition(_spec(), Fraction(1, 2), 1, (1,) + (0,) * 5, (1,) + (0,) * 5),
+     f"Decomposition(d_spec={_SPEC_REPR}, nu=Fraction(1, 2), den=None, c_num=None, c_prime_num=None)", True),
     (KodairaCertificate, ("ctx", "verdict", "rk", "decomposition", "flags", "annotations", "citations"),
      lambda: KodairaCertificate(GenusCtx(9), "GENERAL_TYPE", None, None, (), (), ("x",)),
      lambda: KodairaCertificate(ctx=GenusCtx(9), verdict="GENERAL_TYPE", rk=None, decomposition=None,

@@ -17,7 +17,7 @@ run of the same genus, and undoing the patch leaves no stale R behind.
 `pushforward` calls no component degree, and a patched component degree
 leaves nothing stale behind once the patch is undone. A
 certificate builds the class of its auxiliary divisor once, when it builds
-the divisor, and pulls back that same class. A genus
+the divisor, and pulls back no class. A genus
 builds each named class and each basis-class pullback once and shares it
 across its sections, and the class parser builds one Fraction per label,
 not per term. Classes and curves are checked for a common genus by
@@ -26,14 +26,18 @@ second run of a genus. A certificate builds no Fraction per basis label:
 from one genus to a higher one, its count does not grow, with or without
 the b_i of a Brill-Noether D. A passing report gets no identity from a
 compat row, the curve tables build no Fraction, and the Brill-Noether
-ratios build two per i. A decomposition with a slope-only D hands the
-class kernel as many pairs at any genus, and a certificate writes each of
-its c and c' lists by one call of the p/q writer. The kodaira section
+ratios build two per i. A decomposition with a slope-only D reads only
+D's lambda and d0 numerators and no label sequence, at any genus. A
+certificate calls neither canonical_s nor thetanull_class nor the class
+kernel in kodaira and builds no spin-side class: reading its remainder is
+the one way to build that class. It writes each of its c and c' lists by
+one call of the p/q writer. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which applies the
 sign rules, and never calls classify.
 """
 
+import copy
 import re
 import sys
 from collections import Counter
@@ -92,12 +96,9 @@ def _drop_g2(original):
     return dropped
 
 
-def _bump_theta(original):
-    return lambda ctx: original(ctx) + basis_class(ctx, S_SIDE, "lambda")
-
-
-def _bump_canonical_s(original):
-    return lambda ctx: original(ctx) + 10**6 * basis_class(ctx, S_SIDE, "lambda")
+def _bump_lambda_slot(by):
+    # a slot form's numerators are over its first entry, so `by` more lambda is `by` times it
+    return lambda form: (form[0], form[1] + by * form[0], *form[2:])
 
 
 def _bump_lambda_degree(original):
@@ -112,8 +113,9 @@ def _record(name, g, expected, got):
 # was recorded; the report, which renders only failures, must reproduce them
 # byte for byte. The patched covering
 # degree must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
-# which reads lambda's degree through pushforward_degree (solve:thetanull). nu is read off the lambda slots
-# of the classes, so a lambda added to theta or K fails kodaira:nu-from-slope.
+# which reads lambda's degree through pushforward_degree (solve:thetanull). theta and K are built
+# from their slot forms, and nu is read off the forms' lambda slots, so a lambda added to theta's
+# or K's form fails kodaira:nu-from-slope as well as the checks of the built class.
 _MUTATIONS = [
     (transfer, "_degree", _bump_lambda_degree, 6, [
         _record("projection:lambda", 6, "2080*lambda", "2081*lambda"),
@@ -140,7 +142,7 @@ _MUTATIONS = [
         _record("pairings:exception", 6, "no exception", "KeyError: 'G2'"),
         _record("compat:exception", 6, "no exception", "KeyError: 'G2'"),
     ]),
-    (catalog, "thetanull_class", _bump_theta, 6, [
+    (catalog, "_THETANULL_FORM", _bump_lambda_slot(1), 6, [
         _record("theta:pushforward", 6, "520*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3",
                 "2600*lambda - 64*d0 - 248*d1 - 360*d2 - 392*d3"),
         _record("pairing:F0*theta", 6, "0", "1"),
@@ -149,7 +151,7 @@ _MUTATIONS = [
                 "1/4*lambda - 1/16*a0 - 1/2*b1 - 1/2*b2 - 1/2*b3"),
         _record("kodaira:nu-from-slope", 6, "-3/4", "-35/4"),
     ]),
-    (catalog, "canonical_s", _bump_canonical_s, 5, [
+    (catalog, "_CANONICAL_S_FORM", _bump_lambda_slot(10**6), 5, [
         _record("canonical:splitting", 5, "b0s", "1000000*lambda + b0s"),
         _record("kodaira:rk-sign", 5, "true", "false"),
         _record("kodaira:nu-from-slope", 5, "-1", "999999"),
@@ -281,14 +283,13 @@ def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkey
 @pytest.mark.parametrize("g", (9, 14))
 def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
     # composite g+1: _own_d sums the Brill-Noether D's class once, and the
-    # decomposition pulls back that very class, converting it no further
+    # decomposition reads that very class's numerators through the pullback
+    # rule, building no pulled-back class
     sums = _counting(monkeypatch, catalog, "_sum_terms")
-    original, pulled = transfer.pullback, []
-    monkeypatch.setattr(transfer, "pullback", lambda x: pulled.append(x) or original(x))
+    pulled = _counting(monkeypatch, transfer, "pullback")
     cert = kodaira.classify(GenusCtx(g))
     assert cert.verdict == kodaira.GENERAL_TYPE and cert.decomposition.d_spec.complete
-    assert sums == ["_own_d"]
-    assert len(pulled) == 1 and pulled[0] is cert.decomposition.d_spec.divisor
+    assert sums == ["_own_d"] and pulled == []
 
 
 _NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_class")
@@ -425,35 +426,75 @@ def test_certificates_build_no_fraction_per_label(monkeypatch):
     assert _certificate_fractions(monkeypatch, 400) <= _certificate_fractions(monkeypatch, 100)
 
 
-def _kernel_pairs(monkeypatch, spec):
-    """The number of (label, m) pairs that each class-kernel call of decompose_canonical(spec) gets."""
-    original, counts = kodaira._sum_terms, []
+class _ReadCounting(dict):
+    """D's numerators, counting each label that is read."""
 
-    def counting(ctx, side, groups):
-        groups = [(n, d, list(pairs)) for n, d, pairs in groups]
-        counts.append(sum(len(pairs) for _, _, pairs in groups))
-        return original(ctx, side, groups)
+    def __init__(self, num, reads):
+        super().__init__(num)
+        self.reads = reads
 
-    with monkeypatch.context() as m:
-        m.setattr(kodaira, "_sum_terms", counting)
-        kodaira.decompose_canonical(spec.ctx, spec)
-    return counts
+    def __getitem__(self, label):
+        self.reads[label] += 1
+        return super().__getitem__(label)
+
+
+def _numerator_reads(spec):
+    """How often decompose_canonical(spec) reads each numerator of D, on a copy whose class counts its reads."""
+    reads, divisor = Counter(), copy.copy(spec.divisor)
+    object.__setattr__(divisor, "num", _ReadCounting(spec.divisor.num, reads))
+    counted = copy.copy(spec)
+    object.__setattr__(counted, "divisor", divisor)
+    dec = kodaira.decompose_canonical(spec.ctx, counted)
+    seen = Counter(reads)  # before the comparison below, whose spec properties read D too
+    assert (dec.nu, dec.den, dec.c_num, dec.c_prime_num) == kodaira.decompose_canonical(spec.ctx, spec)._values()[1:]
+    return seen
 
 
 def _slope_only(g):
     return catalog.DivisorSpec(GenusCtx(g), catalog.UserSupplied("slope only"), Fraction(1), Fraction(1))
 
 
-def test_a_slope_only_decomposition_sums_a_bounded_number_of_pairs(monkeypatch):
-    # a D without b_i keeps no remainder, so the one kernel call gets the lambda,
-    # a0 and b0s pairs of K, theta and pi*D and nu's lambda: as many at any h
+def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
+    # a D without b_i keeps no remainder, so the decomposition reads D's lambda
+    # and d0 numerators once each and no label sequence: as much work at any h
     own_700, own_12 = catalog.choose_d(GenusCtx(700)), catalog.choose_d(GenusCtx(12))
     assert all(isinstance(s.provenance, catalog.GiesekerPetri) and not s.complete for s in (own_700, own_12))
-    at_700, at_300 = _kernel_pairs(monkeypatch, own_700), _kernel_pairs(monkeypatch, _slope_only(300))
-    assert at_700 == _kernel_pairs(monkeypatch, own_12) and at_700[0] <= 10
-    assert at_300 == _kernel_pairs(monkeypatch, _slope_only(20)) and at_300[0] <= 10
-    # a complete D's remainder is kept, so its call gets every pair of the three classes
-    assert _kernel_pairs(monkeypatch, catalog.choose_d(GenusCtx(300))) > [3 * GenusCtx(300).h]
+    spelled = _counting(monkeypatch, kodaira, "_spelled")
+    for spec in (own_700, own_12, _slope_only(300), _slope_only(20)):
+        assert _numerator_reads(spec) == {"lambda": 1, "d0": 1}
+    assert spelled == []
+    # a complete D's remainder is kept, so each of its di numerators is read once more
+    own_300 = catalog.choose_d(GenusCtx(300))
+    assert _numerator_reads(own_300) == {"lambda": 1, "d0": 1, **{f"d{i}": 1 for i in range(1, 151)}}
+
+
+@pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
+def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypatch):
+    # the decomposition reads K and theta from their slot forms and builds no
+    # class: no canonical_s, thetanull_class or kernel call in kodaira, and no
+    # spin-side class at all; reading dec.remainder is the one way to build one
+    ctx = GenusCtx(g)
+    for name in ("canonical_s", "thetanull_class"):
+        monkeypatch.setattr(catalog, name, lambda ctx, name=name: pytest.fail(f"certificate called {name}"))
+    monkeypatch.setattr(kodaira, "_sum_terms", lambda *args: pytest.fail("certificate called the kernel"),
+                        raising=False)
+    built = []
+    for module in (picard, catalog, kodaira, transfer, testcurves):
+        if hasattr(module, "_trusted"):
+            original = getattr(module, "_trusted")
+            monkeypatch.setattr(module, "_trusted", lambda ctx, side, num, den, original=original:
+                                built.append(side) or original(ctx, side, num, den))
+    cert = kodaira.classify(ctx)
+    doc = kodaira.certificate_json(cert)
+    assert doc["verdict"] == kodaira.GENERAL_TYPE and S_SIDE not in built
+    dec = cert.decomposition
+    built.clear()
+    rest = dec.remainder
+    if dec.d_spec.complete:
+        assert built == [S_SIDE] and len(rest.num) <= 2 * ctx.h
+        assert doc["c"] == [str(v) for v in dec.c] and doc["c_prime"] == [str(v) for v in dec.c_prime]
+    else:
+        assert built == [] and rest is None and doc["c"] is None
 
 
 @pytest.mark.parametrize("g", (9, 401, 700))
@@ -472,7 +513,9 @@ def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
 def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     # from empty label sequences, the first certificate of a genus spells
     # through its h in one step, and a second one, at an h already spelled,
-    # spells no label
+    # spells no label; g = 12's slope-only D leaves its certificate no
+    # indexed label to read, so it spells none
+    spells = g != 12
     m, s = {"lambda": 0}, {"lambda": 0}
     labels = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(m), s=MappingProxyType(s))
     for name, value in (("_LABELS", labels), ("_M", m), ("_S", s)):
@@ -481,7 +524,7 @@ def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     monkeypatch.setattr(picard, "_spell", lambda h: calls.append(h) or spell(h))
     for _ in range(2):
         kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
-    assert calls == [g // 2] and len(labels.d) == g // 2 + 1
+    assert (calls, len(labels.d)) == (([g // 2], g // 2 + 1) if spells else ([], 0))
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
