@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import islice, repeat
+from math import lcm
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -26,7 +27,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _Value, rational,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _trusted, _Value, rational,
                      require_classification_genus)
 
 
@@ -226,10 +227,11 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 # once as a slot form (den, lambda, a0, b0s, a1, b1, ai, bi): numerators over
 # den, the pair (ai, bi) standing for every 2 <= i <= h. canonical_s and
 # thetanull_class build from them, and kodaira.decompose_canonical reads
-# them. The four closed forms below hold nonzero integer numerators under
-# basis labels over a denominator prime to them by construction, so they
-# skip the constructor's validation (picard._trusted); tests/test_catalog.py
-# checks each against the validating constructor.
+# them. The four closed forms below, and each genus's own D (_own_d), hold
+# nonzero integer numerators under basis labels over a denominator prime to
+# them by construction, so they skip the constructor's validation
+# (picard._trusted); tests/test_catalog.py checks each against the
+# validating constructor.
 _CANONICAL_S_FORM = (1, 13, -2, -3, -3, -3, -2, -2)
 _THETANULL_FORM = (16, 4, -1, 0, 0, -8, 0, -8)
 
@@ -325,13 +327,25 @@ def _rule(g: int) -> tuple[Provenance, Fraction, Fraction]:
 
 
 def _own_d(ctx: GenusCtx) -> DivisorSpec:
-    """Genus ctx.g's own D, unvalidated: DivisorSpec validates a named provenance by comparing with it."""
-    provenance, a, b0 = _rule(ctx.g)
-    terms = [(a.numerator, a.denominator, (("lambda", 1),)), (-b0.numerator, b0.denominator, (("d0", 1),))]
-    if isinstance(provenance, BrillNoether):  # the normalized divisor's b_i = i(g-i), as one integer group
-        terms.append((-1, 1, [(label, i * (ctx.g - i)) for i, label in enumerate(_spelled(ctx.g).d[1:ctx.h + 1], 1)]))
+    """Genus ctx.g's own D, unvalidated: DivisorSpec validates a named provenance by comparing with it.
+
+    D = a*lambda - b0*d0, less sum i(g-i)*di for the normalized
+    Brill-Noether divisor, is written in closed form, as canonical_m is,
+    over den = lcm of a's and b0's reduced denominators, where each di
+    numerator is -den*i(g-i). That is lowest terms with no gcd: each prime
+    of den divides a's or b0's denominator to its full power in den, so it
+    does not divide that one's numerator over den. Every numerator is
+    nonzero, in basis order; tests/test_catalog.py checks the class
+    against the validating constructor.
+    """
+    g = ctx.g
+    provenance, a, b0 = _rule(g)
+    den = lcm(a.denominator, b0.denominator)
+    num = {"lambda": a.numerator * (den // a.denominator), "d0": -b0.numerator * (den // b0.denominator)}
+    if isinstance(provenance, BrillNoether):  # the normalized divisor's b_i = i(g-i)
+        num.update(zip(_spelled(g).d[1:ctx.h + 1], [-den * i * (g - i) for i in range(1, ctx.h + 1)]))
     spec = object.__new__(DivisorSpec)
-    spec._init(ctx=ctx, provenance=provenance, divisor=_sum_terms(ctx, M_SIDE, terms))
+    spec._init(ctx=ctx, provenance=provenance, divisor=_trusted(ctx, M_SIDE, num, den))
     return spec
 
 

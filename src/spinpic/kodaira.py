@@ -14,9 +14,11 @@ rules in `certify` alone. `classify` gathers that evidence and ends in
 
 `decompose_canonical` computes each slot of the decomposition as an
 integer from the slot forms of K and theta, D's numerators and the pullback
-rule, and builds no class. A `Decomposition` keeps nu, its one Fraction,
-and c and c' as integers over one den; `certificate_json` writes each "p/q"
-list by one _ratios call, which the text certificate prints too.
+rule, in one pass over D's di, and builds no class. A `Decomposition` keeps
+nu, its one Fraction, and c and c' as integers over their lcm den, not
+reduced: lowest terms are taken only where a value is read, by
+`certificate_json`'s one _ratios call per list (which the text certificate
+prints too), by Fraction in c and c_prime, and by one gcd in remainder.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -28,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
@@ -58,10 +61,11 @@ class Decomposition(_Value):
 
     nu is what the lambda slot leaves of canonical - 8*theta - (3/(2*b0))*pullback(D).
     The remainder's ai and bi coefficients, i = 1..h, are c_num and
-    c_prime_num over den, in lowest terms; all three are None when the
-    divisor spec carries no boundary coefficients, whose non-negativity is
-    then conditional. c and c_prime read them as Fraction tuples, and
-    remainder builds their class on each read.
+    c_prime_num over den > 0, the decomposition's lcm denominator, not
+    reduced; all three are None when the divisor spec carries no boundary
+    coefficients, whose non-negativity is then conditional. c and c_prime
+    read them as reduced Fraction tuples, and remainder builds their class,
+    in lowest terms, on each read.
     """
 
     __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
@@ -88,13 +92,14 @@ class Decomposition(_Value):
         if self.conditional:
             return None
         table, h = _spelled(self.d_spec.ctx.g), len(self.c_num)
+        k = gcd(self.den, *self.c_num, *self.c_prime_num)
         pairs = zip(islice(table.s, 3, 2 * h + 3), chain.from_iterable(zip(self.c_num, self.c_prime_num)))
-        return _trusted(self.d_spec.ctx, S_SIDE, {label: n for label, n in pairs if n}, self.den)
+        return _trusted(self.d_spec.ctx, S_SIDE, {label: n // k for label, n in pairs if n}, self.den // k)
 
     def remainders_nonnegative(self) -> bool:
         if self.conditional:
             raise VerificationFailureError("remainders are conditional; no sign information")
-        return min((*self.c_num, *self.c_prime_num), default=0) >= 0  # den > 0, so a numerator carries its sign
+        return min(self.c_num) >= 0 and min(self.c_prime_num) >= 0  # den > 0, so a numerator carries its sign
 
 
 def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decomposition:
@@ -107,7 +112,8 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     no class is built. nu, the one Fraction, is read off the lambda slots,
     and the a0 and b0s slots must vanish. Without b_i, D = a*lambda - b0*d0,
     the remainders stay conditional and only these slots are read; with
-    them, each c_i and c'_i is an affine map of D's di numerator.
+    them, each c_i and c'_i is an affine map of D's di numerator, read by
+    one itemgetter call, and stays over den unreduced.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
@@ -127,13 +133,14 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     if not spec.complete:
         return Decomposition(spec, nu, None, None, None)
     # c_i and c'_i are affine maps of D's di numerator; i = 1 takes the (a1, b1) slots instead
-    d = list(map(num.__getitem__, islice(_spelled(ctx.g).d, 1, ctx.h + 1)))
+    h = ctx.h
+    d = itemgetter(*_spelled(ctx.g).d[1:h + 1])(num)
+    if h == 1:  # itemgetter of one key gives the value, not a 1-tuple
+        d = (d,)
     pa, pb = p * p_ai, p * p_bi
     c, c_prime = [ai - pa * n for n in d], [bi - pb * n for n in d]
     c[0] += a1 - ai
     c_prime[0] += b1 - bi
-    if (common := gcd(den, *c, *c_prime)) != 1:
-        den, c, c_prime = den // common, [n // common for n in c], [n // common for n in c_prime]
     return Decomposition(spec, nu, den, tuple(c), tuple(c_prime))
 
 

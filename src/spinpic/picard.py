@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from threading import Lock
 from types import MappingProxyType, SimpleNamespace
@@ -217,8 +217,19 @@ _ZERO = Fraction(0)
 
 
 def _ratios(ns: Iterable[int], d: int) -> list[str]:
-    """[str(Fraction(n, d)) for n in ns] for d >= 1, without building a Fraction: the one p/q writer of the package."""
-    return [str(n // k) if (k := gcd(n, d)) == d else f"{n // k}/{d // k}" for n in ns]
+    """[str(Fraction(n, d)) for n in ns] for d >= 1, without building a Fraction: the one p/q writer of the package.
+
+    Over d = 1 each entry is str(n). Otherwise the gcds with d are taken
+    by one map, and each distinct "/q" tail is formatted once. ns may be a
+    one-shot iterator, as render_class's map(abs, ...) is.
+    """
+    if d == 1:
+        return list(map(str, ns))
+    if not isinstance(ns, (list, tuple)):  # read twice below
+        ns = list(ns)
+    ks = list(map(gcd, ns, repeat(d)))
+    tails = {k: "" if k == d else f"/{d // k}" for k in set(ks)}
+    return [f"{n // k}{tails[k]}" for n, k in zip(ns, ks)]
 
 
 class DivisorClass(_Value):
@@ -361,9 +372,9 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
-    here: the kernel's outputs (lincomb, parse_class, pushforward, each
-    divisor spec's D, solve_thetanull), a decomposition's remainder,
-    basis_class, pullback, catalog's closed forms and the test curves. The
+    here: the kernel's outputs (lincomb, parse_class, pushforward,
+    solve_thetanull), a decomposition's remainder, basis_class, pullback,
+    catalog's closed forms (each genus's own D among them) and the test curves. The
     fields go straight into the instance dict, with no keyword dict built.
     """
     cls = object.__new__(DivisorClass)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from . import catalog, transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (_ZERO, M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _trusted,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -38,9 +38,10 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> int | Fraction:
     """Exact pairing: the sum over the curve's nonzero entries of entry times coefficient.
 
     The only pairing in the package; verify's compat rows call it too. The
-    numerators are summed as integers over the labels both store. Over
-    denominators 1 the pairing is that int sum, and no Fraction is built;
-    otherwise it is one reduced Fraction over the product of the denominators.
+    numerators are summed as integers over the labels both store. When the
+    product of the denominators divides that sum, the pairing is the int
+    quotient, and no Fraction is built; otherwise it is one reduced Fraction
+    over that product.
     """
     if curve.side != x.side:
         raise SideMismatchError(
@@ -54,7 +55,8 @@ def intersect(curve: DivisorClass, x: DivisorClass) -> int | Fraction:
             total += n * xn[label]
     if curve.den == x.den == 1:
         return total
-    return Fraction(total, curve.den * x.den) if total else _ZERO
+    q, r = divmod(total, d := curve.den * x.den)
+    return Fraction(total, d) if r else q
 
 
 def _b_entries(g: int) -> dict[str, int]:

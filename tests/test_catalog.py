@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,23 @@ def test_choose_d_passes_the_validating_constructor(g):
     # K3, Gieseker-Petri and Brill-Noether defaults skip validation that they would pass
     d = choose_d(GenusCtx(g))
     assert DivisorSpec(d.ctx, d.provenance, d.a, d.b0, d.b) == d
+
+
+def test_own_d_is_the_validated_class_in_lowest_terms_and_basis_order():
+    # _own_d writes D's numerators in closed form, past the constructor; at every
+    # genus of the range it is the class the constructor builds from a, -b0 and,
+    # for Brill-Noether, -i(g-i), stored over den > 0 in lowest terms in basis order
+    for g in range(3, 1001):
+        ctx = GenusCtx(g)
+        spec, (provenance, a, b0) = catalog._own_d(ctx), catalog._rule(g)
+        bn = [f"d{i}" for i in range(1, ctx.h + 1)] if isinstance(provenance, BrillNoether) else []
+        want = {"lambda": a, "d0": -b0, **{label: Fraction(-i * (g - i)) for i, label in enumerate(bn, 1)}}
+        d = spec.divisor
+        assert spec.provenance == provenance and (d.ctx, d.side) == (ctx, M_SIDE)
+        assert d == DivisorClass(ctx, M_SIDE, want), g
+        assert type(d.den) is int and d.den > 0 and all(type(n) is int for n in d.num.values())
+        assert gcd(d.den, *d.num.values()) == 1
+        assert list(d.num) == ["lambda", "d0", *bn]
 
 
 _POSITIVE = st.fractions(min_value=0, max_denominator=30).filter(lambda q: q > 0)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -94,13 +95,15 @@ def test_decomposition_of_a_user_divisor(spec):
 
 
 def _assert_matches_the_fraction_route(spec):
-    """nu, den and every c and c' numerator are what Fraction scalars and lincomb give.
+    """nu and every c and c' over den are what Fraction scalars and lincomb give.
 
     The Fraction route builds K, theta and pullback(D) in full and sums
     K - nu*lambda - 8*theta - (3/(2*b0))*pullback(D) by lincomb; its lambda,
-    a0 and b0s slots vanish. A complete D's decomposition holds that sum's
-    den and its numerators at a1, b1, ..., ah, bh, zeros included; a
-    slope-only D's holds none of them.
+    a0 and b0s slots vanish. A complete D's decomposition holds integer
+    numerators at a1, b1, ..., ah, bh, zeros included, unreduced over the
+    lcm of K's and theta's denominators and -2 times D's d0 numerator: each
+    over den is that sum's slot, and its remainder, reduced, is that sum. A slope-only D's holds
+    none of them.
     """
     ctx = spec.ctx
     dec = decompose_canonical(ctx, spec)
@@ -111,11 +114,13 @@ def _assert_matches_the_fraction_route(spec):
     whole = lincomb([1, -nu, -8, -scale], [k, basis_class(ctx, S_SIDE, "lambda"), theta, d])
     assert not {"lambda", "a0", "b0s"} & set(whole.num)
     if spec.complete:
-        assert type(dec.den) is int and dec.den == whole.den
+        # b0 = -d0/den(D), so (3/(2*b0))*pullback(D) is 3 times D's pulled-back numerators over -2*d0
+        den = lcm(catalog._CANONICAL_S_FORM[0], catalog._THETANULL_FORM[0], -2 * spec.divisor.num["d0"])
+        assert type(dec.den) is int and dec.den == den
         for field, family in (("c_num", "a"), ("c_prime_num", "b")):
-            want = tuple(whole.num.get(f"{family}{i}", 0) for i in range(1, ctx.h + 1))
             got = getattr(dec, field)
-            assert type(got) is tuple and all(type(n) is int for n in got) and got == want
+            assert type(got) is tuple and len(got) == ctx.h and all(type(n) is int for n in got)
+            assert [Fraction(n, den) for n in got] == [whole[f"{family}{i}"] for i in range(1, ctx.h + 1)]
         assert dec.remainder == whole
     else:
         assert (dec.den, dec.c_num, dec.c_prime_num, dec.remainder) == (None, None, None, None)

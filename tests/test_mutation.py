@@ -22,9 +22,11 @@ One paired perturbation, A_i + 1 with B_i - 1, keeps every sum identity of
 the degrees, and must be caught all the same.
 Divisor specs are perturbed on a copy that holds a perturbed class, past
 their own validation, and the coefficient sources of D are the ones that
-validation reads, so that only `verify` can catch them. A decomposition's
-c_i or c'_i is perturbed as its numerator plus its denominator, and a
-certificate's c or c' list on the document that `certificate_json` writes.
+validation reads, so that only `verify` can catch them. The own D's di
+numerators, which `catalog._own_d` writes in closed form, and a
+decomposition's c_i or c'_i are each perturbed as a numerator plus its
+denominator, and a certificate's c or c' list on the document that
+`certificate_json` writes.
 """
 
 import copy
@@ -266,6 +268,29 @@ def test_perturbed_bn_coefficient_is_caught(g, i, monkeypatch):
     assert _failures(g), f"no check caught the perturbed b_{i} at genus {g}"
 
 
+_OWN_D_CASES = [(g, i) for g in (9, 11, 14) for i in range(1, GenusCtx(g).h + 1)]
+
+
+@pytest.mark.parametrize("g,i", _OWN_D_CASES)
+def test_perturbed_own_d_numerator_is_caught(g, i, monkeypatch):
+    # _own_d writes D's numerators in closed form, past the constructor: den more
+    # on the di numerator raises that coefficient by 1 and keeps lowest terms
+    original = catalog._own_d
+
+    def bumped(ctx):
+        spec = original(ctx)
+        d = spec.divisor
+        num = {**d.num, f"d{i}": d.num[f"d{i}"] + d.den}
+        out = object.__new__(catalog.DivisorSpec)  # as _own_d builds it: a copy would validate against _own_d
+        out._init(ctx=spec.ctx, provenance=spec.provenance, divisor=picard._trusted(d.ctx, d.side, num, d.den))
+        return out
+
+    monkeypatch.setattr(catalog, "_own_d", bumped)
+    ctx = GenusCtx(g)
+    assert catalog.choose_d(ctx).divisor[f"d{i}"] == original(ctx).divisor[f"d{i}"] + 1
+    assert _failures(g), f"no check caught the perturbed d{i} numerator of the own D at genus {g}"
+
+
 def test_shifted_divisor_class_index_is_caught(monkeypatch):
     # divisor_class reading b_{i-1} for d_i (b_h for d1), as spec.b[i - 2] would; the spec stays true
     original = catalog.divisor_class
@@ -307,7 +332,7 @@ def test_perturbed_decomposition_is_caught(g, field, i, monkeypatch):
         fields = dict(zip(dec.__match_args__, dec._values()))
         if field == "nu":
             fields["nu"] += 1
-        else:  # c_i + 1 is its numerator plus den, which keeps the remainders in lowest terms
+        else:  # c_i + 1 is its numerator plus den, the decomposition's lcm denominator, reduced or not
             num = list(fields[f"{field}_num"])
             num[i - 1] += dec.den
             fields[f"{field}_num"] = tuple(num)

@@ -410,7 +410,14 @@ _WIDE = st.integers(-2**200, 2**200)  # multi-word ints, beside the small ones s
 @given(st.lists(st.integers() | _WIDE), st.just(1) | st.integers(min_value=1) | _WIDE.filter(lambda d: d > 0))
 def test_ratio_writes_what_str_of_a_fraction_writes(ns, d):
     # one list over one denominator: empty, negative, zero, d = 1 and multi-word entries alike
-    assert _ratios(ns, d) == [str(Fraction(n, d)) for n in ns]
+    want = [str(Fraction(n, d)) for n in ns]
+    assert _ratios(ns, d) == want
+    # a one-shot iterator, as render_class passes, is read once
+    assert _ratios(iter(ns), d) == _ratios(map(int, ns), d) == want
+    assert _ratios(iter(ns), 1) == [str(n) for n in ns]
+    # entries that share few gcds with d: 1, d, and 2 or 4
+    few = [7 * d + 1, -(d + 1), 1, d, -3 * d, 0, 2 * d, 2 * d + 1, 4, -2]
+    assert _ratios(few, d) == _ratios(iter(few), d) == [str(Fraction(n, d)) for n in few]
 
 
 def test_equal_values_give_equal_classes():
