@@ -30,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import itemgetter
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
@@ -112,8 +111,8 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     no class is built. nu, the one Fraction, is read off the lambda slots,
     and the a0 and b0s slots must vanish. Without b_i, D = a*lambda - b0*d0,
     the remainders stay conditional and only these slots are read; with
-    them, each c_i and c'_i is an affine map of D's di numerator, read by
-    one itemgetter call, and stays over den unreduced.
+    them, each c_i and c'_i is an affine map of D's di numerator, read in
+    one pass, and stays over den unreduced.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
@@ -133,10 +132,7 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     if not spec.complete:
         return Decomposition(spec, nu, None, None, None)
     # c_i and c'_i are affine maps of D's di numerator; i = 1 takes the (a1, b1) slots instead
-    h = ctx.h
-    d = itemgetter(*_spelled(ctx.g).d[1:h + 1])(num)
-    if h == 1:  # itemgetter of one key gives the value, not a 1-tuple
-        d = (d,)
+    d = list(map(num.__getitem__, islice(_spelled(ctx.g).d, 1, ctx.h + 1)))
     pa, pb = p * p_ai, p * p_bi
     c, c_prime = [ai - pa * n for n in d], [bi - pb * n for n in d]
     c[0] += a1 - ai

@@ -219,9 +219,10 @@ _ZERO = Fraction(0)
 def _ratios(ns: Iterable[int], d: int) -> list[str]:
     """[str(Fraction(n, d)) for n in ns] for d >= 1, without building a Fraction: the one p/q writer of the package.
 
-    Over d = 1 each entry is str(n). Otherwise the gcds with d are taken
-    by one map, and each distinct "/q" tail is formatted once. ns may be a
-    one-shot iterator, as render_class's map(abs, ...) is.
+    Over d = 1, the case of most cli calls (pair, class, solve-thetanull),
+    each entry is str(n). Otherwise the gcds with d are taken by one map,
+    and each distinct "/q" tail is formatted once. ns may be a one-shot
+    iterator, as render_class's map(abs, ...) is.
     """
     if d == 1:
         return list(map(str, ns))
