@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress
 from math import lcm
 from pathlib import Path
 from typing import Mapping, Union
@@ -226,12 +226,12 @@ def load_divisor_spec(data: Mapping | str | Path, ctx: GenusCtx) -> DivisorSpec:
 # K (spin side) and theta are constant in i past i = 1, so each is written
 # once as a slot form (den, lambda, a0, b0s, a1, b1, ai, bi): numerators over
 # den, the pair (ai, bi) standing for every 2 <= i <= h. canonical_s and
-# thetanull_class build from them, and kodaira.decompose_canonical reads
-# them. The four closed forms below, and each genus's own D (_own_d), hold
-# nonzero integer numerators under basis labels over a denominator prime to
-# them by construction, so they skip the constructor's validation
-# (picard._trusted); tests/test_catalog.py checks each against the
-# validating constructor.
+# thetanull_class build from them by _slot_class, one pass whatever entries
+# of the form are zero, and kodaira.decompose_canonical reads them. The four
+# closed forms below, and each genus's own D (_own_d), hold nonzero integer
+# numerators under basis labels over a denominator prime to them by
+# construction, so they skip the constructor's validation (picard._trusted);
+# tests/test_catalog.py checks each against the validating constructor.
 _CANONICAL_S_FORM = (1, 13, -2, -3, -3, -3, -2, -2)
 _THETANULL_FORM = (16, 4, -1, 0, 0, -8, 0, -8)
 
@@ -239,25 +239,12 @@ _THETANULL_FORM = (16, 4, -1, 0, 0, -8, 0, -8)
 def _slot_class(ctx: GenusCtx, form: tuple[int, ...]) -> DivisorClass:
     """The spin-side class of a slot form at ctx's genus, in basis order with zeros dropped.
 
-    One dict.fromkeys call writes the head's five labels and the run
-    i = 2..h, and the head's values then replace the run's.
+    The form's values, its (ai, bi) pair repeated for i = 2..h, are zipped
+    onto the basis labels in order, and compress keeps the nonzero ones.
     """
     den, lam, a0, b0s, a1, b1, ai, bi = form
-    table, h = _spelled(ctx.g), ctx.h
-    a, b = table.a, table.b
-    if ai and bi:  # lambda, a0, b0s, a1, b1, then a2, b2, ..., ah, bh
-        num = dict.fromkeys(islice(table.s, 2 * h + 3), ai)
-        if bi != ai:
-            num.update(zip(islice(b, 2, h + 1), repeat(bi)))
-    else:
-        num = dict.fromkeys(["lambda", "a0", "b0s", a[1], b[1], *(a[2:h + 1] if ai else b[2:h + 1] if bi else ())],
-                            ai or bi)
-    num["lambda"], num["a0"], num["b0s"], num[a[1]], num[b[1]] = head = lam, a0, b0s, a1, b1
-    if 0 in head:
-        for label, n in zip(("lambda", "a0", "b0s", a[1], b[1]), head):
-            if not n:
-                del num[label]
-    return _trusted(ctx, S_SIDE, num, den)
+    values = [lam, a0, b0s, a1, b1, *[ai, bi] * (ctx.h - 1)]
+    return _trusted(ctx, S_SIDE, dict(compress(zip(_spelled(ctx.g).s, values), values)), den)
 
 
 def canonical_m(ctx: GenusCtx) -> DivisorClass:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _ratios, _spelled, labels_for, parse_class, render_class
+from .picard import M_SIDE, S_SIDE, GenusCtx, _ratios, labels_for, parse_class, render_class
 
 # The largest genus any subcommand accepts (README gives the cost near it).
 # A larger genus is refused before any work is done.
@@ -134,16 +134,13 @@ def _cmd_solve_thetanull(args) -> int:
 
 def _cmd_counts(args) -> int:
     ctx = GenusCtx(args.genus)
-    g, degree = ctx.g, transfer.pushforward_degree
+    g, degree = ctx.g, transfer._degree
     print(f"genus {g}: covering of total degree {transfer.total_degree(g)}")
     print(f"  even component degree {transfer.even_component_degree(g)}")
     print(f"  odd component degree  {transfer.odd_component_degree(g)}")
-    print(f"  deg(A0/d0) = {degree(ctx, 'a0')}")
-    print(f"  deg(B0/d0) = {degree(ctx, 'b0s')}")
-    table = _spelled(g)
-    for i in range(1, ctx.h + 1):
-        print(f"  deg(A{i}/d{i}) = {degree(ctx, table.a[i])}")
-        print(f"  deg(B{i}/d{i}) = {degree(ctx, table.b[i])}")
+    for i in range(ctx.h + 1):
+        print(f"  deg(A{i}/d{i}) = {degree(g, 'a', i)}")
+        print(f"  deg(B{i}/d{i}) = {degree(g, 'b', i)}")
     identities = transfer.degree_identities(ctx)
     for name, lhs, rhs in identities:
         print(f"  identity {name}: {lhs} == {rhs}  {'ok' if lhs == rhs else 'FAIL'}")

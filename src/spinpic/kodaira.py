@@ -18,7 +18,8 @@ rule, in one pass over D's di, and builds no class. A `Decomposition` keeps
 nu, its one Fraction, and c and c' as integers over their lcm den, not
 reduced: lowest terms are taken only where a value is read, by
 `certificate_json`'s one _ratios call per list (which the text certificate
-prints too), by Fraction in c and c_prime, and by one gcd in remainder.
+prints too), by Fraction in c and c_prime, and in remainder by the one
+class kernel, picard._sum_terms.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, lcm
+from math import lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _trusted, _Value
+from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _Value
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -64,7 +65,7 @@ class Decomposition(_Value):
     reduced; all three are None when the divisor spec carries no boundary
     coefficients, whose non-negativity is then conditional. c and c_prime
     read them as reduced Fraction tuples, and remainder builds their class,
-    in lowest terms, on each read.
+    in lowest terms by the kernel, on each read.
     """
 
     __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
@@ -91,9 +92,8 @@ class Decomposition(_Value):
         if self.conditional:
             return None
         table, h = _spelled(self.d_spec.ctx.g), len(self.c_num)
-        k = gcd(self.den, *self.c_num, *self.c_prime_num)
         pairs = zip(islice(table.s, 3, 2 * h + 3), chain.from_iterable(zip(self.c_num, self.c_prime_num)))
-        return _trusted(self.d_spec.ctx, S_SIDE, {label: n // k for label, n in pairs if n}, self.den // k)
+        return _sum_terms(self.d_spec.ctx, S_SIDE, ((1, self.den, pairs),))
 
     def remainders_nonnegative(self) -> bool:
         if self.conditional:

@@ -255,7 +255,7 @@ class DivisorClass(_Value):
         basis, h = _basis(self.ctx.g, self.side), self.ctx.h
         if unknown := [label for label in self.num if basis.get(label, h + 1) > h]:  # as in _index
             raise _unknown_labels(unknown, self.ctx, self.side)
-        values = [(l, v if type(v) is Fraction else rational(v)) for l, v in self.num.items()]
+        values = [(l, rational(v)) for l, v in self.num.items()]
         # the lcm of reduced denominators makes gcd(den, *num) = 1
         den = lcm(*(v.denominator for _, v in values if v))
         num = {l: v.numerator * (den // v.denominator) for l, v in values if v}
@@ -347,13 +347,14 @@ def _sum_terms(ctx: GenusCtx, side: str,
                groups: Iterable[tuple[int, int, Iterable[tuple[str, int]]]]) -> DivisorClass:
     """The class sum over groups (n, d, pairs) of n/d times sum(m * label) over pairs (label, m).
 
-    The one arithmetic kernel for classes; the labels must be in the basis.
-    It takes one lcm of the group denominators (a single group's own
-    denominator), sums integer numerators over it, and divides out their
-    one common gcd, so no Fraction is built. The gcd is taken over the sums
-    as they stand, since a zero does not change it, and one pass then drops
-    the zeros and divides. Over den = 1 the result is already in lowest
-    terms, so the gcd is skipped.
+    The one arithmetic kernel for classes, which lincomb, parse_class,
+    pushforward, solve_thetanull and a decomposition's remainder call; the
+    labels must be in the basis. It takes one lcm of the group denominators
+    (a single group's own denominator), sums integer numerators over it,
+    and divides out their one common gcd, so no Fraction is built. The gcd
+    is taken over the sums as they stand, since a zero does not change it,
+    and one pass then drops the zeros and divides. Over den = 1 the result
+    is already in lowest terms, so the gcd is skipped.
     """
     groups = list(groups)
     den = groups[0][1] if len(groups) == 1 else lcm(*(d for _, d, _ in groups))
@@ -373,10 +374,11 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
 
     Skips the validation and coercion of DivisorClass.__post_init__, which
     every class built by the public constructor still goes through. Built
-    here: the kernel's outputs (lincomb, parse_class, pushforward,
-    solve_thetanull), a decomposition's remainder, basis_class, pullback,
-    catalog's closed forms (each genus's own D among them) and the test curves. The
-    fields go straight into the instance dict, with no keyword dict built.
+    here: the kernel's outputs (every class that _sum_terms reduces),
+    basis_class, pullback, catalog's closed forms (each genus's own D among
+    them) and the test curves, none of which reduces; tests/test_imports.py
+    lists these call sites. The fields go straight into the instance dict,
+    with no keyword dict built.
     """
     cls = object.__new__(DivisorClass)
     fields = cls.__dict__

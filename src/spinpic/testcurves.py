@@ -67,9 +67,10 @@ def _b_entries(g: int) -> dict[str, int]:
 def covering_curve(ctx: GenusCtx) -> DivisorClass:
     """curve_map's R alone: B's entries at each label's image (d0 under a0 and b0s) times its covering degree."""
     require_classification_genus(ctx)
-    b = _b_entries(ctx.g)
-    lift = ((s, b[m] * transfer.pushforward_degree(ctx, s))
-            for s, m in (("lambda", "lambda"), ("a0", "d0"), ("b0s", "d0")))
+    g = ctx.g
+    b, degree = _b_entries(g), transfer._degree
+    lift = ((s, b[m] * degree(g, kind, 0))
+            for s, m, kind in (("lambda", "lambda", "lambda"), ("a0", "d0", "a"), ("b0s", "d0", "b")))
     # the degrees are read at call time, and one of 0 leaves no entry, as the constructor would drop it
     return _trusted(ctx, S_SIDE, {s: v for s, v in lift if v}, 1)
 
@@ -117,16 +118,16 @@ def _steps(ctx: GenusCtx, curves: dict[str, DivisorClass], m1: DivisorClass) -> 
     read. The chain works in ints, one gcd per coefficient, and its 2x2 step
     raises SingularMatrixError on a zero determinant.
     """
-    table, row, den, degree = _spelled(ctx.g), m1.num, m1.den, transfer.pushforward_degree
+    g, table, row, den, degree = ctx.g, _spelled(ctx.g), m1.num, m1.den, transfer._degree
     f0, g0, h0 = (curves[name].num for name in ("F0", "G0", "H0"))
     a, b, d = table.a, table.b, table.d
     a1, b1 = a[1], b[1]
     # the lambda row reads degree(lambda)*lambda = m1 at lambda, so lambda = ln/ld
-    ln, ld = _quotient(row.get("lambda", 0), den * degree(ctx, "lambda"))
+    ln, ld = _quotient(row.get("lambda", 0), den * degree(g, "lambda", 0))
     # H0.theta = 0 gives a1 = (rn/rd)*b0s. With it, den times the d0 row and
     # rd*ld times G0.theta = 0 read u*a0 + v*b0s = s and p*a0 + q*b0s = t in ints
     rn, rd = -h0.get("b0s", 0), h0.get(a1, 0)
-    u, v, s = den * degree(ctx, "a0"), den * degree(ctx, "b0s"), row.get(d[0], 0)
+    u, v, s = den * degree(g, "a", 0), den * degree(g, "b", 0), row.get(d[0], 0)
     p, q = g0.get("a0", 0) * rd * ld, (g0.get("b0s", 0) * rd + g0.get(a1, 0) * rn) * ld
     t = -g0.get("lambda", 0) * ln * rd
     det = u * q - v * p
@@ -144,7 +145,7 @@ def _steps(ctx: GenusCtx, curves: dict[str, DivisorClass], m1: DivisorClass) -> 
         # Fi stores (2-2i)*ai alone, so Fi.theta = 0 gives ai = 0; with it, the di row reads degree(bi)*bi = m1 at di
         name = f"F{i}"
         yield (f"{name}.theta = 0", a[i], *_quotient(0, curves[name].num.get(a[i], 0)))
-        yield (f"pi_*theta = m1 at {d[i]}", b[i], *_quotient(row.get(d[i], 0), den * degree(ctx, b[i])))
+        yield (f"pi_*theta = m1 at {d[i]}", b[i], *_quotient(row.get(d[i], 0), den * degree(g, "b", i)))
 
 
 def solve_thetanull(ctx: GenusCtx, show: Callable[[str], object] | None = None) -> DivisorClass:

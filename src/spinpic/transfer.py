@@ -10,15 +10,17 @@ multiplies each spin-side basis class by the covering degree of the
 boundary stratum it sits on, a product of theta-characteristic counts by
 Cornalba's description of the spin boundary: A_i and B_i (i >= 1) carry
 even or odd ones on both components, A_0 any and B_0 even ones on the
-genus-(g-1) normalization. _degree writes each of
-these degrees once, in shifts and sums, and every reader computes it where
-it reads it; degree_identities ties the degrees to the component degrees.
+genus-(g-1) normalization. _degree(g, kind, i) writes each of these
+degrees once, in shifts and sums, and every reader (pushforward, the
+covering curve R, the theta-null chain, the counts command) calls it by
+kind and index where it reads it; pushforward alone maps a spin label to
+its (kind, i). degree_identities ties the degrees to the component degrees.
 """
 
 from __future__ import annotations
 
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted, _unknown_labels
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted
 
 
 def _even(n: int) -> int:
@@ -55,20 +57,6 @@ def _degree(g: int, kind: str, i: int) -> int:
         mixed = (1 << i) + (1 << (g - i))
         return ((1 << g) + 1 + (mixed if kind == "a" else -mixed)) << (g - 2)
     return _even(g) if kind == "lambda" else 1 << (2 * g - 2) if kind == "a" else _even(g - 1)
-
-
-# (kind, i) of R's labels, which pushforward_degree answers before it reads the label sequences
-_R_KEYS = {"lambda": ("lambda", 0), "a0": ("a", 0), "b0s": ("b", 0)}
-
-
-def pushforward_degree(ctx: GenusCtx, label: str) -> int:
-    """Covering degree multiplying the image of one spin-side basis class: _degree at the label's kind and index."""
-    if (key := _R_KEYS.get(label)) is None:
-        table, h = _spelled(ctx.g), ctx.h
-        if (i := table.s.get(label, h + 1)) > h:  # as in picard._index, without its two calls per label
-            raise _unknown_labels((label,), ctx, S_SIDE)
-        key = ("a" if label == table.a[i] else "b", i)
-    return _degree(ctx.g, *key)
 
 
 # The pullback rule as multiplicities: lambda's on lambda; d0's on a0 and on

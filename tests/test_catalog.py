@@ -134,6 +134,33 @@ def test_slot_form_classes_are_valid_in_basis_order(g):
     assert list(theta.num) == ["lambda", "a0", *(f"b{i}" for i in range(1, ctx.h + 1))] and theta.den == 16
 
 
+# slot forms (den, lambda, a0, b0s, a1, b1, ai, bi) with every zero pattern: in the (ai, bi) pair, and at each head slot
+_HEAD = (7, -5, 3, 2, -11)
+_ZERO_PATTERN_FORMS = {
+    "ai-zero": (6, *_HEAD, 0, 4),
+    "bi-zero": (6, *_HEAD, 4, 0),
+    "both-zero": (6, *_HEAD, 0, 0),
+    "unequal": (6, *_HEAD, 4, -9),
+    "equal": (1, *_HEAD, -2, -2),
+    **{f"zero-at-{name}": (6, *(0 if k == j else v for k, v in enumerate(_HEAD)), 4, -9)
+       for j, name in enumerate(("lambda", "a0", "b0s", "a1", "b1"))},
+}
+
+
+@pytest.mark.parametrize("form", _ZERO_PATTERN_FORMS.values(), ids=_ZERO_PATTERN_FORMS)
+@pytest.mark.parametrize("g", (3, 4, 5, 60, 1000))
+def test_slot_class_is_valid_in_basis_order_for_every_zero_pattern(g, form):
+    # one pass over the basis, whichever entries of the form are zero: the
+    # validating constructor's class, its labels in basis order, zeros dropped
+    ctx, (den, *head, ai, bi) = GenusCtx(g), form
+    labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, ctx.h + 1) for k in "ab")]
+    values = [*head, *[ai, bi] * (ctx.h - 1)]
+    cls = catalog._slot_class(ctx, form)
+    _assert_validated_form(cls, ctx, S_SIDE)
+    assert cls == DivisorClass(ctx, S_SIDE, {label: Fraction(v, den) for label, v in zip(labels, values)})
+    assert list(cls.num) == [label for label, v in zip(labels, values) if v] and cls.den == den
+
+
 @pytest.mark.parametrize("g", range(3, 61))
 def test_engine_builders_pass_the_validating_constructor(g):
     # these builders skip DivisorClass validation too, each on input it has already checked

@@ -9,7 +9,9 @@ into testcurves' private names, so every pairing goes through intersect.
 Only picard._trusted and catalog._own_d build a value by object.__new__,
 past its constructor, so no third unvalidated construction path appears,
 and only picard._Value._init sets a field by object.__setattr__, so no
-constructor rewrites a field after setting it.
+constructor rewrites a field after setting it. _trusted itself is called
+only at a listed set of sites, the kernel _sum_terms and the closed forms,
+so no module grows a reduce-and-trust path of its own beside the kernel.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 kodaira raises VerificationFailureError only where it certifies evidence or
 checks a decomposition, so the sign rules keep one home in certify, and
@@ -94,6 +96,20 @@ def test_only_trusted_and_own_d_call_object_new():
     sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
              for where in _call_sites(path, "object.__new__")]
     assert sites == [("catalog.py", "_own_d"), ("picard.py", "_trusted")]
+
+
+def test_trusted_is_called_only_where_no_reduction_is_needed():
+    # picard._trusted keeps its numerators and denominator as given. The kernel
+    # reduces every sum it builds before it trusts one; each other site writes a
+    # class in lowest terms by construction. A module that took its own gcd
+    # and trusted the result would be a second reducer beside the kernel
+    sites = sorted({(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+                    for where in _call_sites(path, "_trusted")})
+    assert sites == [
+        ("catalog.py", "_own_d"), ("catalog.py", "_slot_class"), ("catalog.py", "canonical_m"),
+        ("catalog.py", "m1_theta_class"), ("picard.py", "_sum_terms"), ("picard.py", "basis_class"),
+        ("testcurves.py", "covering_curve"), ("testcurves.py", "curve_map"), ("transfer.py", "pullback"),
+    ]
 
 
 def test_only_value_init_calls_object_setattr():

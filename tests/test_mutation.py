@@ -2,7 +2,8 @@
 
 The constant families the engine rests on are the pushforward
 multiplicities (`transfer._degree`, the one formula per stratum that
-pushforward, R and the counts read), the even, odd and total
+pushforward, R, the theta-null chain and the counts read by kind and
+index), the even, odd and total
 degrees of the covering, the stored curve intersection numbers, the
 theta-null coefficients, the canonical classes on both sides, the slot
 forms that write K and theta (`catalog._CANONICAL_S_FORM` and
@@ -52,9 +53,10 @@ def test_perturbed_pushforward_degree_is_caught(label, monkeypatch):
     def bumped(g, kind, i):
         return original(g, kind, i) + ((kind, i) == key)
 
-    want = transfer.pushforward_degree(ctx, label) + 1
+    image, want = "lambda" if label == "lambda" else f"d{key[1]}", transfer._degree(6, *key) + 1
     monkeypatch.setattr(transfer, "_degree", bumped)
-    assert transfer.pushforward_degree(ctx, label) == want
+    # pushforward maps the label to its (kind, i) and reads the perturbed degree
+    assert dict(transfer.pushforward(basis_class(ctx, S_SIDE, label)).num) == {image: want}
     assert _failures(6), f"no check caught the perturbed multiplicity at {label}"
 
 
@@ -69,7 +71,8 @@ def test_opposite_perturbations_of_a_i_and_b_i_are_caught(i, monkeypatch):
         return original(g, kind, k) + (k == i) * (1 if kind == "a" else -1)
 
     monkeypatch.setattr(transfer, "_degree", bumped)
-    assert transfer.pushforward_degree(ctx, f"a{i}") == original(6, "a", i) + 1
+    pushed = {kind: dict(transfer.pushforward(basis_class(ctx, S_SIDE, f"{kind}{i}")).num) for kind in "ab"}
+    assert pushed == {"a": {f"d{i}": original(6, "a", i) + 1}, "b": {f"d{i}": original(6, "b", i) - 1}}
     assert all(lhs == rhs for _, lhs, rhs in transfer.degree_identities(ctx))
     failed = {c.name for c in _failures(6)}
     assert not {name for name in failed if name.startswith("projection:")}

@@ -30,7 +30,7 @@ from spinpic.picard import (
     zero_class,
 )
 from spinpic.testcurves import curve_map, solve_thetanull
-from spinpic.transfer import pullback, pushforward, pushforward_degree
+from spinpic.transfer import pullback, pushforward
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 
@@ -107,7 +107,6 @@ _ENTRY_POINTS = {
     "parse_class": "parse_class(label, ctx, side)",
     "DivisorClass": "DivisorClass(ctx, side, {label: 1})",
     "__getitem__": "_trusted(ctx, side, {}, 1)[label]",
-    "pushforward_degree": "pushforward_degree(ctx, label)",
 }
 
 
@@ -117,12 +116,11 @@ def _call(entry, ctx, side, label):
 
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_a_first_call_in_a_fresh_process_spells_its_genus(entry):
-    # nothing is spelled before the first call, which must spell through h itself: at g = 2, through d1 and b1
-    side, label = (S_SIDE, "b1") if entry == "pushforward_degree" else (M_SIDE, "d1")
+    # nothing is spelled before the first call, which must spell through h itself: at g = 2, through index 1
+    side, label = M_SIDE, "d1"
     probe = f"""
 from spinpic import picard
 from spinpic.picard import GenusCtx, DivisorClass, _trusted, basis_class, parse_class
-from spinpic.transfer import pushforward_degree
 assert picard._LABELS.d == []
 ctx, side, label = GenusCtx(2), {side!r}, {label!r}
 print(repr({_ENTRY_POINTS[entry]}))
@@ -145,7 +143,7 @@ def _own_basis(g, side):
 def test_labels_spelled_for_a_higher_genus_stay_outside_a_lower_genus_basis(entry, label):
     canonical_s(GenusCtx(1000))
     ctx = GenusCtx(9)  # h = 4
-    side = S_SIDE if entry == "pushforward_degree" or label != "d5" else M_SIDE
+    side = S_SIDE if label != "d5" else M_SIDE
     with pytest.raises(UnknownLabelError) as raised:
         _call(entry, ctx, side, label)
     assert str(raised.value) == (

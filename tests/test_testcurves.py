@@ -251,7 +251,7 @@ def test_zero_covering_degree_leaves_no_entry_in_r(monkeypatch):
     ctx = GenusCtx(6)
     original = transfer._degree
 
-    def zero_b0s(g, kind, i):  # b0s's degree, which R reads through pushforward_degree
+    def zero_b0s(g, kind, i):  # b0s's degree, which R reads by (kind, i)
         return 0 if (kind, i) == ("b", 0) else original(g, kind, i)
 
     monkeypatch.setattr(transfer, "_degree", zero_b0s)

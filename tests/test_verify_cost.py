@@ -113,7 +113,7 @@ def _record(name, g, expected, got):
 # was recorded; the report, which renders only failures, must reproduce them
 # byte for byte. The patched covering
 # degree must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
-# which reads lambda's degree through pushforward_degree (solve:thetanull). theta and K are built
+# which reads lambda's degree by (kind, i) from _degree (solve:thetanull). theta and K are built
 # from their slot forms, and nu is read off the forms' lambda slots, so a lambda added to theta's
 # or K's form fails kodaira:nu-from-slope as well as the checks of the built class.
 _MUTATIONS = [
@@ -239,7 +239,7 @@ def _bump_even_degree(original):
 
 
 def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
-    # R's lambda entry reads its covering degree through pushforward_degree
+    # R's lambda entry reads its covering degree from _degree by (kind, i)
     assert all(c.ok for c in verify.run_genus(6))  # an unpatched run of the same genus first
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
@@ -489,13 +489,14 @@ def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
 @pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
 def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypatch):
     # the decomposition reads K and theta from their slot forms and builds no
-    # class: no canonical_s, thetanull_class or kernel call in kodaira, and no
-    # spin-side class at all; reading dec.remainder is the one way to build one
+    # class: no canonical_s, thetanull_class or kernel call, and no spin-side
+    # class at all; reading dec.remainder is the one way to build one, by one
+    # kernel call
     ctx = GenusCtx(g)
     for name in ("canonical_s", "thetanull_class"):
         monkeypatch.setattr(catalog, name, lambda ctx, name=name: pytest.fail(f"certificate called {name}"))
-    monkeypatch.setattr(kodaira, "_sum_terms", lambda *args: pytest.fail("certificate called the kernel"),
-                        raising=False)
+    kernel = [_counting(monkeypatch, module, "_sum_terms")
+              for module in (picard, kodaira, transfer, testcurves) if hasattr(module, "_sum_terms")]
     built = []
     for module in (picard, catalog, kodaira, transfer, testcurves):
         if hasattr(module, "_trusted"):
@@ -505,14 +506,18 @@ def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypat
     cert = kodaira.classify(ctx)
     doc = kodaira.certificate_json(cert)
     assert doc["verdict"] == kodaira.GENERAL_TYPE and S_SIDE not in built
+    assert not any(kernel)
     dec = cert.decomposition
     built.clear()
     rest = dec.remainder
+    calls = [name for names in kernel for name in names]
     if dec.d_spec.complete:
         assert built == [S_SIDE] and len(rest.num) <= 2 * ctx.h
+        assert calls == ["remainder"]
         assert doc["c"] == [str(v) for v in dec.c] and doc["c_prime"] == [str(v) for v in dec.c_prime]
     else:
         assert built == [] and rest is None and doc["c"] is None
+        assert calls == []
 
 
 @pytest.mark.parametrize("g", (9, 401, 700))
