@@ -87,6 +87,13 @@ class DivisorSpec(_Value):
     conditional. A spec whose provenance is not UserSupplied must equal its
     genus's own D, the one choose_d(ctx) builds; any other divisor is
     UserSupplied(name).
+
+    Invariant: divisor.num stores lambda, d0, d1, ..., dh in that order
+    (lambda and d0 alone without b), so kodaira.decompose_canonical reads
+    the di numerators by position, from the third value on. Both builders
+    write that order: _own_d in closed form, and __post_init__ through the
+    validating constructor, which keeps the order of the coefficients it
+    is given; copy and pickle rebuild through __init__.
     """
 
     __match_args__ = ("ctx", "provenance", "a", "b0", "b")
@@ -322,8 +329,9 @@ def _own_d(ctx: GenusCtx) -> DivisorSpec:
     numerator is -den*i(g-i). That is lowest terms with no gcd: each prime
     of den divides a's or b0's denominator to its full power in den, so it
     does not divide that one's numerator over den. Every numerator is
-    nonzero, in basis order; tests/test_catalog.py checks the class
-    against the validating constructor.
+    nonzero, in basis order, the storage order DivisorSpec promises;
+    tests/test_catalog.py checks the class against the validating
+    constructor.
     """
     g = ctx.g
     provenance, a, b0 = _rule(g)

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
@@ -147,8 +148,36 @@ def _cmd_counts(args) -> int:
     return 0 if all(lhs == rhs for _, lhs, rhs in identities) else 1
 
 
+# A verify run that has gone on this long prints a progress line on stderr, and then at most one per interval.
+_PROGRESS_NS = 5 * 10**9
+_clock = time.monotonic_ns  # int nanoseconds, so the progress arithmetic stays in integers
+
+
+def _progress(start: int, end: int):
+    """build_report's per-genus hook for a verify run over [start, end]: one clock read per genus.
+
+    The time left is the time so far scaled by the genera left over the
+    genera done, each weighted by g, since a genus takes time about in
+    proportion to g (README gives build_report's cost at g = 250..1000).
+    """
+    t0 = _clock()
+    due = t0 + _PROGRESS_NS
+
+    def on_genus(g: int, total: int) -> None:
+        nonlocal due
+        if (now := _clock()) < due:
+            return
+        due = now + _PROGRESS_NS
+        done, left = (start + g) * (g - start + 1), (g + 1 + end) * (end - g)  # twice each sum of g
+        elapsed = now - t0
+        print(f"verify {start}..{end}: genus {g}, {total} checks so far, {elapsed // 10**9} s elapsed, "
+              f"about {elapsed * left // done // 10**9} s left", file=sys.stderr, flush=True)
+
+    return on_genus
+
+
 def _cmd_verify(args) -> int:
-    report = verify.build_report(args.start, args.end)
+    report = verify.build_report(args.start, args.end, _on_genus=_progress(args.start, args.end))
     if args.json:
         print(verify.report_json(report))
     else:

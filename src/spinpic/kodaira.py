@@ -14,12 +14,15 @@ rules in `certify` alone. `classify` gathers that evidence and ends in
 
 `decompose_canonical` computes each slot of the decomposition as an
 integer from the slot forms of K and theta, D's numerators and the pullback
-rule, in one pass over D's di, and builds no class. A `Decomposition` keeps
-nu, its one Fraction, and c and c' as integers over their lcm den, not
-reduced: lowest terms are taken only where a value is read, by
-`certificate_json`'s one _ratios call per list (which the text certificate
-prints too), by Fraction in c and c_prime, and in remainder by the one
-class kernel, picard._sum_terms.
+rule, and builds no class. It reads D's di numerators by position, in one
+pass over the values that DivisorSpec stores in the order lambda, d0, d1,
+..., dh. A `Decomposition` keeps nu, its one Fraction, and c and c' as
+integers over their lcm den, not reduced: lowest terms are taken only where
+a value is read, by Fraction in c and c_prime, in remainder by the one
+class kernel, picard._sum_terms, and in `certificate_json` (which the text
+certificate prints too) by _remainders, which writes both lists from one
+gcd map where c'_i - c_i is a multiple of den, as it is for the paper's
+forms, and each list by its own _ratios call otherwise.
 
 Everything the arithmetic cannot certify (effectivity of the auxiliary
 divisor, bigness of lambda, extension of pluricanonical forms) is carried
@@ -29,8 +32,8 @@ on the certificate as a named hypothesis, not silently assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
-from math import lcm
+from itertools import chain, islice, repeat
+from math import gcd, lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
@@ -65,7 +68,11 @@ class Decomposition(_Value):
     reduced; all three are None when the divisor spec carries no boundary
     coefficients, whose non-negativity is then conditional. c and c_prime
     read them as reduced Fraction tuples, and remainder builds their class,
-    in lowest terms by the kernel, on each read.
+    in lowest terms by the kernel, on each read. c_num and c_prime_num are
+    decompose_canonical's affine maps of D's di numerators: when the
+    pullback rule gives ai and bi one multiplicity, c'_i - c_i is one
+    integer for every i >= 2 and one at i = 1, the shape that
+    certificate_json's writer relies on.
     """
 
     __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
@@ -111,8 +118,10 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     no class is built. nu, the one Fraction, is read off the lambda slots,
     and the a0 and b0s slots must vanish. Without b_i, D = a*lambda - b0*d0,
     the remainders stay conditional and only these slots are read; with
-    them, each c_i and c'_i is an affine map of D's di numerator, read in
-    one pass, and stays over den unreduced.
+    them, each c_i and c'_i is an affine map of D's di numerator and stays
+    over den unreduced. The di numerators are read by position, one pass
+    over D's stored values from the third on, by DivisorSpec's storage
+    order, with no lookup by label.
     """
     if spec.ctx != ctx:
         raise GenusMismatchError(f"divisor is for genus {spec.ctx.g}, expected {ctx.g}")
@@ -132,7 +141,7 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
     if not spec.complete:
         return Decomposition(spec, nu, None, None, None)
     # c_i and c'_i are affine maps of D's di numerator; i = 1 takes the (a1, b1) slots instead
-    d = list(map(num.__getitem__, islice(_spelled(ctx.g).d, 1, ctx.h + 1)))
+    d = list(islice(num.values(), 2, None))
     pa, pb = p * p_ai, p * p_bi
     c, c_prime = [ai - pa * n for n in d], [bi - pb * n for n in d]
     c[0] += a1 - ai
@@ -156,21 +165,36 @@ class KodairaCertificate(_Value):
                    annotations=annotations, citations=citations)
 
 
+def _remainders(dec: Decomposition) -> tuple[list[str], list[str]]:
+    """c and c' of a complete decomposition as "p/q" lists: the one writer of both.
+
+    With the pullback rule's one multiplicity for ai and bi, c'_i - c_i is
+    the bi slot less the ai slot of K - 8*theta, one integer for every
+    i >= 2 and one at i = 1, read off the lists' last and first entries.
+    Where den divides both, gcd(c'_i, den) = gcd(c_i, den), so one gcd map
+    and one _ratios call write both lists; for the paper's forms both are
+    4*den. Otherwise, only under a perturbed slot form or pullback rule,
+    each list is written by a call of its own.
+    """
+    c, c_prime, den = dec.c_num, dec.c_prime_num, dec.den
+    _, _, _, p_ai, p_bi = transfer._PULLBACK
+    if p_ai == p_bi and not (c_prime[0] - c[0]) % den and not (c_prime[-1] - c[-1]) % den:
+        both = _ratios(c + c_prime, den, list(map(gcd, c, repeat(den))) * 2)
+        return both[:len(c)], both[len(c):]
+    return _ratios(c, den), _ratios(c_prime, den)
+
+
 def certificate_json(cert: KodairaCertificate) -> dict:
-    """The certificate in its external JSON shape; every rational is "p/q"."""
+    """The certificate in its external JSON shape; every rational is "p/q", and c and c' are written by _remainders."""
     dec = cert.decomposition
-    c, c_prime = (None, None) if dec is None else (dec.c_num, dec.c_prime_num)
-
-    def remainders(num: tuple[int, ...] | None) -> list[str] | None:  # the one writer of c and c'
-        return None if num is None else _ratios(num, dec.den)
-
+    c, c_prime = (None, None) if dec is None or dec.conditional else _remainders(dec)
     return {
         "genus": cert.ctx.g,
         "verdict": cert.verdict,
         "nu": None if dec is None else str(dec.nu),
         "rk": None if cert.rk is None else str(cert.rk),
-        "c": remainders(c),
-        "c_prime": remainders(c_prime),
+        "c": c,
+        "c_prime": c_prime,
         "flags": list(cert.flags),
         "citations": list(cert.citations),
     }

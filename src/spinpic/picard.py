@@ -23,7 +23,8 @@ the lists d, a and b of _LABELS by index. Genus g's basis is the first h+2
 labels of _M or 2h+3 of _S: those of index i <= h. The engine modules read
 labels and indices only through _spelled and _basis, which spell up to h
 first, and no code parses an index out of a label. verify spells its labels
-itself, as an independent check of the sequences.
+itself, as an independent check of the sequences, and calls _spelled only
+to grow them past its range before its first genus.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
@@ -216,21 +217,24 @@ def _unknown_labels(labels: Iterable[str], ctx: GenusCtx, side: str) -> UnknownL
 _ZERO = Fraction(0)
 
 
-def _ratios(ns: Iterable[int], d: int) -> list[str]:
+def _ratios(ns: Iterable[int], d: int, ks: list[int] | None = None) -> list[str]:
     """[str(Fraction(n, d)) for n in ns] for d >= 1, without building a Fraction: the one p/q writer of the package.
 
     Over d = 1, the case of most cli calls (pair, class, solve-thetanull),
     each entry is str(n). Otherwise the gcds with d are taken by one map,
-    and each distinct "/q" tail is formatted once. ns may be a one-shot
-    iterator, as render_class's map(abs, ...) is.
+    or given as ks, gcd(n, d) for each n, by a caller that shares them
+    between entries it knows to have equal gcds; each distinct "/q" tail is
+    formatted once, and an entry is str(n // k) + its tail. ns may be a
+    one-shot iterator, as render_class's map(abs, ...) is.
     """
     if d == 1:
         return list(map(str, ns))
-    if not isinstance(ns, (list, tuple)):  # read twice below
-        ns = list(ns)
-    ks = list(map(gcd, ns, repeat(d)))
+    if ks is None:
+        if not isinstance(ns, (list, tuple)):  # read twice below
+            ns = list(ns)
+        ks = list(map(gcd, ns, repeat(d)))
     tails = {k: "" if k == d else f"/{d // k}" for k in set(ks)}
-    return [f"{n // k}{tails[k]}" for n, k in zip(ns, ks)]
+    return [str(n // k) + tails[k] for n, k in zip(ns, ks)]
 
 
 class DivisorClass(_Value):

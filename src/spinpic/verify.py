@@ -10,7 +10,10 @@ row family (`_Row`) per i; a row pairs each curve through
 each pi*d_j that stores one of the curve's labels. `build_report` counts
 the stream and renders only failures: a passing identity costs it one
 comparison, and a row yields it only the entries whose sides differ, so a
-passing row formats no check name. `run_genus` lists every identity as a
+passing row formats no check name. It first spells the engine's label
+sequences past its range, so a read past a genus's basis finds labels
+outside it, and it reports each genus done to an optional hook, which the
+cli's progress line reads. `run_genus` lists every identity as a
 `Check`, each row over every j, with both sides already rendered.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
@@ -37,6 +40,7 @@ from .picard import (
     S_SIDE,
     DivisorClass,
     GenusCtx,
+    _spelled,
     _sum_terms,
     _Value,
     basis_class,
@@ -332,10 +336,18 @@ def run_genus(g: int) -> list[Check]:
             for name, expected, got in (item.triples() if isinstance(item, _Row) else (item,))]
 
 
-def build_report(start: int, end: int) -> dict:
-    """Run the suite over [start, end] and assemble the machine-readable report from the stream."""
+def build_report(start: int, end: int, _on_genus=None) -> dict:
+    """Run the suite over [start, end] and assemble the machine-readable report from the stream.
+
+    The engine's label sequences are spelled past end's basis first, so a
+    read that overruns genus g's basis finds labels outside it, and the
+    checks in place fail, also on a first sweep upward in a fresh process.
+    _on_genus(g, total), when given, is called after each genus with the
+    checks counted so far; the cli's progress line reads it.
+    """
     if start < 3 or end < start:
         raise ValueError(f"verification range must satisfy 3 <= start <= end, got {start}..{end}")
+    _spelled(end + 2)
     genera = []
     failures = []
     total = 0
@@ -354,6 +366,8 @@ def build_report(start: int, end: int) -> dict:
                      for name, expected, got in failed]
         genera.append({"genus": g, "checks": count, "failed": len(failed)})
         total += count
+        if _on_genus is not None:
+            _on_genus(g, total)
     return {
         "command": "verify",
         "genus-range": [start, end],

@@ -330,6 +330,32 @@ def test_own_d_is_the_validated_class_in_lowest_terms_and_basis_order():
         assert list(d.num) == ["lambda", "d0", *bn]
 
 
+def _assert_stored_in_order(spec):
+    """D stores lambda, d0, d1, ..., dh in that order when complete, lambda and d0 alone otherwise, also once copied."""
+    h = spec.ctx.h
+    want = ["lambda", "d0", *(f"d{i}" for i in range(1, h + 1) if spec.complete)]
+    for kept in (spec, copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert kept == spec and list(kept.divisor.num) == want, spec.ctx.g
+    return want
+
+
+def test_every_spec_stores_its_numerators_in_order():
+    # kodaira.decompose_canonical reads d1..dh by position, from D's third stored value
+    # on, so every builder of a spec must store lambda, d0, d1, ..., dh in that order
+    complete = [g for g in range(3, 1001) if len(_assert_stored_in_order(choose_d(GenusCtx(g)))) > 2]
+    assert complete == [g for g in range(3, 1001) if isinstance(catalog._rule(g)[0], BrillNoether)]
+    assert len(complete) == 832
+    for g in (3, 9, 60):
+        ctx = GenusCtx(g)
+        b = tuple(Fraction(g - i, 7) for i in range(ctx.h))
+        for spec in (DivisorSpec(ctx, UserSupplied("u"), Fraction(9), Fraction(2, 3), b),
+                     DivisorSpec(ctx, UserSupplied("u"), Fraction(9), Fraction(2, 3)),
+                     load_divisor_spec(json.dumps({"name": "u", "genus": g, "a": "9", "b0": "2/3",
+                                                   "b": [str(v) for v in b]}), ctx),
+                     load_divisor_spec({"name": "u", "genus": g, "a": 9, "b0": "2/3"}, ctx)):
+            _assert_stored_in_order(spec)
+
+
 _POSITIVE = st.fractions(min_value=0, max_denominator=30).filter(lambda q: q > 0)
 
 

@@ -286,6 +286,26 @@ def test_verify_setup_failure_exits_one(capsys, monkeypatch):
     ), "")
 
 
+@pytest.mark.parametrize("as_json", ((), ("--json",)), ids=("text", "json"))
+def test_a_long_verify_prints_progress_on_stderr_only(as_json, capsys, monkeypatch):
+    # a fake clock in nanoseconds, read once at the start and once after each genus
+    second = 10**9
+    argv = ("verify", "--from", "3", "--to", "8", *as_json)
+    quiet = run(capsys, *argv)
+    assert quiet[2] == ""  # a short run prints no progress
+    reads = iter([0, 1 * second, 5 * second - 1, 5 * second, 9 * second, 10 * second, 12 * second])
+    monkeypatch.setattr(cli, "_clock", lambda: next(reads))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == quiet[:2] and next(reads, None) is None
+    # no line before 5 s; then one at most every 5 s, the time left scaled by the
+    # sum of g over the genera left against that over the genera done
+    # (62 + 74 + 82 checks through g = 5, and 96 + 106 more through g = 7)
+    assert err == (
+        "verify 3..8: genus 5, 218 checks so far, 5 s elapsed, about 8 s left\n"
+        "verify 3..8: genus 7, 420 checks so far, 10 s elapsed, about 3 s left\n"
+    )
+
+
 def test_verify_json_round_trips_byte_identically(capsys):
     code, out, _ = run(capsys, "verify", "--from", "3", "--to", "4", "--json")
     assert code == 0

@@ -318,6 +318,48 @@ def test_certificate_json_shapes():
     assert FLAG_CONDITIONAL in doc10["flags"]
 
 
+# (module, name, value) patches and the number of p/q writer calls for c and c' under them
+_WRITER_PATHS = {
+    # the paper's forms: c'_i - c_i is 4*den at every i, so c and c' share their gcds with den
+    "paper": ((), 1),
+    # theta's bi slot at -6/16 moves the gap at i >= 2 to 3*den, still a multiple of den
+    "theta-bi-6": (((catalog, "_THETANULL_FORM", (16, 4, -1, 0, 0, -8, 0, -6)),), 1),
+    # at -7/16 the gap is 7*den/2, and a pullback rule of 2 on bi makes it differ with i:
+    # neither proves shared gcds, so each list is written by a call of its own
+    "theta-bi-7": (((catalog, "_THETANULL_FORM", (16, 4, -1, 0, 0, -8, 0, -7)),), 2),
+    "pullback-bi-2": (((transfer, "_PULLBACK", (1, 1, 2, 1, 2)),), 2),
+}
+
+
+@pytest.mark.parametrize("path", _WRITER_PATHS)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 60).flatmap(lambda g: st.tuples(
+    st.just(GenusCtx(g)), _POSITIVE, _POSITIVE, st.lists(_POSITIVE, min_size=g // 2, max_size=g // 2).map(tuple))))
+def test_certificate_remainders_are_each_entry_in_lowest_terms(path, drawn):
+    # every written c and c' is str of its Fraction over den, and the value that
+    # K - 8*theta + (3/(2*b0))*p*b_i gives at its slot from D's b_i as the spec reads them
+    ctx, a, b0, b = drawn
+    spec = DivisorSpec(ctx, UserSupplied("drawn"), a, b0, b)
+    patches, writes = _WRITER_PATHS[path]
+    with pytest.MonkeyPatch.context() as m:
+        for module, name, value in patches:
+            m.setattr(module, name, value)
+        calls, original = [], kodaira._ratios
+        m.setattr(kodaira, "_ratios", lambda *args: calls.append(args) or original(*args))
+        dec = decompose_canonical(ctx, spec)
+        # built directly, since a perturbed form may leave a negative remainder that certify refuses
+        doc = certificate_json(kodaira.KodairaCertificate(ctx, GENERAL_TYPE, None, dec, (), (), ()))
+        (k_den, *k), (t_den, *t) = catalog._CANONICAL_S_FORM, catalog._THETANULL_FORM
+        _, _, _, p_ai, p_bi = transfer._PULLBACK
+    assert len(calls) == writes
+    _, _, _, a1, b1, ai, bi = [Fraction(x, k_den) - 8 * Fraction(y, t_den) for x, y in zip(k, t)]
+    scale = Fraction(3, 2) / spec.b0
+    want_c = [(a1 if i == 1 else ai) + scale * p_ai * v for i, v in enumerate(spec.b, 1)]
+    want_c_prime = [(b1 if i == 1 else bi) + scale * p_bi * v for i, v in enumerate(spec.b, 1)]
+    assert doc["c"] == [str(Fraction(n, dec.den)) for n in dec.c_num] == list(map(str, want_c))
+    assert doc["c_prime"] == [str(Fraction(n, dec.den)) for n in dec.c_prime_num] == list(map(str, want_c_prime))
+
+
 def _evidence(g):
     ctx = GenusCtx(g)
     return ctx, decompose_canonical(ctx, choose_d(ctx))

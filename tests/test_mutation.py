@@ -31,7 +31,11 @@ denominator, and a certificate's c or c' list on the document that
 """
 
 import copy
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -402,3 +406,39 @@ def test_perturbed_certificate_is_caught(g, target, change, check, monkeypatch):
 def test_unperturbed_suite_is_clean():
     assert _failures(5) == []
     assert _failures(6) == []
+
+
+_OVERRUN_PROBE = """
+from spinpic import catalog, picard, verify
+from spinpic.picard import M_SIDE, _spelled, _trusted
+
+assert picard._LABELS.d == []
+
+
+def canonical_m(ctx):  # catalog's closed form, which the test gives a slice past dh
+    d = _spelled(ctx.g).d
+    num = {"lambda": 13, d[0]: -2, d[1]: -3}
+    num.update(dict.fromkeys(d[2:ctx.h + 1], -2))
+    return _trusted(ctx, M_SIDE, num, 1)
+
+
+catalog.canonical_m = canonical_m
+report = verify.build_report(3, 22)
+print(report["status"], *sorted({f["check-name"] for f in report["failures"]}))
+"""
+
+
+def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
+    # In a fresh process the label sequences hold nothing past the genera spelled
+    # so far, so a sweep upward that spelled only as it went would let a slice
+    # past dh read nothing and pass. build_report spells past its range first,
+    # so the overrun stores labels outside the basis, and the checks in place fail
+    probe = _OVERRUN_PROBE.replace("ctx.h + 1]", "ctx.h + 3]")
+    assert probe != _OVERRUN_PROBE
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "FAIL canonical:splitting roundtrip:canonical-m\n"
+    # the same closed form without the overrun is clean
+    run = subprocess.run([sys.executable, "-c", _OVERRUN_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "OK\n"

@@ -416,6 +416,11 @@ def test_ratio_writes_what_str_of_a_fraction_writes(ns, d):
     # entries that share few gcds with d: 1, d, and 2 or 4
     few = [7 * d + 1, -(d + 1), 1, d, -3 * d, 0, 2 * d, 2 * d + 1, 4, -2]
     assert _ratios(few, d) == _ratios(iter(few), d) == [str(Fraction(n, d)) for n in few]
+    # gcds given by the caller, as a certificate shares c's with c', whose entries differ by multiples of d
+    ks = [gcd(n, d) for n in ns]
+    assert _ratios(ns, d, ks) == _ratios(iter(ns), d, ks) == want
+    shifted = [n + 4 * d for n in ns]
+    assert _ratios(ns + shifted, d, ks * 2) == want + [str(Fraction(n, d)) for n in shifted]
 
 
 def test_equal_values_give_equal_classes():

@@ -30,8 +30,11 @@ ratios build two per i. A decomposition with a slope-only D reads only
 D's lambda and d0 numerators and no label sequence, at any genus. A
 certificate calls neither canonical_s nor thetanull_class nor the class
 kernel in kodaira and builds no spin-side class: reading its remainder is
-the one way to build that class. It writes each of its c and c' lists by
-one call of the p/q writer. The kodaira section
+the one way to build that class. A complete D's di numerators are read by
+one positional pass, with no lookup by label. Since c'_i - c_i is a
+multiple of the denominator, a certificate takes one gcd per i and writes
+both its c and c' lists by one call of the p/q writer; under a pullback
+rule that proves nothing, one call per list. The kodaira section
 certifies the evidence it computed itself: it picks D, pairs R with K and
 decomposes K once each, hands them to one certify call, which applies the
 sign rules, and never calls classify.
@@ -445,7 +448,7 @@ def test_certificates_build_no_fraction_per_label(monkeypatch):
 
 
 class _ReadCounting(dict):
-    """D's numerators, counting each label that is read."""
+    """D's numerators, counting each label that is read and each positional pass, as "values()"."""
 
     def __init__(self, num, reads):
         super().__init__(num)
@@ -454,6 +457,10 @@ class _ReadCounting(dict):
     def __getitem__(self, label):
         self.reads[label] += 1
         return super().__getitem__(label)
+
+    def values(self):
+        self.reads["values()"] += 1
+        return super().values()
 
 
 def _numerator_reads(spec):
@@ -480,10 +487,14 @@ def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
     spelled = _counting(monkeypatch, kodaira, "_spelled")
     for spec in (own_700, own_12, _slope_only(300), _slope_only(20)):
         assert _numerator_reads(spec) == {"lambda": 1, "d0": 1}
+    # a complete D's remainder is kept: its di numerators are read by one
+    # positional pass over the stored values, with no lookup by label and
+    # still no label sequence, for the own D and a user's D alike
+    user_300 = catalog.DivisorSpec(GenusCtx(300), catalog.UserSupplied("u"), Fraction(9), Fraction(2),
+                                   tuple(Fraction(i, 3) for i in range(1, 151)))
+    for spec in (catalog.choose_d(GenusCtx(300)), user_300):
+        assert _numerator_reads(spec) == {"lambda": 1, "d0": 1, "values()": 1}
     assert spelled == []
-    # a complete D's remainder is kept, so each of its di numerators is read once more
-    own_300 = catalog.choose_d(GenusCtx(300))
-    assert _numerator_reads(own_300) == {"lambda": 1, "d0": 1, **{f"d{i}": 1 for i in range(1, 151)}}
 
 
 @pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
@@ -520,16 +531,39 @@ def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypat
         assert calls == []
 
 
+def _writer_calls(monkeypatch, cert):
+    """certificate_json(cert), each _ratios call as (caller, entries, gcds given) and the gcd count in kodaira."""
+    calls, original = [], kodaira._ratios
+
+    def ratios(ns, d, ks=None):
+        calls.append((sys._getframe(1).f_code.co_name, len(ns), ks))
+        return original(ns, d, ks)
+
+    monkeypatch.setattr(kodaira, "_ratios", ratios)
+    gcds = _counting(monkeypatch, kodaira, "gcd")
+    return kodaira.certificate_json(cert), calls, len(gcds)
+
+
 @pytest.mark.parametrize("g", (9, 401, 700))
 def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
-    cert = kodaira.classify(GenusCtx(g))
-    calls = _counting(monkeypatch, kodaira, "_ratios")
-    doc = kodaira.certificate_json(cert)
-    # c and c' of a complete D are one call of the p/q writer each, not one per entry; a slope-only D has neither
-    if cert.decomposition.d_spec.complete:
-        assert calls == ["remainders"] * 2 and len(doc["c"]) == len(doc["c_prime"]) == GenusCtx(g).h
-    else:
-        assert calls == [] and doc["c"] is doc["c_prime"] is None
+    cert, h = kodaira.classify(GenusCtx(g)), GenusCtx(g).h
+    doc, calls, gcds = _writer_calls(monkeypatch, cert)
+    if not cert.decomposition.d_spec.complete:  # a slope-only D has neither list
+        assert calls == [] and gcds == 0 and doc["c"] is doc["c_prime"] is None
+        return
+    # c'_i - c_i is 4*den at every i, so c and c' share their gcds with den: one
+    # gcd per i, and one call of the p/q writer for both lists, whose gcds
+    # repeat c's for c'
+    assert len(doc["c"]) == len(doc["c_prime"]) == h
+    [(caller, n, ks)] = calls
+    assert (caller, n, gcds) == ("_remainders", 2 * h, h) and ks[:h] == ks[h:]
+    # a pullback rule that gives bi another multiplicity than ai proves nothing:
+    # each list is then written by a call of its own, which takes its own gcds
+    monkeypatch.setattr(transfer, "_PULLBACK", (1, 1, 2, 1, 2))
+    doc, calls, gcds = _writer_calls(monkeypatch, kodaira.classify(GenusCtx(g)))
+    assert calls == [("_remainders", h, None)] * 2 and gcds == 0
+    dec = kodaira.decompose_canonical(GenusCtx(g), cert.decomposition.d_spec)
+    assert (doc["c"], doc["c_prime"]) == ([str(v) for v in dec.c], [str(v) for v in dec.c_prime])
 
 
 @pytest.mark.parametrize("g", (5, 9, 12, 300))
