@@ -195,14 +195,9 @@ def _cmd_verify(args) -> int:
     return 0 if report["status"] == "OK" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every run."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """build_parser's parser and each subcommand's parser by name, the choices its add_subparsers fills."""
+    """The top-level parser and each subcommand's parser by name, built once per process and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="spinpic",
         description="Exact-rational divisor-class calculus on the moduli spaces of "
@@ -210,8 +205,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_genus(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-g", "--genus", type=int, required=True, help="genus (>= 3)")
+    def add_genus(p: argparse.ArgumentParser, least: int = 3) -> None:
+        p.add_argument("-g", "--genus", type=int, required=True, help=f"genus (>= {least})")
 
     p = sub.add_parser("classify", help="emit the Kodaira-type certificate for one genus or a range")
     p.add_argument("-g", "--genus", type=int, help="genus (>= 3)")
@@ -241,7 +236,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.set_defaults(func=_cmd_solve_thetanull)
 
     p = sub.add_parser("counts", help="print the spin-structure counts and their identities")
-    add_genus(p)
+    add_genus(p, least=2)  # counts reads only the covering degrees, which GenusCtx takes from g = 2
     p.set_defaults(func=_cmd_counts)
 
     p = sub.add_parser("verify", help="run the full per-genus verification suite")

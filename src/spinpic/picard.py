@@ -276,12 +276,6 @@ class DivisorClass(_Value):
         _index(label, self.ctx, self.side)
         return Fraction(self.num[label], self.den) if label in self.num else _ZERO
 
-    def labels(self) -> tuple[str, ...]:
-        return labels_for(self.ctx, self.side)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
     def _require_compatible(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a DivisorClass, got {type(other).__name__}")

@@ -13,8 +13,8 @@ comparison, and a row yields it only the entries whose sides differ, so a
 passing row formats no check name. It first spells the engine's label
 sequences past its range, so a read past a genus's basis finds labels
 outside it, and it reports each genus done to an optional hook, which the
-cli's progress line reads. `run_genus` lists every identity as a
-`Check`, each row over every j, with both sides already rendered.
+cli's progress line reads. The report is the stream's one consumer;
+tests list the stream check by check through their own helper.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -51,15 +51,6 @@ from .picard import (
 )
 
 
-class Check(_Value):
-    """One identity of `run_genus`'s list: its name, whether it holds, and both sides rendered by `_fmt`."""
-
-    __slots__ = __match_args__ = ("name", "ok", "expected", "got")
-
-    def __init__(self, name: str, ok: bool, expected: str, got: str) -> None:
-        self._init(name=name, ok=ok, expected=expected, got=got)
-
-
 def _fmt(value) -> str:
     if isinstance(value, DivisorClass):
         return render_class(value)
@@ -90,13 +81,13 @@ class _Row(_Value):
     def __len__(self) -> int:
         return 2 * (self.h + 1)
 
-    def triples(self, dense: bool = True):
-        """(name, expected, got) in stream order, for every j or only where the sides differ."""
-        for j in range(self.h + 1) if dense else sorted({j for _, j in self.got} | {self.i}):
+    def failures(self):
+        """(name, expected, got) in stream order, only where the sides differ."""
+        for j in sorted({j for _, j in self.got} | {self.i}):
             want = 2 - 2 * self.i if j == self.i else 0
             for kind in "FG":
                 got = self.got.get((kind, j), 0)
-                if dense or want != got:
+                if want != got:
                     yield f"compat:{kind}{self.i}:d{j}", want, got
 
 
@@ -215,12 +206,13 @@ def _identities(g: int):
         yield "curves:names", sorted(expected), sorted(curves)
         for name, (side, numbers) in expected.items():
             got = curves.get(name)
-            # an int and the Fraction of its value compare and render alike, so a
-            # curve over den 1 is compared through its integer numerators
+            # a curve is compared through its integer numerators, with its den beside them
+            # when that is not 1, so a curve stored over another den fails even with no entry
             yield (
                 f"curves:table:{name}",
                 {"side": side, **{k: v for k, v in numbers.items() if v != 0}},
-                "missing" if got is None else {"side": got.side, **(got.num if got.den == 1 else got.coeff)},
+                "missing" if got is None else {"side": got.side, **({} if got.den == 1 else {"den": got.den}),
+                                               **got.num},
             )
 
     def pairings():
@@ -330,12 +322,6 @@ def _crashed(section: str, exc: Exception) -> tuple[str, str, str]:
     return f"{section}:exception", "no exception", f"{type(exc).__name__}: {exc}"
 
 
-def run_genus(g: int) -> list[Check]:
-    """Every per-genus identity as a `Check`, in order, row families expanded; g >= 3."""
-    return [Check(name, expected == got, _fmt(expected), _fmt(got)) for item in _identities(g)
-            for name, expected, got in (item.triples() if isinstance(item, _Row) else (item,))]
-
-
 def build_report(start: int, end: int, _on_genus=None) -> dict:
     """Run the suite over [start, end] and assemble the machine-readable report from the stream.
 
@@ -357,7 +343,7 @@ def build_report(start: int, end: int, _on_genus=None) -> dict:
         for item in _identities(g):
             if item.__class__ is _Row:
                 count += len(item)
-                failed += item.triples(dense=False)
+                failed += item.failures()
             else:
                 count += 1
                 if item[1] != item[2]:

@@ -8,7 +8,8 @@ against an independent oracle inside this file or an exact identity.
 import contextlib
 from fractions import Fraction
 
-from spinpic import catalog, cli, kodaira, testcurves, transfer, verify
+from _checks import run_genus
+from spinpic import catalog, cli, kodaira, testcurves, transfer
 from spinpic.errors import NotCompositeError
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, lincomb, parse_class
 from spinpic.testcurves import curve_map, intersect, solve_thetanull
@@ -148,7 +149,7 @@ def test_criterion_8_verdicts_and_verify_exit(capsys):
 def test_criterion_9_mutation_sensitivity(monkeypatch):
     with criterion(9, "mutation sensitivity"):
         def failures(g):
-            return [c for c in verify.run_genus(g) if not c.ok]
+            return [c for c in run_genus(g) if not c.ok]
 
         assert failures(6) == []
 

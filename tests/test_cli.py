@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import spinpic
 from spinpic import catalog, cli, errors, kodaira, testcurves, transfer
-from spinpic.picard import DivisorClass, GenusCtx
+from spinpic.picard import DivisorClass, GenusCtx, labels_for
 
 
 def run(capsys, *argv):
@@ -99,7 +99,7 @@ def test_pair_dump_matches_the_dense_table(capsys):
     # json.dumps, not the writer under test, lays it out
     for g in range(3, 61):
         curves = testcurves.curve_map(GenusCtx(g))
-        dense = {name: {label: str(c[label]) for label in c.labels()} for name, c in curves.items()}
+        dense = {name: {label: str(c[label]) for label in labels_for(c.ctx, c.side)} for name, c in curves.items()}
         expected = json.dumps(dense, indent=2, sort_keys=True) + "\n"
         assert run(capsys, "pair", "--dump", "-g", str(g)) == (0, expected, "")
 
@@ -123,6 +123,16 @@ def test_counts(capsys):
     assert "even component degree 36" in out
     assert "deg(A0/d0) = 16" in out
     assert "FAIL" not in out
+
+
+def test_each_genus_help_names_the_least_genus_its_command_takes(capsys):
+    # counts reads only the covering degrees, which are defined at g = 2; the classes need g >= 3
+    code, out, _ = run(capsys, "counts", "-g", "2")
+    assert code == 0 and out.endswith("  identity a1+b1=even: 10 == 10  ok\n")
+    assert "genus (>= 2)" in run(capsys, "counts", "--help")[1]
+    for argv in (["class", "thetanull"], ["pair", "R", "lambda"], ["solve-thetanull"]):
+        assert run(capsys, *argv, "-g", "2") == (2, "", "error: this operation needs genus >= 3, got 2\n")
+        assert "genus (>= 3)" in run(capsys, argv[0], "--help")[1]
 
 
 def test_counts_exits_one_on_a_wrong_stratum_degree(capsys, monkeypatch):
@@ -443,7 +453,7 @@ def test_one_parse_matches_the_top_level_parser(capsys, monkeypatch, tmp_path, a
     path.write_text(json.dumps({"name": "file", "genus": 9, "a": "12", "b0": "5/3"}))
     argv = [str(path) if token == "FILE" else token for token in argv]
     once = run(capsys, *argv)
-    parser = cli.build_parser()
+    parser = cli._parsers()[0]
     monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
     assert run(capsys, *argv) == once
 

@@ -1,16 +1,18 @@
 """Golden test: pins the engine's output by hash and check total.
 
 Every pin lives in tests/golden.json, which CI's run of the installed
-`spinpic` command reads too. Recipe, with PYTHONPATH=src, for the first two
-(re-derive them this way when a change deliberately adds, renames or
-rewords a check):
+`spinpic` command reads too. Recipe, with PYTHONPATH=src:tests, for the
+first two (re-derive them this way when a change deliberately adds, renames
+or rewords a check); `run_genus` is the tests' listing of verify's stream,
+in tests/_checks.py:
 
     import hashlib, json
+    from _checks import run_genus
     from spinpic import kodaira, verify
     from spinpic.picard import GenusCtx
 
     checks = [[g, c.name, c.ok, c.expected, c.got]
-              for g in range(3, 23) for c in verify.run_genus(g)]
+              for g in range(3, 23) for c in run_genus(g)]
     certificates = [kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
                     for g in range(3, 23)]
     blob = json.dumps({"checks": checks, "certificates": certificates}, sort_keys=True)
@@ -44,6 +46,7 @@ from pathlib import Path
 
 import pytest
 
+from _checks import run_genus
 from spinpic import cli, kodaira, verify
 from spinpic.picard import GenusCtx
 
@@ -58,7 +61,7 @@ def _sha256(text: str) -> str:
 
 
 def test_checks_and_certificates_are_unchanged():
-    checks = [[g, c.name, c.ok, c.expected, c.got] for g in GENERA for c in verify.run_genus(g)]
+    checks = [[g, c.name, c.ok, c.expected, c.got] for g in GENERA for c in run_genus(g)]
     certificates = [kodaira.certificate_json(kodaira.classify(GenusCtx(g))) for g in GENERA]
     assert len(checks) == GOLDEN["total-checks"]["verify --from 3 --to 22 --json"]
     blob = json.dumps({"checks": checks, "certificates": certificates}, sort_keys=True)

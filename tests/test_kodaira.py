@@ -29,7 +29,8 @@ from spinpic.kodaira import (
     decompose_canonical,
     uniruled_certificate,
 )
-from spinpic import catalog, kodaira, picard, transfer, verify
+from _checks import run_genus
+from spinpic import catalog, kodaira, picard, transfer
 from spinpic.picard import DivisorClass, GenusCtx, S_SIDE, basis_class, lincomb
 from spinpic.transfer import pullback
 
@@ -420,7 +421,7 @@ def test_verify_sees_an_off_by_one_evidence_predicate(monkeypatch):
     # `g < MAX_RK_GENUS` in the one comparison: certify then judges genus 7 by its
     # decomposition, whose nu is negative, and verify's kodaira section must fail
     monkeypatch.setattr(kodaira, "_rk_is_evidence", lambda g: g < MAX_RK_GENUS)
-    failed = {c.name for c in verify.run_genus(MAX_RK_GENUS) if not c.ok}
+    failed = {c.name for c in run_genus(MAX_RK_GENUS) if not c.ok}
     assert failed and {name.partition(":")[0] for name in failed} == {"kodaira"}
 
 

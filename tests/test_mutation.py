@@ -4,7 +4,8 @@ The constant families the engine rests on are the pushforward
 multiplicities (`transfer._degree`, the one formula per stratum that
 pushforward, R, the theta-null chain and the counts read by kind and
 index), the even, odd and total
-degrees of the covering, the stored curve intersection numbers, the
+degrees of the covering, the stored curve intersection numbers and the
+denominator a curve stores them over, the
 theta-null coefficients, the canonical classes on both sides, the slot
 forms that write K and theta (`catalog._CANONICAL_S_FORM` and
 `catalog._THETANULL_FORM`, which the built classes and the decomposition
@@ -31,6 +32,7 @@ denominator, and a certificate's c or c' list on the document that
 """
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -39,13 +41,14 @@ from pathlib import Path
 
 import pytest
 
-from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
+from _checks import run_genus
+from spinpic import catalog, cli, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
 
 
 def _failures(g):
     """The failed checks of genus g that name an identity, leaving out `<section>:exception`."""
-    return [c for c in verify.run_genus(g) if not c.ok and not c.name.endswith(":exception")]
+    return [c for c in run_genus(g) if not c.ok and not c.name.endswith(":exception")]
 
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(6), S_SIDE))
@@ -126,6 +129,25 @@ def test_perturbed_curve_entry_is_caught(name, label, monkeypatch):
 
     monkeypatch.setattr(testcurves, "curve_map", bumped)
     assert _failures(5), f"no check caught the perturbed entry {name}.{label}"
+
+
+@pytest.mark.parametrize("name", ("F1", "G1"))
+def test_a_curve_stored_over_den_2_is_caught(name, monkeypatch, capsys):
+    # F1 and G1 are 0 (2 - 2i at i = 1), so over den 2 they store no entry, and only the den differs
+    original = testcurves.curve_map
+
+    def over_2(ctx):
+        curves = original(ctx)
+        curves[name] = picard._trusted(ctx, S_SIDE, {}, 2)
+        return curves
+
+    monkeypatch.setattr(testcurves, "curve_map", over_2)
+    assert [(c.name, c.expected, c.got) for c in _failures(5)] == [
+        (f"curves:table:{name}", "{side=S}", "{den=2, side=S}")]
+    assert cli.run(["verify", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(f["check-name"], f["genus"]) for f in report["failures"]] == [
+        (f"curves:table:{name}", g) for g in range(3, 23)]
 
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(5), S_SIDE))
@@ -318,7 +340,7 @@ def test_ratio_bound_d1_guards_c1(monkeypatch):
         return cls, _perturbed(spec, b=(Fraction(3, 2) * spec.b0,) + spec.b[1:])
 
     monkeypatch.setattr(catalog, "bn_class", weakened)
-    checks = {c.name: c.ok for c in verify.run_genus(9)}
+    checks = {c.name: c.ok for c in run_genus(9)}
     assert checks["bn:ratio-bound-d1"] is False
     assert all(checks[f"bn:ratio-bound-d{i}"] for i in range(2, GenusCtx(9).h + 1))
 
@@ -397,7 +419,7 @@ def test_perturbed_certificate_is_caught(g, target, change, check, monkeypatch):
         return out
 
     monkeypatch.setattr(kodaira, target, perturbed)
-    failed = {c.name for c in verify.run_genus(g) if not c.ok}
+    failed = {c.name for c in run_genus(g) if not c.ok}
     assert changed == [True], "the perturbation left the certificate as it was"
     # a perturbed certificate must leave verify running: no section may crash on it
     assert check in failed and not any(name.endswith(":exception") for name in failed), failed

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinpic import cli, testcurves, transfer, verify
+from _checks import run_genus
+from spinpic import cli, testcurves, transfer
 from spinpic.catalog import canonical_s, m1_theta_class, thetanull_class
 from spinpic.errors import GenusMismatchError, SideMismatchError
 from spinpic.picard import (
@@ -177,7 +178,7 @@ def test_singular_pencil_system_fails_the_cli(dependent_pencils, capsys):
 
 
 def test_singular_pencil_system_fails_verify(dependent_pencils):
-    failed = {c.name: c.got for c in verify.run_genus(5) if not c.ok}
+    failed = {c.name: c.got for c in run_genus(5) if not c.ok}
     assert failed["solve:exception"].startswith("SingularMatrixError: ")
 
 
@@ -243,7 +244,7 @@ def test_a_patched_covering_curve_fails_the_r_table_and_rk(monkeypatch):
     # curve_map and kodaira's R . K both read R through the module attribute;
     # -R pairs positively with K, which kodaira:rk-sign reads
     monkeypatch.setattr(testcurves, "covering_curve", lambda ctx, original=testcurves.covering_curve: -original(ctx))
-    failed = {c.name for c in verify.run_genus(5) if not c.ok}
+    failed = {c.name for c in run_genus(5) if not c.ok}
     assert {"curves:table:R", "kodaira:rk-sign"} <= failed
 
 

@@ -18,7 +18,7 @@ import pytest
 from spinpic.catalog import BrillNoether, DivisorSpec, GiesekerPetri, K3, UserSupplied
 from spinpic.kodaira import Decomposition, KodairaCertificate
 from spinpic.picard import M_SIDE, DivisorClass, GenusCtx
-from spinpic.verify import Check, _Row
+from spinpic.verify import _Row
 
 _SPEC_REPR = ("DivisorSpec(ctx=GenusCtx(g=12), provenance=UserSupplied(name='x'), "
               "a=Fraction(7, 1), b0=Fraction(1, 1), b=None)")
@@ -58,10 +58,6 @@ _CASES = [
      KodairaCertificate(GenusCtx(9), "GENERAL_TYPE", None, None, ("CONDITIONAL",), (), ("x",)),
      "KodairaCertificate(ctx=GenusCtx(g=9), verdict='GENERAL_TYPE', rk=None, decomposition=None, "
      "flags=(), annotations=(), citations=('x',))", True),
-    (Check, ("name", "ok", "expected", "got"), lambda: Check("counts:even+odd=total", True, "64", "64"),
-     lambda: Check(name="counts:even+odd=total", ok=True, expected="64", got="64"),
-     Check("counts:even+odd=total", False, "64", "65"),
-     "Check(name='counts:even+odd=total', ok=True, expected='64', got='64')", True),
     (_Row, ("i", "h", "got"), lambda: _Row(1, 2, {("F", 1): Fraction(0)}),
      lambda: _Row(i=1, h=2, got={("F", 1): Fraction(0)}), _Row(1, 3, {("F", 1): Fraction(0)}),
      "_Row(i=1, h=2, got={('F', 1): Fraction(0, 1)})", False),

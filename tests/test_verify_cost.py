@@ -1,16 +1,17 @@
 """The work shape of `verify`, pinned by counts rather than wall time.
 
-The report counts each genus's stream of identities and builds no `Check`
-for it. The Theta(h^2) `compat` block of F_i/G_i pairings is evaluated
-per row: one row family per i pairs both curves with every pi*d_j at once,
-so the report's `intersect` calls grow linearly in h, while `run_genus`
-still lists all 2h(h+1) identities in the dense order. A passing genus
+The report counts each genus's stream of identities. The Theta(h^2)
+`compat` block of F_i/G_i pairings is evaluated per row: one row family
+per i pairs both curves with every pi*d_j at once, so the report's
+`intersect` calls grow linearly in h, while the tests' listing of the
+stream, `_checks.run_genus`, still lists all 2h(h+1) identities in the
+dense order. A passing genus
 renders no check value, pulls back each basis class a number of times
 that grows linearly in h (the block reuses one pullback per d_j), and
 takes every use of the curve table
 through `testcurves.curve_map`, which builds the table on every call. A
 failing genus renders its failure records exactly as the eager renderer
-did, counts as many checks in the report as `run_genus` lists, and keeps
+did, counts as many checks in the report as the listing holds, and keeps
 the identities a crashed section yielded before it raised. A patched
 covering degree (`transfer._degree`) reaches R, also after an unpatched
 run of the same genus, and undoing the patch leaves no stale R behind.
@@ -49,6 +50,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
+from _checks import run_genus
 from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
@@ -71,14 +73,6 @@ def test_passing_report_renders_nothing(monkeypatch):
     assert report["status"] == "OK"
     assert report["payload"]["total-checks"] > 0
     assert calls == []
-
-
-def test_report_builds_no_check(monkeypatch):
-    built = _counting(monkeypatch, verify, "Check")
-    report = verify.build_report(30, 30)
-    assert report["status"] == "OK"
-    assert report["payload"]["total-checks"] > 0
-    assert built == []
 
 
 def _bump_h0(original):
@@ -170,7 +164,7 @@ def test_failure_records_render_as_before(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(module, name, mutate(getattr(module, name)))
             report = verify.build_report(g, g)
-            checks = verify.run_genus(g)
+            checks = run_genus(g)
         assert report["status"] == "FAIL"
         assert report["failures"] == want
         # the report counts the same stream that run_genus lists
@@ -187,7 +181,7 @@ def test_failure_records_render_as_before(monkeypatch):
 def _pullbacks(monkeypatch, g):
     with monkeypatch.context() as m:
         calls = _counting(m, transfer, "pullback")
-        verify.run_genus(g)
+        run_genus(g)
     return len(calls)
 
 
@@ -214,7 +208,7 @@ def test_report_intersections_grow_linearly_in_h(monkeypatch):
 
 def test_run_genus_lists_the_whole_compat_block_in_dense_order():
     h = GenusCtx(13).h
-    names = [c.name for c in verify.run_genus(13)]
+    names = [c.name for c in run_genus(13)]
     block = [n for n in names if re.fullmatch(r"compat:[FG][1-9]\d*:d\d+", n)]
     assert block == [
         f"compat:{kind}{i}:d{j}" for i in range(1, h + 1) for j in range(h + 1) for kind in "FG"
@@ -225,7 +219,7 @@ def test_run_genus_lists_the_whole_compat_block_in_dense_order():
 
 def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
     callers = _counting(monkeypatch, testcurves, "curve_map")
-    verify.run_genus(9)
+    run_genus(9)
     # every use goes through the module attribute, so patches reach it
     assert set(callers) == {"_identities", "solve_thetanull"}
 
@@ -233,7 +227,7 @@ def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
 def test_r_alone_is_built_by_covering_curve(monkeypatch):
     # kodaira's R . K pairs R alone, with no curve table built for it
     callers = _counting(monkeypatch, testcurves, "covering_curve")
-    verify.run_genus(9)
+    run_genus(9)
     assert set(callers) == {"curve_map", "uniruled_certificate"}
 
 
@@ -243,10 +237,10 @@ def _bump_even_degree(original):
 
 def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
     # R's lambda entry reads its covering degree from _degree by (kind, i)
-    assert all(c.ok for c in verify.run_genus(6))  # an unpatched run of the same genus first
+    assert all(c.ok for c in run_genus(6))  # an unpatched run of the same genus first
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
-        failed = {c.name for c in verify.run_genus(6) if not c.ok}
+        failed = {c.name for c in run_genus(6) if not c.ok}
     # verify's private curve table holds R's lambda entry at the true degree
     assert "curves:table:R" in failed
 
@@ -254,8 +248,8 @@ def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
 def test_undoing_a_degree_table_patch_leaves_no_stale_curve_table(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
-        assert not all(c.ok for c in verify.run_genus(6))
-    assert [c.name for c in verify.run_genus(6) if not c.ok] == []
+        assert not all(c.ok for c in run_genus(6))
+    assert [c.name for c in run_genus(6) if not c.ok] == []
     assert testcurves.curve_map(GenusCtx(6))["R"]["lambda"] == 14560
 
 
@@ -279,8 +273,8 @@ def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkey
     # of the public degree reaches only the identities that check them
     with monkeypatch.context() as m:
         m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
-        assert not all(c.ok for c in verify.run_genus(7))
-    assert [c.name for c in verify.run_genus(7) if not c.ok] == []
+        assert not all(c.ok for c in run_genus(7))
+    assert [c.name for c in run_genus(7) if not c.ok] == []
 
 
 @pytest.mark.parametrize("g", (9, 14, 699, 999))
@@ -305,7 +299,7 @@ _NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_cl
 
 def test_named_classes_are_built_once_per_genus(monkeypatch):
     callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
-    verify.run_genus(40)
+    run_genus(40)
     # kodaira builds its own copies, and solve_thetanull its own m1; verify's sections share one each
     from_identities = {name: calls.count("_identities") for name, calls in callers.items()}
     assert from_identities == dict.fromkeys(_NAMED_BUILDERS, 1)
@@ -323,7 +317,7 @@ def test_each_basis_class_is_pulled_back_once(monkeypatch):
         return original(x)
 
     monkeypatch.setattr(transfer, "pullback", counting)
-    verify.run_genus(40)
+    run_genus(40)
     # a basis class renders as its bare label
     assert [pulled[label] for label in labels_for(ctx, M_SIDE)] == [1] * (ctx.h + 2)
 
@@ -410,17 +404,17 @@ def test_a_high_genus_report_builds_few_fractions(monkeypatch):
 
 def test_a_passing_report_gets_no_triple_from_a_row(monkeypatch):
     # a passing row yields nothing, so it formats no check name
-    original, asked, got = verify._Row.triples, [], []
+    original, asked, got = verify._Row.failures, [], []
 
-    def counting(self, dense=True):
-        asked.append(dense)
-        for triple in original(self, dense):
+    def counting(self):
+        asked.append(self.i)
+        for triple in original(self):
             got.append(triple)
             yield triple
 
-    monkeypatch.setattr(verify._Row, "triples", counting)
+    monkeypatch.setattr(verify._Row, "failures", counting)
     assert verify.build_report(40, 40)["status"] == "OK"
-    assert asked == [False] * GenusCtx(40).h and got == []
+    assert asked == list(range(1, GenusCtx(40).h + 1)) and got == []
 
 
 def test_parser_builds_one_fraction_per_label(monkeypatch):
@@ -588,7 +582,7 @@ def _context_comparisons(monkeypatch, g, warm=False):
     # warm: an earlier run_genus(g) filled the degree-table cache of its genus;
     # the label sequences, which hold the bases, persist either way
     if warm:
-        verify.run_genus(g)
+        run_genus(g)
     original, calls = GenusCtx.__eq__, []
 
     def counting(self, other):
@@ -597,7 +591,7 @@ def _context_comparisons(monkeypatch, g, warm=False):
 
     with monkeypatch.context() as m:
         m.setattr(GenusCtx, "__eq__", counting)
-        assert all(c.ok for c in verify.run_genus(g))
+        assert all(c.ok for c in run_genus(g))
     return len(calls)
 
 
@@ -622,7 +616,7 @@ def test_kodaira_section_judges_its_own_evidence(g, monkeypatch):
         (kodaira, "decompose_canonical"),
         (kodaira, "uniruled_certificate"),
     )}
-    assert all(c.ok for c in verify.run_genus(g))
+    assert all(c.ok for c in run_genus(g))
     assert classify == []
     assert certify == ["classification"]
     assert {name: len(calls) for name, calls in evidence.items()} == dict.fromkeys(evidence, 1)

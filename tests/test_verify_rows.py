@@ -6,8 +6,9 @@ corrupted test curve F_i/G_i (a label added, dropped or changed) or a
 corrupted pullback column pi*d_j (a stray label, a changed coefficient,
 an emptied column) must give the same report as pairing every (i, j) with
 `testcurves.intersect`, in stream order, with the identities of every other
-section taken from `run_genus`. A crash in the setup that every section
-shares ends the genus in one failed check.
+section taken from the tests' listing of the stream, `_checks.run_genus`.
+A crash in the setup that every section shares ends the genus in one
+failed check.
 """
 
 import re
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _checks import Check, run_genus
 from spinpic import testcurves, transfer, verify
 from spinpic.errors import GenusMismatchError, SideMismatchError
 from spinpic.picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, basis_class, labels_for
@@ -68,18 +70,18 @@ def _dense_rows(ctx):
             want = 2 - 2 * i if i == j else 0
             for kind in "FG":
                 got = testcurves.intersect(curves[f"{kind}{i}"], x)
-                yield verify.Check(f"compat:{kind}{i}:d{j}", want == got, verify._fmt(want), verify._fmt(got))
+                yield Check(f"compat:{kind}{i}:d{j}", want == got, verify._fmt(want), verify._fmt(got))
 
 
 def _assert_rows_match_dense(g):
     ctx = GenusCtx(g)
     report = verify.build_report(g, g)
-    checks = verify.run_genus(g)
+    checks = run_genus(g)
     dense = list(_dense_rows(ctx))
     assert len(dense) == 2 * ctx.h * (ctx.h + 1)
     start = [c.name for c in checks].index("compat:F1:d0")
     rows = checks[start:start + len(dense)]
-    # run_genus expands each row over every j through the row's own evaluator
+    # the listing expands each row over every j, taking each failure from the row's own evaluator
     assert [(c.name, c.ok, c.expected, c.got) for c in rows] == [
         (c.name, c.ok, c.expected, c.got) for c in dense
     ]
@@ -174,7 +176,7 @@ def test_a_row_raises_what_intersect_raises_before_its_first_identity(name, faul
     bad = testcurves.curve_map(GenusCtx(g))[name]
     with pytest.raises((GenusMismatchError, SideMismatchError)) as raised:
         testcurves.intersect(bad, transfer.pullback(basis_class(GenusCtx(g), M_SIDE, "d0")))
-    checks = verify.run_genus(g)
+    checks = run_genus(g)
     names = [c.name for c in checks]
     crash = names.index("compat:exception")
     assert names[crash - 1] == f"compat:G2:d{GenusCtx(g).h}"
@@ -196,7 +198,7 @@ def test_a_foreign_column_ends_compat_before_the_first_row(monkeypatch):
     with pytest.raises(GenusMismatchError) as raised:
         testcurves.intersect(testcurves.curve_map(ctx)["F0"], column)
     crash = f"GenusMismatchError: {raised.value}"
-    checks = verify.run_genus(g)
+    checks = run_genus(g)
     compat = [c for c in checks if c.name.startswith("compat:")]
     assert [c.name for c in compat] == [
         f"compat:{kind}0:{label}" for label in ("lambda", "d0", "d1", "d2") for kind in "FG"
@@ -216,7 +218,7 @@ def test_a_crash_in_the_shared_setup_ends_the_genus_in_one_failed_check(monkeypa
 
     monkeypatch.setattr(transfer, "pullback", crashing)
     crash = "RuntimeError: no pullback"
-    assert verify.run_genus(5) == [verify.Check("setup:exception", False, "no exception", crash)]
+    assert run_genus(5) == [Check("setup:exception", False, "no exception", crash)]
     report = verify.build_report(5, 5)
     assert report["failures"] == [{"check-name": "setup:exception", "genus": 5, "expected": "no exception",
                                    "got": crash}]
