@@ -21,10 +21,11 @@ grow: the maps _M (lambda, d0, d1, ...) and _S (lambda, a0, b0s, a1, b1, ...)
 of each side's labels, in basis order, to their index i (lambda -> 0), and
 the lists d, a and b of _LABELS by index. Genus g's basis is the first h+2
 labels of _M or 2h+3 of _S: those of index i <= h. The engine modules read
-labels and indices only through _spelled and _basis, which spell up to h
-first, and no code parses an index out of a label. verify spells its labels
-itself, as an independent check of the sequences, and calls _spelled only
-to grow them past its range before its first genus.
+labels and indices only through _spelled and _basis, and no code parses an
+index out of a label. Their invariant is a margin of one: the sequences
+hold index h + 1 of genus g before either returns, so a slice past the
+basis always reads a label outside it, whatever was spelled before. verify
+spells its labels itself, as an independent check of the sequences.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
@@ -149,17 +150,19 @@ _LABELS = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(_M), s=MappingPro
 _SPELLING = Lock()  # reading a length and then appending is not atomic across threads
 
 
-def _spell(h: int) -> None:
-    """Grow the label sequences through index h: the only code that spells an indexed label.
+def _spell(n: int) -> None:
+    """Grow the label sequences through index n: the only code that spells an indexed label.
 
     Each label is one string object per process, so its hash is computed
-    once however many classes and genera store it. _spelled and _basis
-    skip the call, and the lock, while h < len(_LABELS.d): d[i] is appended
-    last, so every label and index of i is in place once d has i + 1 entries.
+    once however many classes and genera store it. _spelled and _basis keep
+    the margin: they spell genus g through n = h + 1, one index past its
+    basis, and skip the call, and the lock, while n < len(_LABELS.d). d[i]
+    is appended last, so every label and index of i is in place once d has
+    i + 1 entries.
     """
     with _SPELLING:
         d, a, b = _LABELS.d, _LABELS.a, _LABELS.b
-        for i in range(len(d), h + 1):
+        for i in range(len(d), n + 1):
             x, y, z = f"d{i}", f"a{i}", f"b{i}" if i else "b0s"
             _M[x] = _S[y] = _S[z] = i
             a.append(y)
@@ -168,22 +171,22 @@ def _spell(h: int) -> None:
 
 
 def _spelled(g: int) -> SimpleNamespace:
-    """_LABELS, spelled through h = g // 2 or beyond: read its lists and maps at the indices i <= h only."""
-    if g // 2 >= len(_LABELS.d):
-        _spell(g // 2)
+    """_LABELS, spelled through h + 1 = g // 2 + 1 or beyond: read its lists and maps at the indices i <= h only."""
+    if (n := g // 2 + 1) >= len(_LABELS.d):  # through the margin, index h + 1 (see _spell)
+        _spell(n)
     return _LABELS
 
 
 def _basis(g: int, side: str) -> Mapping[str, int]:
-    """The side's read-only ordered map label -> index, spelled through h = g // 2: genus g's basis is its i <= h."""
+    """The side's read-only ordered map label -> index, spelled through h + 1: genus g's basis is its i <= h."""
     if side == M_SIDE:
         basis = _LABELS.m
     elif side == S_SIDE:
         basis = _LABELS.s
     else:
         raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
-    if g // 2 >= len(_LABELS.d):  # as in _spelled, without its call on every lookup
-        _spell(g // 2)
+    if (n := g // 2 + 1) >= len(_LABELS.d):  # as in _spelled, without its call on every lookup
+        _spell(n)
     return basis
 
 
@@ -259,11 +262,10 @@ class DivisorClass(_Value):
         basis, h = _basis(self.ctx.g, self.side), self.ctx.h
         if unknown := [label for label in self.num if basis.get(label, h + 1) > h]:  # as in _index
             raise _unknown_labels(unknown, self.ctx, self.side)
-        values = [(l, rational(v)) for l, v in self.num.items()]
-        # the lcm of reduced denominators makes gcd(den, *num) = 1
-        den = lcm(*(v.denominator for _, v in values if v))
-        num = {l: v.numerator * (den // v.denominator) for l, v in values if v}
-        vars(self).update(num=MappingProxyType(num), den=den)
+        groups = [(q.numerator, q.denominator, ((label, 1),))
+                  for label, q in zip(self.num, map(rational, self.num.values()))]
+        built = _sum_terms(self.ctx, self.side, groups)  # one group per value: zeros dropped, the given order kept
+        vars(self).update(num=built.num, den=built.den)
 
     @property
     def coeff(self) -> Mapping[str, Fraction]:
@@ -345,14 +347,15 @@ def _sum_terms(ctx: GenusCtx, side: str,
                groups: Iterable[tuple[int, int, Iterable[tuple[str, int]]]]) -> DivisorClass:
     """The class sum over groups (n, d, pairs) of n/d times sum(m * label) over pairs (label, m).
 
-    The one arithmetic kernel for classes, which lincomb, parse_class,
-    pushforward, solve_thetanull and a decomposition's remainder call; the
-    labels must be in the basis. It takes one lcm of the group denominators
-    (a single group's own denominator), sums integer numerators over it,
-    and divides out their one common gcd, so no Fraction is built. The gcd
-    is taken over the sums as they stand, since a zero does not change it,
-    and one pass then drops the zeros and divides. Over den = 1 the result
-    is already in lowest terms, so the gcd is skipped.
+    The one arithmetic kernel for classes, which the public constructor,
+    lincomb, parse_class, pushforward, solve_thetanull and a decomposition's
+    remainder call; the labels must be in the basis. It takes one lcm of the
+    group denominators (a single group's own denominator), sums integer
+    numerators over it, and divides out their one common gcd, so no
+    Fraction is built. The gcd is taken over the sums as they stand, since a
+    zero does not change it, and one pass then drops the zeros and divides.
+    Over den = 1 the result is already in lowest terms, so the gcd is
+    skipped.
     """
     groups = list(groups)
     den = groups[0][1] if len(groups) == 1 else lcm(*(d for _, d, _ in groups))
@@ -375,8 +378,9 @@ def _trusted(ctx: GenusCtx, side: str, num: dict[str, int], den: int) -> Divisor
     here: the kernel's outputs (every class that _sum_terms reduces),
     basis_class, pullback, catalog's closed forms (each genus's own D among
     them) and the test curves, none of which reduces; tests/test_imports.py
-    lists these call sites. The fields go straight into the instance dict,
-    with no keyword dict built.
+    lists these call sites, and tests/conftest.py checks every class they
+    build against this contract. The fields go straight into the instance
+    dict, with no keyword dict built.
     """
     cls = object.__new__(DivisorClass)
     fields = cls.__dict__

@@ -10,11 +10,10 @@ row family (`_Row`) per i; a row pairs each curve through
 each pi*d_j that stores one of the curve's labels. `build_report` counts
 the stream and renders only failures: a passing identity costs it one
 comparison, and a row yields it only the entries whose sides differ, so a
-passing row formats no check name. It first spells the engine's label
-sequences past its range, so a read past a genus's basis finds labels
-outside it, and it reports each genus done to an optional hook, which the
-cli's progress line reads. The report is the stream's one consumer;
-tests list the stream check by check through their own helper.
+passing row formats no check name. It reports each genus done to an
+optional hook, which the cli's progress line reads. The report is the
+stream's one consumer; tests list the stream check by check through their
+own helper.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
 forms, a private copy of the curve tables, a private slope table for each
@@ -40,7 +39,6 @@ from .picard import (
     S_SIDE,
     DivisorClass,
     GenusCtx,
-    _spelled,
     _sum_terms,
     _Value,
     basis_class,
@@ -325,15 +323,11 @@ def _crashed(section: str, exc: Exception) -> tuple[str, str, str]:
 def build_report(start: int, end: int, _on_genus=None) -> dict:
     """Run the suite over [start, end] and assemble the machine-readable report from the stream.
 
-    The engine's label sequences are spelled past end's basis first, so a
-    read that overruns genus g's basis finds labels outside it, and the
-    checks in place fail, also on a first sweep upward in a fresh process.
     _on_genus(g, total), when given, is called after each genus with the
     checks counted so far; the cli's progress line reads it.
     """
     if start < 3 or end < start:
         raise ValueError(f"verification range must satisfy 3 <= start <= end, got {start}..{end}")
-    _spelled(end + 2)
     genera = []
     failures = []
     total = 0

@@ -1,0 +1,94 @@
+"""Every class that skips the public constructor's validation is checked here, for the whole session.
+
+picard._trusted builds a class from what its callers promise: int
+numerators and den, den >= 1, gcd(den, *num) = 1, no zero numerator, and
+every label in genus g's basis for its side. The binding of _trusted in
+each module that calls it is wrapped from the start of the session to its
+end, so every kernel output, closed form, test curve and pullback is
+checked as it is built. The wrapper returns the same class, and records
+each broken promise as (genus, side, breach). A test that records anything
+fails, unless it asks for the record, the fixture trusted_record, and
+asserts on it.
+
+Genus g's basis is spelled by this file, as verify spells its own: the
+wrapper calls neither picard._spelled nor picard._basis, whose calls some
+tests count, and reads none of picard's label sequences, which some tests
+empty.
+"""
+
+from functools import lru_cache
+from math import gcd
+
+import pytest
+
+from spinpic import catalog, picard, testcurves, transfer
+
+_MODULES = (picard, catalog, testcurves, transfer)  # each calls _trusted by its own binding
+_ORIGINALS = {}
+_RECORD: list[tuple[int, str, str]] = []
+
+
+@lru_cache(maxsize=None)
+def _own_basis(g: int, side: str) -> frozenset:
+    """Genus g's basis labels on the side, spelled here, apart from picard."""
+    h = g // 2
+    if side == picard.M_SIDE:
+        return frozenset(["lambda", *(f"d{i}" for i in range(h + 1))])
+    if side == picard.S_SIDE:
+        return frozenset(["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab")])
+    return frozenset()
+
+
+def _breaches(ctx, side, num, den) -> list[str]:
+    """What the arguments of one _trusted call break of its contract, in words: none costs a few set operations."""
+    found = []
+    if not num.keys() <= (basis := _own_basis(ctx.g, side)):
+        found += [f"label {label!r}" for label in num if label not in basis]
+    if 0 in num.values():
+        found += [f"zero {label!r}" for label, n in num.items() if n == 0]
+    if type(den) is not int or not set(map(type, num.values())) <= {int}:  # gcd takes ints only
+        return found + [f"non-int {den!r}, {list(num.values())!r}"]
+    if den < 1:
+        found.append(f"den {den}")
+    elif den != 1 and (k := gcd(den, *num.values())) != 1:
+        found.append(f"gcd {k}")
+    return found
+
+
+def _checked(trusted):
+    def checked(ctx, side, num, den):
+        if breaches := _breaches(ctx, side, num, den):
+            _RECORD.extend((ctx.g, side, breach) for breach in breaches)
+        return trusted(ctx, side, num, den)
+
+    return checked
+
+
+def pytest_sessionstart(session):
+    for module in _MODULES:
+        _ORIGINALS[module] = module._trusted
+        module._trusted = _checked(module._trusted)
+
+
+def pytest_sessionfinish(session):
+    for module, trusted in _ORIGINALS.items():
+        module._trusted = trusted
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    # what was recorded since the last test's call, its teardown and collection included, counts against this one
+    try:
+        result = yield
+    finally:
+        record = _RECORD[:]
+        _RECORD.clear()
+    if record and "trusted_record" not in item.fixturenames:
+        raise AssertionError(f"{len(record)} breaches of picard._trusted's contract, the first: {record[:5]}")
+    return result
+
+
+@pytest.fixture
+def trusted_record():
+    """The breaches of picard._trusted's contract that this test records, as (genus, side, breach)."""
+    return _RECORD

@@ -17,8 +17,7 @@ kodaira raises VerificationFailureError only where it certifies evidence or
 checks a decomposition, so the sign rules keep one home in certify, and
 only picard._spell spells an indexed label, besides verify's own
 independent spellings, and no other module reads the label sequences
-except through picard's accessors, which verify calls only once, in
-build_report, to spell the sequences past its range, reading nothing back.
+except through picard's accessors, which verify does not call at all.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
 And it keeps one writer of indented JSON: no call passes an indent, to
@@ -186,15 +185,8 @@ def test_only_picard_and_verify_spell_a_label():
     reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "picard.py"
              if (names := _RAW_LABELS & set(_private_names_read(path, "picard")))}
     assert reads == {}
-    verify_py = PACKAGE / "verify.py"
-    assert "_basis" not in _private_names_read(verify_py, "picard")
-    # verify calls _spelled once, in build_report, to spell the engine's sequences
-    # past its range, and reads nothing of what it returns
-    assert _call_sites(verify_py, "_spelled") == ["build_report"]
-    discarded = [node for node in ast.walk(ast.parse(verify_py.read_text()))
-                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-                 and getattr(node.value.func, "id", None) == "_spelled"]
-    assert len(discarded) == 1
+    # nor the accessors: picard spells one index past every basis it serves, and verify prepares none of it
+    assert {"_spelled", "_basis"}.isdisjoint(_private_names_read(PACKAGE / "verify.py", "picard"))
 
 
 def _private_names_read(path: Path, module: str) -> list[str]:

@@ -28,10 +28,13 @@ validation reads, so that only `verify` can catch them. The own D's di
 numerators, which `catalog._own_d` writes in closed form, and a
 decomposition's c_i or c'_i are each perturbed as a numerator plus its
 denominator, and a certificate's c or c' list on the document that
-`certificate_json` writes.
+`certificate_json` writes. A case that breaks the contract of a class
+built past validation (`picard._trusted`) also asserts what the session's
+check of those classes, in conftest.py, records of it.
 """
 
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -132,7 +135,7 @@ def test_perturbed_curve_entry_is_caught(name, label, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ("F1", "G1"))
-def test_a_curve_stored_over_den_2_is_caught(name, monkeypatch, capsys):
+def test_a_curve_stored_over_den_2_is_caught(name, monkeypatch, capsys, trusted_record):
     # F1 and G1 are 0 (2 - 2i at i = 1), so over den 2 they store no entry, and only the den differs
     original = testcurves.curve_map
 
@@ -148,6 +151,24 @@ def test_a_curve_stored_over_den_2_is_caught(name, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [(f["check-name"], f["genus"]) for f in report["failures"]] == [
         (f"curves:table:{name}", g) for g in range(3, 23)]
+    # and Tier-1's check of each trusted class sees the den that gcd(den, *num) = 1 forbids, at every genus built
+    assert set(trusted_record) == {(g, S_SIDE, "gcd 2") for g in range(3, 23)}
+
+
+def test_a_kernel_that_skips_its_gcd_at_den_2_is_reported(monkeypatch, trusted_record):
+    # the kernel's `den != 1` changed to `den != 2`: no class that verify builds over 3..22 needs that gcd, so
+    # verify passes it, and Tier-1's check of each trusted class reports the first class that does
+    source = inspect.getsource(picard._sum_terms)
+    mutant = source.replace("if den != 1 and", "if den != 2 and")
+    assert mutant != source
+    built = {}
+    exec(mutant, vars(picard), built)  # defined over picard's globals, so it calls picard's _trusted
+    for module in (picard, kodaira, testcurves, transfer, verify):
+        if hasattr(module, "_sum_terms"):
+            monkeypatch.setattr(module, "_sum_terms", built["_sum_terms"])
+    x = picard.parse_class("1/2*d1 + 3/2*d1", GenusCtx(9), M_SIDE)
+    assert (dict(x.num), x.den) == ({"d1": 4}, 2)
+    assert trusted_record == [(9, M_SIDE, "gcd 2")]
 
 
 @pytest.mark.parametrize("label", labels_for(GenusCtx(5), S_SIDE))
@@ -168,21 +189,27 @@ _SLOT_FORM_CASES = [
 
 
 @pytest.mark.parametrize("name,g,k", _SLOT_FORM_CASES)
-def test_perturbed_slot_form_entry_is_caught(name, g, k, monkeypatch):
+def test_perturbed_slot_form_entry_is_caught(name, g, k, monkeypatch, trusted_record):
     # entry k of (den, lambda, a0, b0s, a1, b1, ai, bi); the built class and the decomposition both read it
     form = list(getattr(catalog, name))
     form[k] += 1
     monkeypatch.setattr(catalog, name, tuple(form))
     assert _failures(g), f"no check caught +1 on entry {k} of {name} at genus {g}"
+    # theta's a0 numerator, -1, raised to 0 leaves 4 and -8 over 16: a class out of lowest terms, which
+    # Tier-1's check of each trusted class records; every other entry keeps the form's classes in lowest terms
+    assert set(trusted_record) == ({(g, S_SIDE, "gcd 4")} if (name, k) == ("_THETANULL_FORM", 2) else set())
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_perturbed_pullback_rule_is_caught(k, monkeypatch):
+def test_perturbed_pullback_rule_is_caught(k, monkeypatch, trusted_record):
     # the multiplicity of lambda on lambda, of d0 on a0 and b0s, or of di on ai and bi
     rule = list(transfer._PULLBACK)
     rule[k] += 1
     monkeypatch.setattr(transfer, "_PULLBACK", tuple(rule))
     assert _failures(9), f"no check caught +1 on entry {k} of the pullback rule"
+    # pullback keeps each numerator once, on a label of multiplicity 1, which keeps gcd(den, *num) = 1; with
+    # d0's multiplicity on a0 raised to 2, lift's fuzz class, odd only at d0, pulls back out of lowest terms
+    assert set(trusted_record) == ({(9, S_SIDE, "gcd 2")} if k == 1 else set())
 
 
 _NAMED_CLASS_CASES = [
@@ -452,9 +479,10 @@ print(report["status"], *sorted({f["check-name"] for f in report["failures"]}))
 
 def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
     # In a fresh process the label sequences hold nothing past the genera spelled
-    # so far, so a sweep upward that spelled only as it went would let a slice
-    # past dh read nothing and pass. build_report spells past its range first,
-    # so the overrun stores labels outside the basis, and the checks in place fail
+    # so far, so a sweep upward that spelled each genus only through its h would
+    # let a slice past dh read nothing and pass. picard spells one index past
+    # every basis it serves, so the overrun stores a label outside the basis,
+    # and the checks in place fail
     probe = _OVERRUN_PROBE.replace("ctx.h + 1]", "ctx.h + 3]")
     assert probe != _OVERRUN_PROBE
     src = str(Path(__file__).resolve().parent.parent / "src")

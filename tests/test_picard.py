@@ -116,7 +116,7 @@ def _call(entry, ctx, side, label):
 
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_a_first_call_in_a_fresh_process_spells_its_genus(entry):
-    # nothing is spelled before the first call, which must spell through h itself: at g = 2, through index 1
+    # nothing is spelled before the first call, which must spell through h + 1 itself: at g = 2, through index 2
     side, label = M_SIDE, "d1"
     probe = f"""
 from spinpic import picard
@@ -127,7 +127,7 @@ print(repr({_ENTRY_POINTS[entry]}))
 print(len(picard._LABELS.d))
 """
     # this process may have spelled past h already, and its own call gives the answer
-    assert _fresh(probe) == f"{_call(entry, GenusCtx(2), side, label)!r}\n2\n"  # d0 and d1, none past index h
+    assert _fresh(probe) == f"{_call(entry, GenusCtx(2), side, label)!r}\n3\n"  # d0, d1 and the margin d2, no more
 
 
 def _own_basis(g, side):
@@ -163,8 +163,9 @@ print(sorted(bases.items()))
 
 
 def test_threads_that_spell_at_once_leave_each_label_once_in_order():
-    # eight threads, more than the cores CI gives, spell genus 1000 from nothing at once in a fresh process,
-    # switching as often as the interpreter allows; a lost or doubled append would shift every later index
+    # eight threads, more than the cores CI gives, spell genus 1000 (through index h + 1 = 501) from nothing
+    # at once in a fresh process, switching as often as the interpreter allows; a lost or doubled append
+    # would shift every later index
     probe = """
 import sys, threading
 from spinpic import picard
@@ -186,7 +187,7 @@ for t in threads:
 assert not any(t.is_alive() for t in threads)
 print(picard._LABELS.d, picard._LABELS.a, picard._LABELS.b, list(picard._M.items()), list(picard._S.items()))
 """
-    d, a, b = ([f"{k}{i}" for i in range(501)] for k in "dab")
+    d, a, b = ([f"{k}{i}" for i in range(502)] for k in "dab")
     b[0] = "b0s"
     m = [("lambda", 0), *((x, i) for i, x in enumerate(d))]
     s = [("lambda", 0), *((x, i) for i, pair in enumerate(zip(a, b)) for x in pair)]

@@ -563,9 +563,9 @@ def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
 @pytest.mark.parametrize("g", (5, 9, 12, 300))
 def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     # from empty label sequences, the first certificate of a genus spells
-    # through its h in one step, and a second one, at an h already spelled,
-    # spells no label; g = 12's slope-only D leaves its certificate no
-    # indexed label to read, so it spells none
+    # through its h + 1 in one step, and a second one, at an h already
+    # spelled, spells no label; g = 12's slope-only D leaves its certificate
+    # no indexed label to read, so it spells none
     spells = g != 12
     m, s = {"lambda": 0}, {"lambda": 0}
     labels = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(m), s=MappingProxyType(s))
@@ -575,7 +575,7 @@ def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     monkeypatch.setattr(picard, "_spell", lambda h: calls.append(h) or spell(h))
     for _ in range(2):
         kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
-    assert (calls, len(labels.d)) == (([g // 2], g // 2 + 1) if spells else ([], 0))
+    assert (calls, len(labels.d)) == (([g // 2 + 1], g // 2 + 2) if spells else ([], 0))
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
