@@ -27,7 +27,7 @@ from .errors import (
     NotCompositeError,
     SlopeViolationError,
 )
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _trusted, _Value, rational,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _LABELS, _trusted, _Value, rational,
                      require_classification_genus)
 
 
@@ -116,7 +116,7 @@ class DivisorSpec(_Value):
         if not self.complete:
             return None
         num, den, ctx = self.divisor.num, self.divisor.den, self.ctx
-        return tuple([Fraction(-num[label], den) for label in _spelled(ctx.g).d[1:ctx.h + 1]])
+        return tuple([Fraction(-num[label], den) for label in _LABELS.d[1:ctx.h + 1]])
 
     @property
     def complete(self) -> bool:
@@ -139,7 +139,7 @@ class DivisorSpec(_Value):
             if any(v <= 0 for v in b):
                 raise DivisorSpecError("all boundary coefficients b_i must be positive")
         # zip stops at the h+1 or 1 values given, so it reads no label past dh
-        coeff = {"lambda": a, **{label: -v for label, v in zip(_spelled(g).d, (b0, *(b or ())))}}
+        coeff = {"lambda": a, **{label: -v for label, v in zip(_LABELS.d, (b0, *(b or ())))}}
         self._init(divisor=DivisorClass(self.ctx, M_SIDE, coeff))
         if not isinstance(self.provenance, UserSupplied) and self != (own := _own_d(self.ctx)):
             # the provenance may be any object, so the message names only own's
@@ -251,13 +251,13 @@ def _slot_class(ctx: GenusCtx, form: tuple[int, ...]) -> DivisorClass:
     """
     den, lam, a0, b0s, a1, b1, ai, bi = form
     values = [lam, a0, b0s, a1, b1, *[ai, bi] * (ctx.h - 1)]
-    return _trusted(ctx, S_SIDE, dict(compress(zip(_spelled(ctx.g).s, values), values)), den)
+    return _trusted(ctx, S_SIDE, dict(compress(zip(_LABELS.s, values), values)), den)
 
 
 def canonical_m(ctx: GenusCtx) -> DivisorClass:
     """Canonical class on the curve side: 13*lambda - 2*d0 - 3*d1 - 2*(d2 + ...)."""
     require_classification_genus(ctx)
-    d = _spelled(ctx.g).d
+    d = _LABELS.d
     num = {"lambda": 13, d[0]: -2, d[1]: -3}
     num.update(dict.fromkeys(d[2:ctx.h + 1], -2))
     return _trusted(ctx, M_SIDE, num, 1)
@@ -287,7 +287,7 @@ def m1_theta_class(ctx: GenusCtx) -> DivisorClass:
     require_classification_genus(ctx)
     g = ctx.g
     scale = 1 << (g - 3)  # shifts, as transfer._even: cheaper than powers of 2 at large g
-    d = _spelled(g).d
+    d = _LABELS.d
     num = {"lambda": scale * ((1 << g) + 1), d[0]: -scale * scale}
     for i in range(1, ctx.h + 1):
         num[d[i]] = -scale * ((1 << (g - i)) - 1) * ((1 << i) - 1)
@@ -338,7 +338,7 @@ def _own_d(ctx: GenusCtx) -> DivisorSpec:
     den = lcm(a.denominator, b0.denominator)
     num = {"lambda": a.numerator * (den // a.denominator), "d0": -b0.numerator * (den // b0.denominator)}
     if isinstance(provenance, BrillNoether):  # the normalized divisor's b_i = i(g-i)
-        num.update(zip(_spelled(g).d[1:ctx.h + 1], [-den * i * (g - i) for i in range(1, ctx.h + 1)]))
+        num.update(zip(_LABELS.d[1:ctx.h + 1], [-den * i * (g - i) for i in range(1, ctx.h + 1)]))
     spec = object.__new__(DivisorSpec)
     spec._init(ctx=ctx, provenance=provenance, divisor=_trusted(ctx, M_SIDE, num, den))
     return spec

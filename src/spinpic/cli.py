@@ -19,11 +19,7 @@ from pathlib import Path
 
 from . import catalog, kodaira, testcurves, transfer, verify
 from .errors import InputError, SpinPicError
-from .picard import M_SIDE, S_SIDE, GenusCtx, _ratios, labels_for, parse_class, render_class
-
-# The largest genus any subcommand accepts (README gives the cost near it).
-# A larger genus is refused before any work is done.
-MAX_GENUS = 1000
+from .picard import MAX_GENUS, M_SIDE, S_SIDE, GenusCtx, _ratios, labels_for, parse_class, render_class
 
 # Each builder looks its function up on catalog at call time, so that a
 # patched or traced catalog function is the one that runs.
@@ -270,6 +266,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # picard.MAX_GENUS bounds every genus (README gives the cost near it); a range is refused before any work
         for value in (getattr(args, name, None) for name in ("genus", "start", "end")):
             if value is not None and value > MAX_GENUS:
                 raise ValueError(f"genus {value} is above the maximum {MAX_GENUS}")

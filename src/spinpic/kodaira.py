@@ -37,7 +37,7 @@ from math import gcd, lcm
 
 from . import catalog, testcurves, transfer
 from .errors import GenusMismatchError, VerificationFailureError
-from .picard import S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _Value
+from .picard import S_SIDE, DivisorClass, GenusCtx, _LABELS, _ratios, _sum_terms, _Value
 
 UNIRULED = "UNIRULED"
 KAPPA_NONNEGATIVE = "KAPPA_NONNEGATIVE"
@@ -98,8 +98,8 @@ class Decomposition(_Value):
         """The spin-side class sum(c_i*ai + c'_i*bi), built on each read; None when conditional."""
         if self.conditional:
             return None
-        table, h = _spelled(self.d_spec.ctx.g), len(self.c_num)
-        pairs = zip(islice(table.s, 3, 2 * h + 3), chain.from_iterable(zip(self.c_num, self.c_prime_num)))
+        h = len(self.c_num)
+        pairs = zip(islice(_LABELS.s, 3, 2 * h + 3), chain.from_iterable(zip(self.c_num, self.c_prime_num)))
         return _sum_terms(self.d_spec.ctx, S_SIDE, ((1, self.den, pairs),))
 
     def remainders_nonnegative(self) -> bool:

@@ -16,16 +16,16 @@ that it can never be confused with the divisor slope coefficient b_0 used
 elsewhere.
 
 The indexed labels d[i], a[i] and b[i] (b[0] is "b0s") do not depend on the
-genus, so _spell writes each once per process into sequences that only
-grow: the maps _M (lambda, d0, d1, ...) and _S (lambda, a0, b0s, a1, b1, ...)
-of each side's labels, in basis order, to their index i (lambda -> 0), and
-the lists d, a and b of _LABELS by index. Genus g's basis is the first h+2
-labels of _M or 2h+3 of _S: those of index i <= h. The engine modules read
-labels and indices only through _spelled and _basis, and no code parses an
-index out of a label. Their invariant is a margin of one: the sequences
-hold index h + 1 of genus g before either returns, so a slice past the
-basis always reads a label outside it, whatever was spelled before. verify
-spells its labels itself, as an independent check of the sequences.
+genus, and the engine serves g <= MAX_GENUS only, so the label table is a
+constant: _spell writes it once, at import, through index MAX_GENUS // 2 + 1.
+_LABELS holds the tuples d, a and b by index and the read-only maps m (of
+_M: lambda, d0, d1, ...) and s (of _S: lambda, a0, b0s, a1, b1, ...) of each
+side's labels, in basis order, to their index i (lambda -> 0). Genus g's
+basis is the first h+2 labels of _M or 2h+3 of _S: those of index i <= h.
+The table ends one index past the largest basis, so a slice past any basis
+reads a label outside it. The engine modules read labels and indices only
+through _LABELS and _basis, and no code parses an index out of a label.
+verify spells its labels itself, as an independent check of the table.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as
@@ -49,7 +49,6 @@ import re
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
-from threading import Lock
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -119,8 +118,12 @@ class _Value:
         return type(self), self._values()
 
 
+# The largest genus the engine serves; GenusCtx refuses a larger one, and the cli checks its ranges against it first.
+MAX_GENUS = 1000
+
+
 class GenusCtx(_Value):
-    """Genus context; h = floor(g/2) is derived, never stored."""
+    """Genus context, 2 <= g <= MAX_GENUS; h = floor(g/2) is derived, never stored."""
 
     __slots__ = __match_args__ = ("g",)
 
@@ -131,6 +134,8 @@ class GenusCtx(_Value):
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError(f"genus must be an integer >= 2, got {self.g!r}")
+        if self.g > MAX_GENUS:
+            raise ValueError(f"genus {self.g} is above the maximum {MAX_GENUS}")
 
     @property
     def h(self) -> int:
@@ -143,57 +148,43 @@ def require_classification_genus(ctx: GenusCtx) -> None:
         raise ValueError(f"this operation needs genus >= 3, got {ctx.g}")
 
 
-# The label sequences (see the module docstring), which only _spell writes; m and s are read-only views of _M and _S.
+# The label table (see the module docstring), which only _spell writes; m and s are read-only views of _M and _S.
 _M: dict[str, int] = {"lambda": 0}
 _S: dict[str, int] = {"lambda": 0}
-_LABELS = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(_M), s=MappingProxyType(_S))
-_SPELLING = Lock()  # reading a length and then appending is not atomic across threads
 
 
-def _spell(n: int) -> None:
-    """Grow the label sequences through index n: the only code that spells an indexed label.
+def _spell(n: int) -> SimpleNamespace:
+    """The label table through index n, with _M and _S filled: the only code that spells an indexed label.
 
-    Each label is one string object per process, so its hash is computed
-    once however many classes and genera store it. _spelled and _basis keep
-    the margin: they spell genus g through n = h + 1, one index past its
-    basis, and skip the call, and the lock, while n < len(_LABELS.d). d[i]
-    is appended last, so every label and index of i is in place once d has
-    i + 1 entries.
+    It runs once, at import. Each label is one string object per process,
+    shared by its family's tuple and its side's map, so its hash is computed
+    once however many classes and genera store it.
     """
-    with _SPELLING:
-        d, a, b = _LABELS.d, _LABELS.a, _LABELS.b
-        for i in range(len(d), n + 1):
-            x, y, z = f"d{i}", f"a{i}", f"b{i}" if i else "b0s"
-            _M[x] = _S[y] = _S[z] = i
-            a.append(y)
-            b.append(z)
-            d.append(x)
+    d, a, b = [], [], []
+    for i in range(n + 1):
+        x, y, z = f"d{i}", f"a{i}", f"b{i}" if i else "b0s"
+        _M[x] = _S[y] = _S[z] = i
+        d.append(x)
+        a.append(y)
+        b.append(z)
+    return SimpleNamespace(d=tuple(d), a=tuple(a), b=tuple(b), m=MappingProxyType(_M), s=MappingProxyType(_S))
 
 
-def _spelled(g: int) -> SimpleNamespace:
-    """_LABELS, spelled through h + 1 = g // 2 + 1 or beyond: read its lists and maps at the indices i <= h only."""
-    if (n := g // 2 + 1) >= len(_LABELS.d):  # through the margin, index h + 1 (see _spell)
-        _spell(n)
-    return _LABELS
+_LABELS = _spell(MAX_GENUS // 2 + 1)  # one index past the largest basis
 
 
-def _basis(g: int, side: str) -> Mapping[str, int]:
-    """The side's read-only ordered map label -> index, spelled through h + 1: genus g's basis is its i <= h."""
+def _basis(side: str) -> Mapping[str, int]:
+    """The side's read-only ordered map label -> index: genus g's basis is its labels of index i <= h."""
     if side == M_SIDE:
-        basis = _LABELS.m
-    elif side == S_SIDE:
-        basis = _LABELS.s
-    else:
-        raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
-    if (n := g // 2 + 1) >= len(_LABELS.d):  # as in _spelled, without its call on every lookup
-        _spell(n)
-    return basis
+        return _LABELS.m
+    if side == S_SIDE:
+        return _LABELS.s
+    raise ValueError(f"side must be {M_SIDE!r} or {S_SIDE!r}, got {side!r}")
 
 
 def _ordered(g: int, side: str) -> Iterator[str]:
-    """The basis labels at genus g in order: the first h+2 of side M's sequence, or the first 2h+3 of side S's."""
-    basis = _basis(g, side)
-    return islice(basis, (g // 2 + 1) * (1 if side == M_SIDE else 2) + 1)
+    """The basis labels at genus g in order: the first h+2 of side M's map, or the first 2h+3 of side S's."""
+    return islice(_basis(side), (g // 2 + 1) * (1 if side == M_SIDE else 2) + 1)
 
 
 def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
@@ -204,7 +195,7 @@ def labels_for(ctx: GenusCtx, side: str) -> tuple[str, ...]:
 def _index(label: str, ctx: GenusCtx, side: str) -> int:
     """The label's index in the side basis at ctx.g, or _unknown_labels raised: the basis holds the i <= h."""
     h = ctx.h
-    if (i := _basis(ctx.g, side).get(label, h + 1)) > h:  # h + 1 stands for no index
+    if (i := _basis(side).get(label, h + 1)) > h:  # h + 1 stands for no index
         raise _unknown_labels((label,), ctx, side)
     return i
 
@@ -259,7 +250,7 @@ class DivisorClass(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        basis, h = _basis(self.ctx.g, self.side), self.ctx.h
+        basis, h = _basis(self.side), self.ctx.h
         if unknown := [label for label in self.num if basis.get(label, h + 1) > h]:  # as in _index
             raise _unknown_labels(unknown, self.ctx, self.side)
         groups = [(q.numerator, q.denominator, ((label, 1),))
@@ -434,7 +425,7 @@ def _parse_terms(s: str, text: str, ctx: GenusCtx, side: str) -> list[tuple[int,
     One match of _SIGNED_TERM_RE per term; the terms must follow each other
     with no gap, each after the first with its sign, up to the end of s.
     """
-    basis, h = _basis(ctx.g, side), ctx.h
+    basis, h = _basis(side), ctx.h
     groups, pos = [], 0
     for m in _SIGNED_TERM_RE.finditer(s):
         sign, p, q, token = m.groups()
@@ -458,7 +449,8 @@ def render_class(x: DivisorClass) -> str:
     """Canonical text form: basis order, zero terms omitted, "0" for zero.
 
     Unit coefficients render as the bare label, so the output stays inside
-    the input grammar and parse_class(render_class(x)) == x.
+    the input grammar and parse_class(render_class(x)) == x. A stored label
+    outside the basis, which only a faulty trusted builder writes, raises.
     """
     num = x.num
     mags = dict(zip(num, _ratios(map(abs, num.values()), x.den)))
@@ -467,6 +459,8 @@ def render_class(x: DivisorClass) -> str:
         if (mag := mags.get(label)) is not None:
             term = label if mag == "1" else f"{mag}*{label}"
             terms.append(f"- {term}" if num[label] < 0 else f"+ {term}")
+    if len(terms) < len(num):  # the walk left out a stored label
+        raise _unknown_labels(num.keys() - set(_ordered(x.ctx.g, x.side)), x.ctx, x.side)
     text = " ".join(terms)
     if not text:
         return "0"

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from . import catalog, transfer
 from .errors import GenusMismatchError, SideMismatchError, SingularMatrixError
-from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _ratios, _spelled, _sum_terms, _trusted,
+from .picard import (M_SIDE, S_SIDE, DivisorClass, GenusCtx, _LABELS, _ratios, _sum_terms, _trusted,
                      require_classification_genus)
 
 
@@ -86,7 +86,6 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
     """
     require_classification_genus(ctx)
     g = ctx.g
-    table = _spelled(g)
     curves = {
         "B": _trusted(ctx, M_SIDE, _b_entries(g), 1),
         "R": covering_curve(ctx),
@@ -97,9 +96,10 @@ def curve_map(ctx: GenusCtx) -> dict[str, DivisorClass]:
         "F1": _trusted(ctx, S_SIDE, {}, 1),
         "G1": _trusted(ctx, S_SIDE, {}, 1),
     }
+    a, b = _LABELS.a, _LABELS.b
     for i in range(2, ctx.h + 1):
-        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {table.a[i]: 2 - 2 * i}, 1)
-        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {table.b[i]: 2 - 2 * i}, 1)
+        curves[f"F{i}"] = _trusted(ctx, S_SIDE, {a[i]: 2 - 2 * i}, 1)
+        curves[f"G{i}"] = _trusted(ctx, S_SIDE, {b[i]: 2 - 2 * i}, 1)
     return curves
 
 
@@ -118,9 +118,9 @@ def _steps(ctx: GenusCtx, curves: dict[str, DivisorClass], m1: DivisorClass) -> 
     read. The chain works in ints, one gcd per coefficient, and its 2x2 step
     raises SingularMatrixError on a zero determinant.
     """
-    g, table, row, den, degree = ctx.g, _spelled(ctx.g), m1.num, m1.den, transfer._degree
+    g, row, den, degree = ctx.g, m1.num, m1.den, transfer._degree
     f0, g0, h0 = (curves[name].num for name in ("F0", "G0", "H0"))
-    a, b, d = table.a, table.b, table.d
+    a, b, d = _LABELS.a, _LABELS.b, _LABELS.d
     a1, b1 = a[1], b[1]
     # the lambda row reads degree(lambda)*lambda = m1 at lambda, so lambda = ln/ld
     ln, ld = _quotient(row.get("lambda", 0), den * degree(g, "lambda", 0))

@@ -20,7 +20,7 @@ its (kind, i). degree_identities ties the degrees to the component degrees.
 from __future__ import annotations
 
 from .errors import SideMismatchError
-from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _spelled, _sum_terms, _trusted
+from .picard import M_SIDE, S_SIDE, DivisorClass, GenusCtx, _LABELS, _sum_terms, _trusted
 
 
 def _even(n: int) -> int:
@@ -68,8 +68,7 @@ def pullback(x: DivisorClass) -> DivisorClass:
     """Pullback to the spin side, one nonzero coefficient at a time, by the rule _PULLBACK."""
     if x.side != M_SIDE:
         raise SideMismatchError("pullback takes a curve-side class")
-    table = _spelled(x.ctx.g)
-    a, b, index = table.a, table.b, table.m
+    a, b, index = _LABELS.a, _LABELS.b, _LABELS.m
     lam, a0, b0s, ai, bi = _PULLBACK
     out: dict[str, int] = {}
     for label, n in x.num.items():
@@ -93,8 +92,7 @@ def pushforward(x: DivisorClass) -> DivisorClass:
     if x.side != S_SIDE:
         raise SideMismatchError("pushforward takes a spin-side class")
     ctx = x.ctx
-    g, table = ctx.g, _spelled(ctx.g)
-    s, d, a = table.s, table.d, table.a
+    g, s, d, a = ctx.g, _LABELS.s, _LABELS.d, _LABELS.a
     # lambda keeps its label; i is read first, and a[i] and b[i] land on d[i]
     pairs = [(label, _degree(g, "lambda", 0) * n) if label == "lambda"
              else (d[(i := s[label])], _degree(g, "a" if label == a[i] else "b", i) * n) for label, n in x.num.items()]

@@ -7,11 +7,32 @@ order: an entry that fails is taken from the row's own `failures()`, so a
 fault reaches the list through the package's row evaluator, and an entry
 that passes renders its got on both sides, since equal values render
 alike.
+
+`label_reads(monkeypatch, module)` binds a recorder in place of the
+module's `_LABELS`, picard's label table, and returns the list of the
+table's attributes that the module then reads.
 """
 
 from typing import NamedTuple
 
-from spinpic import verify
+from spinpic import picard, verify
+
+
+class _Recorder:
+    """picard's label table, behind a log of each attribute read of it."""
+
+    def __init__(self, log: list[str]) -> None:
+        self._log = log
+
+    def __getattr__(self, name: str):
+        self._log.append(name)
+        return getattr(picard._LABELS, name)
+
+
+def label_reads(monkeypatch, module) -> list[str]:
+    log = []
+    monkeypatch.setattr(module, "_LABELS", _Recorder(log))
+    return log
 
 
 class Check(NamedTuple):

@@ -11,9 +11,8 @@ fails, unless it asks for the record, the fixture trusted_record, and
 asserts on it.
 
 Genus g's basis is spelled by this file, as verify spells its own: the
-wrapper calls neither picard._spelled nor picard._basis, whose calls some
-tests count, and reads none of picard's label sequences, which some tests
-empty.
+wrapper neither calls picard._basis, whose calls some tests count, nor
+reads picard's label table, which some tests misspell or watch.
 """
 
 from functools import lru_cache

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinpic
-from spinpic import catalog, cli, errors, kodaira, testcurves, transfer
+from spinpic import catalog, cli, errors, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx, labels_for
 
 
@@ -558,6 +558,16 @@ def test_genus_above_ceiling_exits_two_at_once(argv):
 def test_genus_at_ceiling_is_accepted(capsys):
     code, out, _ = run(capsys, "classify", "-g", str(cli.MAX_GENUS), "--json")
     assert code == 0 and json.loads(out)["genus"] == cli.MAX_GENUS
+
+
+def test_a_library_report_above_ceiling_is_refused_before_its_first_genus():
+    # the cli's ceiling is picard's, and build_report checks its range against it
+    # as the cli does, instead of running 3..1000 before GenusCtx(1001) raises
+    assert cli.MAX_GENUS == picard.MAX_GENUS == 1000
+    done = []
+    with pytest.raises(ValueError, match=r"^genus 1001 is above the maximum 1000$"):
+        verify.build_report(3, 1001, _on_genus=lambda g, total: done.append(g))
+    assert done == []
 
 
 def _run_quiet(argv):

@@ -16,8 +16,10 @@ Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 kodaira raises VerificationFailureError only where it certifies evidence or
 checks a decomposition, so the sign rules keep one home in certify, and
 only picard._spell spells an indexed label, besides verify's own
-independent spellings, and no other module reads the label sequences
-except through picard's accessors, which verify does not call at all.
+independent spellings; it runs once, at import, and no other module reads
+the maps under picard's label table, while verify reads no part of it.
+picard alone defines MAX_GENUS, the genus ceiling that GenusCtx and the
+cli share.
 It also keeps one kind of value: every class outside errors.py derives from
 picard._Value, and none computes a field lazily through cached_property.
 And it keeps one writer of indented JSON: no call passes an indent, to
@@ -170,23 +172,32 @@ def _label_fstring_sites(path: Path) -> list[str]:
     return found
 
 
-# picard's raw label sequences and their writer, which no other module reads: the accessors _spelled and _basis
-# spell up to the genus first, so a module that read the raw sequences could find its genus's labels missing
-_RAW_LABELS = {"_LABELS", "_M", "_S", "_spell"}
+# the maps under picard's label table and its writer, which no other module reads: the engine modules read the
+# table through _LABELS and _basis
+_RAW_LABELS = {"_M", "_S", "_spell"}
 
 
 def test_only_picard_and_verify_spell_a_label():
-    # picard._spell spells each of the engine's labels once per process, and
-    # verify spells its own, to check them, without reading picard's
+    # picard._spell spells each of the engine's labels once per process, at
+    # import, and verify spells its own, to check them, without reading picard's
     sites = {path.name: where for path in sorted(PACKAGE.glob("*.py")) if (where := _label_fstring_sites(path))}
     assert sites.keys() == {"picard.py", "verify.py"}, sites
     assert sites["picard.py"] == ["_spell"] * 3, sites
-    assert _RAW_LABELS <= vars(picard).keys()
+    assert _call_sites(PACKAGE / "picard.py", "_spell") == [""]  # at module level: once, at import
+    assert _RAW_LABELS | {"_LABELS", "_basis"} <= vars(picard).keys()
     reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "picard.py"
              if (names := _RAW_LABELS & set(_private_names_read(path, "picard")))}
     assert reads == {}
-    # nor the accessors: picard spells one index past every basis it serves, and verify prepares none of it
-    assert {"_spelled", "_basis"}.isdisjoint(_private_names_read(PACKAGE / "verify.py", "picard"))
+    # nor the table: verify checks picard's labels against its own spellings
+    assert {"_LABELS", "_basis"}.isdisjoint(_private_names_read(PACKAGE / "verify.py", "picard"))
+
+
+def test_only_picard_defines_max_genus():
+    # GenusCtx refuses a genus above it, and the cli and verify check a range against the same constant first
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Name) and node.id == "MAX_GENUS" and isinstance(node.ctx, ast.Store)]
+    assert sites == ["picard.py"]
 
 
 def _private_names_read(path: Path, module: str) -> list[str]:

@@ -10,7 +10,7 @@ theta-null coefficients, the canonical classes on both sides, the slot
 forms that write K and theta (`catalog._CANONICAL_S_FORM` and
 `catalog._THETANULL_FORM`, which the built classes and the decomposition
 both read), the pullback rule (`transfer._PULLBACK`, which pullback and
-the decomposition both read), the closed form of the vanishing-theta-null class, the label sequences that spell the
+the decomposition both read), the closed form of the vanishing-theta-null class, the label table that spells the
 indexed basis labels, the coefficients of each genus's divisor D
 where they are written, the default divisor's a and b0, the
 Brill-Noether b_i, and the nu, c_i and c'_i of the canonical
@@ -99,14 +99,14 @@ def test_perturbed_component_degree_is_caught(g, name, monkeypatch):
 
 @pytest.mark.parametrize("family,i,j", [("a", 2, 3), ("b", 0, 1), ("d", 1, 2)])
 def test_misspelt_label_table_is_caught(family, i, j, monkeypatch):
-    # two labels of one family trade places in the process-wide sequences, in
-    # the family's list by index and in its side's map label -> index, so
+    # two labels of one family trade places in the process-wide label table, in
+    # the family's tuple by index and in its side's map label -> index, so
     # every engine module reads one consistent but wrong spelling
-    labels = picard._spelled(6)  # through h = 3 at least, so nothing is spelled while the lists are patched
+    labels = picard._LABELS
     spelled = list(getattr(labels, family))
     x, y = spelled[i], spelled[j]
     spelled[i], spelled[j] = y, x
-    monkeypatch.setattr(labels, family, spelled)
+    monkeypatch.setattr(labels, family, tuple(spelled))
     index = picard._M if family == "d" else picard._S
     monkeypatch.setitem(index, x, j)
     monkeypatch.setitem(index, y, i)
@@ -457,32 +457,30 @@ def test_unperturbed_suite_is_clean():
     assert _failures(6) == []
 
 
-_OVERRUN_PROBE = """
-from spinpic import catalog, picard, verify
-from spinpic.picard import M_SIDE, _spelled, _trusted
-
-assert picard._LABELS.d == []
-
-
-def canonical_m(ctx):  # catalog's closed form, which the test gives a slice past dh
-    d = _spelled(ctx.g).d
+# catalog's closed form of the curve-side canonical class, which the tests below give a slice past dh
+_CANONICAL_M = """
+def canonical_m(ctx):
+    d = _LABELS.d
     num = {"lambda": 13, d[0]: -2, d[1]: -3}
     num.update(dict.fromkeys(d[2:ctx.h + 1], -2))
     return _trusted(ctx, M_SIDE, num, 1)
+"""
 
-
+_OVERRUN_PROBE = f"""
+from spinpic import catalog, verify
+from spinpic.picard import M_SIDE, _LABELS, _trusted
+{_CANONICAL_M}
 catalog.canonical_m = canonical_m
 report = verify.build_report(3, 22)
-print(report["status"], *sorted({f["check-name"] for f in report["failures"]}))
+print(report["status"], *sorted({{f["check-name"] for f in report["failures"]}}))
 """
 
 
 def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
-    # In a fresh process the label sequences hold nothing past the genera spelled
-    # so far, so a sweep upward that spelled each genus only through its h would
-    # let a slice past dh read nothing and pass. picard spells one index past
-    # every basis it serves, so the overrun stores a label outside the basis,
-    # and the checks in place fail
+    # A fresh process sweeps upward from its first genus. picard's label table
+    # runs one index past the largest basis from import on, so at every genus
+    # a slice past dh stores a label outside the basis, whatever the process
+    # visited before, and the checks in place fail
     probe = _OVERRUN_PROBE.replace("ctx.h + 1]", "ctx.h + 3]")
     assert probe != _OVERRUN_PROBE
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -492,3 +490,18 @@ def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
     # the same closed form without the overrun is clean
     run = subprocess.run([sys.executable, "-c", _OVERRUN_PROBE], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "OK\n"
+
+
+def test_the_cli_refuses_to_print_an_overrun_class(monkeypatch, capsys, trusted_record):
+    # overrun by one, the closed form stores d5 at g = 9 (h = 4); render_class
+    # walks the basis, so it would print the class without d5, byte for byte
+    # as the correct one, and instead it refuses the class
+    assert cli.run(["class", "canonical-m", "-g", "9"]) == 0
+    assert capsys.readouterr().out == "13*lambda - 2*d0 - 3*d1 - 2*d2 - 2*d3 - 2*d4\n"
+    built = {}
+    exec(_CANONICAL_M.replace("ctx.h + 1]", "ctx.h + 2]"), vars(catalog), built)  # over catalog's _trusted
+    monkeypatch.setattr(catalog, "canonical_m", built["canonical_m"])
+    assert cli.run(["class", "canonical-m", "-g", "9"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: label 'd5' is not in the side-M basis at genus 9 (basis: lambda, d0, d1, d2, d3, d4)\n")
+    assert trusted_record == [(9, M_SIDE, "label 'd5'")]

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from spinpic.catalog import canonical_m, canonical_s, choose_d, divisor_class, m1_theta_class, thetanull_class
 from spinpic.errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
 from spinpic.picard import (
+    MAX_GENUS,
     DivisorClass,
     GenusCtx,
     M_SIDE,
     S_SIDE,
+    _LABELS,
     _basis,
     _ratios,
     _unknown_labels,
-    _spelled,
     _trusted,
     basis_class,
     labels_for,
@@ -52,6 +53,15 @@ def test_genus_ctx():
         GenusCtx(1)
 
 
+def test_genus_ctx_is_bounded_by_max_genus():
+    assert GenusCtx(MAX_GENUS).h == 500
+    # the message the cli prints for a genus above the ceiling
+    with pytest.raises(ValueError, match=r"^genus 1001 is above the maximum 1000$"):
+        GenusCtx(1001)
+    assert labels_for(GenusCtx(MAX_GENUS), S_SIDE)[-2:] == ("a500", "b500")
+    assert labels_for(GenusCtx(MAX_GENUS), M_SIDE)[-1] == "d500"
+
+
 @pytest.mark.parametrize("g", range(3, 16))
 def test_basis_sizes(g):
     ctx = GenusCtx(g)
@@ -70,27 +80,27 @@ def test_basis_labels_in_order(g, m, s):
 
 @pytest.mark.parametrize("g", range(2, 61))
 def test_label_table_spells_each_label_once_and_the_bases_follow_it(g):
-    # the label sequences serve every genus: genus g reads their first h+1 labels of each family
-    ctx, table = GenusCtx(g), _spelled(g)
+    # the label table serves every genus: genus g reads its first h+1 labels of each family
+    ctx, table = GenusCtx(g), _LABELS
     h = ctx.h
-    assert table.d[:h + 1] == [f"d{i}" for i in range(h + 1)]
-    assert table.a[:h + 1] == [f"a{i}" for i in range(h + 1)]
-    assert table.b[:h + 1] == ["b0s", *(f"b{i}" for i in range(1, h + 1))]
+    assert table.d[:h + 1] == tuple(f"d{i}" for i in range(h + 1))
+    assert table.a[:h + 1] == tuple(f"a{i}" for i in range(h + 1))
+    assert table.b[:h + 1] == ("b0s", *(f"b{i}" for i in range(1, h + 1)))
     # each side's map sends a label to its index i, lambda to 0, and is read-only; genus g's basis is its i <= h
-    m, s = _basis(g, M_SIDE), _basis(g, S_SIDE)
+    m, s = _basis(M_SIDE), _basis(S_SIDE)
     assert {label: i for label, i in m.items() if i <= h} == {"lambda": 0, **{table.d[i]: i for i in range(h + 1)}}
     assert {label: i for label, i in s.items() if i <= h} == {
         "lambda": 0, **{label: i for i in range(h + 1) for label in (table.a[i], table.b[i])}}
     for basis, label in ((m, "d0"), (s, "a0")):
         with pytest.raises(TypeError):
             basis[label] = 1
-    # the bases are prefixes of the maps in order, and store the sequences' own strings
+    # the bases are prefixes of the maps in order, and store the table's own strings
     assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1))) == tuple(m)[:h + 2]
     assert labels_for(ctx, S_SIDE) == ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
     assert labels_for(ctx, S_SIDE) == tuple(s)[:2 * h + 3]
     assert all(x is y for x, y in zip(labels_for(ctx, M_SIDE)[1:], table.d))
-    # a second read spells nothing anew
-    assert _spelled(g) is table and _basis(g, M_SIDE) is m and _basis(g, S_SIDE) is s
+    # the maps are the table's own
+    assert m is table.m and s is table.s
 
 
 def _fresh(code: str) -> str:
@@ -114,22 +124,6 @@ def _call(entry, ctx, side, label):
     return eval(_ENTRY_POINTS[entry], {**globals(), "ctx": ctx, "side": side, "label": label})
 
 
-@pytest.mark.parametrize("entry", _ENTRY_POINTS)
-def test_a_first_call_in_a_fresh_process_spells_its_genus(entry):
-    # nothing is spelled before the first call, which must spell through h + 1 itself: at g = 2, through index 2
-    side, label = M_SIDE, "d1"
-    probe = f"""
-from spinpic import picard
-from spinpic.picard import GenusCtx, DivisorClass, _trusted, basis_class, parse_class
-assert picard._LABELS.d == []
-ctx, side, label = GenusCtx(2), {side!r}, {label!r}
-print(repr({_ENTRY_POINTS[entry]}))
-print(len(picard._LABELS.d))
-"""
-    # this process may have spelled past h already, and its own call gives the answer
-    assert _fresh(probe) == f"{_call(entry, GenusCtx(2), side, label)!r}\n3\n"  # d0, d1 and the margin d2, no more
-
-
 def _own_basis(g, side):
     """Genus g's side basis, spelled here, apart from picard."""
     h = g // 2
@@ -141,7 +135,6 @@ def _own_basis(g, side):
 @pytest.mark.parametrize("label", ["d5", "a5", "b5"])
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_labels_spelled_for_a_higher_genus_stay_outside_a_lower_genus_basis(entry, label):
-    canonical_s(GenusCtx(1000))
     ctx = GenusCtx(9)  # h = 4
     side = S_SIDE if label != "d5" else M_SIDE
     with pytest.raises(UnknownLabelError) as raised:
@@ -162,36 +155,22 @@ print(sorted(bases.items()))
     assert _fresh(probe) == f"{want}\n"
 
 
-def test_threads_that_spell_at_once_leave_each_label_once_in_order():
-    # eight threads, more than the cores CI gives, spell genus 1000 (through index h + 1 = 501) from nothing
-    # at once in a fresh process, switching as often as the interpreter allows; a lost or doubled append
-    # would shift every later index
+def test_a_fresh_process_holds_the_whole_label_table():
+    # spelled at import through MAX_GENUS // 2 + 1 = 501, one index past the largest basis, as tuples; each label
+    # is one string object, the same in its family's tuple and as a key of its side's map
     probe = """
-import sys, threading
 from spinpic import picard
-from spinpic.picard import GenusCtx, labels_for
-sys.setswitchinterval(1e-6)
-start = threading.Barrier(8)
-
-
-def spell():
-    start.wait()
-    labels_for(GenusCtx(1000), "S")
-
-
-threads = [threading.Thread(target=spell) for _ in range(8)]
-for t in threads:
-    t.start()
-for t in threads:
-    t.join(60)
-assert not any(t.is_alive() for t in threads)
-print(picard._LABELS.d, picard._LABELS.a, picard._LABELS.b, list(picard._M.items()), list(picard._S.items()))
+t = picard._LABELS
+keys = {k: k for k in (*picard._M, *picard._S)}
+print([type(f).__name__ for f in (t.d, t.a, t.b)], list(t.d), list(t.a), list(t.b))
+print(list(picard._M.items()), list(picard._S.items()))
+print(all(keys[x] is x for x in (*t.d, *t.a, *t.b)))
 """
     d, a, b = ([f"{k}{i}" for i in range(502)] for k in "dab")
     b[0] = "b0s"
     m = [("lambda", 0), *((x, i) for i, x in enumerate(d))]
     s = [("lambda", 0), *((x, i) for i, pair in enumerate(zip(a, b)) for x in pair)]
-    assert _fresh(probe) == f"{d} {a} {b} {m} {s}\n"
+    assert _fresh(probe) == f"{['tuple'] * 3} {d} {a} {b}\n{m} {s}\nTrue\n"
 
 
 def test_slot_set_is_frozen():
@@ -501,6 +480,17 @@ def test_render_examples():
     assert render_class(theta3) == "1/4*lambda - 1/16*a0 - 1/2*b1"
     assert render_class(zero_class(ctx, M_SIDE)) == "0"
     assert render_class(-basis_class(ctx, M_SIDE, "d1")) == "-d1"
+
+
+def test_render_refuses_a_stored_label_outside_the_basis(trusted_record):
+    # only a faulty trusted builder stores one; the basis walk would leave d5 out and print a correct-looking class
+    x = _trusted(GenusCtx(9), M_SIDE, {"lambda": 13, "d5": -2}, 1)  # h = 4
+    for render in (render_class, str):
+        with pytest.raises(UnknownLabelError) as raised:
+            render(x)
+        assert str(raised.value) == (
+            f"label 'd5' is not in the side-M basis at genus 9 (basis: {', '.join(_own_basis(9, M_SIDE))})")
+    assert trusted_record == [(9, M_SIDE, "label 'd5'")]
 
 
 def test_render_orders_alpha_before_beta():

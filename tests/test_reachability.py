@@ -4,8 +4,7 @@ A fresh interpreter runs `_COMMANDS` through `cli.run` and README's
 ```python block, as README.md holds it, under `sys.setprofile`, and
 reports every code object of src/spinpic that was called, by its file and
 first line. The process must be fresh: `cli._parsers` and `verify._flat`
-are `functools.cache`d and `picard._spell` writes each label once, so a
-warm process would skip them. Each `def` in src/spinpic must then have been
+are `functools.cache`d, so a warm process would skip them. Each `def` in src/spinpic must then have been
 called, or be listed in `_USERS` with the user that needs it:
 
 * a name in `spinpic.__all__`, or a member that README documents;

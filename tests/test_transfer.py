@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _checks import label_reads
 from spinpic import picard, transfer
 from spinpic.errors import SideMismatchError
 from spinpic.picard import (
@@ -255,13 +256,12 @@ def test_pushforward_drops_cancelled_d0():
 
 def test_the_covering_curve_builds_no_genus_basis(monkeypatch):
     # R's entries need the degrees of lambda, a0 and b0s only, which are
-    # answered before transfer reads the label sequences, so R.K
-    # certificates look up no basis and no label list
-    reads, spelled, basis = [], picard._spelled, picard._basis
-    monkeypatch.setattr(transfer, "_spelled", lambda g: reads.append(("labels", g)) or spelled(g))
-    monkeypatch.setattr(picard, "_basis", lambda g, side: reads.append(("basis", g, side)) or basis(g, side))
+    # answered before transfer reads the label table, so R.K certificates
+    # look up no basis and no label
+    labels, bases, basis = label_reads(monkeypatch, transfer), [], picard._basis
+    monkeypatch.setattr(picard, "_basis", lambda side: bases.append(side) or basis(side))
     for g in range(3, MAX_RK_GENUS + 1):
         ctx = GenusCtx(g)
         assert curve_map(ctx)["R"].coeff.keys() == {"lambda", "a0", "b0s"}
         assert classify(ctx).rk < 0
-    assert reads == []
+    assert (labels, bases) == ([], [])

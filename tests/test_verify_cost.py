@@ -28,7 +28,7 @@ from one genus to a higher one, its count does not grow, with or without
 the b_i of a Brill-Noether D. A passing report gets no identity from a
 compat row, the curve tables build no Fraction, and the Brill-Noether
 ratios build two per i. A decomposition with a slope-only D reads only
-D's lambda and d0 numerators and no label sequence, at any genus. A
+D's lambda and d0 numerators and nothing of the label table, at any genus. A
 certificate calls neither canonical_s nor thetanull_class nor the class
 kernel in kodaira and builds no spin-side class: reading its remainder is
 the one way to build that class. A complete D's di numerators are read by
@@ -46,11 +46,10 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from _checks import run_genus
+from _checks import label_reads, run_genus
 from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
@@ -475,20 +474,20 @@ def _slope_only(g):
 
 def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
     # a D without b_i keeps no remainder, so the decomposition reads D's lambda
-    # and d0 numerators once each and no label sequence: as much work at any h
+    # and d0 numerators once each and no part of the label table: as much work at any h
     own_700, own_12 = catalog.choose_d(GenusCtx(700)), catalog.choose_d(GenusCtx(12))
     assert all(isinstance(s.provenance, catalog.GiesekerPetri) and not s.complete for s in (own_700, own_12))
-    spelled = _counting(monkeypatch, kodaira, "_spelled")
+    labels = label_reads(monkeypatch, kodaira)
     for spec in (own_700, own_12, _slope_only(300), _slope_only(20)):
         assert _numerator_reads(spec) == {"lambda": 1, "d0": 1}
     # a complete D's remainder is kept: its di numerators are read by one
     # positional pass over the stored values, with no lookup by label and
-    # still no label sequence, for the own D and a user's D alike
+    # still no part of the label table, for the own D and a user's D alike
     user_300 = catalog.DivisorSpec(GenusCtx(300), catalog.UserSupplied("u"), Fraction(9), Fraction(2),
                                    tuple(Fraction(i, 3) for i in range(1, 151)))
     for spec in (catalog.choose_d(GenusCtx(300)), user_300):
         assert _numerator_reads(spec) == {"lambda": 1, "d0": 1, "values()": 1}
-    assert spelled == []
+    assert labels == []
 
 
 @pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
@@ -562,25 +561,20 @@ def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
 
 @pytest.mark.parametrize("g", (5, 9, 12, 300))
 def test_a_certificate_spells_its_labels_once(g, monkeypatch):
-    # from empty label sequences, the first certificate of a genus spells
-    # through its h + 1 in one step, and a second one, at an h already
-    # spelled, spells no label; g = 12's slope-only D leaves its certificate
-    # no indexed label to read, so it spells none
-    spells = g != 12
-    m, s = {"lambda": 0}, {"lambda": 0}
-    labels = SimpleNamespace(d=[], a=[], b=[], m=MappingProxyType(m), s=MappingProxyType(s))
-    for name, value in (("_LABELS", labels), ("_M", m), ("_S", s)):
-        monkeypatch.setattr(picard, name, value)
-    calls, spell = [], picard._spell
-    monkeypatch.setattr(picard, "_spell", lambda h: calls.append(h) or spell(h))
+    # picard spells the label table once, at import, so a certificate spells
+    # no label: each one reads whole families of the table, the same ones
+    # every time. The Brill-Noether D at 5, 9 and 300 reads d for its d_i, the
+    # uniruled certificate at 5 reads s for K's slots, and g = 12's slope-only
+    # D leaves its certificate no indexed label to read
+    reads = [label_reads(monkeypatch, module) for module in (catalog, kodaira, testcurves, transfer)]
     for _ in range(2):
         kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
-    assert (calls, len(labels.d)) == (([g // 2 + 1], g // 2 + 2) if spells else ([], 0))
+    assert reads == [{5: ["d", "s"], 9: ["d"], 12: [], 300: ["d"]}[g] * 2, [], [], []]
 
 
 def _context_comparisons(monkeypatch, g, warm=False):
     # warm: an earlier run_genus(g) filled the degree-table cache of its genus;
-    # the label sequences, which hold the bases, persist either way
+    # the label table, which holds the bases, is a constant either way
     if warm:
         run_genus(g)
     original, calls = GenusCtx.__eq__, []
