@@ -47,3 +47,7 @@ class DivisorSpecError(InputError):
 
 class VerificationFailureError(SpinPicError):
     """An internal exact identity that must hold did not."""
+
+
+class EngineFaultError(SpinPicError):
+    """Data that the engine stored breaks one of its own invariants: the engine's fault, not the input's."""

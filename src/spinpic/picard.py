@@ -52,7 +52,7 @@ from math import gcd, lcm
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
+from .errors import ClassSyntaxError, EngineFaultError, MixedBasisError, UnknownLabelError
 
 M_SIDE = "M"
 S_SIDE = "S"
@@ -450,7 +450,8 @@ def render_class(x: DivisorClass) -> str:
 
     Unit coefficients render as the bare label, so the output stays inside
     the input grammar and parse_class(render_class(x)) == x. A stored label
-    outside the basis, which only a faulty trusted builder writes, raises.
+    outside the basis, which only a faulty trusted builder writes, raises
+    EngineFaultError.
     """
     num = x.num
     mags = dict(zip(num, _ratios(map(abs, num.values()), x.den)))
@@ -459,8 +460,8 @@ def render_class(x: DivisorClass) -> str:
         if (mag := mags.get(label)) is not None:
             term = label if mag == "1" else f"{mag}*{label}"
             terms.append(f"- {term}" if num[label] < 0 else f"+ {term}")
-    if len(terms) < len(num):  # the walk left out a stored label
-        raise _unknown_labels(num.keys() - set(_ordered(x.ctx.g, x.side)), x.ctx, x.side)
+    if len(terms) < len(num):  # the walk left out a stored label, which no input can give
+        raise EngineFaultError(str(_unknown_labels(num.keys() - set(_ordered(x.ctx.g, x.side)), x.ctx, x.side)))
     text = " ".join(terms)
     if not text:
         return "0"

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import catalog, kodaira, testcurves, transfer
-from .errors import UnknownLabelError
+from .errors import EngineFaultError
 from .picard import (
     M_SIDE,
     S_SIDE,
@@ -54,7 +54,7 @@ def _fmt(value) -> str:
     if isinstance(value, DivisorClass):
         try:
             return render_class(value)
-        except UnknownLabelError:  # a faulty builder's class, stored past its basis: every stored term, by label
+        except EngineFaultError:  # a faulty builder's class, stored past its basis: every stored term, by label
             return _fmt(dict(value.coeff))
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -183,7 +183,7 @@ def _identities(g: int):
         ):
             try:
                 got = parse_class(render_class(cls), ctx, cls.side)
-            except UnknownLabelError as exc:  # render_class refuses a stored label outside the basis
+            except EngineFaultError as exc:  # render_class refuses a stored label outside the basis
                 got = f"{type(exc).__name__}: {exc}"
             yield f"roundtrip:{name}", cls, got
 

@@ -516,7 +516,7 @@ def test_exit_code_classes():
         "DivisorSpecError",
     }
     assert domain - value_errors == {
-        "SpinPicError", "SingularMatrixError", "SlopeViolationError", "VerificationFailureError",
+        "SpinPicError", "SingularMatrixError", "SlopeViolationError", "VerificationFailureError", "EngineFaultError",
     }
 
 

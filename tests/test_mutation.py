@@ -495,13 +495,14 @@ def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
 def test_the_cli_refuses_to_print_an_overrun_class(monkeypatch, capsys, trusted_record):
     # overrun by one, the closed form stores d5 at g = 9 (h = 4); render_class
     # walks the basis, so it would print the class without d5, byte for byte
-    # as the correct one, and instead it refuses the class
+    # as the correct one, and instead it refuses the class as the engine's
+    # fault: exit 1 and FAIL, not the exit 2 of an input error
     assert cli.run(["class", "canonical-m", "-g", "9"]) == 0
     assert capsys.readouterr().out == "13*lambda - 2*d0 - 3*d1 - 2*d2 - 2*d3 - 2*d4\n"
     built = {}
     exec(_CANONICAL_M.replace("ctx.h + 1]", "ctx.h + 2]"), vars(catalog), built)  # over catalog's _trusted
     monkeypatch.setattr(catalog, "canonical_m", built["canonical_m"])
-    assert cli.run(["class", "canonical-m", "-g", "9"]) == 2
+    assert cli.run(["class", "canonical-m", "-g", "9"]) == 1
     assert capsys.readouterr() == (
-        "", "error: label 'd5' is not in the side-M basis at genus 9 (basis: lambda, d0, d1, d2, d3, d4)\n")
+        "", "FAIL: label 'd5' is not in the side-M basis at genus 9 (basis: lambda, d0, d1, d2, d3, d4)\n")
     assert trusted_record == [(9, M_SIDE, "label 'd5'")]

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinpic.catalog import canonical_m, canonical_s, choose_d, divisor_class, m1_theta_class, thetanull_class
-from spinpic.errors import ClassSyntaxError, MixedBasisError, UnknownLabelError
+from spinpic.errors import ClassSyntaxError, EngineFaultError, MixedBasisError, UnknownLabelError
 from spinpic.picard import (
     MAX_GENUS,
     DivisorClass,
@@ -485,8 +485,8 @@ def test_render_examples():
 def test_render_refuses_a_stored_label_outside_the_basis(trusted_record):
     # only a faulty trusted builder stores one; the basis walk would leave d5 out and print a correct-looking class
     x = _trusted(GenusCtx(9), M_SIDE, {"lambda": 13, "d5": -2}, 1)  # h = 4
-    for render in (render_class, str):
-        with pytest.raises(UnknownLabelError) as raised:
+    for render in (render_class, str):  # the engine's fault, not an input error
+        with pytest.raises(EngineFaultError) as raised:
             render(x)
         assert str(raised.value) == (
             f"label 'd5' is not in the side-M basis at genus 9 (basis: {', '.join(_own_basis(9, M_SIDE))})")

@@ -234,8 +234,8 @@ def _bump_even_degree(original):
     return lambda g: original(g) + 1
 
 
-def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
-    # R's lambda entry reads its covering degree from _degree by (kind, i)
+def test_a_patched_covering_degree_reaches_r(monkeypatch):
+    # R's lambda entry reads its covering degree from _degree by (kind, i), on every call
     assert all(c.ok for c in run_genus(6))  # an unpatched run of the same genus first
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
@@ -244,7 +244,7 @@ def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
     assert "curves:table:R" in failed
 
 
-def test_undoing_a_degree_table_patch_leaves_no_stale_curve_table(monkeypatch):
+def test_undoing_a_covering_degree_patch_leaves_r_at_14560(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
         assert not all(c.ok for c in run_genus(6))
@@ -267,7 +267,7 @@ def test_pushforward_calls_no_component_degree(monkeypatch):
     }
 
 
-def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkeypatch):
+def test_undoing_a_component_degree_patch_leaves_no_failure(monkeypatch):
     # the covering degrees are computed from transfer's private E, so a patch
     # of the public degree reaches only the identities that check them
     with monkeypatch.context() as m:
@@ -572,11 +572,7 @@ def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     assert reads == [{5: ["d", "s"], 9: ["d"], 12: [], 300: ["d"]}[g] * 2, [], [], []]
 
 
-def _context_comparisons(monkeypatch, g, warm=False):
-    # warm: an earlier run_genus(g) filled the degree-table cache of its genus;
-    # the label table, which holds the bases, is a constant either way
-    if warm:
-        run_genus(g)
+def _context_comparisons(monkeypatch, g):
     original, calls = GenusCtx.__eq__, []
 
     def counting(self, other):
@@ -592,13 +588,6 @@ def _context_comparisons(monkeypatch, g, warm=False):
 def test_context_comparisons_do_not_grow_with_h(monkeypatch):
     # one __eq__ per pairing and lincomb term would grow as h^2
     assert _context_comparisons(monkeypatch, 20) == _context_comparisons(monkeypatch, 60)
-
-
-def test_context_comparisons_with_warm_caches_do_not_grow_as_h_squared(monkeypatch):
-    # a second run_genus(g) in one process checks its labels against the
-    # bases that the first run cached
-    low, high = (_context_comparisons(monkeypatch, g, warm=True) for g in (20, 60))
-    assert high <= 3 * low
 
 
 @pytest.mark.parametrize("g", (5, 9))
