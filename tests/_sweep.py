@@ -139,7 +139,8 @@ def readme_block() -> str:
 
 _calls = Counter()  # code -> calls
 _keyed = Counter()  # (code, the nearest calling def's code, or None) -> calls
-_watched = {Fraction.__new__.__code__}  # the codes whose calls _keyed counts by caller
+_NEW = Fraction.__new__.__code__
+_watched = {_NEW}  # the codes whose calls _keyed counts by caller
 _files = set()  # src/spinpic's files, known once spinpic is imported
 
 
@@ -160,14 +161,14 @@ def _profile(frame, event, arg):
             _keyed[code, _caller(frame.f_back)] += 1
 
 
-def _rows(names, fraction) -> dict[str, int]:
+def _rows(names) -> dict[str, int]:
     """The rows of what _calls and _keyed hold, which both clears; no profile may run."""
     def name(code):
         return names.get((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name)) if code else "-"
 
     rows = {name(code): n for code, n in _calls.items() if name(code) not in (None, *BY_CALLER)}
     for (code, caller), n in _keyed.items():
-        row = f"{'fractions.Fraction' if code is fraction else name(code)} <- {name(caller)}"
+        row = f"{'fractions.Fraction' if code is _NEW else name(code)} <- {name(caller)}"
         rows[row] = rows.get(row, 0) + n
     _calls.clear()
     _keyed.clear()
@@ -177,12 +178,10 @@ def _rows(names, fraction) -> dict[str, int]:
 def main() -> dict:
     names = defs()
     sys.setprofile(_profile)
-    from spinpic import catalog, cli, testcurves, transfer
+    from spinpic import cli
 
-    modules = {"catalog": catalog, "testcurves": testcurves, "transfer": transfer}
-    _files.update(str(path) for path in SRC.glob("*.py"))
-    _files.update(m.__file__ for m in sys.modules.values() if m.__name__.startswith("spinpic"))
-    _watched.update(getattr(modules[m], f).__code__ for m, f in (n.split(".") for n in BY_CALLER))
+    _files.update(m.__file__ for name, m in sys.modules.items() if name.startswith("spinpic"))
+    _watched.update(getattr(sys.modules[f"spinpic.{m}"], f).__code__ for m, f in (n.split(".") for n in BY_CALLER))
     called = set(_calls)
     _calls.clear()
     _keyed.clear()
@@ -195,7 +194,7 @@ def main() -> dict:
                 cli.run([_TERMS if a == "TERMS" else a for a in shlex.split(command)])
                 sys.setprofile(None)
                 called |= set(_calls)
-                costs[command] = _rows(names, Fraction.__new__.__code__)
+                costs[command] = _rows(names)
                 sys.setprofile(_profile)
             for argv, _ in COMMANDS:
                 codes.append(cli.run([str(Path(tmp, a)) if a in _DIVISORS else a for a in argv]))
