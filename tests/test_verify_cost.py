@@ -1,18 +1,46 @@
-"""The work shape of `verify` and the certificates that tests/costs.json cannot pin.
+"""The work shape of `verify`, pinned by counts rather than wall time.
 
-tests/costs.json pins every call count of a fixed set of commands; these
-tests pin the rest. A failing genus renders its failure records exactly as
-the eager renderer did and counts as many checks as `_checks.run_genus`
-lists, which lists the compat block in the dense order. A patched covering
-or component degree reaches R, also after an unpatched run of the same
-genus, and undoing the patch leaves R at its degree. The Fractions that a
-section, a report, the parser or a certificate builds, those of Fraction's
-arithmetic included, stay within their bounds. A decomposition reads D's
-numerators by its head slots and one positional pass, and a certificate
-reads the label table by whole families; it writes c and c' by one p/q
-writer call with one gcd per i, and by one call per list under a pullback
-rule that proves nothing. The kodaira section certifies the evidence it
-computed itself.
+Beside tests/costs.json, which pins the call counts of a fixed set of
+commands row by row, these tests count by hand, under monkeypatch.
+
+The report counts each genus's stream of identities. The Theta(h^2)
+`compat` block of F_i/G_i pairings is evaluated per row: one row family
+per i pairs both curves with every pi*d_j at once, so the report's
+`intersect` calls grow linearly in h, while the tests' listing of the
+stream, `_checks.run_genus`, still lists all 2h(h+1) identities in the
+dense order. A passing genus
+renders no check value, pulls back each basis class a number of times
+that grows linearly in h (the block reuses one pullback per d_j), and
+takes every use of the curve table
+through `testcurves.curve_map`, which builds the table on every call. A
+failing genus renders its failure records exactly as the eager renderer
+did, counts as many checks in the report as the listing holds, and keeps
+the identities a crashed section yielded before it raised. A patched
+covering degree (`transfer._degree`) reaches R, also after an unpatched
+run of the same genus, and undoing the patch leaves R at its degree.
+`pushforward` calls no component degree, and undoing a patched component
+degree leaves no failure. A
+certificate builds the class of its auxiliary divisor once, when it builds
+the divisor, and pulls back no class. A genus
+builds each named class and each basis-class pullback once and shares it
+across its sections, and the class parser builds one Fraction per label,
+not per term. Classes and curves are checked for a common genus by
+comparing ctx.g, so a genus's GenusCtx.__eq__ calls do not grow with h. A certificate builds no Fraction per basis label:
+from one genus to a higher one, its count does not grow, with or without
+the b_i of a Brill-Noether D. A passing report gets no identity from a
+compat row, the curve tables build no Fraction, and the Brill-Noether
+ratios build two per i. A decomposition with a slope-only D reads only
+D's lambda and d0 numerators and nothing of the label table, at any genus. A
+certificate calls neither canonical_s nor thetanull_class nor the class
+kernel in kodaira and builds no spin-side class: reading its remainder is
+the one way to build that class. A complete D's di numerators are read by
+one positional pass, with no lookup by label. Since c'_i - c_i is a
+multiple of the denominator, a certificate takes one gcd per i and writes
+both its c and c' lists by one call of the p/q writer; under a pullback
+rule that proves nothing, one call per list. The kodaira section
+certifies the evidence it computed itself: it picks D, pairs R with K and
+decomposes K once each, hands them to one certify call, which applies the
+sign rules, and never calls classify.
 """
 
 import copy
@@ -24,7 +52,7 @@ from fractions import Fraction
 import pytest
 
 from _checks import label_reads, run_genus
-from spinpic import catalog, kodaira, testcurves, transfer, verify
+from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
 
@@ -38,6 +66,14 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def test_passing_report_renders_nothing(monkeypatch):
+    calls = _counting(monkeypatch, verify, "_fmt")
+    report = verify.build_report(30, 30)
+    assert report["status"] == "OK"
+    assert report["payload"]["total-checks"] > 0
+    assert calls == []
 
 
 def _bump_h0(original):
@@ -143,6 +179,34 @@ def test_failure_records_render_as_before(monkeypatch):
             ]
 
 
+def _pullbacks(monkeypatch, g):
+    with monkeypatch.context() as m:
+        calls = _counting(m, transfer, "pullback")
+        run_genus(g)
+    return len(calls)
+
+
+def test_pullbacks_grow_linearly_in_h(monkeypatch):
+    # linear a*h + b with b >= 0 at most doubles from h = 20 to h = 40;
+    # one pullback per (i, j) of the compat block would nearly quadruple
+    at_40, at_80 = _pullbacks(monkeypatch, 40), _pullbacks(monkeypatch, 80)
+    assert at_40 < at_80 <= 2 * at_40
+
+
+def _report_intersections(monkeypatch, g):
+    with monkeypatch.context() as m:
+        calls = _counting(m, testcurves, "intersect")
+        assert verify.build_report(g, g)["status"] == "OK"
+    return len(calls)
+
+
+def test_report_intersections_grow_linearly_in_h(monkeypatch):
+    # linear a*h + b with b >= 0 at most doubles from h = 40 to h = 80;
+    # one intersect per (i, j) of the compat block would nearly quadruple
+    at_80, at_160 = _report_intersections(monkeypatch, 80), _report_intersections(monkeypatch, 160)
+    assert at_80 < at_160 <= 2 * at_80
+
+
 def test_run_genus_lists_the_whole_compat_block_in_dense_order():
     h = GenusCtx(13).h
     names = [c.name for c in run_genus(13)]
@@ -154,12 +218,27 @@ def test_run_genus_lists_the_whole_compat_block_in_dense_order():
     assert names[start:start + len(block)] == block
 
 
+def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
+    callers = _counting(monkeypatch, testcurves, "curve_map")
+    run_genus(9)
+    # every use goes through the module attribute, so patches reach it
+    assert set(callers) == {"_identities", "solve_thetanull"}
+
+
+def test_r_alone_is_built_by_covering_curve(monkeypatch):
+    # kodaira's R . K pairs R alone, with no curve table built for it
+    callers = _counting(monkeypatch, testcurves, "covering_curve")
+    run_genus(9)
+    assert set(callers) == {"curve_map", "uniruled_certificate"}
+
+
 def _bump_even_degree(original):
     return lambda g: original(g) + 1
 
 
-def test_a_patched_covering_degree_reaches_r(monkeypatch):
-    # R's lambda entry reads its covering degree from _degree by (kind, i), on every call
+def test_a_patched_degree_table_reaches_a_warm_curve_table(monkeypatch):
+    # a patched covering degree reaches R: R's lambda entry reads its covering
+    # degree from _degree by (kind, i), on every call, so no table goes stale
     assert all(c.ok for c in run_genus(6))  # an unpatched run of the same genus first
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
@@ -168,7 +247,8 @@ def test_a_patched_covering_degree_reaches_r(monkeypatch):
     assert "curves:table:R" in failed
 
 
-def test_undoing_a_covering_degree_patch_leaves_r_at_14560(monkeypatch):
+def test_undoing_a_degree_table_patch_leaves_no_stale_curve_table(monkeypatch):
+    # undoing a patched covering degree leaves R's lambda entry at 14560
     with monkeypatch.context() as m:
         m.setattr(transfer, "_degree", _bump_lambda_degree(transfer._degree))
         assert not all(c.ok for c in run_genus(6))
@@ -176,13 +256,73 @@ def test_undoing_a_covering_degree_patch_leaves_r_at_14560(monkeypatch):
     assert testcurves.curve_map(GenusCtx(6))["R"]["lambda"] == 14560
 
 
-def test_undoing_a_component_degree_patch_leaves_no_failure(monkeypatch):
-    # the covering degrees are computed from transfer's private E, so a patch
+def test_pushforward_calls_no_component_degree(monkeypatch):
+    callers = {name: _counting(monkeypatch, transfer, name)
+               for name in ("even_component_degree", "odd_component_degree", "total_degree")}
+    pushed = _counting(monkeypatch, transfer, "pushforward")
+    assert verify.build_report(30, 30)["status"] == "OK"
+    # pushforward reads every degree off transfer._degree, so only the code
+    # that checks the degrees against the component degrees calls them
+    assert len(pushed) > 2 * GenusCtx(30).h + 3  # at least one per spin basis class
+    assert {name: set(calls) for name, calls in callers.items()} == {
+        "even_component_degree": {"_identities", "degree_identities"},
+        "odd_component_degree": {"degree_identities"},
+        "total_degree": {"degree_identities"},
+    }
+
+
+def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkeypatch):
+    # undoing a patched component degree leaves no failure: the covering degrees are computed from transfer's private E, so a patch
     # of the public degree reaches only the identities that check them
     with monkeypatch.context() as m:
         m.setattr(transfer, "even_component_degree", _bump_even_degree(transfer.even_component_degree))
         assert not all(c.ok for c in run_genus(7))
     assert [c.name for c in run_genus(7) if not c.ok] == []
+
+
+@pytest.mark.parametrize("g", (9, 14, 699, 999))
+def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
+    # composite g+1: _own_d writes the Brill-Noether D's class once, in closed
+    # form, and the decomposition reads that very class's numerators through
+    # the pullback rule; neither the certificate nor its document calls the
+    # kernel, pulls a class back or runs the validating constructor
+    sums = [_counting(monkeypatch, module, "_sum_terms") for module in (picard, testcurves, transfer, verify)]
+    pulled = _counting(monkeypatch, transfer, "pullback")
+    validated = _counting(monkeypatch, picard.DivisorClass, "__post_init__")
+    owns = _counting(monkeypatch, catalog, "_own_d")
+    cert = kodaira.classify(GenusCtx(g))
+    doc = kodaira.certificate_json(cert)
+    assert cert.verdict == kodaira.GENERAL_TYPE and cert.decomposition.d_spec.complete
+    assert len(doc["c"]) == len(doc["c_prime"]) == GenusCtx(g).h
+    assert sums == [[], [], [], []] and pulled == [] and validated == [] and owns == ["choose_d"]
+
+
+_NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_class")
+
+
+def test_named_classes_are_built_once_per_genus(monkeypatch):
+    callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
+    run_genus(40)
+    # kodaira builds its own copies, and solve_thetanull its own m1; verify's sections share one each
+    from_identities = {name: calls.count("_identities") for name, calls in callers.items()}
+    assert from_identities == dict.fromkeys(_NAMED_BUILDERS, 1)
+    callers_seen = {caller for calls in callers.values() for caller in calls}
+    assert callers_seen <= {"_identities", "decompose_canonical", "uniruled_certificate", "solve_thetanull"}
+    assert callers["m1_theta_class"].count("solve_thetanull") == 1
+
+
+def test_each_basis_class_is_pulled_back_once(monkeypatch):
+    ctx = GenusCtx(40)
+    original, pulled = transfer.pullback, Counter()
+
+    def counting(x):
+        pulled[str(x)] += 1
+        return original(x)
+
+    monkeypatch.setattr(transfer, "pullback", counting)
+    run_genus(40)
+    # a basis class renders as its bare label
+    assert [pulled[label] for label in labels_for(ctx, M_SIDE)] == [1] * (ctx.h + 2)
 
 
 def _fraction_constructions(monkeypatch, fn, within=None):
@@ -265,6 +405,21 @@ def test_a_high_genus_report_builds_few_fractions(monkeypatch):
     assert report["status"] == "OK" and built <= 150
 
 
+def test_a_passing_report_gets_no_triple_from_a_row(monkeypatch):
+    # a passing row yields nothing, so it formats no check name
+    original, asked, got = verify._Row.failures, [], []
+
+    def counting(self):
+        asked.append(self.i)
+        for triple in original(self):
+            got.append(triple)
+            yield triple
+
+    monkeypatch.setattr(verify._Row, "failures", counting)
+    assert verify.build_report(40, 40)["status"] == "OK"
+    assert asked == list(range(1, GenusCtx(40).h + 1)) and got == []
+
+
 def test_parser_builds_one_fraction_per_label(monkeypatch):
     ctx = GenusCtx(40)
     labels = labels_for(ctx, M_SIDE)
@@ -339,6 +494,40 @@ def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
     assert labels == []
 
 
+@pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
+def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypatch):
+    # the decomposition reads K and theta from their slot forms and builds no
+    # class: no canonical_s, thetanull_class or kernel call, and no spin-side
+    # class at all; reading dec.remainder is the one way to build one, by one
+    # kernel call
+    ctx = GenusCtx(g)
+    for name in ("canonical_s", "thetanull_class"):
+        monkeypatch.setattr(catalog, name, lambda ctx, name=name: pytest.fail(f"certificate called {name}"))
+    kernel = [_counting(monkeypatch, module, "_sum_terms")
+              for module in (picard, kodaira, transfer, testcurves) if hasattr(module, "_sum_terms")]
+    built = []
+    for module in (picard, catalog, kodaira, transfer, testcurves):
+        if hasattr(module, "_trusted"):
+            original = getattr(module, "_trusted")
+            monkeypatch.setattr(module, "_trusted", lambda ctx, side, num, den, original=original:
+                                built.append(side) or original(ctx, side, num, den))
+    cert = kodaira.classify(ctx)
+    doc = kodaira.certificate_json(cert)
+    assert doc["verdict"] == kodaira.GENERAL_TYPE and S_SIDE not in built
+    assert not any(kernel)
+    dec = cert.decomposition
+    built.clear()
+    rest = dec.remainder
+    calls = [name for names in kernel for name in names]
+    if dec.d_spec.complete:
+        assert built == [S_SIDE] and len(rest.num) <= 2 * ctx.h
+        assert calls == ["remainder"]
+        assert doc["c"] == [str(v) for v in dec.c] and doc["c_prime"] == [str(v) for v in dec.c_prime]
+    else:
+        assert built == [] and rest is None and doc["c"] is None
+        assert calls == []
+
+
 def _writer_calls(monkeypatch, cert):
     """certificate_json(cert), each _ratios call as (caller, entries, gcds given) and the gcd count in kodaira."""
     calls, original = [], kodaira._ratios
@@ -360,11 +549,11 @@ def test_a_certificate_writes_each_remainder_list_by_one_call(g, monkeypatch):
         assert calls == [] and gcds == 0 and doc["c"] is doc["c_prime"] is None
         return
     # c'_i - c_i is 4*den at every i, so c and c' share their gcds with den: one
-    # gcd per i, and the p/q writer's one call (a row of tests/costs.json)
-    # writes both lists, whose gcds repeat c's for c'
+    # gcd per i, and one call of the p/q writer for both lists, whose gcds
+    # repeat c's for c'
     assert len(doc["c"]) == len(doc["c_prime"]) == h
-    [(_, n, ks)] = calls
-    assert (n, gcds) == (2 * h, h) and ks[:h] == ks[h:]
+    [(caller, n, ks)] = calls
+    assert (caller, n, gcds) == ("_remainders", 2 * h, h) and ks[:h] == ks[h:]
     # a pullback rule that gives bi another multiplicity than ai proves nothing:
     # each list is then written by a call of its own, which takes its own gcds
     monkeypatch.setattr(transfer, "_PULLBACK", (1, 1, 2, 1, 2))
@@ -385,6 +574,24 @@ def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     for _ in range(2):
         kodaira.certificate_json(kodaira.classify(GenusCtx(g)))
     assert reads == [{5: ["d", "s"], 9: ["d"], 12: [], 300: ["d"]}[g] * 2, [], [], []]
+
+
+def _context_comparisons(monkeypatch, g):
+    original, calls = GenusCtx.__eq__, []
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(GenusCtx, "__eq__", counting)
+        assert all(c.ok for c in run_genus(g))
+    return len(calls)
+
+
+def test_context_comparisons_do_not_grow_with_h(monkeypatch):
+    # one __eq__ per pairing and lincomb term would grow as h^2
+    assert _context_comparisons(monkeypatch, 20) == _context_comparisons(monkeypatch, 60)
 
 
 @pytest.mark.parametrize("g", (5, 9))
