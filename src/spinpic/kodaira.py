@@ -72,7 +72,11 @@ class Decomposition(_Value):
     decompose_canonical's affine maps of D's di numerators: when the
     pullback rule gives ai and bi one multiplicity, c'_i - c_i is one
     integer for every i >= 2 and one at i = 1, the shape that
-    certificate_json's writer relies on.
+    certificate_json's writer relies on. decompose_canonical builds its own
+    through _trusted_decomposition; the public constructor checks a
+    hand-built one: den an int >= 1, c_num and c_prime_num h ints each, and,
+    under such a pullback rule, c'_i - c_i one value mod den for every
+    i >= 2, or all three None.
     """
 
     __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
@@ -80,6 +84,18 @@ class Decomposition(_Value):
     def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, den: int | None,
                  c_num: tuple[int, ...] | None, c_prime_num: tuple[int, ...] | None) -> None:
         self._init(d_spec=d_spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
+        if den is None and c_num is None and c_prime_num is None:
+            return
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be an int >= 1, or None with c_num and c_prime_num, got {den!r}")
+        h = d_spec.ctx.h
+        if c_num is None or c_prime_num is None or not len(c_num) == len(c_prime_num) == h \
+                or {type(n) for n in (*c_num, *c_prime_num)} != {int}:
+            raise ValueError(f"c_num and c_prime_num must be {h} ints each, got {c_num!r} and {c_prime_num!r}")
+        _, _, _, p_ai, p_bi = transfer._PULLBACK
+        if p_ai == p_bi and len(gaps := {(y - x) % den for x, y in zip(c_num[1:], c_prime_num[1:])}) > 1:
+            raise ValueError(f"c'_i - c_i must be one value mod den = {den} for every i >= 2, "
+                             f"got {sorted(gaps)}")
 
     @property
     def c(self) -> tuple[Fraction, ...] | None:
@@ -139,14 +155,22 @@ def decompose_canonical(ctx: GenusCtx, spec: catalog.DivisorSpec) -> Decompositi
         if n:
             raise VerificationFailureError(f"nonzero {label} remainder {Fraction(n, den)}")
     if not spec.complete:
-        return Decomposition(spec, nu, None, None, None)
+        return _trusted_decomposition(spec, nu, None, None, None)
     # c_i and c'_i are affine maps of D's di numerator; i = 1 takes the (a1, b1) slots instead
     d = list(islice(num.values(), 2, None))
     pa, pb = p * p_ai, p * p_bi
     c, c_prime = [ai - pa * n for n in d], [bi - pb * n for n in d]
     c[0] += a1 - ai
     c_prime[0] += b1 - bi
-    return Decomposition(spec, nu, den, tuple(c), tuple(c_prime))
+    return _trusted_decomposition(spec, nu, den, tuple(c), tuple(c_prime))
+
+
+def _trusted_decomposition(spec: catalog.DivisorSpec, nu: Fraction, den: int | None,
+                           c_num: tuple[int, ...] | None, c_prime_num: tuple[int, ...] | None) -> Decomposition:
+    """decompose_canonical's Decomposition, past the public constructor's check: its shape holds by construction."""
+    dec = object.__new__(Decomposition)
+    dec._init(d_spec=spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
+    return dec
 
 
 def uniruled_certificate(ctx: GenusCtx) -> Fraction:

@@ -21,6 +21,8 @@ and README's ```python block, and prints one JSON document:
 
 One process runs every command, so each command's rows hold what the
 commands before it left cached, such as `cli._parsers` for the first.
+`run()` starts the script once per test session, and `assert_linear`
+checks one of the `LINEAR` rows, whose counts grow linearly in h.
 """
 
 import ast
@@ -112,6 +114,7 @@ _DIVISORS = {
 }
 
 
+@functools.cache
 def defs() -> dict[tuple[str, int, str], str]:
     """(file, line of the def or its first decorator, name) -> module.qualified.name, for every def in src/spinpic."""
     out = {}
@@ -212,13 +215,32 @@ def main() -> dict:
     }
 
 
+def child(script) -> str:
+    """What script prints, run in a fresh interpreter with this checkout's spinpic; a failure raises with its stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"{script} exited {done.returncode}; its stderr:\n{done.stderr}")
+    return done.stdout
+
+
 @functools.cache
 def run() -> dict:
-    """main() in a fresh interpreter with this checkout's spinpic, once per test session: its caches start cold."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, __file__], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    """main() in a fresh interpreter, once per test session: its caches start cold."""
+    return json.loads(child(__file__))
+
+
+# (row, verify's genus g): a count a*h + b with b >= 0 at most doubles from g to 2g,
+# where one call per (i, j) of the compat block would nearly quadruple
+LINEAR = {"transfer.pullback": 40, "testcurves.intersect": 80}
+
+
+def assert_linear(row: str) -> None:
+    """row's count at verify 2g, g its LINEAR genus, is above its count at g and at most twice it."""
+    small, big = (run()["costs"][f"verify --from {g} --to {g} --json"].get(row, 0)
+                  for g in (LINEAR[row], 2 * LINEAR[row]))
+    assert small < big <= 2 * small, (row, small, big)
 
 
 if __name__ == "__main__":

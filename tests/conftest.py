@@ -13,6 +13,11 @@ asserts on it.
 Genus g's basis is spelled by this file, as verify spells its own: the
 wrapper neither calls picard._basis, whose calls some tests count, nor
 reads picard's label table, which some tests misspell or watch.
+
+kodaira._trusted_decomposition, decompose_canonical's way past the public
+Decomposition constructor's check, is wrapped the same way: each
+decomposition it builds is rebuilt by that constructor, whose refusal is
+recorded as (genus, "decomposition", message).
 """
 
 from functools import lru_cache
@@ -20,7 +25,7 @@ from math import gcd
 
 import pytest
 
-from spinpic import catalog, picard, testcurves, transfer
+from spinpic import catalog, kodaira, picard, testcurves, transfer
 
 _MODULES = (picard, catalog, testcurves, transfer)  # each calls _trusted by its own binding
 _ORIGINALS = {}
@@ -63,15 +68,28 @@ def _checked(trusted):
     return checked
 
 
+def _checked_decomposition(trusted):
+    def checked(spec, *fields):
+        try:
+            kodaira.Decomposition(spec, *fields)
+        except ValueError as refused:
+            _RECORD.append((spec.ctx.g, "decomposition", str(refused)))
+        return trusted(spec, *fields)
+
+    return checked
+
+
 def pytest_sessionstart(session):
     for module in _MODULES:
-        _ORIGINALS[module] = module._trusted
+        _ORIGINALS[module, "_trusted"] = module._trusted
         module._trusted = _checked(module._trusted)
+    _ORIGINALS[kodaira, "_trusted_decomposition"] = kodaira._trusted_decomposition
+    kodaira._trusted_decomposition = _checked_decomposition(kodaira._trusted_decomposition)
 
 
 def pytest_sessionfinish(session):
-    for module, trusted in _ORIGINALS.items():
-        module._trusted = trusted
+    for (module, name), trusted in _ORIGINALS.items():
+        setattr(module, name, trusted)
 
 
 @pytest.hookimpl(wrapper=True)
@@ -83,11 +101,11 @@ def pytest_runtest_call(item):
         record = _RECORD[:]
         _RECORD.clear()
     if record and "trusted_record" not in item.fixturenames:
-        raise AssertionError(f"{len(record)} breaches of picard._trusted's contract, the first: {record[:5]}")
+        raise AssertionError(f"{len(record)} breaches of a trusted builder's contract, the first: {record[:5]}")
     return result
 
 
 @pytest.fixture
 def trusted_record():
-    """The breaches of picard._trusted's contract that this test records, as (genus, side, breach)."""
+    """The breaches of a trusted builder's contract that this test records, as (genus, side, breach)."""
     return _RECORD

@@ -10,16 +10,11 @@ work. To re-pin, run this file as a script: `python tests/test_costs.py`.
 import json
 from pathlib import Path
 
+import pytest
+
 import _sweep
 
 _TABLE = Path(__file__).with_name("costs.json")
-
-# (row, verify's genus, twice that genus): linear a*h + b with b >= 0 at most doubles when h does,
-# and one call per (i, j) of the compat block would nearly quadruple
-_LINEAR = [
-    ("transfer.pullback", 40, 80),
-    ("testcurves.intersect", 80, 160),
-]
 
 
 def changes(pinned: dict, swept: dict) -> list[str]:
@@ -38,10 +33,19 @@ def test_every_count_is_as_pinned():
 
 
 def test_work_grows_linearly_in_h():
-    costs = _sweep.run()["costs"]
-    for row, low, high in _LINEAR:
-        small, big = (costs[f"verify --from {g} --to {g} --json"].get(row, 0) for g in (low, high))
-        assert small < big <= 2 * small, (row, small, big)
+    for row in _sweep.LINEAR:
+        _sweep.assert_linear(row)
+
+
+def test_a_crashing_sweep_raises_with_its_stderr(tmp_path):
+    # the child's traceback, such as one that a renamed BY_CALLER entry gives, is in the error
+    script = tmp_path / "crash.py"
+    script.write_text("import spinpic.transfer\nraise LookupError('no def transfer.renamed')\n")
+    with pytest.raises(RuntimeError) as info:
+        _sweep.child(script)
+    message = str(info.value)
+    assert message.startswith(f"{script} exited 1; its stderr:\nTraceback (most recent call last):\n")
+    assert message.endswith("\nLookupError: no def transfer.renamed\n")
 
 
 _PINNED = {

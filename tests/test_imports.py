@@ -6,8 +6,9 @@ short CLI command's time, so the value classes are written out by hand.
 The same ast walk keeps two primitives in one home: only
 picard._unknown_labels builds an UnknownLabelError, and no module reaches
 into testcurves' private names, so every pairing goes through intersect.
-Only picard._trusted and catalog._own_d build a value by object.__new__,
-past its constructor, so no third unvalidated construction path appears,
+Only picard._trusted, catalog._own_d and kodaira._trusted_decomposition
+build a value by object.__new__, past its constructor, so no fourth
+unvalidated construction path appears,
 and only picard._Value._init sets a field by object.__setattr__, so no
 constructor rewrites a field after setting it. _trusted itself is called
 only at a listed set of sites, the kernel _sum_terms and the closed forms,
@@ -94,10 +95,11 @@ def test_only_picard_unknown_labels_builds_an_unknown_label_error():
 
 def test_only_trusted_and_own_d_call_object_new():
     # object.__new__ skips a value's constructor and its validation: picard._trusted builds the
-    # kernel's classes so and catalog._own_d the genus's own divisor spec, and no third path may
+    # kernel's classes so, catalog._own_d the genus's own divisor spec and
+    # kodaira._trusted_decomposition decompose_canonical's decomposition, and no fourth path may
     sites = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
              for where in _call_sites(path, "object.__new__")]
-    assert sites == [("catalog.py", "_own_d"), ("picard.py", "_trusted")]
+    assert sites == [("catalog.py", "_own_d"), ("kodaira.py", "_trusted_decomposition"), ("picard.py", "_trusted")]
 
 
 def test_trusted_is_called_only_where_no_reduction_is_needed():

@@ -270,7 +270,7 @@ def test_classify_builds_no_class_through_the_validating_constructor(g, monkeypa
         original(self)
 
     monkeypatch.setattr(DivisorClass, "__post_init__", counting)
-    monkeypatch.setattr(picard, "_basis", lambda g, side: validated.append(("basis", side)) or basis(g, side))
+    monkeypatch.setattr(picard, "_basis", lambda side: validated.append(("basis", side)) or basis(side))
     assert classify(ctx).verdict == GENERAL_TYPE
     assert validated == []
 
@@ -389,6 +389,38 @@ def test_judge_on_hand_built_evidence():
     assert negative_c1.c == (Fraction(-1),) + dec9.c[1:] and negative_c1.c_prime == dec9.c_prime
     assert negative_c1.remainder == dec9.remainder - (dec9.c[0] + 1) * basis_class(ctx9, S_SIDE, "a1")
     assert _certify_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
+
+
+# (den, c_num, c_prime_num) of a hand-built decomposition at g = 9 (h = 4), and why the constructor refuses it
+_REFUSED = {
+    # c'_2 - c_2 = -1 and c'_3 - c_3 = 0 differ mod den, so c's gcds with den are not c''s, which the
+    # writer would take for c' and write as 0/2
+    "gap": ((2, (0, 1, 0, 0), (0, 0, 0, 0)), "c'_i - c_i must be one value mod den = 2 for every i >= 2, got [0, 1]"),
+    "den-0": ((0, (0,) * 4, (0,) * 4), "den must be an int >= 1, or None with c_num and c_prime_num, got 0"),
+    "den-fraction": ((Fraction(2), (0,) * 4, (0,) * 4),
+                     "den must be an int >= 1, or None with c_num and c_prime_num, got Fraction(2, 1)"),
+    "short": ((1, (0,) * 3, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got (0, 0, 0) and (0, 0, 0, 0)"),
+    "none": ((1, None, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got None and (0, 0, 0, 0)"),
+    "fraction": ((1, (0,) * 4, (0, 0, 0, Fraction(1))),
+                 "c_num and c_prime_num must be 4 ints each, got (0, 0, 0, 0) and (0, 0, 0, Fraction(1, 1))"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED)
+def test_a_hand_built_decomposition_out_of_shape_is_refused(case):
+    fields, message = _REFUSED[case]
+    with pytest.raises(ValueError) as info:
+        Decomposition(choose_d(GenusCtx(9)), Fraction(1), *fields)
+    assert str(info.value) == message
+
+
+def test_a_hand_built_decomposition_writes_what_its_views_read():
+    # every c'_i - c_i a multiple of den: c and c' share their gcds with den, and each entry is in lowest terms
+    ctx = GenusCtx(9)
+    dec = Decomposition(choose_d(ctx), Fraction(1), 6, (3, 8, 0, 6), (9, 2, 6, 12))
+    doc = certificate_json(certify(ctx, None, dec))
+    assert (doc["c"], doc["c_prime"]) == (["1/2", "4/3", "0", "1"], ["3/2", "1/3", "1", "2"])
+    assert (doc["c"], doc["c_prime"]) == ([str(v) for v in dec.c], [str(v) for v in dec.c_prime])
 
 
 @pytest.mark.parametrize("g", (3, 7, 8, 9, 10, 23))

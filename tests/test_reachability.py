@@ -32,6 +32,7 @@ _USERS = {
     "catalog.DivisorSpec.a": ("README", "its `a`, `b0`, `b`"),
     "catalog.DivisorSpec.b": ("README", "its `a`, `b0`, `b`"),
     "cli.main": ("entry point", 'spinpic = "spinpic.cli:main"'),
+    "kodaira.Decomposition.__init__": ("data model", "Decomposition(...) by hand, copy and pickle"),
     "kodaira.Decomposition.c": ("README", "`dec.c`"),
     "kodaira.Decomposition.c_prime": ("README", "`dec.c_prime`"),
     "picard.DivisorClass.__add__": ("data model", "x + y"),

@@ -1,46 +1,10 @@
-"""The work shape of `verify`, pinned by counts rather than wall time.
+"""The work of `verify` and of a certificate.
 
-Beside tests/costs.json, which pins the call counts of a fixed set of
-commands row by row, these tests count by hand, under monkeypatch.
-
-The report counts each genus's stream of identities. The Theta(h^2)
-`compat` block of F_i/G_i pairings is evaluated per row: one row family
-per i pairs both curves with every pi*d_j at once, so the report's
-`intersect` calls grow linearly in h, while the tests' listing of the
-stream, `_checks.run_genus`, still lists all 2h(h+1) identities in the
-dense order. A passing genus
-renders no check value, pulls back each basis class a number of times
-that grows linearly in h (the block reuses one pullback per d_j), and
-takes every use of the curve table
-through `testcurves.curve_map`, which builds the table on every call. A
-failing genus renders its failure records exactly as the eager renderer
-did, counts as many checks in the report as the listing holds, and keeps
-the identities a crashed section yielded before it raised. A patched
-covering degree (`transfer._degree`) reaches R, also after an unpatched
-run of the same genus, and undoing the patch leaves R at its degree.
-`pushforward` calls no component degree, and undoing a patched component
-degree leaves no failure. A
-certificate builds the class of its auxiliary divisor once, when it builds
-the divisor, and pulls back no class. A genus
-builds each named class and each basis-class pullback once and shares it
-across its sections, and the class parser builds one Fraction per label,
-not per term. Classes and curves are checked for a common genus by
-comparing ctx.g, so a genus's GenusCtx.__eq__ calls do not grow with h. A certificate builds no Fraction per basis label:
-from one genus to a higher one, its count does not grow, with or without
-the b_i of a Brill-Noether D. A passing report gets no identity from a
-compat row, the curve tables build no Fraction, and the Brill-Noether
-ratios build two per i. A decomposition with a slope-only D reads only
-D's lambda and d0 numerators and nothing of the label table, at any genus. A
-certificate calls neither canonical_s nor thetanull_class nor the class
-kernel in kodaira and builds no spin-side class: reading its remainder is
-the one way to build that class. A complete D's di numerators are read by
-one positional pass, with no lookup by label. Since c'_i - c_i is a
-multiple of the denominator, a certificate takes one gcd per i and writes
-both its c and c' lists by one call of the p/q writer; under a pullback
-rule that proves nothing, one call per list. The kodaira section
-certifies the evidence it computed itself: it picks D, pairs R with K and
-decomposes K once each, hands them to one certify call, which applies the
-sign rules, and never calls classify.
+A test that bounds a call count reads its rows of `_sweep.run()["costs"]`,
+which tests/costs.json pins. The others pin in process what the sweep cannot
+see: failure records, patched degrees, pullbacks per label, the Fractions
+that arithmetic builds (their number varies by Python), reads of D and of
+the label table, the p/q writer's gcds and the kodaira section's evidence.
 """
 
 import copy
@@ -51,9 +15,26 @@ from fractions import Fraction
 
 import pytest
 
+import _sweep
 from _checks import label_reads, run_genus
-from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
+from spinpic import catalog, kodaira, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
+
+
+def _rows(command):
+    """The rows of one command of _sweep.COSTS, as tests/costs.json pins them."""
+    return _sweep.run()["costs"][command]
+
+
+def _callers(rows, name):
+    """The calls of name, a def of _sweep.BY_CALLER, by each calling def."""
+    return {row.partition(" <- ")[2]: n for row, n in rows.items() if row.startswith(f"{name} <- ")}
+
+
+def _called(rows, *names):
+    """Those of the named defs of src/spinpic that the command called, by any caller."""
+    assert set(names) <= set(_sweep.defs().values()), names  # a name that is no def is never called
+    return [name for name in names if name in rows or _callers(rows, name)]
 
 
 def _counting(monkeypatch, module, name):
@@ -68,12 +49,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_passing_report_renders_nothing(monkeypatch):
-    calls = _counting(monkeypatch, verify, "_fmt")
-    report = verify.build_report(30, 30)
-    assert report["status"] == "OK"
-    assert report["payload"]["total-checks"] > 0
-    assert calls == []
+def test_passing_report_renders_nothing():
+    # a report renders its failures alone, so no passing verify command of the sweep renders a value
+    verifies = {command: rows for command, rows in _sweep.run()["costs"].items() if command.startswith("verify")}
+    assert verifies["verify --from 30 --to 30 --json"]["verify.build_report"] == 1
+    assert [command for command, rows in verifies.items() if _called(rows, "verify._fmt")] == []
 
 
 def _bump_h0(original):
@@ -161,7 +141,7 @@ _MUTATIONS = [
 
 def test_failure_records_render_as_before(monkeypatch):
     for module, name, mutate, g, want in _MUTATIONS:
-        assert verify.build_report(g, g)["status"] == "OK"  # caches warm, unpatched
+        assert verify.build_report(g, g)["status"] == "OK"
         with monkeypatch.context() as m:
             m.setattr(module, name, mutate(getattr(module, name)))
             report = verify.build_report(g, g)
@@ -179,32 +159,12 @@ def test_failure_records_render_as_before(monkeypatch):
             ]
 
 
-def _pullbacks(monkeypatch, g):
-    with monkeypatch.context() as m:
-        calls = _counting(m, transfer, "pullback")
-        run_genus(g)
-    return len(calls)
+def test_pullbacks_grow_linearly_in_h():
+    _sweep.assert_linear("transfer.pullback")  # from verify 40 to 80
 
 
-def test_pullbacks_grow_linearly_in_h(monkeypatch):
-    # linear a*h + b with b >= 0 at most doubles from h = 20 to h = 40;
-    # one pullback per (i, j) of the compat block would nearly quadruple
-    at_40, at_80 = _pullbacks(monkeypatch, 40), _pullbacks(monkeypatch, 80)
-    assert at_40 < at_80 <= 2 * at_40
-
-
-def _report_intersections(monkeypatch, g):
-    with monkeypatch.context() as m:
-        calls = _counting(m, testcurves, "intersect")
-        assert verify.build_report(g, g)["status"] == "OK"
-    return len(calls)
-
-
-def test_report_intersections_grow_linearly_in_h(monkeypatch):
-    # linear a*h + b with b >= 0 at most doubles from h = 40 to h = 80;
-    # one intersect per (i, j) of the compat block would nearly quadruple
-    at_80, at_160 = _report_intersections(monkeypatch, 80), _report_intersections(monkeypatch, 160)
-    assert at_80 < at_160 <= 2 * at_80
+def test_report_intersections_grow_linearly_in_h():
+    _sweep.assert_linear("testcurves.intersect")  # from verify 80 to 160
 
 
 def test_run_genus_lists_the_whole_compat_block_in_dense_order():
@@ -218,18 +178,17 @@ def test_run_genus_lists_the_whole_compat_block_in_dense_order():
     assert names[start:start + len(block)] == block
 
 
-def test_every_curve_table_use_goes_through_curve_map(monkeypatch):
-    callers = _counting(monkeypatch, testcurves, "curve_map")
-    run_genus(9)
-    # every use goes through the module attribute, so patches reach it
-    assert set(callers) == {"_identities", "solve_thetanull"}
+def test_every_curve_table_use_goes_through_curve_map():
+    # one table per genus for verify's sections and one for the theta-null chain;
+    # test_failure_records_render_as_before shows that a patch of curve_map reaches them
+    assert _callers(_rows("verify --from 3 --to 22 --json"), "testcurves.curve_map") == {
+        "verify._identities": 20, "testcurves.solve_thetanull": 20}
 
 
-def test_r_alone_is_built_by_covering_curve(monkeypatch):
+def test_r_alone_is_built_by_covering_curve():
     # kodaira's R . K pairs R alone, with no curve table built for it
-    callers = _counting(monkeypatch, testcurves, "covering_curve")
-    run_genus(9)
-    assert set(callers) == {"curve_map", "uniruled_certificate"}
+    assert _callers(_rows("verify --from 3 --to 22 --json"), "testcurves.covering_curve") == {
+        "testcurves.curve_map": 40, "kodaira.uniruled_certificate": 20}
 
 
 def _bump_even_degree(original):
@@ -256,19 +215,15 @@ def test_undoing_a_degree_table_patch_leaves_no_stale_curve_table(monkeypatch):
     assert testcurves.curve_map(GenusCtx(6))["R"]["lambda"] == 14560
 
 
-def test_pushforward_calls_no_component_degree(monkeypatch):
-    callers = {name: _counting(monkeypatch, transfer, name)
-               for name in ("even_component_degree", "odd_component_degree", "total_degree")}
-    pushed = _counting(monkeypatch, transfer, "pushforward")
-    assert verify.build_report(30, 30)["status"] == "OK"
+def test_pushforward_calls_no_component_degree():
     # pushforward reads every degree off transfer._degree, so only the code
     # that checks the degrees against the component degrees calls them
-    assert len(pushed) > 2 * GenusCtx(30).h + 3  # at least one per spin basis class
-    assert {name: set(calls) for name, calls in callers.items()} == {
-        "even_component_degree": {"_identities", "degree_identities"},
-        "odd_component_degree": {"degree_identities"},
-        "total_degree": {"degree_identities"},
-    }
+    rows = _rows("verify --from 30 --to 30 --json")
+    assert rows["transfer.pushforward"] > 2 * GenusCtx(30).h + 3  # at least one per spin basis class
+    want = {"even_component_degree": {"verify._identities": 1, "transfer.degree_identities": 1},
+            "odd_component_degree": {"transfer.degree_identities": 1},
+            "total_degree": {"transfer.degree_identities": 1}}
+    assert {name: _callers(rows, f"transfer.{name}") for name in want} == want
 
 
 def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkeypatch):
@@ -281,34 +236,23 @@ def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkey
 
 
 @pytest.mark.parametrize("g", (9, 14, 699, 999))
-def test_certificate_builds_the_divisor_class_once(g, monkeypatch):
+def test_certificate_builds_the_divisor_class_once(g):
     # composite g+1: _own_d writes the Brill-Noether D's class once, in closed
     # form, and the decomposition reads that very class's numerators through
     # the pullback rule; neither the certificate nor its document calls the
-    # kernel, pulls a class back or runs the validating constructor
-    sums = [_counting(monkeypatch, module, "_sum_terms") for module in (picard, testcurves, transfer, verify)]
-    pulled = _counting(monkeypatch, transfer, "pullback")
-    validated = _counting(monkeypatch, picard.DivisorClass, "__post_init__")
-    owns = _counting(monkeypatch, catalog, "_own_d")
-    cert = kodaira.classify(GenusCtx(g))
-    doc = kodaira.certificate_json(cert)
-    assert cert.verdict == kodaira.GENERAL_TYPE and cert.decomposition.d_spec.complete
-    assert len(doc["c"]) == len(doc["c_prime"]) == GenusCtx(g).h
-    assert sums == [[], [], [], []] and pulled == [] and validated == [] and owns == ["choose_d"]
+    # kernel, pulls a class back or runs the validating constructor, and its c and c' are written
+    rows = _rows(f"classify -g {g} --json")
+    assert _callers(rows, "catalog._own_d") == {"catalog.choose_d": 1} and rows["kodaira._remainders"] == 1
+    assert _called(rows, "picard._sum_terms", "transfer.pullback", "picard.DivisorClass.__post_init__") == []
 
 
-_NAMED_BUILDERS = ("canonical_m", "canonical_s", "thetanull_class", "m1_theta_class")
-
-
-def test_named_classes_are_built_once_per_genus(monkeypatch):
-    callers = {name: _counting(monkeypatch, catalog, name) for name in _NAMED_BUILDERS}
-    run_genus(40)
-    # kodaira builds its own copies, and solve_thetanull its own m1; verify's sections share one each
-    from_identities = {name: calls.count("_identities") for name, calls in callers.items()}
-    assert from_identities == dict.fromkeys(_NAMED_BUILDERS, 1)
-    callers_seen = {caller for calls in callers.values() for caller in calls}
-    assert callers_seen <= {"_identities", "decompose_canonical", "uniruled_certificate", "solve_thetanull"}
-    assert callers["m1_theta_class"].count("solve_thetanull") == 1
+def test_named_classes_are_built_once_per_genus():
+    # kodaira builds its own canonical_s, and solve_thetanull its own m1; verify's sections share one each
+    want = {"canonical_m": {"verify._identities": 1},
+            "canonical_s": {"verify._identities": 1, "kodaira.uniruled_certificate": 1},
+            "thetanull_class": {"verify._identities": 1},
+            "m1_theta_class": {"verify._identities": 1, "testcurves.solve_thetanull": 1}}
+    assert {name: _callers(_rows("verify --from 40 --to 40 --json"), f"catalog.{name}") for name in want} == want
 
 
 def test_each_basis_class_is_pulled_back_once(monkeypatch):
@@ -405,19 +349,10 @@ def test_a_high_genus_report_builds_few_fractions(monkeypatch):
     assert report["status"] == "OK" and built <= 150
 
 
-def test_a_passing_report_gets_no_triple_from_a_row(monkeypatch):
-    # a passing row yields nothing, so it formats no check name
-    original, asked, got = verify._Row.failures, [], []
-
-    def counting(self):
-        asked.append(self.i)
-        for triple in original(self):
-            got.append(triple)
-            yield triple
-
-    monkeypatch.setattr(verify._Row, "failures", counting)
-    assert verify.build_report(40, 40)["status"] == "OK"
-    assert asked == list(range(1, GenusCtx(40).h + 1)) and got == []
+def test_a_passing_report_gets_no_triple_from_a_row():
+    # a generator's row counts each start and resume: one start per compat row and
+    # no resume, so a passing row yields nothing and formats no check name
+    assert _rows("verify --from 40 --to 40 --json")["verify._Row.failures"] == GenusCtx(40).h
 
 
 def test_parser_builds_one_fraction_per_label(monkeypatch):
@@ -496,36 +431,22 @@ def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
 
 @pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
 def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypatch):
-    # the decomposition reads K and theta from their slot forms and builds no
-    # class: no canonical_s, thetanull_class or kernel call, and no spin-side
-    # class at all; reading dec.remainder is the one way to build one, by one
-    # kernel call
-    ctx = GenusCtx(g)
-    for name in ("canonical_s", "thetanull_class"):
-        monkeypatch.setattr(catalog, name, lambda ctx, name=name: pytest.fail(f"certificate called {name}"))
-    kernel = [_counting(monkeypatch, module, "_sum_terms")
-              for module in (picard, kodaira, transfer, testcurves) if hasattr(module, "_sum_terms")]
-    built = []
-    for module in (picard, catalog, kodaira, transfer, testcurves):
-        if hasattr(module, "_trusted"):
-            original = getattr(module, "_trusted")
-            monkeypatch.setattr(module, "_trusted", lambda ctx, side, num, den, original=original:
-                                built.append(side) or original(ctx, side, num, den))
+    # the decomposition reads K and theta from their slot forms and builds no class: no canonical_s,
+    # thetanull_class or kernel call, and the one class trusted is D's; reading dec.remainder is
+    # the one way to build the spin-side class, by one kernel call
+    rows, ctx = _rows(f"classify -g {g} --json"), GenusCtx(g)
+    assert _called(rows, "catalog.canonical_s", "catalog.thetanull_class", "picard._sum_terms",
+                   "kodaira.Decomposition.remainder") == []
+    assert rows["picard._trusted"] == 1 and _callers(rows, "catalog._own_d") == {"catalog.choose_d": 1}
     cert = kodaira.classify(ctx)
-    doc = kodaira.certificate_json(cert)
-    assert doc["verdict"] == kodaira.GENERAL_TYPE and S_SIDE not in built
-    assert not any(kernel)
-    dec = cert.decomposition
-    built.clear()
+    dec, doc = cert.decomposition, kodaira.certificate_json(cert)
+    kernel = _counting(monkeypatch, kodaira, "_sum_terms")
     rest = dec.remainder
-    calls = [name for names in kernel for name in names]
     if dec.d_spec.complete:
-        assert built == [S_SIDE] and len(rest.num) <= 2 * ctx.h
-        assert calls == ["remainder"]
+        assert kernel == ["remainder"] and rest.side == S_SIDE and len(rest.num) <= 2 * ctx.h
         assert doc["c"] == [str(v) for v in dec.c] and doc["c_prime"] == [str(v) for v in dec.c_prime]
     else:
-        assert built == [] and rest is None and doc["c"] is None
-        assert calls == []
+        assert kernel == [] and rest is None and doc["c"] is None
 
 
 def _writer_calls(monkeypatch, cert):
@@ -576,22 +497,11 @@ def test_a_certificate_spells_its_labels_once(g, monkeypatch):
     assert reads == [{5: ["d", "s"], 9: ["d"], 12: [], 300: ["d"]}[g] * 2, [], [], []]
 
 
-def _context_comparisons(monkeypatch, g):
-    original, calls = GenusCtx.__eq__, []
-
-    def counting(self, other):
-        calls.append(None)
-        return original(self, other)
-
-    with monkeypatch.context() as m:
-        m.setattr(GenusCtx, "__eq__", counting)
-        assert all(c.ok for c in run_genus(g))
-    return len(calls)
-
-
-def test_context_comparisons_do_not_grow_with_h(monkeypatch):
-    # one __eq__ per pairing and lincomb term would grow as h^2
-    assert _context_comparisons(monkeypatch, 20) == _context_comparisons(monkeypatch, 60)
+def test_context_comparisons_do_not_grow_with_h():
+    # classes and curves are checked for a common genus by comparing ctx.g, and one GenusCtx
+    # __eq__ per pairing and lincomb term would grow as h^2: a genus compares one pair of
+    # values, decompose_canonical's spec.ctx with its ctx
+    assert [_rows(f"verify --from {g} --to {g} --json")["picard._Value.__eq__"] for g in (20, 60)] == [1, 1]
 
 
 @pytest.mark.parametrize("g", (5, 9))
