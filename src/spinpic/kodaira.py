@@ -74,9 +74,9 @@ class Decomposition(_Value):
     integer for every i >= 2 and one at i = 1, the shape that
     certificate_json's writer relies on. decompose_canonical builds its own
     through _trusted_decomposition; the public constructor checks a
-    hand-built one: den an int >= 1, c_num and c_prime_num h ints each, and,
-    under such a pullback rule, c'_i - c_i one value mod den for every
-    i >= 2, or all three None.
+    hand-built one: all three None when D has no b_i; when it has them, den
+    an int >= 1, c_num and c_prime_num h ints each, and, under such a
+    pullback rule, c'_i - c_i one value mod den for every i >= 2.
     """
 
     __slots__ = __match_args__ = ("d_spec", "nu", "den", "c_num", "c_prime_num")
@@ -84,10 +84,13 @@ class Decomposition(_Value):
     def __init__(self, d_spec: catalog.DivisorSpec, nu: Fraction, den: int | None,
                  c_num: tuple[int, ...] | None, c_prime_num: tuple[int, ...] | None) -> None:
         self._init(d_spec=d_spec, nu=nu, den=den, c_num=c_num, c_prime_num=c_prime_num)
-        if den is None and c_num is None and c_prime_num is None:
+        if not d_spec.complete:
+            if (den, c_num, c_prime_num) != (None, None, None):
+                raise ValueError(f"a D without b_i keeps no remainder: den, c_num and c_prime_num must be None, "
+                                 f"got {den!r}, {c_num!r} and {c_prime_num!r}")
             return
         if type(den) is not int or den < 1:
-            raise ValueError(f"den must be an int >= 1, or None with c_num and c_prime_num, got {den!r}")
+            raise ValueError(f"den must be an int >= 1 for a D with b_i, got {den!r}")
         h = d_spec.ctx.h
         if c_num is None or c_prime_num is None or not len(c_num) == len(c_prime_num) == h \
                 or {type(n) for n in (*c_num, *c_prime_num)} != {int}:

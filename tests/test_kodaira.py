@@ -391,26 +391,32 @@ def test_judge_on_hand_built_evidence():
     assert _certify_failure(ctx9, None, negative_c1) == "negative boundary remainder at genus 9"
 
 
-# (den, c_num, c_prime_num) of a hand-built decomposition at g = 9 (h = 4), and why the constructor refuses it
+# (g, den, c_num, c_prime_num) of a hand-built decomposition with the own D, complete at g = 9 (h = 4)
+# and slope-only at g = 12, and why the constructor refuses it
 _REFUSED = {
     # c'_2 - c_2 = -1 and c'_3 - c_3 = 0 differ mod den, so c's gcds with den are not c''s, which the
     # writer would take for c' and write as 0/2
-    "gap": ((2, (0, 1, 0, 0), (0, 0, 0, 0)), "c'_i - c_i must be one value mod den = 2 for every i >= 2, got [0, 1]"),
-    "den-0": ((0, (0,) * 4, (0,) * 4), "den must be an int >= 1, or None with c_num and c_prime_num, got 0"),
-    "den-fraction": ((Fraction(2), (0,) * 4, (0,) * 4),
-                     "den must be an int >= 1, or None with c_num and c_prime_num, got Fraction(2, 1)"),
-    "short": ((1, (0,) * 3, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got (0, 0, 0) and (0, 0, 0, 0)"),
-    "none": ((1, None, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got None and (0, 0, 0, 0)"),
-    "fraction": ((1, (0,) * 4, (0, 0, 0, Fraction(1))),
+    "gap": ((9, 2, (0, 1, 0, 0), (0, 0, 0, 0)),
+            "c'_i - c_i must be one value mod den = 2 for every i >= 2, got [0, 1]"),
+    "den-0": ((9, 0, (0,) * 4, (0,) * 4), "den must be an int >= 1 for a D with b_i, got 0"),
+    "den-fraction": ((9, Fraction(2), (0,) * 4, (0,) * 4),
+                     "den must be an int >= 1 for a D with b_i, got Fraction(2, 1)"),
+    "short": ((9, 1, (0,) * 3, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got (0, 0, 0) and (0, 0, 0, 0)"),
+    "none": ((9, 1, None, (0,) * 4), "c_num and c_prime_num must be 4 ints each, got None and (0, 0, 0, 0)"),
+    "fraction": ((9, 1, (0,) * 4, (0, 0, 0, Fraction(1))),
                  "c_num and c_prime_num must be 4 ints each, got (0, 0, 0, 0) and (0, 0, 0, Fraction(1, 1))"),
+    # a complete D's remainder is not conditional, and a slope-only D has no b_i to write c and c' for
+    "complete-none": ((9, None, None, None), "den must be an int >= 1 for a D with b_i, got None"),
+    "slope-only-lists": ((12, 1, (0,) * 6, (0,) * 6), "a D without b_i keeps no remainder: den, c_num and c_prime_num "
+                         "must be None, got 1, (0, 0, 0, 0, 0, 0) and (0, 0, 0, 0, 0, 0)"),
 }
 
 
 @pytest.mark.parametrize("case", _REFUSED)
 def test_a_hand_built_decomposition_out_of_shape_is_refused(case):
-    fields, message = _REFUSED[case]
+    (g, *fields), message = _REFUSED[case]
     with pytest.raises(ValueError) as info:
-        Decomposition(choose_d(GenusCtx(9)), Fraction(1), *fields)
+        Decomposition(choose_d(GenusCtx(g)), Fraction(1), *fields)
     assert str(info.value) == message
 
 

@@ -49,7 +49,7 @@ _CASES = [
     (Decomposition, ("d_spec", "nu", "den", "c_num", "c_prime_num"),
      lambda: Decomposition(_spec(), Fraction(1, 2), None, None, None),
      lambda: Decomposition(d_spec=_spec(), nu=Fraction(1, 2), den=None, c_num=None, c_prime_num=None),
-     Decomposition(_spec(), Fraction(1, 2), 1, (1,) + (0,) * 5, (1,) + (0,) * 5),
+     Decomposition(_spec(), Fraction(1, 3), None, None, None),
      f"Decomposition(d_spec={_SPEC_REPR}, nu=Fraction(1, 2), den=None, c_num=None, c_prime_num=None)", True),
     (KodairaCertificate, ("ctx", "verdict", "rk", "decomposition", "flags", "annotations", "citations"),
      lambda: KodairaCertificate(GenusCtx(9), "GENERAL_TYPE", None, None, (), (), ("x",)),

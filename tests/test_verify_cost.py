@@ -17,7 +17,7 @@ import pytest
 
 import _sweep
 from _checks import label_reads, run_genus
-from spinpic import catalog, kodaira, testcurves, transfer, verify
+from spinpic import catalog, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for, parse_class
 
 
@@ -87,11 +87,10 @@ def _record(name, g, expected, got):
     return {"check-name": name, "genus": g, "expected": expected, "got": got}
 
 
-# Rendered by the eager renderer, which formatted every value as its check
-# was recorded; the report, which renders only failures, must reproduce them
-# byte for byte. The patched covering
-# degree must reach pushforward and R (curves:table:R, lift), and the theta-null chain,
-# which reads lambda's degree by (kind, i) from _degree (solve:thetanull). theta and K are built
+# Rendered by the eager renderer, which formatted every value as its check was recorded; the report,
+# which renders only failures, must reproduce them byte for byte. The patched covering degree must reach
+# pushforward and R (curves:table:R, lift), and the theta-null chain, which reads lambda's degree by
+# (kind, i) from _degree (solve:thetanull). theta and K are built
 # from their slot forms, and nu is read off the forms' lambda slots, so a lambda added to theta's
 # or K's form fails kodaira:nu-from-slope as well as the checks of the built class.
 _MUTATIONS = [
@@ -237,10 +236,9 @@ def test_a_component_degree_patched_at_a_cold_genus_leaves_no_stale_table(monkey
 
 @pytest.mark.parametrize("g", (9, 14, 699, 999))
 def test_certificate_builds_the_divisor_class_once(g):
-    # composite g+1: _own_d writes the Brill-Noether D's class once, in closed
-    # form, and the decomposition reads that very class's numerators through
-    # the pullback rule; neither the certificate nor its document calls the
-    # kernel, pulls a class back or runs the validating constructor, and its c and c' are written
+    # composite g+1: _own_d writes the Brill-Noether D's class once, in closed form, and the decomposition
+    # reads that very class's numerators through the pullback rule; neither the certificate nor its document
+    # calls the kernel, pulls a class back or runs the validating constructor, and its c and c' are written
     rows = _rows(f"classify -g {g} --json")
     assert _callers(rows, "catalog._own_d") == {"catalog.choose_d": 1} and rows["kodaira._remainders"] == 1
     assert _called(rows, "picard._sum_terms", "transfer.pullback", "picard.DivisorClass.__post_init__") == []
@@ -256,14 +254,9 @@ def test_named_classes_are_built_once_per_genus():
 
 
 def test_each_basis_class_is_pulled_back_once(monkeypatch):
-    ctx = GenusCtx(40)
-    original, pulled = transfer.pullback, Counter()
-
-    def counting(x):
-        pulled[str(x)] += 1
-        return original(x)
-
-    monkeypatch.setattr(transfer, "pullback", counting)
+    ctx, pulled = GenusCtx(40), Counter()
+    monkeypatch.setattr(transfer, "pullback",
+                        lambda x, original=transfer.pullback: pulled.update([str(x)]) or original(x))
     run_genus(40)
     # a basis class renders as its bare label
     assert [pulled[label] for label in labels_for(ctx, M_SIDE)] == [1] * (ctx.h + 2)
@@ -272,8 +265,7 @@ def test_each_basis_class_is_pulled_back_once(monkeypatch):
 def _fraction_constructions(monkeypatch, fn, within=None):
     """fn() and the number of Fractions it builds, also those that arithmetic builds directly.
 
-    With within, a function name, only those built while a function of that
-    name runs count.
+    With within, a function name, only those built while a function of that name runs count.
     """
     built = []
     new = Fraction.__new__
@@ -358,8 +350,7 @@ def test_a_passing_report_gets_no_triple_from_a_row():
 def test_parser_builds_one_fraction_per_label(monkeypatch):
     ctx = GenusCtx(40)
     labels = labels_for(ctx, M_SIDE)
-    terms = [f"{k % 7 + 1}/{k % 5 + 1}*{labels[k % len(labels)]}" for k in range(2000)]
-    text = " + ".join(terms)
+    text = " + ".join(f"{k % 7 + 1}/{k % 5 + 1}*{labels[k % len(labels)]}" for k in range(2000))
     cls, built = _fraction_constructions(monkeypatch, lambda: parse_class(text, ctx, M_SIDE))
     assert len(cls.coeff) == len(labels)
     assert built <= len(labels)  # three per term before the integer kernel
@@ -432,21 +423,30 @@ def test_a_slope_only_decomposition_reads_the_head_slots_alone(monkeypatch):
 @pytest.mark.parametrize("g", (9, 12, 401, 700, 999))  # a Brill-Noether D at 9, 401 and 999, slope-only at 12 and 700
 def test_a_certificate_builds_no_canonical_theta_or_remainder_class(g, monkeypatch):
     # the decomposition reads K and theta from their slot forms and builds no class: no canonical_s,
-    # thetanull_class or kernel call, and the one class trusted is D's; reading dec.remainder is
-    # the one way to build the spin-side class, by one kernel call
+    # thetanull_class or kernel call, and the one class trusted is D's, no spin-side class; reading
+    # dec.remainder is the one way to build that class, by one kernel call
     rows, ctx = _rows(f"classify -g {g} --json"), GenusCtx(g)
     assert _called(rows, "catalog.canonical_s", "catalog.thetanull_class", "picard._sum_terms",
                    "kodaira.Decomposition.remainder") == []
     assert rows["picard._trusted"] == 1 and _callers(rows, "catalog._own_d") == {"catalog.choose_d": 1}
+    built = []  # the side of each class trusted, through any module's binding
+    for module in (picard, catalog, kodaira, transfer, testcurves):
+        if hasattr(module, "_trusted"):
+            monkeypatch.setattr(module, "_trusted", lambda ctx, side, num, den, original=module._trusted:
+                                built.append(side) or original(ctx, side, num, den))
     cert = kodaira.classify(ctx)
     dec, doc = cert.decomposition, kodaira.certificate_json(cert)
-    kernel = _counting(monkeypatch, kodaira, "_sum_terms")
+    assert S_SIDE not in built
+    kernel = [_counting(monkeypatch, module, "_sum_terms")
+              for module in (picard, kodaira, transfer, testcurves) if hasattr(module, "_sum_terms")]
+    built.clear()
     rest = dec.remainder
+    calls = [name for names in kernel for name in names]
     if dec.d_spec.complete:
-        assert kernel == ["remainder"] and rest.side == S_SIDE and len(rest.num) <= 2 * ctx.h
+        assert calls == ["remainder"] and built == [S_SIDE] and len(rest.num) <= 2 * ctx.h
         assert doc["c"] == [str(v) for v in dec.c] and doc["c_prime"] == [str(v) for v in dec.c_prime]
     else:
-        assert kernel == [] and rest is None and doc["c"] is None
+        assert calls == built == [] and rest is None and doc["c"] is None
 
 
 def _writer_calls(monkeypatch, cert):
