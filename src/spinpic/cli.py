@@ -89,8 +89,8 @@ def _cmd_pair(args) -> int:
     if args.dump:
         if args.curve is not None or args.classexpr is not None:
             raise InputError("pair --dump takes no CURVE or CLASSEXPR")
-        # a curve stores its nonzero entries only, so every other cell is "0"
-        zero = {side: dict.fromkeys(labels_for(ctx, side), "0") for side in (M_SIDE, S_SIDE)}
+        # a curve stores its nonzero entries only, so every other cell is "0"; a row keeps the zero row's sorted keys
+        zero = {side: dict.fromkeys(sorted(labels_for(ctx, side)), "0") for side in (M_SIDE, S_SIDE)}
         table = {}
         for name, c in curves.items():
             row = table[name] = dict(zero[c.side])

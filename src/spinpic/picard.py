@@ -25,7 +25,7 @@ basis is the first h+2 labels of _M or 2h+3 of _S: those of index i <= h.
 The table ends one index past the largest basis, so a slice past any basis
 reads a label outside it. The engine modules read labels and indices only
 through _LABELS and _basis, and no code parses an index out of a label.
-verify spells its labels itself, as an independent check of the table.
+verify reads _oracle's own spelling of them, an independent check of the table.
 
 Scalars are standard library Fractions, and no floating point appears
 anywhere, in memory or in output. External output prints a rational as

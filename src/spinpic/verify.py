@@ -16,11 +16,11 @@ stream's one consumer; tests list the stream check by check through their
 own helper.
 The identities deliberately re-derive constants along independent routes
 (component degrees against stratum degrees, pencil relations against closed
-forms, a private copy of the curve tables, a private slope table for each
-genus's divisor D) so that a single corrupted multiplicity, intersection
-number, or class coefficient flips at least one identity to FAIL. The
+forms, and `_oracle`'s curve tables, slopes of D and labels, which verify
+never spells) so that a single corrupted multiplicity, intersection number,
+label or class coefficient flips at least one identity to FAIL. The
 kodaira section checks what `kodaira.certify` makes of its own evidence,
-writing the c and c' it expects from the remainder's integers by `_pq`;
+writing the c and c' it expects from the remainder's integers by `_oracle.pq`;
 its decomposition identity assembles the classes by `lincomb`, a route
 apart from the engine's, which reads K and theta slot by slot.
 """
@@ -31,9 +31,8 @@ import functools
 import json
 import random
 from fractions import Fraction
-from math import gcd, isqrt
 
-from . import catalog, kodaira, testcurves, transfer
+from . import _oracle, catalog, kodaira, testcurves, transfer
 from .errors import EngineFaultError
 from .picard import (
     M_SIDE,
@@ -66,12 +65,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _pq(n: int, d: int) -> str:
-    """n/d for d >= 1 as "p/q" in lowest terms, or "p" over 1: verify's own writer, beside picard._ratios."""
-    k = gcd(n, d)
-    return f"{n // k}" if k == d else f"{n // k}/{d // k}"
-
-
 class _Row(_Value):
     """compat:F{i}:d{j}, compat:G{i}:d{j} for j = 0..h, expecting 2-2i at j = i; got by (F or G, j), else 0."""
 
@@ -101,41 +94,6 @@ def _fuzz_class(ctx: GenusCtx, side: str, salt: int) -> DivisorClass:
                                   for label in labels_for(ctx, side)])
 
 
-def _expected_curve_table(ctx: GenusCtx) -> dict[str, tuple[str, dict[str, int]]]:
-    # Private copy of the pencil tables; guards the stored vectors against edits.
-    g, h = ctx.g, ctx.h
-    table: dict[str, tuple[str, dict[str, int]]] = {
-        "B": (M_SIDE, {"lambda": g + 1, "d0": 6 * g + 18}),
-        "R": (
-            S_SIDE,
-            {
-                "lambda": (g + 1) * 2 ** (g - 1) * (2**g + 1),
-                "a0": (6 * g + 18) * 2 ** (2 * g - 2),
-                "b0s": (6 * g + 18) * 2 ** (g - 2) * (2 ** (g - 1) + 1),
-            },
-        ),
-        "F0": (S_SIDE, {"lambda": 1, "a0": 12, "b1": -1}),
-        "G0": (S_SIDE, {"lambda": 3, "a0": 12, "b0s": 12, "a1": -3}),
-        "H0": (S_SIDE, {"b0s": 1 - g, "a1": 1}),
-    }
-    for i in range(1, h + 1):
-        table[f"F{i}"] = (S_SIDE, {f"a{i}": 2 - 2 * i})
-        table[f"G{i}"] = (S_SIDE, {f"b{i}": 2 - 2 * i})
-    return table
-
-
-def _expected_slope(g: int) -> tuple[bool, Fraction]:
-    # Private copy of the slope of each genus's D: (whether g+1 is composite,
-    # the bound). Brill-Noether 6 + 12/(g+1) for composite g+1, K3 7 at
-    # g = 10, Gieseker-Petri (6k^2+k-6)/(k(k-1)) at g = 2k-2 otherwise.
-    if g == 10:
-        return False, Fraction(7)
-    if any((g + 1) % p == 0 for p in range(2, isqrt(g + 1) + 1)):
-        return True, 6 + Fraction(12, g + 1)
-    k = g // 2 + 1
-    return False, Fraction(6 * k * k + k - 6, k * (k - 1))
-
-
 def _identities(g: int):
     """Yield (name, expected, got) for every per-genus identity, or a `_Row` of them, in order; g >= 3."""
     ctx = GenusCtx(g)
@@ -151,7 +109,9 @@ def _identities(g: int):
         canonical_s = catalog.canonical_s(ctx)
         theta = catalog.thetanull_class(ctx)
         m1 = catalog.m1_theta_class(ctx)
-        composite, slope_bound = _expected_slope(g)
+        composite, slope_bound = _oracle.slope(g)
+        m, s = _oracle.basis(g, M_SIDE), _oracle.basis(g, S_SIDE)
+        d, a, b = m[1:], s[1::2], s[2::2]  # the oracle's labels by index: d_j at j, a_i and b_i at i (b0s at 0)
     except Exception as exc:  # no section can run without the shared setup, so the genus ends here
         yield _crashed("setup", exc)
         return
@@ -199,7 +159,7 @@ def _identities(g: int):
         num, s = cls.num, spec.divisor.num
         n0, s0 = num.get("d0", 0), s["d0"]
         for i in range(1, ctx.h + 1):
-            label = f"d{i}"
+            label = d[i]
             # the ratio read from the class that bn_class returns, so a misread b_i shows
             yield f"bn:ratio-{label}", Fraction(6 * i * (g - i), g + 1), Fraction(num.get(label, 0), n0)
             # c_1 = -3 + (3/2)*b_1/b0 and c_i = -2 + (3/2)*b_i/b0 for i >= 2: b_i/b0 >= p/q on the
@@ -208,7 +168,7 @@ def _identities(g: int):
             yield f"bn:ratio-bound-{label}", True, q * s[label] <= p * s0
 
     def curve_tables():
-        expected = _expected_curve_table(ctx)
+        expected = _oracle.curve_table(g)
         yield "curves:names", sorted(expected), sorted(curves)
         for name, (side, numbers) in expected.items():
             got = curves.get(name)
@@ -248,11 +208,11 @@ def _identities(g: int):
             yield f"compat:G0:{label}", 3 * want, testcurves.intersect(g0, x)
         yield "compat:H0:d0", 2 - 2 * g, testcurves.intersect(h0, up["d0"])
         for j in range(1, ctx.h + 1):
-            yield f"compat:H0:d{j}", 1 if j == 1 else 0, testcurves.intersect(h0, up[f"d{j}"])
+            yield f"compat:H0:d{j}", 1 if j == 1 else 0, testcurves.intersect(h0, up[d[j]])
         # index: label -> every j whose pi*d_j stores it
         index = {}
         for j in range(ctx.h + 1):
-            for label in up[f"d{j}"].num:
+            for label in up[d[j]].num:
                 index.setdefault(label, []).append(j)
         for i in range(1, ctx.h + 1):
             got = {}
@@ -263,7 +223,7 @@ def _identities(g: int):
                 got[kind, 0] = testcurves.intersect(curve, up["d0"])
                 for label in curve.num:
                     for j in index.get(label, ()):
-                        got[kind, j] = testcurves.intersect(curve, up[f"d{j}"])
+                        got[kind, j] = testcurves.intersect(curve, up[d[j]])
             yield _Row(i, ctx.h, got)
         # branching consistency at the genus-0 boundary, in covering degrees
         yield "compat:F0-branching", 12, f0["a0"] + 2 * f0["b0s"]
@@ -307,8 +267,8 @@ def _identities(g: int):
         yield "kodaira:flags", [flag for flag, on in flags if on], cert["flags"]
         yield "kodaira:rk", str(rk) if g <= 7 else None, cert["rk"]
         # remainders only where D is complete, one per i = 1..h, each written from rest's integers
-        for name, key, family in (("c", "c", "a"), ("c-prime", "c_prime", "b")):
-            want = [_pq(rest.num.get(f"{family}{i}", 0), rest.den) for i in range(1, ctx.h + 1)] \
+        for name, key, family in (("c", "c", a), ("c-prime", "c_prime", b)):
+            want = [_oracle.pq(rest.num.get(family[i], 0), rest.den) for i in range(1, ctx.h + 1)] \
                 if g >= 8 and composite else None
             yield f"kodaira:{name}", want, cert[key]
 

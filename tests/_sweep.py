@@ -22,7 +22,8 @@ and README's ```python block, and prints one JSON document:
 One process runs every command, so each command's rows hold what the
 commands before it left cached, such as `cli._parsers` for the first.
 `run()` starts the script once per test session, and `assert_linear`
-checks one of the `LINEAR` rows, whose counts grow linearly in h.
+checks one of the `LINEAR` rows, whose counts grow linearly in h. `child`
+runs every test's fresh interpreter; a failed one raises with its stderr.
 """
 
 import ast
@@ -215,13 +216,17 @@ def main() -> dict:
     }
 
 
-def child(script) -> str:
-    """What script prints, run in a fresh interpreter with this checkout's spinpic; a failure raises with its stderr."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+def env() -> dict[str, str]:
+    """os.environ with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+
+
+def child(*args) -> str:
+    """What `python *args` (a script, or "-c" and code) prints with this checkout's spinpic; a failure raises with
+    its stderr."""
+    done = subprocess.run([sys.executable, *map(str, args)], env=env(), capture_output=True, text=True)
     if done.returncode:
-        raise RuntimeError(f"{script} exited {done.returncode}; its stderr:\n{done.stderr}")
+        raise RuntimeError(f"{' '.join(map(str, args))} exited {done.returncode}; its stderr:\n{done.stderr}")
     return done.stdout
 
 

@@ -10,9 +10,11 @@ each broken promise as (genus, side, breach). A test that records anything
 fails, unless it asks for the record, the fixture trusted_record, and
 asserts on it.
 
-Genus g's basis is spelled by this file, as verify spells its own: the
-wrapper neither calls picard._basis, whose calls some tests count, nor
-reads picard's label table, which some tests misspell or watch.
+Genus g's basis is the one that spinpic._oracle spells apart from picard,
+bound at session start as each _trusted is, so a test that patches the
+oracle leaves this check as it was: the wrapper neither calls
+picard._basis, whose calls some tests count, nor reads picard's label
+table, which some tests misspell or watch.
 
 kodaira._trusted_decomposition, decompose_canonical's way past the public
 Decomposition constructor's check, is wrapped the same way: each
@@ -25,28 +27,18 @@ from math import gcd
 
 import pytest
 
-from spinpic import catalog, kodaira, picard, testcurves, transfer
+from spinpic import _oracle, catalog, kodaira, picard, testcurves, transfer
 
 _MODULES = (picard, catalog, testcurves, transfer)  # each calls _trusted by its own binding
 _ORIGINALS = {}
 _RECORD: list[tuple[int, str, str]] = []
-
-
-@lru_cache(maxsize=None)
-def _own_basis(g: int, side: str) -> frozenset:
-    """Genus g's basis labels on the side, spelled here, apart from picard."""
-    h = g // 2
-    if side == picard.M_SIDE:
-        return frozenset(["lambda", *(f"d{i}" for i in range(h + 1))])
-    if side == picard.S_SIDE:
-        return frozenset(["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab")])
-    return frozenset()
+_basis = None  # bound at session start: (g, side) -> the oracle's genus g basis labels on the side, as a set
 
 
 def _breaches(ctx, side, num, den) -> list[str]:
     """What the arguments of one _trusted call break of its contract, in words: none costs a few set operations."""
     found = []
-    if not num.keys() <= (basis := _own_basis(ctx.g, side)):
+    if not num.keys() <= (basis := _basis(ctx.g, side)):
         found += [f"label {label!r}" for label in num if label not in basis]
     if 0 in num.values():
         found += [f"zero {label!r}" for label, n in num.items() if n == 0]
@@ -80,6 +72,8 @@ def _checked_decomposition(trusted):
 
 
 def pytest_sessionstart(session):
+    global _basis
+    _basis = lru_cache(maxsize=None)(lambda g, side, spell=_oracle.basis: frozenset(spell(g, side)))
     for module in _MODULES:
         _ORIGINALS[module, "_trusted"] = module._trusted
         module._trusted = _checked(module._trusted)

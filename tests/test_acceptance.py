@@ -9,7 +9,7 @@ import contextlib
 from fractions import Fraction
 
 from _checks import run_genus
-from spinpic import catalog, cli, kodaira, testcurves, transfer
+from spinpic import _oracle, catalog, cli, kodaira, testcurves, transfer
 from spinpic.errors import NotCompositeError
 from spinpic.picard import GenusCtx, M_SIDE, S_SIDE, basis_class, lincomb, parse_class
 from spinpic.testcurves import curve_map, intersect, solve_thetanull
@@ -61,13 +61,9 @@ def test_criterion_3_nu_table():
 
 
 def _rk_oracle(g: int) -> int:
-    # direct integer evaluation of the covering-curve pairing with the
-    # canonical class: 13*R.lambda - 2*R.a0 - 3*R.b0s, all other entries 0
-    return (
-        13 * (g + 1) * 2 ** (g - 1) * (2**g + 1)
-        - 2 * (6 * g + 18) * 2 ** (2 * g - 2)
-        - 3 * (6 * g + 18) * 2 ** (g - 2) * (2 ** (g - 1) + 1)
-    )
+    # the covering-curve pairing with the canonical class, in ints: 13*R.lambda - 2*R.a0 - 3*R.b0s on the oracle's R
+    r = _oracle.curve_table(g)["R"][1]
+    return 13 * r["lambda"] - 2 * r["a0"] - 3 * r["b0s"]
 
 
 def test_criterion_4_uniruledness_sign_flip():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpic import catalog, kodaira
+from spinpic._oracle import basis as oracle_basis
 from spinpic.catalog import (
     BrillNoether,
     DivisorSpec,
@@ -153,7 +154,7 @@ def test_slot_class_is_valid_in_basis_order_for_every_zero_pattern(g, form):
     # one pass over the basis, whichever entries of the form are zero: the
     # validating constructor's class, its labels in basis order, zeros dropped
     ctx, (den, *head, ai, bi) = GenusCtx(g), form
-    labels = ["lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, ctx.h + 1) for k in "ab")]
+    labels = oracle_basis(g, S_SIDE)
     values = [*head, *[ai, bi] * (ctx.h - 1)]
     cls = catalog._slot_class(ctx, form)
     _assert_validated_form(cls, ctx, S_SIDE)

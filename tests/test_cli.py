@@ -1,7 +1,6 @@
 import argparse
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinpic
+import _sweep
 from spinpic import catalog, cli, errors, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx, labels_for
 
@@ -522,9 +521,7 @@ def test_exit_code_classes():
 
 def _spawn(*argv):
     """Start `python -m spinpic.cli argv` with this checkout's spinpic on the path."""
-    src = str(Path(spinpic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-m", "spinpic.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, "-m", "spinpic.cli", *argv], env=_sweep.env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 

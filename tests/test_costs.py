@@ -38,14 +38,17 @@ def test_work_grows_linearly_in_h():
 
 
 def test_a_crashing_sweep_raises_with_its_stderr(tmp_path):
-    # the child's traceback, such as one that a renamed BY_CALLER entry gives, is in the error
+    # the child's traceback, such as one that a renamed BY_CALLER entry gives, is in the error, for a script or -c code
+    code = "import spinpic.transfer\nraise LookupError('no def transfer.renamed')\n"
     script = tmp_path / "crash.py"
-    script.write_text("import spinpic.transfer\nraise LookupError('no def transfer.renamed')\n")
-    with pytest.raises(RuntimeError) as info:
-        _sweep.child(script)
-    message = str(info.value)
-    assert message.startswith(f"{script} exited 1; its stderr:\nTraceback (most recent call last):\n")
-    assert message.endswith("\nLookupError: no def transfer.renamed\n")
+    script.write_text(code)
+    for args in ((script,), ("-c", code)):
+        with pytest.raises(RuntimeError) as info:
+            _sweep.child(*args)
+        message = str(info.value)
+        head = f"{' '.join(map(str, args))} exited 1; its stderr:\nTraceback (most recent call last):\n"
+        assert message.startswith(head)
+        assert message.endswith("\nLookupError: no def transfer.renamed\n")
 
 
 _PINNED = {

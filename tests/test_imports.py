@@ -16,9 +16,11 @@ so no module grows a reduce-and-trust path of its own beside the kernel.
 Likewise only kodaira._rk_is_evidence compares a genus with MAX_RK_GENUS,
 kodaira raises VerificationFailureError only where it certifies evidence or
 checks a decomposition, so the sign rules keep one home in certify, and
-only picard._spell spells an indexed label, besides verify's own
-independent spellings; it runs once, at import, and no other module reads
-the maps under picard's label table, while verify reads no part of it.
+only picard._spell spells an indexed label, besides _oracle's
+independent spellings, which verify reads and which import nothing of
+spinpic, with verify their only importer; _spell runs once, at import, and
+no other module reads the maps under picard's label table, while verify
+reads no part of it.
 picard alone defines MAX_GENUS, the genus ceiling that GenusCtx and the
 cli share.
 It also keeps one kind of value: every class outside errors.py derives from
@@ -29,13 +31,12 @@ json.JSONEncoder.
 """
 
 import ast
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import _sweep
 from spinpic import picard
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinpic"
@@ -63,29 +64,28 @@ def test_module_imports_only_stdlib(path):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter with this checkout's spinpic first on the path, so
     # no module that this test process loaded counts
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     probe = f"import sys, spinpic.cli; print(sorted({sorted(SLOW_TO_IMPORT)} & sys.modules.keys()))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _sweep.child("-c", probe) == "[]\n"
 
 
-def _call_sites(path: Path, name: str) -> list[str]:
-    """The innermost enclosing function of each call to `name` or `x.name` in the module ('' at module level).
-
-    A dotted name, such as `object.__new__`, matches only a call spelled so.
-    """
+def _sites(path: Path, hit) -> list[str]:
+    """The innermost enclosing function of each node of the module that hit(node) holds for ('' at module level)."""
     found = []
 
     def visit(node, where):
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None),
-                                                   ast.unparse(node.func)):
+        if hit(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
 
     visit(ast.parse(path.read_text(), filename=str(path)), "")
     return found
+
+
+def _call_sites(path: Path, name: str) -> list[str]:
+    """Each call to `name` or `x.name`, by _sites; a dotted name, such as `object.__new__`, matches only so spelled."""
+    return _sites(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None), ast.unparse(node.func)))
 
 
 def test_only_picard_unknown_labels_builds_an_unknown_label_error():
@@ -123,55 +123,35 @@ def test_only_value_init_calls_object_setattr():
     assert sites == [("picard.py", "_init")]
 
 
+def _names(nodes) -> set:
+    """The id of each name and the attr of each attribute among the nodes, and None for any other node."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
+
+
 def test_only_rk_is_evidence_compares_with_max_rk_genus():
-    sites = []
+    def compares(node):
+        return isinstance(node, ast.Compare) and "MAX_RK_GENUS" in _names([node.left, *node.comparators])
 
-    def visit(node, where):
-        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
-        if any(getattr(n, "id", getattr(n, "attr", None)) == "MAX_RK_GENUS" for n in operands):
-            sites.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.name)
-    assert sites == ["_rk_is_evidence"]
+    assert [where for path in sorted(PACKAGE.glob("*.py")) for where in _sites(path, compares)] == ["_rk_is_evidence"]
 
 
 def test_kodaira_raises_verification_failures_only_where_it_certifies():
-    sites = []
+    def raises(node):  # raise E or raise E(...)
+        exc = getattr(node, "exc", None)
+        return isinstance(node, ast.Raise) and "VerificationFailureError" in _names([getattr(exc, "func", exc)])
 
-    def visit(node, where):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(raised, "id", getattr(raised, "attr", None)) == "VerificationFailureError":
-                sites.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
-
-    path = PACKAGE / "kodaira.py"
-    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    sites = _sites(PACKAGE / "kodaira.py", raises)
     assert sorted(set(sites)) == ["certify", "decompose_canonical", "remainders_nonnegative"]
 
 
-def _label_fstring_sites(path: Path) -> list[str]:
-    """The innermost enclosing function of each f-string that is exactly a label letter d, a or b and one expression.
+def _is_label_fstring(node) -> bool:
+    """An f-string that is exactly a label letter d, a or b and one expression.
 
     f"d{i}" is one; a longer f-string that names labels, such as
     f"a{i}+b{i}=even", is a check name, not a label.
     """
-    found = []
-
-    def visit(node, where):
-        if (isinstance(node, ast.JoinedStr) and len(node.values) == 2
-                and isinstance(node.values[0], ast.Constant) and node.values[0].value in ("d", "a", "b")
-                and isinstance(node.values[1], ast.FormattedValue)):
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), "")
-    return found
+    return (isinstance(node, ast.JoinedStr) and len(node.values) == 2 and isinstance(node.values[0], ast.Constant)
+            and node.values[0].value in ("d", "a", "b") and isinstance(node.values[1], ast.FormattedValue))
 
 
 # the maps under picard's label table and its writer, which no other module reads: the engine modules read the
@@ -179,19 +159,29 @@ def _label_fstring_sites(path: Path) -> list[str]:
 _RAW_LABELS = {"_M", "_S", "_spell"}
 
 
-def test_only_picard_and_verify_spell_a_label():
+def test_only_picard_and_the_oracle_spell_a_label():
     # picard._spell spells each of the engine's labels once per process, at
-    # import, and verify spells its own, to check them, without reading picard's
-    sites = {path.name: where for path in sorted(PACKAGE.glob("*.py")) if (where := _label_fstring_sites(path))}
-    assert sites.keys() == {"picard.py", "verify.py"}, sites
+    # import, and _oracle spells its own for verify, which spells none, to
+    # check them without reading picard's
+    sites = {path.name: where for path in sorted(PACKAGE.glob("*.py")) if (where := _sites(path, _is_label_fstring))}
+    assert sites.keys() == {"picard.py", "_oracle.py"}, sites
     assert sites["picard.py"] == ["_spell"] * 3, sites
+    assert sites["_oracle.py"] == ["basis"] * 3 + ["curve_table"] * 2, sites
     assert _call_sites(PACKAGE / "picard.py", "_spell") == [""]  # at module level: once, at import
     assert _RAW_LABELS | {"_LABELS", "_basis"} <= vars(picard).keys()
     reads = {path.name: names for path in sorted(PACKAGE.glob("*.py")) if path.name != "picard.py"
              if (names := _RAW_LABELS & set(_private_names_read(path, "picard")))}
     assert reads == {}
-    # nor the table: verify checks picard's labels against its own spellings
+    # nor the table: verify checks picard's labels against the oracle's spellings
     assert {"_LABELS", "_basis"}.isdisjoint(_private_names_read(PACKAGE / "verify.py", "picard"))
+
+
+def test_the_oracle_imports_no_spinpic_module_and_only_verify_imports_it():
+    # _oracle writes the expected sides apart from the engine: it reads none of it, and no engine module reads it
+    imports = {path.name: [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                           if isinstance(node, (ast.Import, ast.ImportFrom))] for path in sorted(PACKAGE.glob("*.py"))}
+    assert imports["_oracle.py"] == ["from fractions import Fraction", "from math import gcd, isqrt"]
+    assert [name for name, lines in imports.items() if any("_oracle" in line for line in lines)] == ["verify.py"]
 
 
 def test_only_picard_defines_max_genus():

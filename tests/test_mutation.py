@@ -36,14 +36,11 @@ check of those classes, in conftest.py, records of it.
 import copy
 import inspect
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+import _sweep
 from _checks import run_genus
 from spinpic import catalog, cli, kodaira, picard, testcurves, transfer, verify
 from spinpic.picard import DivisorClass, GenusCtx, M_SIDE, S_SIDE, basis_class, labels_for
@@ -483,13 +480,9 @@ def test_an_overrun_slice_is_caught_on_a_first_sweep_upward():
     # visited before, and the checks in place fail
     probe = _OVERRUN_PROBE.replace("ctx.h + 1]", "ctx.h + 3]")
     assert probe != _OVERRUN_PROBE
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "FAIL canonical:splitting roundtrip:canonical-m\n"
+    assert _sweep.child("-c", probe) == "FAIL canonical:splitting roundtrip:canonical-m\n"
     # the same closed form without the overrun is clean
-    run = subprocess.run([sys.executable, "-c", _OVERRUN_PROBE], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "OK\n"
+    assert _sweep.child("-c", _OVERRUN_PROBE) == "OK\n"
 
 
 def test_the_cli_refuses_to_print_an_overrun_class(monkeypatch, capsys, trusted_record):

@@ -1,15 +1,13 @@
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import _sweep
+from spinpic._oracle import basis as oracle_basis
 from spinpic.catalog import canonical_m, canonical_s, choose_d, divisor_class, m1_theta_class, thetanull_class
 from spinpic.errors import ClassSyntaxError, EngineFaultError, MixedBasisError, UnknownLabelError
 from spinpic.picard import (
@@ -94,20 +92,12 @@ def test_label_table_spells_each_label_once_and_the_bases_follow_it(g):
     for basis, label in ((m, "d0"), (s, "a0")):
         with pytest.raises(TypeError):
             basis[label] = 1
-    # the bases are prefixes of the maps in order, and store the table's own strings
-    assert labels_for(ctx, M_SIDE) == ("lambda", *(f"d{i}" for i in range(h + 1))) == tuple(m)[:h + 2]
-    assert labels_for(ctx, S_SIDE) == ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
-    assert labels_for(ctx, S_SIDE) == tuple(s)[:2 * h + 3]
+    # the bases, spelled as the oracle spells them, are prefixes of the maps in order, and store the table's own strings
+    assert labels_for(ctx, M_SIDE) == oracle_basis(g, M_SIDE) == tuple(m)[:h + 2]
+    assert labels_for(ctx, S_SIDE) == oracle_basis(g, S_SIDE) == tuple(s)[:2 * h + 3]
     assert all(x is y for x, y in zip(labels_for(ctx, M_SIDE)[1:], table.d))
     # the maps are the table's own
     assert m is table.m and s is table.s
-
-
-def _fresh(code: str) -> str:
-    """The stdout of `code` run in a fresh interpreter with this checkout's spinpic first on the path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 # Each public way to test a label against a basis, as (name, code) at genus ctx, side and label; the __getitem__
@@ -124,14 +114,6 @@ def _call(entry, ctx, side, label):
     return eval(_ENTRY_POINTS[entry], {**globals(), "ctx": ctx, "side": side, "label": label})
 
 
-def _own_basis(g, side):
-    """Genus g's side basis, spelled here, apart from picard."""
-    h = g // 2
-    if side == M_SIDE:
-        return ("lambda", *(f"d{i}" for i in range(h + 1)))
-    return ("lambda", "a0", "b0s", *(f"{k}{i}" for i in range(1, h + 1) for k in "ab"))
-
-
 @pytest.mark.parametrize("label", ["d5", "a5", "b5"])
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_labels_spelled_for_a_higher_genus_stay_outside_a_lower_genus_basis(entry, label):
@@ -140,7 +122,7 @@ def test_labels_spelled_for_a_higher_genus_stay_outside_a_lower_genus_basis(entr
     with pytest.raises(UnknownLabelError) as raised:
         _call(entry, ctx, side, label)
     assert str(raised.value) == (
-        f"label {label!r} is not in the side-{side} basis at genus 9 (basis: {', '.join(_own_basis(9, side))})"
+        f"label {label!r} is not in the side-{side} basis at genus 9 (basis: {', '.join(oracle_basis(9, side))})"
     )
 
 
@@ -151,8 +133,8 @@ from spinpic.picard import GenusCtx, labels_for
 bases = {{g: (labels_for(GenusCtx(g), "M"), labels_for(GenusCtx(g), "S")) for g in {genera!r}}}
 print(sorted(bases.items()))
 """
-    want = [(g, (_own_basis(g, M_SIDE), _own_basis(g, S_SIDE))) for g in range(2, 61)]
-    assert _fresh(probe) == f"{want}\n"
+    want = [(g, (oracle_basis(g, M_SIDE), oracle_basis(g, S_SIDE))) for g in range(2, 61)]
+    assert _sweep.child("-c", probe) == f"{want}\n"
 
 
 def test_a_fresh_process_holds_the_whole_label_table():
@@ -170,7 +152,7 @@ print(all(keys[x] is x for x in (*t.d, *t.a, *t.b)))
     b[0] = "b0s"
     m = [("lambda", 0), *((x, i) for i, x in enumerate(d))]
     s = [("lambda", 0), *((x, i) for i, pair in enumerate(zip(a, b)) for x in pair)]
-    assert _fresh(probe) == f"{['tuple'] * 3} {d} {a} {b}\n{m} {s}\nTrue\n"
+    assert _sweep.child("-c", probe) == f"{['tuple'] * 3} {d} {a} {b}\n{m} {s}\nTrue\n"
 
 
 def test_slot_set_is_frozen():
@@ -489,7 +471,7 @@ def test_render_refuses_a_stored_label_outside_the_basis(trusted_record):
         with pytest.raises(EngineFaultError) as raised:
             render(x)
         assert str(raised.value) == (
-            f"label 'd5' is not in the side-M basis at genus 9 (basis: {', '.join(_own_basis(9, M_SIDE))})")
+            f"label 'd5' is not in the side-M basis at genus 9 (basis: {', '.join(oracle_basis(9, M_SIDE))})")
     assert trusted_record == [(9, M_SIDE, "label 'd5'")]
 
 
